@@ -17,7 +17,7 @@ import numpy as np
 from . import render as rd
 from . import scenarios as sc
 from .energy import classify_superoscillation, decompose, decomposition_to_csv, mask_area, masks_to_csv
-from .flow import save_node_events, streamlines_to_csv, vortex_profile, vortex_profile_to_csv, circulation
+from .flow import circulation, streamline_bundle, streamlines_to_csv, vortex_profile, vortex_profile_to_csv
 from .grids import field_to_csv
 from .spectral import eigenbasis, save_basis
 from .states import evaluate
@@ -114,16 +114,8 @@ def _cmd_streamlines(args) -> int:
     c = _config_from_args(args)
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
-    from .flow import integrate_streamline, seed_quantiles
-    from .grids import ScalarField
-
-    s = b.states[0]
-    rho0 = ScalarField(s.grid, np.abs(evaluate(s, b.span[0]).values) ** 2)
-    seeds = seed_quantiles(rho0, c.streamlines)
-    qs = np.arange(1, c.streamlines + 1) / (c.streamlines + 1.0)
     te = np.linspace(b.span[0], b.span[1], 65)
-    lines = [integrate_streamline(s, x0, b.span, t_eval=te, seed_quantile=q)
-             for q, x0 in zip(qs, seeds)]
+    lines = streamline_bundle(b.states[0], c.streamlines, b.span, t_eval=te)
     path = os.path.join(args.out, "streamlines.csv")
     streamlines_to_csv(lines, path)
     _say(path)
@@ -168,14 +160,7 @@ def _cmd_tune(args) -> int:
     c = sc.default_config(name, tol=args.tol) if args.tol else sc.default_config(name)
     if c.name != "mzi_1d":
         raise ValueError("tuning applies to the mzi_1d scenario")
-    from .grids import Grid1D
-    from .states import WavepacketSpec
-
-    grid = Grid1D(-sc.MZI_HALF_WIDTH, sc.MZI_HALF_WIDTH, c.grid_n)
-    geo = sc.SplitterGeometry(grid, c.modes, sc._barrier_width_for(c),
-                              band_cap=c.band_cap, eta=c.eta)
-    packet = WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
-    r = sc.tune_beam_splitter(geo, packet, tol=c.tol)
+    r = sc.tune_beam_splitter(*sc.splitter_setup(c), tol=c.tol)
     print(f"U0* = {r.U0_star:.6g}  T = {r.transmission:.6f}  "
           f"probes = {len(r.history)}  bisections = {r.iterations}")
     if args.out:

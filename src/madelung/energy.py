@@ -17,6 +17,7 @@ from .grids import (
     gradient,
     gradient2d,
     laplacian,
+    trapezoid_weights,
 )
 from .states import Superposition, evaluate, time_derivative
 
@@ -361,14 +362,10 @@ def ledger_integrals(d: EnergyDecomposition) -> dict:
     """
     g = d.grid
     if isinstance(g, Grid1D):
-        w = np.full(g.n, g.h)
-        w[0] = w[-1] = 0.5 * g.h
+        w = trapezoid_weights(g.n, g.h)
     else:
-        wx = np.full(g.grid_x.n, g.grid_x.h)
-        wx[0] = wx[-1] = 0.5 * g.grid_x.h
-        wy = np.full(g.grid_y.n, g.grid_y.h)
-        wy[0] = wy[-1] = 0.5 * g.grid_y.h
-        w = np.outer(wx, wy)
+        w = np.outer(trapezoid_weights(g.grid_x.n, g.grid_x.h),
+                     trapezoid_weights(g.grid_y.n, g.grid_y.h))
     out = {}
     for name in ("q", "k_a", "k_s", "q_r", "k_c", "e_p", "u"):
         out[name] = float(np.sum(w * getattr(d, name).values))

@@ -13,16 +13,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .energy import EPS_NODE, decompose
 from .grids import Grid1D, Grid2D, ScalarField
-from .states import (
-    Superposition,
-    evaluate,
-    evaluate_along,
-    evaluate_at,
-    evaluate_at_2d,
-    evaluate_at_dt,
-    evaluate_at_dx,
-    evaluate_at_grad_2d,
-)
+from .states import Superposition, evaluate, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
 NODE_PAUSE_FACTOR = 10.0
@@ -137,11 +128,9 @@ def quantile_position(s: Superposition, q: float, t: float) -> float:
 # ------------------------------------------------------------- streamlines
 
 
-def _probe(s: Superposition, x: float, t: float):
-    psi = complex(evaluate_at(s, x, t))
-    dpsi = complex(evaluate_at_dx(s, x, t))
-    rho = psi.real**2 + psi.imag**2
-    return psi, dpsi, rho
+def _density(s: Superposition, x: float, t: float) -> float:
+    psi = complex(evaluate_at(s, x, t)[0])
+    return psi.real**2 + psi.imag**2
 
 
 def integrate_streamline(s: Superposition, x0: float, t_span, tol: float = 1e-8,
@@ -163,21 +152,19 @@ def integrate_streamline(s: Superposition, x0: float, t_span, tol: float = 1e-8,
     rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
     floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
     lo, hi = g.x_min + 2 * g.h, g.x_max - 2 * g.h
-    rho0 = _probe(s, x0, t0)[2]
-    if not (lo <= x0 <= hi) or rho0 < EPS_NODE * rho_ref:
+    if not (lo <= x0 <= hi) or _density(s, x0, t0) < EPS_NODE * rho_ref:
         raise ValueError("streamline start lies in a masked region")
     if seed_quantile is None:
         seed_quantile = cumulative_probability(s, x0, t0)
 
     def rhs(t, y):
         xx = min(max(y[0], g.x_min), g.x_max)
-        psi, dpsi, rho = _probe(s, xx, t)
-        v = (psi.conjugate() * dpsi).imag / max(rho, floor)
-        return (v,)
+        psi, dpsi, _ = (complex(v) for v in evaluate_at(s, xx, t))
+        rho = psi.real**2 + psi.imag**2
+        return ((psi.conjugate() * dpsi).imag / max(rho, floor),)
 
     def near_node(t, y):
-        xx = min(max(y[0], g.x_min), g.x_max)
-        return _probe(s, xx, t)[2] - floor
+        return _density(s, min(max(y[0], g.x_min), g.x_max), t) - floor
 
     near_node.terminal = True
     near_node.direction = -1.0
@@ -218,14 +205,12 @@ def _first_dip(s: Superposition, path, t_range, rho_ref: float, floor: float,
         return None
     tt = np.linspace(t0, t1, 4097)
     xx = np.clip(path(tt)[0], g.x_min, g.x_max)
-    rr = np.abs(evaluate_along(s, xx, tt)) ** 2
+    rr = np.abs(evaluate_at(s, xx, tt)[0]) ** 2
     if rr[0] < floor:
         return float(t0)
 
     def rho_at(t):
-        x = float(np.clip(path(t)[0], g.x_min, g.x_max))
-        psi = complex(evaluate_at(s, x, float(t)))
-        return psi.real**2 + psi.imag**2
+        return _density(s, float(np.clip(path(t)[0], g.x_min, g.x_max)), float(t))
 
     inner = rr[1:-1]
     cand = np.nonzero(
@@ -288,13 +273,9 @@ def integrate_loop_2d(s: Superposition, p0, t_span, tol: float = 1e-8,
     def rhs(t, p):
         x = min(max(p[0], gx.x_min), gx.x_max)
         y = min(max(p[1], gy.x_min), gy.x_max)
-        psi = complex(evaluate_at_2d(s, x, y, t))
-        dx_, dy_ = evaluate_at_grad_2d(s, x, y, t)
+        psi, dx_, dy_ = (complex(v) for v in evaluate_at_2d(s, x, y, t))
         rho = max(psi.real**2 + psi.imag**2, floor)
-        return (
-            (psi.conjugate() * complex(dx_)).imag / rho,
-            (psi.conjugate() * complex(dy_)).imag / rho,
-        )
+        return (psi.conjugate() * dx_).imag / rho, (psi.conjugate() * dy_).imag / rho
 
     sol = solve_ivp(rhs, (t0, t1), (float(p0[0]), float(p0[1])), method="RK45",
                     rtol=tol, atol=tol, t_eval=t_eval,
@@ -336,49 +317,27 @@ def _local_minima_2d(R2: np.ndarray, threshold: float):
     return ii + 1, jj + 1
 
 
-def _newton_node_1d(s: Superposition, x: float, t: float, amp_scale: float,
-                    bounds, steps: int = 30):
-    (xlo, xhi), (tlo, thi) = bounds
+def _newton_node(f, a: float, b: float, bounds, steps: int = 30):
+    """Newton on (Re psi, Im psi) = (0, 0) in two real unknowns (a, b),
+    where f(a, b) returns (psi, dpsi/da, dpsi/db).  Returns the final
+    (a, b) and |psi| there, or None in place of |psi| when the Jacobian
+    turns singular or an iterate leaves bounds = ((a_lo, a_hi), (b_lo, b_hi))."""
+    (alo, ahi), (blo, bhi) = bounds
     for _ in range(steps):
-        psi = complex(evaluate_at(s, x, t))
-        dpx = complex(evaluate_at_dx(s, x, t))
-        dpt = complex(evaluate_at_dt(s, x, t))
-        scale = max(abs(dpx), abs(dpt))
-        det = dpx.real * dpt.imag - dpt.real * dpx.imag
+        psi, da, db = (complex(v) for v in f(a, b))
+        scale = max(abs(da), abs(db))
+        det = da.real * db.imag - db.real * da.imag
         if not np.isfinite(det) or abs(det) <= 1e-12 * scale**2:
-            return x, t, False
-        # solve J [dx, dt]^T = F with J = [[Re dpx, Re dpt], [Im dpx, Im dpt]]
-        step_x = (psi.real * dpt.imag - psi.imag * dpt.real) / det
-        step_t = (psi.imag * dpx.real - psi.real * dpx.imag) / det
-        x, t = x - step_x, t - step_t
-        if not (xlo <= x <= xhi and tlo <= t <= thi):
-            return x, t, False
-        if abs(step_x) < 1e-14 and abs(step_t) < 1e-14:
+            return a, b, None
+        # solve J [step_a, step_b]^T = F with J = [[Re da, Re db], [Im da, Im db]]
+        step_a = (psi.real * db.imag - psi.imag * db.real) / det
+        step_b = (psi.imag * da.real - psi.real * da.imag) / det
+        a, b = a - step_a, b - step_b
+        if not (alo <= a <= ahi and blo <= b <= bhi):
+            return a, b, None
+        if abs(step_a) < 1e-14 and abs(step_b) < 1e-14:
             break
-    ok = abs(complex(evaluate_at(s, x, t))) < NODE_RESIDUAL * amp_scale
-    return x, t, ok
-
-
-def _newton_node_2d(s: Superposition, x: float, y: float, t: float,
-                    amp_scale: float, bounds, steps: int = 30):
-    (xlo, xhi), (ylo, yhi) = bounds
-    for _ in range(steps):
-        psi = complex(evaluate_at_2d(s, x, y, t))
-        gx, gy = evaluate_at_grad_2d(s, x, y, t)
-        gx, gy = complex(gx), complex(gy)
-        scale = max(abs(gx), abs(gy))
-        det = gx.real * gy.imag - gy.real * gx.imag
-        if not np.isfinite(det) or abs(det) <= 1e-12 * scale**2:
-            return x, y, False
-        step_x = (psi.real * gy.imag - psi.imag * gy.real) / det
-        step_y = (psi.imag * gx.real - psi.real * gx.imag) / det
-        x, y = x - step_x, y - step_y
-        if not (xlo <= x <= xhi and ylo <= y <= yhi):
-            return x, y, False
-        if abs(step_x) < 1e-14 and abs(step_y) < 1e-14:
-            break
-    ok = abs(complex(evaluate_at_2d(s, x, y, t))) < NODE_RESIDUAL * amp_scale
-    return x, y, ok
+    return a, b, abs(complex(f(a, b)[0]))
 
 
 def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
@@ -469,10 +428,9 @@ def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
     raw = []
     for j, i in zip(jj, ii):
         xc, tc = float(g.x[j]), float(ts[i])
-        xr, tr, ok = _newton_node_1d(s, xc, tc, amp_scale, bounds)
-        if ok:
-            res = abs(complex(evaluate_at(s, xr, tr))) / amp_scale
-            raw.append((tr, xr, True, res))
+        xr, tr, amp = _newton_node(lambda x, t: evaluate_at(s, x, t), xc, tc, bounds)
+        if amp is not None and amp < NODE_RESIDUAL * amp_scale:
+            raw.append((tr, xr, True, amp / amp_scale))
         else:
             res = math.sqrt(R2[i, j] / scale)
             raw.append((tc, xc, False, res))
@@ -497,10 +455,10 @@ def _find_nodes_2d(s: Superposition, t_window, nt: int, rho_rel_tol: float):
         ix, iy = _local_minima_2d(R2, rho_rel_tol * scale)
         for i, j in zip(ix, iy):
             xc, yc = float(gx.x[i]), float(gy.x[j])
-            xr, yr, ok = _newton_node_2d(s, xc, yc, float(tj), amp_scale, bounds)
-            if ok:
-                res = abs(complex(evaluate_at_2d(s, xr, yr, float(tj)))) / amp_scale
-                raw.append((float(tj), (xr, yr), True, res))
+            xr, yr, amp = _newton_node(lambda x, y: evaluate_at_2d(s, x, y, float(tj)),
+                                       xc, yc, bounds)
+            if amp is not None and amp < NODE_RESIDUAL * amp_scale:
+                raw.append((float(tj), (xr, yr), True, amp / amp_scale))
             else:
                 raw.append((float(tj), (xc, yc), False, math.sqrt(R2[i, j] / scale)))
     return _cluster(raw, dt_lat, 2 * h, t1 - t0)
@@ -561,7 +519,7 @@ def circulation(s: Superposition, center, radius: float, t: float = 0.0,
     ang = orientation * np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     xs = cx + radius * np.cos(ang)
     ys = cy + radius * np.sin(ang)
-    psi = evaluate_at_2d(s, xs, ys, t)
+    psi = evaluate_at_2d(s, xs, ys, t)[0]
     amps = np.abs(psi)
     if amps.min() < 1e-12 * amps.max():
         raise ValueError("loop passes through a node")

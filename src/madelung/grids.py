@@ -20,6 +20,7 @@ __all__ = [
     "integrate",
     "integrate_masked",
     "quadrature",
+    "trapezoid_weights",
     "gradient",
     "gradient2d",
     "laplacian",
@@ -117,6 +118,15 @@ class ComplexField:
         _check_values(self.grid, self.values, self.mask)
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights on n uniform points of spacing h; all
+    zero below two points, where the rule spans no interval."""
+    w = np.full(n, h if n > 1 else 0.0)
+    if n > 1:
+        w[0] = w[-1] = h / 2.0
+    return w
+
+
 def _quad_weights(n: int, h: float) -> np.ndarray:
     # Composite Simpson for odd n, trapezoid otherwise.
     if n % 2 == 1:
@@ -124,9 +134,7 @@ def _quad_weights(n: int, h: float) -> np.ndarray:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         return w * (h / 3.0)
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+    return trapezoid_weights(n, h)
 
 
 def integrate(f) -> float:

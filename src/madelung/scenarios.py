@@ -17,17 +17,16 @@ from .flow import (
     circulation,
     find_nodes,
     integrate_loop_2d,
-    integrate_streamline,
     loop_seeds_on_axis,
     loops_to_csv,
     node_events_to_json,
     save_node_events,
-    seed_quantiles,
+    streamline_bundle,
     streamlines_to_csv,
     vortex_profile,
     vortex_profile_to_csv,
 )
-from .grids import Grid1D, Grid2D, ScalarField
+from .grids import Grid1D, Grid2D, trapezoid_weights
 from .spectral import (
     EigenBasis,
     Harmonic,
@@ -207,6 +206,10 @@ def save_config(c: ScenarioConfig, path):
 # ------------------------------------------------------------- measurement
 
 
+def _trapezoid(vals: np.ndarray, h: float) -> float:
+    return float(np.sum(trapezoid_weights(vals.size, h) * vals))
+
+
 def transmission(s: Superposition, x_split: float, t_measure: float) -> float:
     """Probability beyond x_split once the packet has cleared the barrier.
 
@@ -217,7 +220,7 @@ def transmission(s: Superposition, x_split: float, t_measure: float) -> float:
     if g.ndim != 1:
         raise ValueError("transmission is a 1D measurement")
     rho = np.abs(evaluate(s, float(t_measure)).values) ** 2
-    total = np.trapezoid(rho, g.x)
+    total = _trapezoid(rho, g.h)
     pot = s.basis.potential
     if isinstance(pot, WellWithBarrier):
         half = 0.5 * pot.barrier_width
@@ -225,14 +228,14 @@ def transmission(s: Superposition, x_split: float, t_measure: float) -> float:
     else:
         lo, hi = x_split - 2 * g.h, x_split + 2 * g.h
     sel = (g.x >= lo) & (g.x <= hi)
-    p_bar = float(np.trapezoid(rho[sel], g.x[sel]) / total)
+    p_bar = _trapezoid(rho[sel], g.h) / total
     if p_bar >= BARRIER_CLEARANCE:
         raise ValueError(
             f"packet has not cleared the barrier: region [{lo:g}, {hi:g}] holds "
             f"probability {p_bar:.3e} at t = {t_measure:g}"
         )
     beyond = g.x >= x_split
-    return float(np.trapezoid(rho[beyond], g.x[beyond]) / total)
+    return _trapezoid(rho[beyond], g.h) / total
 
 
 @dataclass(frozen=True)
@@ -367,6 +370,15 @@ def _barrier_width_for(c: ScenarioConfig) -> float:
     return MZI_HALF_WIDTH * 2.0 / 4.0 / 50.0
 
 
+def splitter_setup(c: ScenarioConfig) -> tuple:
+    """(SplitterGeometry, WavepacketSpec) of an mzi_1d config: the barrier
+    well the tuner probes and the packet it launches."""
+    grid = Grid1D(-MZI_HALF_WIDTH, MZI_HALF_WIDTH, c.grid_n)
+    geo = SplitterGeometry(grid, c.modes, _barrier_width_for(c), MZI_HALF_WIDTH,
+                           band_cap=c.band_cap, eta=c.eta)
+    return geo, WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
+
+
 def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
     """Construct the basis and state(s) for a config, tuning the splitter
     height when the config leaves it open."""
@@ -426,17 +438,17 @@ def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
         return ScenarioBundle(c, basis, states, labels, frame_times,
                               frame_states, (0.0, period), period, None, extras)
 
-    packet = WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
-
     if name == "reflection_pulse":
         grid = Grid1D(-REFLECT_HALF_WIDTH, REFLECT_HALF_WIDTH, c.grid_n)
         basis = eigenbasis(InfiniteWell(REFLECT_HALF_WIDTH), grid, c.modes)
+        packet = WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
         state = project_gaussian(basis, packet, eta=c.eta)
         if c.band_cap is not None:
             state = cap_modes(state, c.band_cap)
         extras["band"] = {
             "truncation_index": int(state.meta["truncation_index"]),
             "band_limit": band_limit(state),
+            "cap_dropped_norm": state.meta.get("cap_dropped_norm", 0.0),
         }
         span = (0.0, REFLECT_SPAN)
         frame_times = np.arange(c.frames) * (span[1] / c.frames)
@@ -445,10 +457,8 @@ def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
 
     # mzi_1d: band-limited launch in the free well, then re-projection onto
     # the barrier well at the (tuned or given) height
-    grid = Grid1D(-MZI_HALF_WIDTH, MZI_HALF_WIDTH, c.grid_n)
-    width = _barrier_width_for(c)
-    geo = SplitterGeometry(grid, c.modes, width, MZI_HALF_WIDTH,
-                           band_cap=c.band_cap, eta=c.eta)
+    geo, packet = splitter_setup(c)
+    grid, width = geo.grid, geo.barrier_width
     launch = _launch_state(geo, packet)
     if c.barrier_height is None:
         tuning = tune_beam_splitter(geo, packet, tol=c.tol)
@@ -466,6 +476,7 @@ def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
     }
     extras["band"] = {
         "launch_truncation_index": int(launch.meta["truncation_index"]),
+        "launch_cap_dropped_norm": launch.meta.get("cap_dropped_norm", 0.0),
         "truncation_index": int(state.meta["truncation_index"]),
         "band_limit": band_limit(state),
     }
@@ -485,9 +496,8 @@ def _round_trip_report(state: Superposition, t_end: float) -> dict:
     # reported per port rather than asserted for a particular side
     g = state.grid
     rho = np.abs(evaluate(state, t_end).values) ** 2
-    total = np.trapezoid(rho, g.x)
     launch = g.x <= 0.0
-    p_launch = float(np.trapezoid(rho[launch], g.x[launch]) / total)
+    p_launch = _trapezoid(rho[launch], g.h) / _trapezoid(rho, g.h)
     return {
         "t": float(t_end),
         "launch_side_probability": p_launch,
@@ -571,15 +581,7 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         t_eval = np.asarray(b.frame_times, dtype=float)
         if t_eval.size < 2 or not (np.diff(t_eval) > 0).all():
             t_eval = np.linspace(b.span[0], b.span[1], 33)
-        rho0 = ScalarField(
-            state.grid, np.abs(evaluate(state, b.span[0]).values) ** 2
-        )
-        seeds = seed_quantiles(rho0, c.streamlines)
-        qs = np.arange(1, c.streamlines + 1) / (c.streamlines + 1.0)
-        lines = [
-            integrate_streamline(state, x0, b.span, t_eval=t_eval, seed_quantile=q)
-            for q, x0 in zip(qs, seeds)
-        ]
+        lines = streamline_bundle(state, c.streamlines, b.span, t_eval=t_eval)
         streamlines_to_csv(lines, os.path.join(out_dir, "streamlines.csv"))
         files["streamlines"] = "streamlines.csv"
         derived["streamline_flags"] = [

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grids import Grid1D, Grid2D, ScalarField
-
-
-def _trap_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+from .grids import Grid1D, Grid2D, ScalarField, trapezoid_weights
 
 __all__ = [
     "InfiniteWell",
@@ -173,11 +167,11 @@ class EigenBasis:
         # modes
         V = self.states_matrix()
         if self.grid.ndim == 1:
-            w = _trap_weights(self.grid.n, self.grid.h)
+            w = trapezoid_weights(self.grid.n, self.grid.h)
             gram = (V * w) @ V.T
         else:
-            wx = _trap_weights(self.grid.grid_x.n, self.grid.grid_x.h)
-            wy = _trap_weights(self.grid.grid_y.n, self.grid.grid_y.h)
+            wx = trapezoid_weights(self.grid.grid_x.n, self.grid.grid_x.h)
+            wy = trapezoid_weights(self.grid.grid_y.n, self.grid.grid_y.h)
             gram = np.einsum("ixy,x,y,jxy->ij", V, wx, wy, V)
         if np.abs(np.diag(gram) - 1.0).max() > 1e-8:
             raise ValueError("states not normalized to 1e-8")
@@ -281,7 +275,7 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
     order = np.argsort(lam)
     lam, V = lam[order], V[:, order]
     states = []
-    wq = _trap_weights(grid.n, grid.h)
+    wq = trapezoid_weights(grid.n, grid.h)
     for j in range(k):
         full = np.zeros(grid.n)
         full[1:-1] = V[:, j]

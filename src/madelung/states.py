@@ -20,7 +20,7 @@ __all__ = [
     "evaluate",
     "time_derivative",
     "evaluate_at",
-    "evaluate_at_dx",
+    "evaluate_at_2d",
     "project_gaussian",
     "band_limit",
     "calibrate_sigma",
@@ -120,26 +120,24 @@ def band_limit(s: Superposition) -> float:
 # ---------------------------------------------------------------- off-grid
 
 
-def _mode_values_well(basis: EigenBasis, idx: np.ndarray, x):
+def _sine_modes(n, lo: float, width: float, x):
+    """Hard-wall modes sqrt(2/w) sin(k (x - lo)), k = n pi / w, and their
+    x-derivatives; a mode axis leads for an array n."""
+    amp = math.sqrt(2.0 / width)
+    kk = np.asarray(n) * math.pi / width
+    arg = np.multiply.outer(kk, np.asarray(x) - lo)
+    kk = np.reshape(kk, np.shape(kk) + (1,) * np.ndim(x))
+    return amp * np.sin(arg), amp * kk * np.cos(arg)
+
+
+def _well_modes(basis: EigenBasis, idx: np.ndarray, x):
     g = basis.grid
-    w = g.x_max - g.x_min
-    n = idx + 1
-    arg = np.multiply.outer(n * math.pi / w, np.asarray(x) - g.x_min)
-    return math.sqrt(2.0 / w) * np.sin(arg)
+    return _sine_modes(idx + 1, g.x_min, g.x_max - g.x_min, x)
 
 
-def _mode_dx_well(basis: EigenBasis, idx: np.ndarray, x):
-    g = basis.grid
-    w = g.x_max - g.x_min
-    n = idx + 1
-    kk = n * math.pi / w
-    arg = np.multiply.outer(kk, np.asarray(x) - g.x_min)
-    return math.sqrt(2.0 / w) * kk[:, None] * np.cos(arg) if np.ndim(x) else (
-        math.sqrt(2.0 / w) * kk * np.cos(arg)
-    )
-
-
-def _hermite_chain(omega: float, n_max: int, x):
+def _hermite_modes(basis: EigenBasis, idx: np.ndarray, x):
+    omega = basis.potential.omega
+    n_max = int(idx.max())
     xi = math.sqrt(omega) * np.asarray(x, dtype=float)
     chain = [(omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)]
     if n_max >= 1:
@@ -148,7 +146,15 @@ def _hermite_chain(omega: float, n_max: int, x):
         chain.append(
             math.sqrt(2.0 / (m + 1)) * xi * chain[m] - math.sqrt(m / (m + 1.0)) * chain[m - 1]
         )
-    return xi, chain
+    vals, dx = [], []
+    for n in idx:
+        flip = -1.0 if n % 2 else 1.0
+        lower = chain[n - 1] if n >= 1 else 0.0
+        vals.append(flip * chain[n])
+        dx.append(flip * (math.sqrt(omega) * (math.sqrt(2.0 * n) * lower - xi * chain[n])))
+    shape = np.shape(xi)
+    return (np.stack([np.broadcast_to(r, shape) for r in vals]),
+            np.stack([np.broadcast_to(r, shape) for r in dx]))
 
 
 def _lagrange_weights(s: float):
@@ -170,112 +176,67 @@ def _lagrange_dweights(s: float):
     )
 
 
-def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, deriv: bool):
+def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
+    """Cubic interpolation of the sampled modes, gathering only the four
+    stencil columns of the selected modes."""
     g = basis.grid
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    V = basis.states_matrix()[idx]
     i = np.floor((xa - g.x_min) / g.h).astype(int)
     i = np.clip(i, 1, g.n - 3)
     s = (xa - g.x_min) / g.h - i
-    w = _lagrange_dweights if deriv else _lagrange_weights
-    w0, w1, w2, w3 = w(s)
-    out = (
-        V[:, i - 1] * w0 + V[:, i] * w1 + V[:, i + 1] * w2 + V[:, i + 2] * w3
-    )
-    if deriv:
-        out = out / g.h
-    return out if np.ndim(x) else out[:, 0]
+    V = basis.states_matrix()
+    c0, c1, c2, c3 = (V[idx[:, None], i + off] for off in (-1, 0, 1, 2))
+    w0, w1, w2, w3 = _lagrange_weights(s)
+    d0, d1, d2, d3 = _lagrange_dweights(s)
+    vals = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
+    dx = (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3) / g.h
+    return (vals, dx) if np.ndim(x) else (vals[:, 0], dx[:, 0])
 
 
-def _box_mode_1d(nq: int, lo: float, width: float, x, deriv: bool = False):
-    arg = nq * math.pi * (np.asarray(x) - lo) / width
-    amp = math.sqrt(2.0 / width)
-    if deriv:
-        return amp * (nq * math.pi / width) * np.cos(arg)
-    return amp * np.sin(arg)
+# 1D mode tables (values, x-derivatives) by basis method; sampled bases
+# without closed-form modes fall back to cubic interpolation
+_MODE_TABLES = {"analytic_well": _well_modes, "analytic_hermite": _hermite_modes}
 
 
-def _mode_functions(basis: EigenBasis, idx: np.ndarray, x, deriv: bool = False):
-    method = basis.meta.get("method", "")
-    if method == "analytic_well":
-        return (_mode_dx_well if deriv else _mode_values_well)(basis, idx, x)
-    if method == "analytic_hermite":
-        omega = basis.potential.omega
-        xi, chain = _hermite_chain(omega, int(idx.max()) + 1, x)
-        rows = []
-        for n in idx:
-            flip = -1.0 if n % 2 else 1.0
-            if deriv:
-                lower = chain[n - 1] if n >= 1 else 0.0
-                val = math.sqrt(omega) * (math.sqrt(2.0 * n) * lower - xi * chain[n])
-            else:
-                val = chain[n]
-            rows.append(flip * val)
-        return np.stack([np.broadcast_to(r, np.shape(xi)) for r in rows]) if np.ndim(x) else np.array(rows)
-    if method == "analytic_box2d":
-        raise ValueError("2D states: use evaluate_at_2d / evaluate_at_grad_2d")
-    return _interp_modes(basis, idx, x, deriv)
+def evaluate_at(s: Superposition, x, t):
+    """(Psi, dPsi/dx, dPsi/dt) at arbitrary position(s), analytic in t.
 
-
-def _mode_functions_2d(basis: EigenBasis, idx: np.ndarray, x, y, dx: int = 0, dy: int = 0):
-    pairs = basis.meta["pairs"]
-    gx, gy = basis.grid.grid_x, basis.grid.grid_y
-    wx, wy = gx.x_max - gx.x_min, gy.x_max - gy.x_min
-    rows = []
-    for j in idx:
-        nx, ny = pairs[j]
-        rows.append(
-            _box_mode_1d(nx, gx.x_min, wx, x, deriv=bool(dx))
-            * _box_mode_1d(ny, gy.x_min, wy, y, deriv=bool(dy))
-        )
-    return np.stack([np.broadcast_to(r, np.shape(np.asarray(x) * np.asarray(y))) for r in rows])
-
-
-def evaluate_at(s: Superposition, x, t: float):
-    """Psi at arbitrary position(s) and time, analytic in t.
-
-    Analytic mode functions for the hard well and harmonic bases; cubic
-    interpolation of the sampled modes for numeric bases.
+    t is a scalar, or an array paired elementwise with x.  Mode functions
+    are analytic for the hard well and harmonic bases and cubic
+    interpolations of the sampled modes otherwise.
     """
-    modes = _mode_functions(s.basis, s.indices, x)
-    w = s.coeffs * _phases(s, t)
-    return np.tensordot(w, modes, axes=(0, 0))
+    if s.grid.ndim != 1:
+        raise ValueError("2D states: use evaluate_at_2d")
+    table = _MODE_TABLES.get(s.basis.meta.get("method", ""), _interp_modes)
+    modes, dmodes = table(s.basis, s.indices, x)
+    c, E = s.coeffs, s.energies
+    if np.ndim(t) == 0:
+        # keep tensordot: node Newton paths turn on the last bit of dPsi/dt
+        ph = _phases(s, t)
 
+        def contract(w, m):
+            return np.tensordot(w, m, axes=(0, 0))
+    else:
+        ph = np.exp(-1j * np.multiply.outer(E, np.asarray(t, dtype=float)))
+        c, E = c[:, None], E[:, None]
 
-def evaluate_at_dx(s: Superposition, x, t: float):
-    """dPsi/dx at arbitrary position(s) and time."""
-    modes = _mode_functions(s.basis, s.indices, x, deriv=True)
-    w = s.coeffs * _phases(s, t)
-    return np.tensordot(w, modes, axes=(0, 0))
-
-
-def evaluate_along(s: Superposition, x, t):
-    """Psi at paired positions and times (equal-shape 1D arrays)."""
-    modes = _mode_functions(s.basis, s.indices, x)
-    ph = np.exp(-1j * np.multiply.outer(s.energies, np.asarray(t, dtype=float)))
-    return (s.coeffs[:, None] * ph * modes).sum(axis=0)
-
-
-def evaluate_at_dt(s: Superposition, x, t: float):
-    """dPsi/dt at arbitrary position(s), analytic in t."""
-    modes = _mode_functions(s.basis, s.indices, x)
-    w = -1j * s.energies * s.coeffs * _phases(s, t)
-    return np.tensordot(w, modes, axes=(0, 0))
+        def contract(w, m):
+            return (w * m).sum(axis=0)
+    w = c * ph
+    return contract(w, modes), contract(w, dmodes), contract(-1j * E * c * ph, modes)
 
 
 def evaluate_at_2d(s: Superposition, x, y, t: float):
-    """Psi at arbitrary 2D position(s) for analytic product-state bases."""
-    modes = _mode_functions_2d(s.basis, s.indices, x, y)
+    """(Psi, dPsi/dx, dPsi/dy) at arbitrary 2D position(s) for the analytic
+    box product-state basis."""
+    pairs = s.basis.meta["pairs"]
+    gx, gy = s.grid.grid_x, s.grid.grid_y
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    nx, ny = (np.array([pairs[j][a] for j in s.indices]) for a in (0, 1))
+    fx, dfx = _sine_modes(nx, gx.x_min, gx.x_max - gx.x_min, x)
+    fy, dfy = _sine_modes(ny, gy.x_min, gy.x_max - gy.x_min, y)
     w = s.coeffs * _phases(s, t)
-    return np.tensordot(w, modes, axes=(0, 0))
-
-
-def evaluate_at_grad_2d(s: Superposition, x, y, t: float):
-    """(dPsi/dx, dPsi/dy) at arbitrary 2D position(s)."""
-    w = s.coeffs * _phases(s, t)
-    gx = np.tensordot(w, _mode_functions_2d(s.basis, s.indices, x, y, dx=1), axes=(0, 0))
-    gy = np.tensordot(w, _mode_functions_2d(s.basis, s.indices, x, y, dy=1), axes=(0, 0))
-    return gx, gy
+    return tuple(np.tensordot(w, m, axes=(0, 0)) for m in (fx * fy, dfx * fy, fx * dfy))
 
 
 # ------------------------------------------------------------- projection

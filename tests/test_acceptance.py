@@ -58,7 +58,6 @@ from madelung.states import (
     equal_two_mode,
     evaluate,
     evaluate_at,
-    evaluate_at_grad_2d,
     evaluate_at_2d,
     project_field,
     project_gaussian,
@@ -328,7 +327,7 @@ def test_criterion_07_node_events(bundles):
             float(np.abs(evaluate(s, e.t_star).values).max()) for e in events
         )
         resid = max(
-            abs(complex(evaluate_at(s, float(e.x_star), float(e.t_star))))
+            abs(complex(evaluate_at(s, float(e.x_star), float(e.t_star))[0]))
             for e in events
         )
         good = (e0.refined and e1.refined and mirror < 1e-6
@@ -359,8 +358,7 @@ def test_criterion_08_vortex():
     for r in np.linspace(2 * h, 0.1, 12):
         xs = 0.5 + r * np.cos(angles)
         ys = 0.5 + r * np.sin(angles)
-        psi = evaluate_at_2d(s, xs, ys, 0.0)
-        dpx, dpy = evaluate_at_grad_2d(s, xs, ys, 0.0)
+        psi, dpx, dpy = evaluate_at_2d(s, xs, ys, 0.0)
         rho = np.abs(psi) ** 2
         vx = (np.conj(psi) * dpx).imag / rho
         vy = (np.conj(psi) * dpy).imag / rho
@@ -397,8 +395,9 @@ def test_criterion_09_band_limits():
     # mzi_1d scenario builds: that eta cut capped at band_cap and
     # renormalized.  The capped index is 89 only if mode 89 survives the eta
     # cut, and the probability the cap drops must be marginal.  A run's
-    # manifest records the cap only as config.band_cap and
-    # derived.band.launch_truncation_index; the dropped norm is checked here.
+    # manifest records the cap as config.band_cap,
+    # derived.band.launch_truncation_index and
+    # derived.band.launch_cap_dropped_norm.
     cap = default_config("mzi_1d").band_cap
     gm = Grid1D(-2.0, 2.0, 2001)
     bm = eigenbasis(InfiniteWell(2.0), gm, 140)

@@ -202,7 +202,7 @@ class TestNodeEvents:
         events = find_nodes(two_mode, (PERIOD / 8.0, PERIOD * 9.0 / 8.0))
         amp_scale = np.abs(evaluate(two_mode, 0.0).values).max()
         for e in events:
-            assert abs(evaluate_at(two_mode, e.x_star, e.t_star)) < 1e-8 * amp_scale
+            assert abs(evaluate_at(two_mode, e.x_star, e.t_star)[0]) < 1e-8 * amp_scale
 
     def test_vortex_node_persistent_at_center(self, vortex_state):
         events = find_nodes(vortex_state, (0.0, 0.1), nt=9)

@@ -186,6 +186,7 @@ class TestRunBundle:
         c = sc.default_config("reflection_pulse", frames=8, streamlines=3)
         m = sc.run_scenario(c, tmp_path / "r")
         assert m["derived"]["band"]["truncation_index"] == 18
+        assert m["derived"]["band"]["cap_dropped_norm"] < 1e-12
         ev = m["derived"]["node_events"]
         assert len(ev) >= 2
         for e in ev:
@@ -266,6 +267,7 @@ class TestMZI:
     def test_band_and_barrier_metadata(self, mzi):
         assert mzi.extras["band"]["launch_truncation_index"] == 89
         assert mzi.extras["band"]["truncation_index"] == 89
+        assert mzi.extras["band"]["launch_cap_dropped_norm"] < 1e-5
         bar = mzi.extras["barrier"]
         assert bar["width"] == pytest.approx(0.02)
         assert bar["width_on_grid"] == pytest.approx(0.02)

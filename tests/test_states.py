@@ -24,8 +24,6 @@ from madelung.states import (
     evaluate,
     evaluate_at,
     evaluate_at_2d,
-    evaluate_at_dx,
-    evaluate_at_grad_2d,
     leaked_norm,
     project_field,
     project_gaussian,
@@ -150,19 +148,32 @@ class TestBandLimit:
         assert band_limit(equal_two_mode(basis)) == pytest.approx(15.0)
 
 
+@pytest.fixture(scope="module", params=["well", "hermite", "interpolated"])
+def offgrid_state(request, two_mode):
+    """One superposition per mode-table kind: analytic well, Hermite, and
+    the cubic interpolation used for finite-difference bases."""
+    if request.param == "well":
+        return two_mode
+    if request.param == "hermite":
+        basis = eigenbasis(Harmonic(10.0), Grid1D(-3.0, 3.0, 1501), 3)
+    else:
+        basis = eigenbasis(WellWithBarrier(1.0, 15.0, 0.2), Grid1D(-1.0, 1.0, 2001), 3)
+    return superposition(basis, [0, 1, 2], [0.6, 0.48j, 0.64])
+
+
 class TestEvaluateAt:
     def test_matches_grid_well(self, two_mode):
         g = two_mode.grid
         sub = g.x[::97]
         direct = evaluate(two_mode, 0.7).values[::97]
-        offgrid = evaluate_at(two_mode, sub, 0.7)
+        offgrid = evaluate_at(two_mode, sub, 0.7)[0]
         assert np.allclose(offgrid, direct, atol=1e-12)
 
     def test_matches_grid_hermite(self):
         basis = eigenbasis(Harmonic(10.0), Grid1D(-3.0, 3.0, 1501), 3)
         s = superposition(basis, [0, 2], [0.6, 0.8])
         direct = evaluate(s, 0.3).values[::55]
-        offgrid = evaluate_at(s, basis.grid.x[::55], 0.3)
+        offgrid = evaluate_at(s, basis.grid.x[::55], 0.3)[0]
         assert np.allclose(offgrid, direct, atol=1e-12)
 
     def test_interp_numeric_basis(self):
@@ -170,32 +181,60 @@ class TestEvaluateAt:
         basis = eigenbasis(WellWithBarrier(1.0, 15.0, 0.2), g, 2)
         s = equal_two_mode(basis)
         xq = np.array([-0.731, -0.25, 0.0004, 0.5003])
-        got = evaluate_at(s, xq, 0.2)
+        got = evaluate_at(s, xq, 0.2)[0]
         # oracle: dense evaluation + local comparison on the exact grid points
-        near = evaluate_at(s, np.round((xq - g.x_min) / g.h) * g.h + g.x_min, 0.2)
+        near = evaluate_at(s, np.round((xq - g.x_min) / g.h) * g.h + g.x_min, 0.2)[0]
         assert np.abs(got - near).max() < 5e-3
-        on_grid = evaluate_at(s, g.x[::211], 0.2)
+        on_grid = evaluate_at(s, g.x[::211], 0.2)[0]
         assert np.allclose(on_grid, evaluate(s, 0.2).values[::211], atol=1e-9)
 
     def test_dx_against_fd(self, two_mode):
         x = np.array([-0.4, 0.1, 0.33])
         d = 1e-6
-        fd = (evaluate_at(two_mode, x + d, 0.5) - evaluate_at(two_mode, x - d, 0.5)) / (2 * d)
-        an = evaluate_at_dx(two_mode, x, 0.5)
+        fd = (evaluate_at(two_mode, x + d, 0.5)[0] - evaluate_at(two_mode, x - d, 0.5)[0]) / (2 * d)
+        an = evaluate_at(two_mode, x, 0.5)[1]
         assert np.abs(fd - an).max() < 1e-7
+
+    def test_psi_and_dt_match_grid(self, offgrid_state):
+        s = offgrid_state
+        x = s.grid.x[1:-1:37]
+        psi, _, dpsi_dt = evaluate_at(s, x, 0.37)
+        want_psi = evaluate(s, 0.37).values[1:-1:37]
+        want_dt = time_derivative(s, 0.37).values[1:-1:37]
+        assert np.abs(psi - want_psi).max() < 1e-12 * np.abs(want_psi).max()
+        assert np.abs(dpsi_dt - want_dt).max() < 1e-12 * np.abs(want_dt).max()
+
+    def test_dx_against_central_difference(self, offgrid_state):
+        s = offgrid_state
+        g = s.grid
+        # mid-cell points, so the interpolated basis stays on one cubic piece
+        x = g.x[100:-100:173] + 0.5 * g.h
+        d = 1e-6
+        fd = (evaluate_at(s, x + d, 0.21)[0] - evaluate_at(s, x - d, 0.21)[0]) / (2 * d)
+        an = evaluate_at(s, x, 0.21)[1]
+        assert np.abs(fd - an).max() < 1e-7 * np.abs(an).max()
+
+    def test_paired_times_match_pointwise(self, offgrid_state):
+        s = offgrid_state
+        x = np.linspace(s.grid.x_min + 0.1, s.grid.x_max - 0.1, 7)
+        t = np.linspace(0.0, 0.9, 7)
+        paired = evaluate_at(s, x, t)
+        for i in range(x.size):
+            for got, want in zip(paired, evaluate_at(s, float(x[i]), float(t[i]))):
+                assert abs(got[i] - complex(want)) <= 1e-12 * max(abs(complex(want)), 1.0)
 
     def test_2d_product_state(self):
         g1 = Grid1D(0.0, 1.0, 201)
         basis = product_basis_2d([(1, 2), (2, 1)], Grid2D(g1, g1))
         s = superposition(basis, [0, 1], [1 / math.sqrt(2), 1j / math.sqrt(2)])
-        val = evaluate_at_2d(s, 0.5, 0.5, 0.0)
+        val = evaluate_at_2d(s, 0.5, 0.5, 0.0)[0]
         assert abs(val) < 1e-14  # node at the center
         # gradient nonzero at the node (first-order zero)
-        gx, gy = evaluate_at_grad_2d(s, 0.5, 0.5, 0.0)
+        _, gx, gy = evaluate_at_2d(s, 0.5, 0.5, 0.0)
         assert abs(gx) > 1.0 and abs(gy) > 1.0
         # off-node value matches the grid evaluation
         direct = evaluate(s, 0.0).values[50, 120]
-        assert evaluate_at_2d(s, g1.x[50], g1.x[120], 0.0) == pytest.approx(direct, abs=1e-12)
+        assert evaluate_at_2d(s, g1.x[50], g1.x[120], 0.0)[0] == pytest.approx(direct, abs=1e-12)
 
 
 class TestProjection:
