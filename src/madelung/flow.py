@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,9 +158,15 @@ def integrate_streamline(s: Superposition, x0: float, t_span, tol: float = 1e-8,
     if seed_quantile is None:
         seed_quantile = cumulative_probability(s, x0, t0)
 
+    # solve_ivp's solver object holds rhs in a reference cycle that lives
+    # until the next full garbage collection; a weak reference keeps the
+    # state and its eigenbasis out of that cycle, so they are freed as soon
+    # as the caller drops them
+    state = weakref.ref(s)
+
     def rhs(t, y):
         xx = min(max(y[0], g.x_min), g.x_max)
-        psi, dpsi, _ = (complex(v) for v in evaluate_at(s, xx, t))
+        psi, dpsi, _ = (complex(v) for v in evaluate_at(state(), xx, t))
         rho = psi.real**2 + psi.imag**2
         return ((psi.conjugate() * dpsi).imag / max(rho, floor),)
 
@@ -270,10 +277,12 @@ def integrate_loop_2d(s: Superposition, p0, t_span, tol: float = 1e-8,
     rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
     floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
 
+    state = weakref.ref(s)  # kept out of the solver's cycle, as in integrate_streamline
+
     def rhs(t, p):
         x = min(max(p[0], gx.x_min), gx.x_max)
         y = min(max(p[1], gy.x_min), gy.x_max)
-        psi, dx_, dy_ = (complex(v) for v in evaluate_at_2d(s, x, y, t))
+        psi, dx_, dy_ = (complex(v) for v in evaluate_at_2d(state(), x, y, t))
         rho = max(psi.real**2 + psi.imag**2, floor)
         return (psi.conjugate() * dx_).imag / rho, (psi.conjugate() * dy_).imag / rho
 
@@ -317,32 +326,78 @@ def _local_minima_2d(R2: np.ndarray, threshold: float):
     return ii + 1, jj + 1
 
 
-def _newton_node(f, a: float, b: float, bounds, steps: int = 30):
-    """Newton on (Re psi, Im psi) = (0, 0) in two real unknowns (a, b),
-    where f(a, b) returns (psi, dpsi/da, dpsi/db).  Returns the final
-    (a, b) and |psi| there, or None in place of |psi| when the Jacobian
-    turns singular or an iterate leaves bounds = ((a_lo, a_hi), (b_lo, b_hi))."""
+NEWTON_OK, NEWTON_SINGULAR, NEWTON_OUT_OF_BOUNDS = 0, 1, 2
+
+
+@dataclass
+class NewtonResult:
+    """Per-candidate outcome of the node Newton: final (a, b), |psi| there
+    (NaN on failure), a NEWTON_* status and the steps taken."""
+
+    a: np.ndarray
+    b: np.ndarray
+    amp: np.ndarray
+    status: np.ndarray
+    steps: np.ndarray
+
+
+def _newton_node(f, a, b, bounds, steps: int = 30) -> NewtonResult:
+    """Newton on (Re psi, Im psi) = (0, 0) in two real unknowns (a, b), for
+    arrays of starting points iterated together; f(a, b) returns (psi,
+    dpsi/da, dpsi/db) paired elementwise with its arguments.  Each candidate
+    stops when both step components fall under 1e-14 or after `steps`
+    steps, and fails when its Jacobian turns singular or an iterate leaves
+    bounds = ((a_lo, a_hi), (b_lo, b_hi)).  Only live candidates are
+    evaluated, so f runs at most steps + 1 times."""
     (alo, ahi), (blo, bhi) = bounds
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    status = np.full(a.shape, NEWTON_OK)
+    taken = np.zeros(a.shape, dtype=int)
+    live = np.arange(a.size)
     for _ in range(steps):
-        psi, da, db = (complex(v) for v in f(a, b))
-        scale = max(abs(da), abs(db))
+        if live.size == 0:
+            break
+        psi, da, db = f(a[live], b[live])
+        scale = np.maximum(np.hypot(da.real, da.imag), np.hypot(db.real, db.imag))
         det = da.real * db.imag - db.real * da.imag
-        if not np.isfinite(det) or abs(det) <= 1e-12 * scale**2:
-            return a, b, None
+        singular = ~np.isfinite(det) | (np.abs(det) <= 1e-12 * scale**2)
+        status[live[singular]] = NEWTON_SINGULAR
+        go = ~singular
+        live, psi, da, db, det = live[go], psi[go], da[go], db[go], det[go]
         # solve J [step_a, step_b]^T = F with J = [[Re da, Re db], [Im da, Im db]]
         step_a = (psi.real * db.imag - psi.imag * db.real) / det
         step_b = (psi.imag * da.real - psi.real * da.imag) / det
-        a, b = a - step_a, b - step_b
-        if not (alo <= a <= ahi and blo <= b <= bhi):
-            return a, b, None
-        if abs(step_a) < 1e-14 and abs(step_b) < 1e-14:
-            break
-    return a, b, abs(complex(f(a, b)[0]))
+        a[live] -= step_a
+        b[live] -= step_b
+        taken[live] += 1
+        al, bl = a[live], b[live]
+        out = ~((alo <= al) & (al <= ahi) & (blo <= bl) & (bl <= bhi))
+        status[live[out]] = NEWTON_OUT_OF_BOUNDS
+        done = (np.abs(step_a) < 1e-14) & (np.abs(step_b) < 1e-14)
+        live = live[~out & ~done]
+    amp = np.full(a.shape, np.nan)
+    ok = np.flatnonzero(status == NEWTON_OK)
+    if ok.size:
+        # abs(complex) per point: np.abs can differ from it in the last bit
+        amp[ok] = [abs(complex(v)) for v in f(a[ok], b[ok])[0]]
+    return NewtonResult(a, b, amp, status, taken)
+
+
+def _node_diagnostics(status, steps, refined) -> dict:
+    return {
+        "candidates": int(status.size),
+        "refined": int(np.count_nonzero(refined)),
+        "singular": int(np.count_nonzero(status == NEWTON_SINGULAR)),
+        "out_of_bounds": int(np.count_nonzero(status == NEWTON_OUT_OF_BOUNDS)),
+        "newton_iterations_max": int(steps.max(initial=0)),
+    }
 
 
 def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
     """Union events within (space_tol, 2 dt_lat) of each other; a cluster
-    spanning a sizable fraction of the window is a persistent node line."""
+    spanning a sizable fraction of the window is a persistent node line.
+    Pairs are found by a sweep over the events sorted by time."""
     n = len(raw)
     parent = list(range(n))
 
@@ -352,11 +407,12 @@ def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
             a = parent[a]
         return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(raw[a][0] - raw[b][0]) <= 2 * dt_lat and _dist(
-                raw[a][1], raw[b][1]
-            ) <= space_tol:
+    order = sorted(range(n), key=lambda a: raw[a][0])
+    for k, a in enumerate(order):
+        for b in order[k + 1:]:
+            if raw[b][0] - raw[a][0] > 2 * dt_lat:
+                break
+            if _dist(raw[a][1], raw[b][1]) <= space_tol:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
@@ -391,7 +447,7 @@ def _first_coord(p):
 
 
 def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
-               rho_rel_tol: float = 1e-3) -> list:
+               rho_rel_tol: float = 1e-3, diagnostics: dict | None = None) -> list:
     """Locate wavefunction zeros inside a space-time window.
 
     Coarse scan for local minima of |Psi|^2 on an (x, t) lattice, then
@@ -399,13 +455,30 @@ def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
     functions; duplicates within (2h, 2 dt) merge. A singular Newton system
     (stationary node line) is reported unrefined at coarse coordinates and
     a cluster persisting in t is marked degenerate.
+
+    A dict passed as diagnostics receives the search's work counts:
+    candidates, refined, singular, out_of_bounds, newton_iterations_max and
+    events_outside_window (Newton may move an event up to five lattice
+    steps past the time window).
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("time window must be increasing")
     g = s.grid
     if g.ndim == 2:
-        return _find_nodes_2d(s, (t0, t1), nt, rho_rel_tol)
+        events, stats = _find_nodes_2d(s, (t0, t1), nt, rho_rel_tol)
+    else:
+        events, stats = _find_nodes_1d(s, (t0, t1), x_window, nt, rho_rel_tol)
+    if diagnostics is not None:
+        diagnostics.update(stats)
+        diagnostics["events_outside_window"] = sum(
+            1 for e in events if not t0 <= e.t_star <= t1)
+    return events
+
+
+def _find_nodes_1d(s: Superposition, t_window, x_window, nt: int, rho_rel_tol: float):
+    t0, t1 = t_window
+    g = s.grid
     if x_window is None:
         x_window = (g.x_min, g.x_max)
     xlo, xhi = float(x_window[0]), float(x_window[1])
@@ -425,16 +498,15 @@ def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
     jj, ii = jj[inside], ii[inside]
 
     bounds = ((xlo - 5 * g.h, xhi + 5 * g.h), (t0 - 5 * dt_lat, t1 + 5 * dt_lat))
-    raw = []
-    for j, i in zip(jj, ii):
-        xc, tc = float(g.x[j]), float(ts[i])
-        xr, tr, amp = _newton_node(lambda x, t: evaluate_at(s, x, t), xc, tc, bounds)
-        if amp is not None and amp < NODE_RESIDUAL * amp_scale:
-            raw.append((tr, xr, True, amp / amp_scale))
-        else:
-            res = math.sqrt(R2[i, j] / scale)
-            raw.append((tc, xc, False, res))
-    return _cluster(raw, dt_lat, 2 * g.h, t1 - t0)
+    res = _newton_node(lambda x, t: evaluate_at(s, x, t), g.x[jj], ts[ii], bounds)
+    refined = res.amp < NODE_RESIDUAL * amp_scale
+    raw = [
+        (float(res.b[k]), float(res.a[k]), True, res.amp[k] / amp_scale) if refined[k]
+        else (float(ts[i]), float(g.x[j]), False, math.sqrt(R2[i, j] / scale))
+        for k, (j, i) in enumerate(zip(jj, ii))
+    ]
+    return (_cluster(raw, dt_lat, 2 * g.h, t1 - t0),
+            _node_diagnostics(res.status, res.steps, refined))
 
 
 def _find_nodes_2d(s: Superposition, t_window, nt: int, rho_rel_tol: float):
@@ -446,22 +518,30 @@ def _find_nodes_2d(s: Superposition, t_window, nt: int, rho_rel_tol: float):
     dt_lat = ts[1] - ts[0]
     h = max(gx.h, gy.h)
     bounds = ((gx.x_min, gx.x_max), (gy.x_min, gy.x_max))
-    raw = []
+    raw, status, steps, refined = [], [], [], []
     for tj in ts:
         v = evaluate(s, float(tj)).values
         R2 = v.real**2 + v.imag**2
         scale = R2.max()
         amp_scale = math.sqrt(scale)
         ix, iy = _local_minima_2d(R2, rho_rel_tol * scale)
-        for i, j in zip(ix, iy):
-            xc, yc = float(gx.x[i]), float(gy.x[j])
-            xr, yr, amp = _newton_node(lambda x, y: evaluate_at_2d(s, x, y, float(tj)),
-                                       xc, yc, bounds)
-            if amp is not None and amp < NODE_RESIDUAL * amp_scale:
-                raw.append((float(tj), (xr, yr), True, amp / amp_scale))
-            else:
-                raw.append((float(tj), (xc, yc), False, math.sqrt(R2[i, j] / scale)))
-    return _cluster(raw, dt_lat, 2 * h, t1 - t0)
+        # paired times: each candidate takes the dot product a one-point call would
+        res = _newton_node(lambda x, y: evaluate_at_2d(s, x, y, np.full(x.shape, tj)),
+                           gx.x[ix], gy.x[iy], bounds)
+        ok = res.amp < NODE_RESIDUAL * amp_scale
+        raw += [
+            (float(tj), (float(res.a[k]), float(res.b[k])), True, res.amp[k] / amp_scale)
+            if ok[k]
+            else (float(tj), (float(gx.x[i]), float(gy.x[j])), False,
+                  math.sqrt(R2[i, j] / scale))
+            for k, (i, j) in enumerate(zip(ix, iy))
+        ]
+        status.append(res.status)
+        steps.append(res.steps)
+        refined.append(ok)
+    return (_cluster(raw, dt_lat, 2 * h, t1 - t0),
+            _node_diagnostics(np.concatenate(status), np.concatenate(steps),
+                              np.concatenate(refined)))
 
 
 # ---------------------------------------------------------------- vortices

@@ -556,7 +556,8 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         loops_to_csv(loops, os.path.join(out_dir, "loops.csv"))
         files["loops"] = "loops.csv"
 
-        events = find_nodes(state, b.span, nt=9)
+        node_search: dict = {}
+        events = find_nodes(state, b.span, nt=9, diagnostics=node_search)
         save_node_events(events, os.path.join(out_dir, "nodes.json"))
         files["nodes"] = "nodes.json"
         derived["node_events"] = node_events_to_json(events)
@@ -596,11 +597,13 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
             window = (b.period / 16.0, b.period * 17.0 / 16.0)
         else:
             window = b.span
-        events = find_nodes(node_source, window)
+        node_search = {}
+        events = find_nodes(node_source, window, diagnostics=node_search)
         save_node_events(events, os.path.join(out_dir, "nodes.json"))
         files["nodes"] = "nodes.json"
         derived["node_events"] = node_events_to_json(events)
 
+    derived["diagnostics"] = {"node_search": node_search}
     if b.tuning is not None:
         derived["tuning"] = {
             "U0_star": b.tuning.U0_star,

@@ -180,6 +180,18 @@ def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
     """Cubic interpolation of the sampled modes, gathering only the four
     stencil columns of the selected modes."""
     g = basis.grid
+    if np.ndim(x) == 0 and math.isfinite(x):
+        # one point: Python-float stencil and weights, one column slice;
+        # the same arithmetic as the array path, so the same bits
+        u = (float(x) - g.x_min) / g.h
+        i = min(max(math.floor(u), 1), g.n - 3)
+        s = u - i
+        c = basis.states_matrix()[idx, i - 1:i + 3]
+        c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
+        w0, w1, w2, w3 = _lagrange_weights(s)
+        d0, d1, d2, d3 = _lagrange_dweights(s)
+        return (c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3,
+                (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3) / g.h)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     i = np.floor((xa - g.x_min) / g.h).astype(int)
     i = np.clip(i, 1, g.n - 3)
@@ -198,6 +210,40 @@ def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
 _MODE_TABLES = {"analytic_well": _well_modes, "analytic_hermite": _hermite_modes}
 
 
+def _weights(s: Superposition, t):
+    """c e^{-i E t} and its t-derivative, the mode axis last: (K,) for a
+    scalar t, (*t.shape, K) for an array t."""
+    if np.ndim(t) == 0:
+        ph = _phases(s, t)
+    else:
+        ph = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), s.energies))
+    return s.coeffs * ph, -1j * s.energies * s.coeffs * ph
+
+
+def _contract(weights, tables):
+    """sum_k w[..., k] m[k, ...] for each weight/mode-table pair, in one
+    stacked matmul.  Weights carry the mode axis last, tables first.
+
+    For one time the weights are (K,) and the tables (K, *x.shape):
+    (J, 1, K) @ (J, K, points).  For paired times the weights are
+    (*t.shape, K), t and x of one shape, and each point takes its own dot
+    product, (J, N, 1, K) @ (J, N, K, 1): the BLAS dot a one-point call
+    makes, so paired and one-point calls agree bit for bit.
+    """
+    # reshaped, C-ordered operands: matmul reaches BLAS only through
+    # unit-stride rows, and a None axis or a transposed stack would miss it
+    J = len(weights)
+    if np.ndim(weights[0]) == 1:
+        m = np.stack(tables)
+        out = np.stack(weights).reshape(J, 1, -1) @ m.reshape(J, m.shape[1], -1)
+        return tuple(out.reshape((J,) + m.shape[2:]))
+    a = np.array(weights, order="C")
+    b = np.array([np.moveaxis(m, 0, -1) for m in tables], dtype=complex, order="C")
+    K = a.shape[-1]
+    out = a.reshape(J, -1, 1, K) @ b.reshape(J, -1, K, 1)
+    return tuple(out.reshape(a.shape[:-1]))
+
+
 def evaluate_at(s: Superposition, x, t):
     """(Psi, dPsi/dx, dPsi/dt) at arbitrary position(s), analytic in t.
 
@@ -209,34 +255,21 @@ def evaluate_at(s: Superposition, x, t):
         raise ValueError("2D states: use evaluate_at_2d")
     table = _MODE_TABLES.get(s.basis.meta.get("method", ""), _interp_modes)
     modes, dmodes = table(s.basis, s.indices, x)
-    c, E = s.coeffs, s.energies
-    if np.ndim(t) == 0:
-        # keep tensordot: node Newton paths turn on the last bit of dPsi/dt
-        ph = _phases(s, t)
-
-        def contract(w, m):
-            return np.tensordot(w, m, axes=(0, 0))
-    else:
-        ph = np.exp(-1j * np.multiply.outer(E, np.asarray(t, dtype=float)))
-        c, E = c[:, None], E[:, None]
-
-        def contract(w, m):
-            return (w * m).sum(axis=0)
-    w = c * ph
-    return contract(w, modes), contract(w, dmodes), contract(-1j * E * c * ph, modes)
+    w, wt = _weights(s, t)
+    return _contract((w, w, wt), (modes, dmodes, modes))
 
 
-def evaluate_at_2d(s: Superposition, x, y, t: float):
+def evaluate_at_2d(s: Superposition, x, y, t):
     """(Psi, dPsi/dx, dPsi/dy) at arbitrary 2D position(s) for the analytic
-    box product-state basis."""
+    box product-state basis; t is a scalar, or an array paired with x, y."""
     pairs = s.basis.meta["pairs"]
     gx, gy = s.grid.grid_x, s.grid.grid_y
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     nx, ny = (np.array([pairs[j][a] for j in s.indices]) for a in (0, 1))
     fx, dfx = _sine_modes(nx, gx.x_min, gx.x_max - gx.x_min, x)
     fy, dfy = _sine_modes(ny, gy.x_min, gy.x_max - gy.x_min, y)
-    w = s.coeffs * _phases(s, t)
-    return tuple(np.tensordot(w, m, axes=(0, 0)) for m in (fx * fy, dfx * fy, fx * dfy))
+    w, _ = _weights(s, t)
+    return _contract((w, w, w), (fx * fy, dfx * fy, fx * dfy))
 
 
 # ------------------------------------------------------------- projection

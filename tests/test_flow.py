@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from madelung import flow
 from madelung.flow import (
+    NEWTON_OK,
+    NEWTON_OUT_OF_BOUNDS,
+    NEWTON_SINGULAR,
     NodeEvent,
     Streamline,
     circulation,
@@ -24,7 +28,13 @@ from madelung.flow import (
     vortex_profile_to_csv,
 )
 from madelung.grids import Grid1D, Grid2D, ScalarField
-from madelung.spectral import Harmonic, InfiniteWell, eigenbasis, product_basis_2d
+from madelung.spectral import (
+    Harmonic,
+    InfiniteWell,
+    WellWithBarrier,
+    eigenbasis,
+    product_basis_2d,
+)
 from madelung.states import equal_two_mode, evaluate, evaluate_at, evaluate_at_2d, superposition
 
 E1 = math.pi**2 / 8.0
@@ -217,6 +227,133 @@ class TestNodeEvents:
             find_nodes(two_mode, (1.0, 0.5))
         with pytest.raises(ValueError, match="domain"):
             find_nodes(two_mode, (0.0, 1.0), x_window=(-2.0, 0.5))
+
+    def test_diagnostics_count_the_search(self, two_mode, well_basis):
+        stats = {}
+        find_nodes(two_mode, (PERIOD / 8.0, PERIOD * 9.0 / 8.0), diagnostics=stats)
+        steps = stats.pop("newton_iterations_max")
+        assert stats == {"candidates": 2, "refined": 2, "singular": 0, "out_of_bounds": 0,
+                         "events_outside_window": 0}
+        assert 1 <= steps <= 30
+        mode2 = superposition(well_basis, [1], [1.0])
+        stats = {}
+        find_nodes(mode2, (0.0, PERIOD), diagnostics=stats)
+        assert stats["singular"] == stats["candidates"] > 0
+        assert stats["refined"] == 0 and stats["newton_iterations_max"] == 0
+
+    def test_evaluator_calls_do_not_grow_with_candidates(self, well_basis, monkeypatch):
+        # all candidates refine together: one evaluation per Newton step
+        # plus one for the residuals, however many candidates there are
+        s = superposition(well_basis, [0, 1, 2, 3], np.array([0.5, 0.5j, -0.5, 0.5]))
+        real, calls = flow.evaluate_at, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "evaluate_at", counting)
+        stats = {}
+        find_nodes(s, (0.0, 3.0 * PERIOD), diagnostics=stats)
+        assert stats["candidates"] > 31 and stats["newton_iterations_max"] > 1
+        assert len(calls) <= 31
+
+
+def _newton_starts():
+    x, t = np.meshgrid(np.linspace(-0.9, 0.9, 7), np.linspace(0.0, 1.5, 6))
+    x, t = x.ravel(), t.ravel()
+    x[0] = 0.0  # on mode 2's stationary node line the Jacobian is singular
+    return x, t
+
+
+def _same_bits(u, v):
+    return np.array_equal(u, v, equal_nan=True)
+
+
+class TestBatchNewton:
+    @pytest.mark.parametrize("kind", ["well", "interpolated", "mode2"])
+    def test_batch_matches_single_candidates(self, kind, well_basis, two_mode):
+        if kind == "well":
+            s = two_mode
+        elif kind == "interpolated":
+            basis = eigenbasis(WellWithBarrier(1.0, 15.0, 0.2), Grid1D(-1.0, 1.0, 2001), 3)
+            s = superposition(basis, [0, 1, 2], [0.6, 0.48j, 0.64])
+        else:
+            s = superposition(well_basis, [1], [1.0])
+
+        def f(x, t):
+            return evaluate_at(s, x, t)
+
+        x, t = _newton_starts()
+        bounds = ((-1.0, 1.0), (-0.2, 1.7))
+        batch = flow._newton_node(f, x, t, bounds)
+        want = {"well": NEWTON_OK, "interpolated": NEWTON_OK, "mode2": NEWTON_SINGULAR}
+        assert (batch.status == want[kind]).any()
+        assert (batch.status == NEWTON_OUT_OF_BOUNDS).any()
+        assert np.isnan(batch.amp[batch.status != NEWTON_OK]).all()
+        for k in range(x.size):
+            one = flow._newton_node(f, x[k:k + 1], t[k:k + 1], bounds)
+            for field in ("a", "b", "amp", "status", "steps"):
+                assert _same_bits(getattr(batch, field)[k:k + 1], getattr(one, field)), (k, field)
+
+
+def _cluster_oracle(raw, dt_lat, space_tol, window_span):
+    """The all-pairs union the sweep in flow._cluster replaced."""
+    n = len(raw)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if abs(raw[a][0] - raw[b][0]) <= 2 * dt_lat and flow._dist(
+                raw[a][1], raw[b][1]
+            ) <= space_tol:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+
+    groups = {}
+    for a in range(n):
+        groups.setdefault(find(a), []).append(raw[a])
+    events = []
+    for members in groups.values():
+        ts = [m[0] for m in members]
+        extent = max(ts) - min(ts)
+        degenerate = extent > 0.25 * window_span
+        best = min(members, key=lambda m: m[3])
+        refined = any(m[2] for m in members)
+        if refined:
+            best = min((m for m in members if m[2]), key=lambda m: m[3])
+        t_star = 0.5 * (max(ts) + min(ts)) if degenerate else best[0]
+        events.append(NodeEvent(float(t_star), best[1], refined, degenerate,
+                                float(best[3])))
+    events.sort(key=lambda e: (e.t_star, flow._first_coord(e.x_star)))
+    return events
+
+
+# dyadic lattice values put pairs exactly 2 dt_lat = space_tol = 0.25 apart
+_COORD = st.one_of(st.integers(-12, 12).map(lambda i: i * 0.125),
+                   st.floats(-1.5, 1.5, allow_nan=False))
+_RESIDUAL = st.sampled_from([0.0, 1e-9, 1e-9, 2e-4, 0.5])
+
+
+class TestClusterSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD, st.booleans(), _RESIDUAL), max_size=40),
+           st.sampled_from([0.5, 2.0, 8.0]))
+    def test_1d_matches_all_pairs(self, raw, span):
+        assert flow._cluster(raw, 0.125, 0.25, span) == _cluster_oracle(raw, 0.125, 0.25, span)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_COORD, st.tuples(_COORD, _COORD), st.booleans(), _RESIDUAL),
+                    max_size=40),
+           st.sampled_from([0.5, 2.0, 8.0]))
+    def test_2d_matches_all_pairs(self, raw, span):
+        assert flow._cluster(raw, 0.125, 0.25, span) == _cluster_oracle(raw, 0.125, 0.25, span)
 
 
 class TestVortexProfile:

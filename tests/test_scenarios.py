@@ -181,6 +181,9 @@ class TestRunBundle:
         ev = m["derived"]["node_events"]
         assert len(ev) == 1
         assert ev[0]["degenerate"] and abs(ev[0]["x"]) < 2e-3
+        search = m["derived"]["diagnostics"]["node_search"]
+        assert search["singular"] == search["candidates"] > 0
+        assert search["refined"] == 0 and search["events_outside_window"] == 0
 
     def test_reflection_band_and_nodes(self, tmp_path):
         c = sc.default_config("reflection_pulse", frames=8, streamlines=3)
@@ -203,6 +206,10 @@ class TestRunBundle:
         assert len(ev) == 1 and ev[0]["refined"]
         assert ev[0]["x"][0] == pytest.approx(0.5, abs=1e-6)
         assert ev[0]["x"][1] == pytest.approx(0.5, abs=1e-6)
+        search = m["derived"]["diagnostics"]["node_search"]
+        assert set(search) == {"candidates", "refined", "singular", "out_of_bounds",
+                               "newton_iterations_max", "events_outside_window"}
+        assert search["refined"] == search["candidates"] > 0
         loops = (tmp_path / "v" / "loops.csv").read_text().splitlines()
         assert loops[0] == "seed_q,t,x,y"
         assert len({ln.split(",")[0] for ln in loops[1:]}) == 4

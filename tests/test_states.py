@@ -215,13 +215,28 @@ class TestEvaluateAt:
         assert np.abs(fd - an).max() < 1e-7 * np.abs(an).max()
 
     def test_paired_times_match_pointwise(self, offgrid_state):
+        # paired and one-point calls share one contraction: equal bits
         s = offgrid_state
         x = np.linspace(s.grid.x_min + 0.1, s.grid.x_max - 0.1, 7)
         t = np.linspace(0.0, 0.9, 7)
         paired = evaluate_at(s, x, t)
         for i in range(x.size):
             for got, want in zip(paired, evaluate_at(s, float(x[i]), float(t[i]))):
-                assert abs(got[i] - complex(want)) <= 1e-12 * max(abs(complex(want)), 1.0)
+                assert got[i] == want
+
+    @pytest.mark.parametrize("potential", [InfiniteWell(1.0), WellWithBarrier(1.0, 15.0, 0.2)])
+    def test_paired_times_match_pointwise_many_modes(self, potential):
+        # 60 modes: a contraction off the BLAS dot path sums in another
+        # order, which a few modes do not show
+        basis = eigenbasis(potential, Grid1D(-1.0, 1.0, 2001), 60)
+        rng = np.random.default_rng(3)
+        s = superposition(basis, np.arange(60), rng.normal(size=60) + 1j * rng.normal(size=60),
+                          normalize=True)
+        x, t = rng.uniform(-0.9, 0.9, 40), rng.uniform(0.0, 1.0, 40)
+        paired = evaluate_at(s, x, t)
+        for i in range(x.size):
+            for got, want in zip(paired, evaluate_at(s, float(x[i]), float(t[i]))):
+                assert got[i] == want
 
     def test_2d_product_state(self):
         g1 = Grid1D(0.0, 1.0, 201)
@@ -235,6 +250,16 @@ class TestEvaluateAt:
         # off-node value matches the grid evaluation
         direct = evaluate(s, 0.0).values[50, 120]
         assert evaluate_at_2d(s, g1.x[50], g1.x[120], 0.0)[0] == pytest.approx(direct, abs=1e-12)
+
+    def test_2d_paired_times_match_pointwise(self):
+        g1 = Grid1D(0.0, 1.0, 201)
+        basis = product_basis_2d([(1, 2), (2, 1), (2, 3)], Grid2D(g1, g1))
+        s = superposition(basis, [0, 1, 2], [0.6, 0.48j, 0.64])
+        x, y, t = np.linspace(0.1, 0.9, 5), np.linspace(0.8, 0.2, 5), np.linspace(0.0, 0.4, 5)
+        paired = evaluate_at_2d(s, x, y, t)
+        for i in range(x.size):
+            for got, want in zip(paired, evaluate_at_2d(s, float(x[i]), float(y[i]), float(t[i]))):
+                assert got[i] == want
 
 
 class TestProjection:
