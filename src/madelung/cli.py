@@ -75,9 +75,9 @@ def _cmd_eigen(args) -> int:
     b = sc.build_scenario(c)
     if b.basis.grid.ndim != 1:
         raise ValueError("eigen export covers 1D scenarios")
-    os.makedirs(args.out, exist_ok=True)
     save_basis(b.basis, args.out)
     _say(os.path.join(args.out, "basis.json"))
+    _say(os.path.join(args.out, "states.npy"))
     for i, e in enumerate(b.basis.energies):
         print(f"E_{i} = {e:.12g}")
     return 0

@@ -296,19 +296,6 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
     return str(out_path)
 
 
-def shaded_area(svg_path) -> dict:
-    """Total drawn area per shading class, from the rect elements."""
-    import re
-
-    with open(svg_path) as fh:
-        text = fh.read()
-    areas = {"soft": 0.0, "hard": 0.0}
-    pat = re.compile(r'<rect class="(soft|hard)"[^>]*width="([0-9.]+)"[^>]*height="([0-9.]+)"')
-    for cls, w, h in pat.findall(text):
-        areas[cls] += float(w) * float(h)
-    return areas
-
-
 def default_figures(run_dir, shading: str = "qka") -> list:
     """The stock figure set for a run: written next to the manifest."""
     manifest = _load_manifest(run_dir)

@@ -2,8 +2,9 @@
 
 Analytic eigenbases for the hard-wall well and the harmonic oscillator,
 a finite-difference solver (symmetric tridiagonal, bisection + inverse
-iteration with an extended-precision polish) for everything else, and a
-small JSON/CSV cache so repeated solves are free.
+iteration with an extended-precision polish) for everything else, and an
+on-disk cache so repeated solves are free: one directory per basis,
+published by rename and validated when read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,6 +42,10 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-8  # relative threshold for the leading-lobe sign convention
+# leads every cache key: bump it when the entry format or a solver's output
+# changes, so entries written before are never read
+_CACHE_VERSION = "npy1|fd_tridiag+polish2"
+_STATES_FILE = "states.npy"
 
 
 @dataclass(frozen=True)
@@ -334,15 +341,18 @@ def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None) ->
     """Eigenbasis of the lowest k states: analytic when exact forms exist
     (hard-wall well, harmonic oscillator), finite-difference otherwise.
 
-    cache_dir (or env MADELUNG_CACHE_DIR) enables the JSON/CSV cache.
+    cache_dir (or env MADELUNG_CACHE_DIR) enables the on-disk cache: one
+    entry directory per key, holding basis.json and states.npy.  A miss
+    writes the entry in a temporary directory and renames it into place,
+    so a reader sees a complete entry or none; a hit is validated on load
+    and a bad entry raises.
     """
     cache_dir = cache_dir or os.environ.get("MADELUNG_CACHE_DIR")
-    key = None
+    entry = None
     if cache_dir and not isinstance(potential, Tabulated):
-        key = _cache_key(potential, grid, k)
-        path = os.path.join(cache_dir, key)
-        if os.path.exists(os.path.join(path, "basis.json")):
-            return load_basis(path, potential)
+        entry = os.path.join(cache_dir, _cache_key(potential, grid, k))
+        if os.path.isdir(entry):
+            return load_basis(entry, potential)
     if isinstance(potential, InfiniteWell):
         pairs = [analytic_infinite_well(n, potential.half_width, grid) for n in range(1, k + 1)]
         basis = EigenBasis(
@@ -365,9 +375,27 @@ def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None) ->
         basis = solve_eigen(build_hamiltonian(potential, grid), k, grid, potential)
         if isinstance(potential, WellWithBarrier):
             basis.meta["snapped_barrier_width"] = snapped_barrier_width(potential, grid)
-    if key is not None:
-        save_basis(basis, os.path.join(cache_dir, key))
+    if entry is not None:
+        _publish(basis, entry)
     return basis
+
+
+def _publish(basis: EigenBasis, entry: str):
+    """Write the basis to a private temporary directory, then rename it to
+    entry.  If another writer published entry first, its basis is the same
+    one, so this copy is dropped."""
+    cache_dir = os.path.dirname(entry)
+    os.makedirs(cache_dir, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".tmp-", dir=cache_dir)
+    try:
+        save_basis(basis, tmp)
+        try:
+            os.replace(tmp, entry)
+        except OSError:
+            if not os.path.isdir(entry):
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def product_basis_2d(pairs, grid2: Grid2D) -> EigenBasis:
@@ -410,37 +438,45 @@ def _canon(potential) -> str:
 
 
 def _cache_key(potential, grid: Grid1D, k: int) -> str:
-    tag = f"{_canon(potential)}|{grid.x_min!r},{grid.x_max!r},{grid.n}|k={k}"
+    tag = (f"{_CACHE_VERSION}|{_canon(potential)}"
+           f"|{grid.x_min!r},{grid.x_max!r},{grid.n}|k={k}")
     return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 
 def save_basis(basis: EigenBasis, path: str):
-    """Persist a 1D basis as basis.json plus a states.csv matrix."""
+    """Persist a 1D basis as states.npy, the (k, n) state matrix, plus
+    basis.json with the energies, grid, k and meta."""
     os.makedirs(path, exist_ok=True)
+    np.save(os.path.join(path, _STATES_FILE), basis.states_matrix())
     g = basis.grid
     doc = {
         "energies": [float(e) for e in basis.energies],
         "grid": {"x_min": g.x_min, "x_max": g.x_max, "n": g.n},
         "k": basis.k,
         "meta": basis.meta,
-        "states_csv": "states.csv",
+        "states": _STATES_FILE,
     }
     with open(os.path.join(path, "basis.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    V = basis.states_matrix()
-    header = "x," + ",".join(f"psi_{j}" for j in range(basis.k))
-    with open(os.path.join(path, "states.csv"), "w") as fh:
-        fh.write(header + "\n")
-        for i, xi in enumerate(g.x):
-            row = [format(xi, ".17g")] + [format(V[j, i], ".17g") for j in range(basis.k)]
-            fh.write(",".join(row) + "\n")
 
 
 def load_basis(path: str, potential=None) -> EigenBasis:
-    with open(os.path.join(path, "basis.json")) as fh:
-        doc = json.load(fh)
-    g = Grid1D(doc["grid"]["x_min"], doc["grid"]["x_max"], doc["grid"]["n"])
-    raw = np.loadtxt(os.path.join(path, doc["states_csv"]), delimiter=",", skiprows=1)
-    states = [ScalarField(g, raw[:, 1 + j]) for j in range(doc["k"])]
-    return EigenBasis(g, np.array(doc["energies"]), states, potential, doc.get("meta", {}))
+    """Read a basis written by save_basis and validate it.
+
+    A missing or truncated file, a shape that disagrees with basis.json or
+    a failed validate() raises ValueError naming path.
+    """
+    try:
+        with open(os.path.join(path, "basis.json")) as fh:
+            doc = json.load(fh)
+        g = Grid1D(doc["grid"]["x_min"], doc["grid"]["x_max"], doc["grid"]["n"])
+        V = np.load(os.path.join(path, doc["states"]), allow_pickle=False)
+        energies = np.array(doc["energies"], dtype=float)
+        if V.shape != (doc["k"], g.n) or energies.shape != (doc["k"],):
+            raise ValueError(f"states {V.shape} and energies {energies.shape} "
+                             f"do not match k={doc['k']}, n={g.n}")
+        states = [ScalarField(g, v) for v in V]
+        return EigenBasis(g, energies, states, potential, doc.get("meta", {})).validate()
+    except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad eigenbasis entry {path}: {exc}") from exc

@@ -5,11 +5,25 @@ Physics is covered by the module suites; these tests only check the shell.
 
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 from madelung.cli import run_cli
-from madelung.render import shaded_area
+from madelung.scenarios import build_scenario, default_config
+from madelung.spectral import load_basis
+
+
+def shaded_area(svg_path) -> dict:
+    """Total drawn area per shading class, from the rect elements."""
+    with open(svg_path) as fh:
+        text = fh.read()
+    areas = {"soft": 0.0, "hard": 0.0}
+    pat = re.compile(r'<rect class="(soft|hard)"[^>]*width="([0-9.]+)"[^>]*height="([0-9.]+)"')
+    for cls, w, h in pat.findall(text):
+        areas[cls] += float(w) * float(h)
+    return areas
 
 
 def _run(capsys, argv):
@@ -98,6 +112,12 @@ class TestExports:
         e = doc["energies"]
         assert len(e) == 4 and all(a < b for a, b in zip(e, e[1:]))
         assert "E_0" in out
+        assert f"wrote {tmp_path / 'states.npy'}" in out
+        back = load_basis(str(tmp_path))
+        basis = build_scenario(default_config("well_superposition")).basis
+        assert np.array_equal(back.energies, basis.energies)
+        assert np.array_equal(back.states_matrix(), basis.states_matrix())
+        assert back.grid == basis.grid and back.meta == basis.meta
 
     def test_evolve(self, capsys, tmp_path):
         code, out, _ = _run(capsys, ["evolve", "--name", "well_superposition",

@@ -1,10 +1,19 @@
 """Eigenproblem tests: analytic oracles, convergence orders, caching."""
 
+import hashlib
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import madelung
+from madelung import spectral
 from madelung.grids import Grid1D, Grid2D, integrate, quadrature
 from madelung.spectral import (
     EigenBasis,
@@ -261,6 +270,146 @@ class TestBasisFactory:
         back = load_basis(str(tmp_path / "b"))
         assert np.array_equal(back.energies, basis.energies)
         assert np.array_equal(back.states_matrix(), basis.states_matrix())
+
+
+CACHE_POT = WellWithBarrier(1.0, 15.0, 0.2)
+CACHE_GRID = Grid1D(-1.0, 1.0, 601)
+CACHE_K = 3
+
+# two processes solve one key, meet at a file barrier and only then
+# publish, so both take the miss path and one of them loses the rename
+_RACER = textwrap.dedent(
+    """
+    import os, sys, time
+    import numpy as np
+    from madelung import spectral
+    from madelung.grids import Grid1D
+
+    cache_dir, barrier, me, out = sys.argv[1:5]
+    publish = spectral._publish
+
+    def meet_then_publish(basis, entry):
+        open(os.path.join(barrier, me), "w").close()
+        deadline = time.monotonic() + 60.0
+        while len(os.listdir(barrier)) < 2:
+            if time.monotonic() > deadline:
+                raise RuntimeError("the other racer never arrived")
+            time.sleep(0.005)
+        publish(basis, entry)
+
+    spectral._publish = meet_then_publish
+    pot = spectral.WellWithBarrier(1.0, 15.0, 0.2)
+    basis = spectral.eigenbasis(pot, Grid1D(-1.0, 1.0, 601), 3, cache_dir=cache_dir)
+    np.save(out, basis.states_matrix())
+    """
+)
+
+
+def _entry(cache_dir) -> str:
+    return os.path.join(str(cache_dir), spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K))
+
+
+def _unversioned_key() -> str:
+    """The key the CSV cache gave the same basis."""
+    tag = (f"{spectral._canon(CACHE_POT)}|{CACHE_GRID.x_min!r},"
+           f"{CACHE_GRID.x_max!r},{CACHE_GRID.n}|k={CACHE_K}")
+    return hashlib.sha256(tag.encode()).hexdigest()[:16]
+
+
+class TestCache:
+    def test_key_differs_from_unversioned_scheme(self):
+        assert spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K) != _unversioned_key()
+
+    def test_old_entry_is_ignored(self, tmp_path):
+        old = tmp_path / _unversioned_key()
+        old.mkdir()
+        (old / "basis.json").write_text("{}")
+        basis = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == sorted([old.name, os.path.basename(_entry(tmp_path))])
+        assert basis.k == CACHE_K
+
+    def test_entry_layout(self, tmp_path):
+        basis = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path))
+        entry = _entry(tmp_path)
+        assert os.listdir(tmp_path) == [os.path.basename(entry)]
+        assert sorted(os.listdir(entry)) == ["basis.json", "states.npy"]
+        V = np.load(os.path.join(entry, "states.npy"), allow_pickle=False)
+        assert V.shape == (CACHE_K, CACHE_GRID.n)
+        assert np.array_equal(V, basis.states_matrix())
+        with open(os.path.join(entry, "basis.json")) as fh:
+            doc = json.load(fh)
+        assert doc["states"] == "states.npy" and doc["k"] == CACHE_K
+
+    def _corrupt(self, tmp_path, damage):
+        eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path))
+        entry = _entry(tmp_path)
+        damage(entry)
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path))
+
+    def test_truncated_states_raise(self, tmp_path):
+        def truncate(entry):
+            path = os.path.join(entry, "states.npy")
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) - 8)
+
+        self._corrupt(tmp_path, truncate)
+
+    @pytest.mark.parametrize("name", ["states.npy", "basis.json"])
+    def test_missing_file_raises(self, tmp_path, name):
+        self._corrupt(tmp_path, lambda entry: os.remove(os.path.join(entry, name)))
+
+    def test_shape_mismatch_raises(self, tmp_path):
+        def drop_mode(entry):
+            path = os.path.join(entry, "states.npy")
+            np.save(path, np.load(path)[:-1])
+
+        self._corrupt(tmp_path, drop_mode)
+
+    def test_failed_validation_raises(self, tmp_path):
+        def denormalize(entry):
+            path = os.path.join(entry, "states.npy")
+            np.save(path, 1.01 * np.load(path))
+
+        self._corrupt(tmp_path, denormalize)
+
+    def test_failed_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        def crash(path, arr, *args, **kwargs):
+            with open(path, "wb") as fh:
+                fh.write(b"\x93NUMPY")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(spectral.np, "save", crash)
+        with pytest.raises(OSError, match="disk full"):
+            eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_two_processes_race_on_one_key(self, tmp_path):
+        cache_dir, barrier = tmp_path / "cache", tmp_path / "barrier"
+        cache_dir.mkdir()
+        barrier.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(madelung.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        env.pop("MADELUNG_CACHE_DIR", None)
+        outs = [tmp_path / f"racer{i}.npy" for i in range(2)]
+        racers = [
+            subprocess.Popen([sys.executable, "-c", _RACER, str(cache_dir), str(barrier),
+                              str(i), str(out)], env=env, stderr=subprocess.PIPE, text=True)
+            for i, out in enumerate(outs)
+        ]
+        try:
+            for p in racers:
+                _, err = p.communicate(timeout=120)
+                assert p.returncode == 0, err
+        finally:
+            for p in racers:
+                p.kill()  # a no-op once the racer has exited
+        fresh = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K).states_matrix()
+        for out in outs:
+            assert np.array_equal(np.load(out), fresh)
+        assert os.listdir(cache_dir) == [os.path.basename(_entry(cache_dir))]
+        cached = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(cache_dir))
+        assert np.array_equal(cached.states_matrix(), fresh)
 
 
 class TestProduct2D:
