@@ -114,8 +114,7 @@ def _cmd_streamlines(args) -> int:
     c = _config_from_args(args)
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
-    te = np.linspace(b.span[0], b.span[1], 65)
-    lines = streamline_bundle(b.states[0], c.streamlines, b.span, t_eval=te)
+    lines = streamline_bundle(b.states[0], c.streamlines, b.span)
     path = os.path.join(args.out, "streamlines.csv")
     streamlines_to_csv(lines, path)
     _say(path)

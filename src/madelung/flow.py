@@ -1,6 +1,6 @@
-"""Fluid kinematics: streamline integration in (x, t), equal-probability
-seeding, node detection with Newton refinement, and 2D vortex radial
-analysis."""
+"""Fluid kinematics: 1D streamlines as probability quantile curves in
+(x, t), equal-probability seeding, 2D loop integration, node detection
+with Newton refinement, and 2D vortex radial analysis."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.optimize import minimize_scalar
 
 from .energy import EPS_NODE, decompose
 from .grids import Grid1D, Grid2D, ScalarField
@@ -45,10 +46,6 @@ class Streamline:
         if self.t.size >= 2 and not (np.diff(self.t) > 0).all():
             raise ValueError("sample times not strictly increasing")
 
-    @property
-    def samples(self):
-        return list(zip(self.t.tolist(), self.x.tolist()))
-
 
 @dataclass
 class NodeEvent:
@@ -77,15 +74,73 @@ class VortexProfile:
     fit_exponent: float
 
 
-# ----------------------------------------------------------------- seeding
+# --------------------------------------------------------------- quantiles
+
+# times per batched grid evaluation (a (64, 2001) real stack is 1 MB), the
+# default sample times of a streamline, and its node scan's time lattice
+_TIME_CHUNK = 32
+STREAMLINE_SAMPLES = 65
+NODE_SCAN_SAMPLES = 257
 
 
-def _normalized_cdf(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    cdf = cumulative_trapezoid(values, x, initial=0.0)
-    total = cdf[-1]
-    if not np.isfinite(total) or total <= 0.0:
+def _cdf(values: np.ndarray, x: np.ndarray):
+    """Trapezoid CDF along the last axis, normalised to end at 1, and the
+    total it was divided by."""
+    cdf = cumulative_trapezoid(values, x, axis=-1, initial=0.0)
+    total = cdf[..., -1:]
+    if not (np.isfinite(total) & (total > 0.0)).all():
         raise ValueError("density does not carry positive mass")
-    return cdf / total
+    return cdf / total, total
+
+
+def _grid_cdfs(s: Superposition, ts: np.ndarray):
+    """(times, rho, CDF, total) on the grid, one row per time, in chunks
+    of _TIME_CHUNK times."""
+    V = s.basis.states_matrix()[s.indices]  # real modes
+    for k in range(0, ts.size, _TIME_CHUNK):
+        tc = ts[k:k + _TIME_CHUNK]
+        w = s.coeffs * np.exp(-1j * np.multiply.outer(tc, s.energies))
+        # Re and Im stacked into one real matmul: on NumPy 2.4 a complex
+        # product with the real modes runs 100x slower at one to four rows
+        parts = np.concatenate([w.real, w.imag]) @ V
+        rho = parts[:tc.size] ** 2 + parts[tc.size:] ** 2
+        yield (tc, rho) + _cdf(rho, s.grid.x)
+
+
+def _rho_at(s: Superposition, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|Psi|^2 at points x paired with times t of the same shape."""
+    psi = evaluate_at(s, x.ravel(), t.ravel())[0]
+    return (psi.real**2 + psi.imag**2).reshape(x.shape)
+
+
+def _cdf_at(g: Grid1D, cdf, rho, total, x, r):
+    """CDF at off-grid x, one row per CDF row: the grid CDF at the left
+    node x_i of x's cell plus the trapezoid over [x_i, x] with r = rho(x);
+    and i."""
+    i = np.minimum(((x - g.x_min) / g.h).astype(int), g.n - 2)
+    row = np.arange(x.shape[0])[:, None]
+    return cdf[row, i] + (x - g.x[i]) * (rho[row, i] + r) / (2.0 * total), i
+
+
+def _quantile_curves(s: Superposition, qs, ts):
+    """x_q(t) = CDF^-1(q, t) for each quantile q (columns) at each time t
+    (rows), and rho there.  Each time's CDF serves every quantile: a
+    piecewise-linear grid inverse, then one Newton step on _cdf_at with
+    dCDF/dx = rho(x), kept inside the cell and skipped under the node
+    floor."""
+    g = s.grid
+    qs = np.asarray(qs, dtype=float)
+    X, R = [], []
+    for tc, rho, cdf, total in _grid_cdfs(s, np.atleast_1d(np.asarray(ts, dtype=float))):
+        x = np.stack([np.interp(qs, row, g.x) for row in cdf])
+        tt = np.repeat(tc[:, None], qs.size, axis=1)
+        r = _rho_at(s, x, tt)
+        c, i = _cdf_at(g, cdf, rho, total, x, r)
+        live = r > NODE_PAUSE_FACTOR * EPS_NODE * rho.max(axis=1, keepdims=True)
+        x = np.where(live, x - (c - qs) * total / np.where(live, r, 1.0), x)
+        X.append(np.clip(x, g.x[i], g.x[i + 1]))
+        R.append(_rho_at(s, X[-1], tt))
+    return np.concatenate(X), np.concatenate(R)
 
 
 def seed_quantiles(rho0: ScalarField, m: int) -> np.ndarray:
@@ -95,156 +150,98 @@ def seed_quantiles(rho0: ScalarField, m: int) -> np.ndarray:
         raise ValueError("streamline count must be at least 1")
     if rho0.grid.ndim != 1:
         raise ValueError("seeding is defined on 1D densities")
-    cdf = _normalized_cdf(rho0.values, rho0.grid.x)
-    targets = np.arange(1, m + 1) / (m + 1.0)
-    return np.interp(targets, cdf, rho0.grid.x)
+    cdf, _ = _cdf(rho0.values, rho0.grid.x)
+    return np.interp(np.arange(1, m + 1) / (m + 1.0), cdf, rho0.grid.x)
 
 
 def cumulative_probability(s: Superposition, x: float, t: float) -> float:
-    """CDF of |Psi(., t)|^2 evaluated at x."""
+    """CDF of |Psi(., t)|^2 at x, the one _quantile_curves inverts."""
     g = s.grid
-    rho = np.abs(evaluate(s, t).values) ** 2
-    cdf = _normalized_cdf(rho, g.x)
-    return float(np.interp(x, g.x, cdf))
+    (tc, rho, cdf, total), = _grid_cdfs(s, np.array([float(t)]))
+    xs = np.array([[min(max(float(x), g.x_min), g.x_max)]])
+    return float(_cdf_at(g, cdf, rho, total, xs, _rho_at(s, xs, tc[:, None]))[0][0, 0])
 
 
 def quantile_position(s: Superposition, q: float, t: float) -> float:
-    """Position x with CDF(x, t) = q, by bisection on the cumulative
-    integral of |Psi(., t)|^2."""
-    g = s.grid
-    rho = np.abs(evaluate(s, float(t)).values) ** 2
-    cdf = _normalized_cdf(rho, g.x)
-    lo, hi = g.x_min, g.x_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.interp(mid, g.x, cdf) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * (g.x_max - g.x_min):
-            break
-    return 0.5 * (lo + hi)
+    """Position x with CDF(x, t) = q."""
+    return float(_quantile_curves(s, [q], [t])[0][0, 0])
 
 
 # ------------------------------------------------------------- streamlines
 
 
-def _density(s: Superposition, x: float, t: float) -> float:
-    psi = complex(evaluate_at(s, x, t)[0])
-    return psi.real**2 + psi.imag**2
+def _first_dip(s: Superposition, q: float, lattice, rho_lat, floor: float,
+               rho_ref: float):
+    """Earliest time where rho along x_q(t) falls under the pause floor:
+    the first lattice sample under it, unless an earlier sampled local
+    minimum under 1e-3 rho_ref refines to below it (a node dip can be far
+    narrower than the lattice step)."""
+    below = np.flatnonzero(rho_lat < floor)
+    first = below[0] if below.size else rho_lat.size
+    r = rho_lat[1:-1]
+    cand = 1 + np.flatnonzero((r < 1e-3 * rho_ref) & (r <= rho_lat[:-2]) & (r <= rho_lat[2:]))
+    for i in cand[cand < first]:
+        res = minimize_scalar(lambda t: _quantile_curves(s, [q], [t])[1][0, 0],
+                              bounds=(lattice[i - 1], lattice[i + 1]),
+                              method="bounded", options={"xatol": 1e-13})
+        if res.fun < floor:
+            return float(res.x)
+    return float(lattice[first]) if below.size else None
 
 
-def integrate_streamline(s: Superposition, x0: float, t_span, tol: float = 1e-8,
-                         t_eval=None, seed_quantile: float | None = None) -> Streamline:
-    """Integrate dx/dt = v_a(x, t) with adaptive Runge-Kutta (4/5 pair).
-
-    v_a is drawn from the mode functions (analytic where available, cubic
-    interpolation otherwise) and is exact in t. Integration pauses with a
-    flag when the trajectory enters a node neighborhood, where the
-    velocity diverges.
-    """
+def _quantile_lines(s: Superposition, t_span, t_eval, qs=None, x0=None) -> list:
+    """Streamlines x_q(t) for the quantiles qs, or for the quantiles of the
+    starts x0 at t_span[0]; each is cut at its first node dip."""
     g = s.grid
     if g.ndim != 1:
         raise ValueError("streamline integration is 1D")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("time span must be increasing")
-    x0 = float(x0)
+    ts = np.asarray(np.linspace(t0, t1, STREAMLINE_SAMPLES) if t_eval is None else t_eval,
+                    dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or ts.min() < t0 or ts.max() > t1:
+        raise ValueError("sample times lie outside the time span")
     rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
-    floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
-    lo, hi = g.x_min + 2 * g.h, g.x_max - 2 * g.h
-    if not (lo <= x0 <= hi) or _density(s, x0, t0) < EPS_NODE * rho_ref:
+    x0 = _quantile_curves(s, qs, [t0])[0][0] if x0 is None else np.asarray(x0, float)
+    if (not ((g.x_min + 2 * g.h <= x0) & (x0 <= g.x_max - 2 * g.h)).all()
+            or (_rho_at(s, x0, np.full(x0.shape, t0)) < EPS_NODE * rho_ref).any()):
         raise ValueError("streamline start lies in a masked region")
-    if seed_quantile is None:
-        seed_quantile = cumulative_probability(s, x0, t0)
-
-    # solve_ivp's solver object holds rhs in a reference cycle that lives
-    # until the next full garbage collection; a weak reference keeps the
-    # state and its eigenbasis out of that cycle, so they are freed as soon
-    # as the caller drops them
-    state = weakref.ref(s)
-
-    def rhs(t, y):
-        xx = min(max(y[0], g.x_min), g.x_max)
-        psi, dpsi, _ = (complex(v) for v in evaluate_at(state(), xx, t))
-        rho = psi.real**2 + psi.imag**2
-        return ((psi.conjugate() * dpsi).imag / max(rho, floor),)
-
-    def near_node(t, y):
-        return _density(s, min(max(y[0], g.x_min), g.x_max), t) - floor
-
-    near_node.terminal = True
-    near_node.direction = -1.0
-
-    sol = solve_ivp(rhs, (t0, t1), (x0,), method="RK45", rtol=tol, atol=tol,
-                    t_eval=t_eval, events=near_node, max_step=(t1 - t0) / 64.0,
-                    dense_output=True)
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"streamline integration failed: {sol.message}")
-    flagged = sol.status == 1
-    reach = t1
-    if flagged and sol.t_events[0].size:
-        reach = float(sol.t_events[0][0])
-    t_flag = reach if flagged else None
-
-    # a node dip can be far narrower than a solver step, so the step-based
-    # event may pass over it; rescan the dense solution and refine any low
-    # local minimum of rho along the path down to the floor test
-    dip = _first_dip(s, sol.sol, (t0, reach), rho_ref, floor, g)
-    if dip is not None and (t_flag is None or dip < t_flag):
-        flagged, t_flag = True, dip
-
-    ts, xs = sol.t, np.clip(sol.y[0], g.x_min, g.x_max)
-    if t_flag is not None:
-        keep = ts <= t_flag
-        ts, xs = ts[keep], xs[keep]
-    return Streamline(float(seed_quantile), ts, xs, flagged, t_flag)
+    if qs is None:
+        qs = [cumulative_probability(s, x, t0) for x in x0]
+    floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
+    X, _ = _quantile_curves(s, qs, ts)
+    lattice = np.linspace(t0, t1, NODE_SCAN_SAMPLES)
+    _, R = _quantile_curves(s, qs, lattice)
+    lines = []
+    for j, q in enumerate(qs):
+        t_flag = _first_dip(s, q, lattice, R[:, j], floor, rho_ref)
+        keep = ts <= (t1 if t_flag is None else t_flag)
+        lines.append(Streamline(float(q), ts[keep], X[keep, j], t_flag is not None, t_flag))
+    return lines
 
 
-def _first_dip(s: Superposition, path, t_range, rho_ref: float, floor: float,
-               g: Grid1D):
-    """Earliest time where rho along the trajectory falls under the pause
-    floor, located by refining scanned local minima."""
-    from scipy.optimize import minimize_scalar
-
-    t0, t1 = t_range
-    if not t1 > t0:
-        return None
-    tt = np.linspace(t0, t1, 4097)
-    xx = np.clip(path(tt)[0], g.x_min, g.x_max)
-    rr = np.abs(evaluate_at(s, xx, tt)[0]) ** 2
-    if rr[0] < floor:
-        return float(t0)
-
-    def rho_at(t):
-        return _density(s, float(np.clip(path(t)[0], g.x_min, g.x_max)), float(t))
-
-    inner = rr[1:-1]
-    cand = np.nonzero(
-        (inner < 1e-3 * rho_ref) & (inner <= rr[:-2]) & (inner <= rr[2:])
-    )[0] + 1
-    for i in cand:
-        if rr[i] < floor:
-            return float(tt[i])
-        res = minimize_scalar(rho_at, bounds=(tt[i - 1], tt[i + 1]),
-                              method="bounded", options={"xatol": 1e-13})
-        if res.fun < floor:
-            return float(res.x)
-    if rr[-1] < floor:
-        return float(tt[-1])
-    return None
+def integrate_streamline(s: Superposition, x0: float, t_span, t_eval=None,
+                         seed_quantile: float | None = None) -> Streamline:
+    """The streamline through x0 at t_span[0]: probability is conserved and
+    1D trajectories never cross, so the fluid keeps its quantile
+    q = CDF(x0, t0) and follows x_q(t) = CDF^-1(q, t), sampled at t_eval or
+    at STREAMLINE_SAMPLES even steps.  The line stops, flagged, at the first
+    time rho(x_q(t), t) falls under NODE_PAUSE_FACTOR * EPS_NODE *
+    max rho(., t0), where v_a diverges.  seed_quantile replaces q as tag."""
+    line, = _quantile_lines(s, t_span, t_eval, x0=[float(x0)])
+    if seed_quantile is not None:
+        line.seed_quantile = float(seed_quantile)
+    return line
 
 
-def streamline_bundle(s: Superposition, m: int, t_span, tol: float = 1e-8,
-                      t_eval=None) -> list:
-    """Integrate m equal-probability streamlines, ordered by seed quantile."""
-    rho0 = np.abs(evaluate(s, float(t_span[0])).values) ** 2
-    seeds = seed_quantiles(ScalarField(s.grid, rho0), m)
-    qs = np.arange(1, m + 1) / (m + 1.0)
-    return [
-        integrate_streamline(s, x0, t_span, tol=tol, t_eval=t_eval, seed_quantile=q)
-        for q, x0 in zip(qs, seeds)
-    ]
+def streamline_bundle(s: Superposition, m: int, t_span, t_eval=None) -> list:
+    """m streamlines at the quantiles i/(m+1), i = 1..m, ordered by seed
+    quantile, each CDF computed once for all of them; see
+    integrate_streamline."""
+    if m < 1:
+        raise ValueError("streamline count must be at least 1")
+    return _quantile_lines(s, t_span, t_eval, qs=np.arange(1, m + 1) / (m + 1.0))
 
 
 @dataclass
@@ -277,7 +274,9 @@ def integrate_loop_2d(s: Superposition, p0, t_span, tol: float = 1e-8,
     rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
     floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
 
-    state = weakref.ref(s)  # kept out of the solver's cycle, as in integrate_streamline
+    # solve_ivp's solver holds rhs in a reference cycle, which would keep the
+    # state and its eigenbasis alive until the next full garbage collection
+    state = weakref.ref(s)
 
     def rhs(t, p):
         x = min(max(p[0], gx.x_min), gx.x_max)
