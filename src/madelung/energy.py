@@ -14,10 +14,12 @@ from .grids import (
     ComplexField,
     Grid1D,
     ScalarField,
+    coordinate_columns,
     gradient,
     gradient2d,
     laplacian,
     trapezoid_weights,
+    write_columns,
 )
 from .states import Superposition, evaluate, time_derivative
 
@@ -59,16 +61,17 @@ def _interior_mask(shape) -> np.ndarray:
 class MadelungFields:
     """Hydrodynamic form of a wavefunction snapshot.
 
-    grad_S is a tuple of one (1D) or two (2D) component fields; v_a equals
-    grad_S in natural units.  node_mask marks points where the density is
-    large enough for phase derivatives to be meaningful and which sit away
-    from the domain edges.
+    grad_psi and grad_S are tuples of one (1D) or two (2D) component
+    fields; v_a equals grad_S in natural units.  node_mask marks points
+    where the density is large enough for phase derivatives to be
+    meaningful and which sit away from the domain edges.
     """
 
     psi: ComplexField
     dpsidt: ComplexField
     rho: ScalarField
     R: ScalarField
+    grad_psi: tuple
     grad_S: tuple
     dSdt: ScalarField
     node_mask: np.ndarray
@@ -178,7 +181,7 @@ def polar_fields(psi: ComplexField, dpsidt: ComplexField) -> MadelungFields:
     np.divide(num_t, rho_vals, out=dSdt_vals, where=node_mask)
     dSdt = ScalarField(grid, dSdt_vals, node_mask.copy())
 
-    return MadelungFields(psi, dpsidt, rho, R, tuple(grad_S), dSdt, node_mask)
+    return MadelungFields(psi, dpsidt, rho, R, dpsi, tuple(grad_S), dSdt, node_mask)
 
 
 def _divided(grid, num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> ScalarField:
@@ -218,12 +221,8 @@ def energy_decomposition(f: MadelungFields, U: ScalarField, E_plus: float) -> En
     # k_s.  Cauchy-Schwarz makes that difference nonnegative pointwise
     # even in the discrete fields, up to rounding, which is clipped.
     full = np.ones_like(mask)
-    if grid.ndim == 1:
-        grads_psi = (gradient(ComplexField(grid, f.psi.values, full.copy())),)
-    else:
-        grads_psi = gradient2d(ComplexField(grid, f.psi.values, full.copy()))
     kc_vals = np.zeros_like(rho_vals)
-    for comp in grads_psi:
+    for comp in f.grad_psi:
         kc_vals = kc_vals + 0.5 * np.abs(comp.values) ** 2
 
     ka_vals = np.zeros_like(rho_vals)
@@ -372,30 +371,15 @@ def ledger_integrals(d: EnergyDecomposition) -> dict:
     return out
 
 
-def _coord_columns(grid):
-    if grid.ndim == 1:
-        return ("x",), (grid.x,)
-    X, Y = grid.mesh()
-    return ("x", "y"), (X.ravel(), Y.ravel())
-
-
 _DECOMP_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
                 "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho")
 
 
 def decomposition_to_csv(d: EnergyDecomposition, path: str):
     """One row per grid point: coordinates, every ledger field, valid flag."""
-    import csv
-
-    names, coords = _coord_columns(d.grid)
-    fields = [getattr(d, c) for c in _DECOMP_COLS]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(names) + list(_DECOMP_COLS) + ["valid"])
-        cols = [c for c in coords] + [f.values.ravel() for f in fields]
-        valid = d.valid.ravel()
-        for i in range(len(cols[0])):
-            w.writerow([f"{c[i]:.17g}" for c in cols] + [int(valid[i])])
+    names, coords = coordinate_columns(d.grid)
+    fields = tuple(getattr(d, c).values for c in _DECOMP_COLS)
+    write_columns(path, names + _DECOMP_COLS + ("valid",), coords + fields + (d.valid,))
 
 
 _MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
@@ -404,14 +388,6 @@ _MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
 
 def masks_to_csv(m: SuperoscillationMask, path: str):
     """One row per grid point: coordinates, six 0/1 flags, valid flag."""
-    import csv
-
-    names, coords = _coord_columns(m.grid)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(names) + list(_MASK_COLS) + ["valid"])
-        flags = [getattr(m, c).ravel() for c in _MASK_COLS]
-        valid = m.valid.ravel()
-        for i in range(len(valid)):
-            w.writerow([f"{c[i]:.17g}" for c in coords]
-                       + [int(fl[i]) for fl in flags] + [int(valid[i])])
+    names, coords = coordinate_columns(m.grid)
+    flags = tuple(getattr(m, c) for c in _MASK_COLS)
+    write_columns(path, names + _MASK_COLS + ("valid",), coords + flags + (m.valid,))

@@ -14,7 +14,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import minimize_scalar
 
 from .energy import EPS_NODE, decompose
-from .grids import Grid1D, Grid2D, ScalarField
+from .grids import Grid1D, Grid2D, ScalarField, write_columns
 from .states import Superposition, evaluate, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
@@ -611,20 +611,20 @@ def circulation(s: Superposition, center, radius: float, t: float = 0.0,
 # ----------------------------------------------------------------- export
 
 
+def _curves_to_csv(curves, names, path):
+    # seed_q repeated along each curve, then its named samples; curves stacked
+    cols = [[np.full(c.t.size, c.seed_quantile) for c in curves]]
+    cols += [[getattr(c, n) for c in curves] for n in names]
+    write_columns(path, ("seed_q",) + names,
+                  [np.concatenate([np.empty(0)] + col) for col in cols])
+
+
 def streamlines_to_csv(lines, path):
-    with open(path, "w") as fh:
-        fh.write("seed_q,t,x\n")
-        for ln in lines:
-            for tv, xv in zip(ln.t, ln.x):
-                fh.write(f"{ln.seed_quantile:.17g},{tv:.17g},{xv:.17g}\n")
+    _curves_to_csv(lines, ("t", "x"), path)
 
 
 def loops_to_csv(loops, path):
-    with open(path, "w") as fh:
-        fh.write("seed_q,t,x,y\n")
-        for lp in loops:
-            for tv, xv, yv in zip(lp.t, lp.x, lp.y):
-                fh.write(f"{lp.seed_quantile:.17g},{tv:.17g},{xv:.17g},{yv:.17g}\n")
+    _curves_to_csv(loops, ("t", "x", "y"), path)
 
 
 def node_events_to_json(events) -> list:
@@ -648,7 +648,5 @@ def save_node_events(events, path):
 
 
 def vortex_profile_to_csv(p: VortexProfile, path):
-    with open(path, "w") as fh:
-        fh.write("r,Q,K_a,speed\n")
-        for r, q, k, v in zip(p.radii, p.Q_mean, p.Ka_mean, p.speed_mean):
-            fh.write(f"{r:.17g},{q:.17g},{k:.17g},{v:.17g}\n")
+    write_columns(path, ("r", "Q", "K_a", "speed"),
+                  (p.radii, p.Q_mean, p.Ka_mean, p.speed_mean))

@@ -7,13 +7,14 @@ light gray, hard regions dark gray.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grids import read_columns
 
 RENDER_KINDS = ("streamlines", "densities", "potential_landscape", "vortex")
 SHADINGS = ("qka", "qrkc")
@@ -52,15 +53,6 @@ class RenderSpec:
 def _fmt(v: float) -> str:
     s = f"{v:.2f}"
     return "0.00" if s == "-0.00" else s
-
-
-def _read_csv_columns(path) -> dict:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    head, data = rows[0], rows[1:]
-    cols = {name: np.array([r[i] for r in data], dtype=float)
-            for i, name in enumerate(head)}
-    return cols
 
 
 def _svg(spec: RenderSpec, body: list) -> str:
@@ -146,7 +138,7 @@ def _frame_masks(run_dir, manifest, shading):
     soft_col, hard_col = f"soft_{shading}", f"hard_{shading}"
     frames = []
     for rec in manifest["files"]["frames"]:
-        cols = _read_csv_columns(os.path.join(run_dir, rec["masks"]))
+        cols = read_columns(os.path.join(run_dir, rec["masks"]))
         valid = cols["valid"] > 0.5
         frames.append((rec["t"], cols["x"],
                        (cols[soft_col] > 0.5) & valid,
@@ -169,7 +161,7 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
     if "streamlines" not in manifest["files"]:
         raise ValueError("run has no streamline table; this kind needs a 1D run")
     frames = _frame_masks(run_dir, manifest, spec.shading)
-    lines = _read_csv_columns(os.path.join(run_dir, manifest["files"]["streamlines"]))
+    lines = read_columns(os.path.join(run_dir, manifest["files"]["streamlines"]))
     x_all = frames[0][1]
     x0, x1 = spec.x_range or (float(x_all[0]), float(x_all[-1]))
     times = [t for t, *_ in frames]
@@ -203,7 +195,7 @@ def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
     recs = manifest["files"]["frames"]
     rhos = []
     for rec in recs:
-        cols = _read_csv_columns(os.path.join(run_dir, rec["fields"]))
+        cols = read_columns(os.path.join(run_dir, rec["fields"]))
         rhos.append(cols["rho"])
     rho_max = max(float(r.max()) for r in rhos)
     x_all = frames[0][1]
@@ -229,7 +221,7 @@ def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
     recs = manifest["files"]["frames"]
     if not recs:
         raise ValueError("run has no field frames")
-    cols = _read_csv_columns(os.path.join(run_dir, recs[0]["fields"]))
+    cols = read_columns(os.path.join(run_dir, recs[0]["fields"]))
     if "y" in cols:
         raise ValueError("potential landscape needs a 1D run")
     x, U = cols["x"], cols["U"]
@@ -260,7 +252,7 @@ def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
     path = os.path.join(run_dir, manifest["files"].get("vortex_profile", ""))
     if not manifest["files"].get("vortex_profile") or not os.path.exists(path):
         raise ValueError("run has no vortex profile; this kind needs the 2D run")
-    cols = _read_csv_columns(path)
+    cols = read_columns(path)
     r, ka = cols["r"], cols["K_a"]
     lr, lk = np.log10(r), np.log10(ka)
     fr = _Frame(spec, float(lr.min()), float(lr.max()),

@@ -581,7 +581,7 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         state = b.states[0]
         t_eval = np.asarray(b.frame_times, dtype=float)
         if t_eval.size < 2 or not (np.diff(t_eval) > 0).all():
-            t_eval = np.linspace(b.span[0], b.span[1], 33)
+            t_eval = None
         lines = streamline_bundle(state, c.streamlines, b.span, t_eval=t_eval)
         streamlines_to_csv(lines, os.path.join(out_dir, "streamlines.csv"))
         files["streamlines"] = "streamlines.csv"

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -133,6 +134,23 @@ class TestPolar:
         assert not f.node_mask[i_node]
         assert f.node_mask[i_node - 3] and f.node_mask[i_node + 3]
         assert np.isfinite(f.dSdt.values).all()
+
+    def test_psi_gradient_once_per_frame(self, two_mode, vortex_state, monkeypatch):
+        import madelung.energy as en
+        from madelung.grids import gradient, gradient2d
+
+        calls = []
+        monkeypatch.setattr(en, "gradient", lambda f: calls.append(1) or gradient(f))
+        monkeypatch.setattr(en, "gradient2d", lambda f: calls.append(2) or gradient2d(f))
+        for s, want in ((two_mode, [1]), (vortex_state, [2])):
+            calls.clear()
+            psi = evaluate(s, 0.1)
+            f = polar_fields(psi, time_derivative(s, 0.1))
+            energy_decomposition(f, ScalarField(psi.grid, np.zeros(psi.values.shape)), 1.0)
+            assert calls == want
+            direct = (gradient(psi),) if want == [1] else gradient2d(psi)
+            for got, ref in zip(f.grad_psi, direct, strict=True):
+                assert np.array_equal(got.values, ref.values)
 
 
 class TestLedger:
@@ -328,6 +346,36 @@ class TestExports:
         assert rows[0].split(",")[1] == "soft_qka"
         flagged = sum(int(r.split(",")[2]) for r in rows[1:])
         assert flagged == int(sm.hard_qka.sum())
+
+    def test_tables_match_row_loop_writer(self, two_mode, vortex_state, tmp_path):
+        # the csv.writer row loops the column writer replaced, LF-terminated
+        def row_loop(path, names, cols, flags):
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(names)
+                for i in range(len(cols[0])):
+                    w.writerow([f"{c[i]:.17g}" for c in cols] + [int(f[i]) for f in flags])
+
+        for d in (decompose(two_mode, 0.1 * PERIOD), decompose(vortex_state, 0.0)):
+            sm = classify_superoscillation(d)
+            if d.grid.ndim == 1:
+                coords = ["x"], [d.grid.x]
+            else:
+                coords = ["x", "y"], [c.ravel() for c in d.grid.mesh()]
+            fields = ["Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
+                      "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho"]
+            flags = ["soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
+                     "forbidden_global", "forbidden_local"]
+            row_loop(tmp_path / "d_ref.csv", coords[0] + fields + ["valid"],
+                     coords[1] + [getattr(d, n).values.ravel() for n in fields],
+                     [d.valid.ravel()])
+            row_loop(tmp_path / "m_ref.csv", coords[0] + flags + ["valid"], coords[1],
+                     [getattr(sm, n).ravel() for n in flags + ["valid"]])
+            decomposition_to_csv(d, str(tmp_path / "d.csv"))
+            masks_to_csv(sm, str(tmp_path / "m.csv"))
+            for name in ("d", "m"):
+                want = (tmp_path / f"{name}_ref.csv").read_bytes()
+                assert (tmp_path / f"{name}.csv").read_bytes() == want
 
     def test_mask_area_2d(self, vortex_state):
         d = decompose(vortex_state, 0.0)

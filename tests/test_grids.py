@@ -1,7 +1,5 @@
 """Grid, quadrature, and stencil tests against analytic oracles."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,35 +16,27 @@ from madelung.grids import (
     integrate,
     integrate_masked,
     laplacian,
+    read_columns,
+    write_columns,
 )
 
 
 def field_from_csv(path):
     """Read a field written by field_to_csv, rebuilding its grid."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    cplx = "im" in header
-    if "y" not in header:
-        x = np.array([float(r[0]) for r in data])
+    cols = read_columns(path)
+    if "y" not in cols:
+        x = cols["x"]
         grid = Grid1D(x[0], x[-1], len(x))
-        re = np.array([float(r[1]) for r in data])
-        mask = np.array([r[-1] == "1" for r in data])
-        if cplx:
-            im = np.array([float(r[2]) for r in data])
-            return ComplexField(grid, re + 1j * im, mask)
-        return ScalarField(grid, re, mask)
-    xs = np.array([float(r[0]) for r in data])
-    ys = np.array([float(r[1]) for r in data])
-    ux, uy = np.unique(xs), np.unique(ys)
-    grid = Grid2D(Grid1D(ux[0], ux[-1], len(ux)), Grid1D(uy[0], uy[-1], len(uy)))
-    shape = grid.shape
-    re = np.array([float(r[2]) for r in data]).reshape(shape)
-    mask = np.array([r[-1] == "1" for r in data]).reshape(shape)
-    if cplx:
-        im = np.array([float(r[3]) for r in data]).reshape(shape)
-        return ComplexField(grid, re + 1j * im, mask)
-    return ScalarField(grid, re, mask)
+        shape = (grid.n,)
+    else:
+        ux, uy = np.unique(cols["x"]), np.unique(cols["y"])
+        grid = Grid2D(Grid1D(ux[0], ux[-1], len(ux)), Grid1D(uy[0], uy[-1], len(uy)))
+        shape = grid.shape
+    values = cols["re"].reshape(shape)
+    mask = (cols["mask"] == 1.0).reshape(shape)
+    if "im" in cols:
+        return ComplexField(grid, values + 1j * cols["im"].reshape(shape), mask)
+    return ScalarField(grid, values, mask)
 
 
 def make_field(fn, grid):
@@ -245,6 +235,41 @@ class TestIdentities:
 
 
 class TestCsvRoundTrip:
+    def test_columns_round_trip(self, tmp_path):
+        edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1.0 / 3.0])
+        flags = np.array([True, False, False, True, True])
+        g2 = Grid2D(Grid1D(0.0, 1.0, 3), Grid1D(-1.0, 1.0, 4))
+        X, Y = g2.mesh()
+        p = tmp_path / "t.csv"
+        write_columns(str(p), ("v", "flag"), (edge, flags))
+        back = read_columns(str(p))
+        assert list(back) == ["v", "flag"]
+        assert back["v"].dtype == np.float64
+        assert np.array_equal(back["v"].view(np.uint64), edge.view(np.uint64))
+        assert np.array_equal(back["flag"], flags.astype(float))
+        raw = p.read_bytes()
+        assert b"\r" not in raw
+        assert raw.startswith(b"v,flag\n-0,1\n") and raw.endswith(b"\n")
+
+        write_columns(str(p), ("x", "y", "v"), (X, Y, X + 10.0 * Y))
+        back = read_columns(str(p))
+        assert np.array_equal(back["x"], np.repeat(g2.grid_x.x, 4))
+        assert np.array_equal(back["y"], np.tile(g2.grid_y.x, 3))
+        assert np.array_equal(back["v"].reshape(g2.shape), X + 10.0 * Y)
+
+        # longer than one formatting block of rows
+        rng = np.random.default_rng(3)
+        long = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        write_columns(str(p), ("v",), (long,))
+        assert p.read_text().count("\n") == 5001
+        assert np.array_equal(read_columns(str(p))["v"].view(np.uint64), long.view(np.uint64))
+
+        write_columns(str(p), ("a", "b"), (np.empty(0), np.empty(0, bool)))
+        assert p.read_text() == "a,b\n"
+        back = read_columns(str(p))
+        assert list(back) == ["a", "b"]
+        assert all(c.shape == (0,) and c.dtype == np.float64 for c in back.values())
+
     def test_1d_complex(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 51)
         mask = np.ones(51, bool)

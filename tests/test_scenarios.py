@@ -15,7 +15,7 @@ from madelung.energy import (
     decompose,
     hj_residual,
 )
-from madelung.grids import Grid1D, gradient
+from madelung.grids import Grid1D, gradient, read_columns
 from madelung.states import WavepacketSpec, evaluate
 
 TWO_TERM = (
@@ -184,6 +184,10 @@ class TestRunBundle:
         search = m["derived"]["diagnostics"]["node_search"]
         assert search["singular"] == search["candidates"] > 0
         assert search["refined"] == 0 and search["events_outside_window"] == 0
+        # frames do not advance, so lines take streamline_bundle's default times
+        lines = read_columns(tmp_path / "e" / m["files"]["streamlines"])
+        assert lines["t"].size == m["config"]["streamlines"] * 65
+        assert np.unique(lines["t"]).size == 65
 
     def test_reflection_band_and_nodes(self, tmp_path):
         c = sc.default_config("reflection_pulse", frames=8, streamlines=3)
