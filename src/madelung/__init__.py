@@ -7,6 +7,8 @@ energies), classifies soft and hard superoscillation regions, and traces
 fluid streamlines, nodes, and vortices.
 """
 
+import types
+
 from .grids import (
     ComplexField,
     Grid1D,
@@ -70,6 +72,8 @@ from .energy import (
     mask_area,
     masks_to_csv,
     polar_fields,
+    read_frame_table,
+    write_frame_table,
 )
 from .flow import (
     Loop2D,
@@ -109,93 +113,7 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexField",
-    "Grid1D",
-    "Grid2D",
-    "ScalarField",
-    "gradient",
-    "gradient2d",
-    "integrate",
-    "integrate_masked",
-    "laplacian",
-    "EigenBasis",
-    "Harmonic",
-    "InfiniteWell",
-    "QuarticDoubleWell",
-    "SymTridiag",
-    "Tabulated",
-    "WellWithBarrier",
-    "analytic_harmonic",
-    "analytic_infinite_well",
-    "build_hamiltonian",
-    "eigenbasis",
-    "load_basis",
-    "product_basis_2d",
-    "sample_potential",
-    "save_basis",
-    "snapped_barrier_width",
-    "solve_eigen",
-    "Superposition",
-    "WavepacketSpec",
-    "band_limit",
-    "calibrate_sigma",
-    "cap_modes",
-    "equal_two_mode",
-    "evaluate",
-    "evaluate_at",
-    "evaluate_at_2d",
-    "gaussian_values",
-    "leaked_norm",
-    "project_field",
-    "project_gaussian",
-    "superposition",
-    "superposition_from_json",
-    "superposition_to_json",
-    "time_derivative",
-    "EnergyDecomposition",
-    "MadelungFields",
-    "SuperoscillationMask",
-    "classify_superoscillation",
-    "continuity_residual",
-    "decompose",
-    "decomposition_to_csv",
-    "energy_decomposition",
-    "hj_residual",
-    "ledger_integrals",
-    "mask_area",
-    "masks_to_csv",
-    "polar_fields",
-    "Loop2D",
-    "NodeEvent",
-    "Streamline",
-    "VortexProfile",
-    "circulation",
-    "cumulative_probability",
-    "find_nodes",
-    "integrate_loop_2d",
-    "integrate_streamline",
-    "loop_seeds_on_axis",
-    "loops_to_csv",
-    "node_events_to_json",
-    "quantile_position",
-    "save_node_events",
-    "seed_quantiles",
-    "streamline_bundle",
-    "streamlines_to_csv",
-    "vortex_profile",
-    "vortex_profile_to_csv",
-    "SCENARIOS",
-    "ScenarioBundle",
-    "ScenarioConfig",
-    "SplitterGeometry",
-    "TuningResult",
-    "build_scenario",
-    "default_config",
-    "load_config",
-    "run_scenario",
-    "save_config",
-    "transmission",
-    "tune_beam_splitter",
-    "__version__",
-]
+# every public class, function and constant imported above
+__all__ = sorted(n for n, v in globals().items()
+                 if not n.startswith("_") and not isinstance(v, types.ModuleType))
+__all__.append("__version__")

@@ -179,9 +179,7 @@ def _cmd_scenario(args) -> int:
     c = _config_from_args(args)
     manifest = sc.run_scenario(c, args.out)
     _say(os.path.join(args.out, "manifest.json"))
-    for rec in manifest["files"]["frames"]:
-        _say(os.path.join(args.out, rec["fields"]))
-    for key in ("streamlines", "loops", "nodes", "vortex_profile"):
+    for key in ("frame_table", "streamlines", "loops", "nodes", "vortex_profile"):
         if key in manifest["files"]:
             _say(os.path.join(args.out, manifest["files"][key]))
     for fig in rd.default_figures(args.out, shading=args.shading or "qka"):

@@ -6,6 +6,7 @@ and classifies superoscillation in both the (Q, K_a) and (Q_r, K_c)
 pictures.  Natural units hbar = m = 1 throughout.
 """
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ __all__ = [
     "mask_area",
     "decomposition_to_csv",
     "masks_to_csv",
+    "write_frame_table",
+    "read_frame_table",
 ]
 
 # relative density floor below which phase derivatives are unreliable
@@ -391,3 +394,42 @@ def masks_to_csv(m: SuperoscillationMask, path: str):
     names, coords = coordinate_columns(m.grid)
     flags = tuple(getattr(m, c) for c in _MASK_COLS)
     write_columns(path, names + _MASK_COLS + ("valid",), coords + flags + (m.valid,))
+
+
+# fixed zip entry timestamp: the archive bytes depend only on the arrays
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+
+
+def _put_array(zf: zipfile.ZipFile, name: str, array: np.ndarray):
+    info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_DATE)
+    with zf.open(info, "w", force_zip64=True) as fh:
+        np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def write_frame_table(path, times, ledgers):
+    """All frames of a run as one uncompressed .npz archive.
+
+    ledgers holds one (EnergyDecomposition, SuperoscillationMask) pair per
+    entry of times.  Keys: t; the grid axes x (and y in 2D) as 1D arrays;
+    one float64 array of shape (frames, *grid shape) per ledger column;
+    one bool array of that shape per mask column and for valid.  Columns
+    are stacked over frames one at a time, so memory holds one stacked
+    column on top of the ledgers.
+    """
+    grid = ledgers[0][0].grid
+    axes = (grid.x,) if grid.ndim == 1 else (grid.grid_x.x, grid.grid_y.x)
+    with zipfile.ZipFile(path, "w") as zf:
+        _put_array(zf, "t", np.asarray(times, dtype=float))
+        for name, axis in zip(("x", "y"), axes):
+            _put_array(zf, name, axis)
+        for c in _DECOMP_COLS:
+            _put_array(zf, c, np.stack([getattr(d, c).values for d, _ in ledgers]))
+        for c in _MASK_COLS + ("valid",):
+            _put_array(zf, c, np.stack([getattr(m, c) for _, m in ledgers]))
+
+
+def read_frame_table(path, keys=None) -> dict:
+    """{key: array} of an archive written by write_frame_table: every key,
+    or only those named in keys."""
+    with np.load(path, allow_pickle=False) as z:
+        return {k: z[k] for k in (z.files if keys is None else keys)}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import read_frame_table
 from .grids import read_columns
 
 RENDER_KINDS = ("streamlines", "densities", "potential_landscape", "vortex")
@@ -133,19 +134,23 @@ def _load_manifest(run_dir):
         return json.load(fh)
 
 
-def _frame_masks(run_dir, manifest, shading):
-    """Per frame: (t, x, soft flags, hard flags) honoring the valid column."""
-    soft_col, hard_col = f"soft_{shading}", f"hard_{shading}"
-    frames = []
-    for rec in manifest["files"]["frames"]:
-        cols = read_columns(os.path.join(run_dir, rec["masks"]))
-        valid = cols["valid"] > 0.5
-        frames.append((rec["t"], cols["x"],
-                       (cols[soft_col] > 0.5) & valid,
-                       (cols[hard_col] > 0.5) & valid))
-    if not frames:
-        raise ValueError("run has no mask frames to shade")
-    return frames
+def _frame_table(run_dir, manifest, keys) -> dict:
+    """The named columns of the run's frame archive."""
+    name = manifest["files"].get("frame_table")
+    if name is None:
+        raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
+                         "scenario (with write_fields = true) to write one")
+    return read_frame_table(os.path.join(run_dir, name), keys)
+
+
+def _frame_masks(run_dir, manifest, shading, extra=()):
+    """Per frame (t, x, soft flags, hard flags) honoring the valid flags,
+    and the archive columns read for them plus the extra ones."""
+    soft, hard = f"soft_{shading}", f"hard_{shading}"
+    table = _frame_table(run_dir, manifest, ("t", "x", "valid", soft, hard) + extra)
+    frames = [(float(t), table["x"], s & v, h & v) for t, s, h, v in
+              zip(table["t"], table[soft], table[hard], table["valid"])]
+    return frames, table
 
 
 def _shading_bands(fr: _Frame, frames, band_edges) -> list:
@@ -160,7 +165,7 @@ def _shading_bands(fr: _Frame, frames, band_edges) -> list:
 def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
     if "streamlines" not in manifest["files"]:
         raise ValueError("run has no streamline table; this kind needs a 1D run")
-    frames = _frame_masks(run_dir, manifest, spec.shading)
+    frames, _ = _frame_masks(run_dir, manifest, spec.shading)
     lines = read_columns(os.path.join(run_dir, manifest["files"]["streamlines"]))
     x_all = frames[0][1]
     x0, x1 = spec.x_range or (float(x_all[0]), float(x_all[-1]))
@@ -191,13 +196,9 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
 def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
     if "streamlines" not in manifest["files"]:
         raise ValueError("run has no 1D frames; this kind needs a 1D run")
-    frames = _frame_masks(run_dir, manifest, spec.shading)
-    recs = manifest["files"]["frames"]
-    rhos = []
-    for rec in recs:
-        cols = read_columns(os.path.join(run_dir, rec["fields"]))
-        rhos.append(cols["rho"])
-    rho_max = max(float(r.max()) for r in rhos)
+    frames, table = _frame_masks(run_dir, manifest, spec.shading, ("rho",))
+    rhos = table["rho"]
+    rho_max = float(rhos.max())
     x_all = frames[0][1]
     x0, x1 = spec.x_range or (float(x_all[0]), float(x_all[-1]))
     n = len(frames)
@@ -218,13 +219,10 @@ def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
 
 
 def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
-    recs = manifest["files"]["frames"]
-    if not recs:
-        raise ValueError("run has no field frames")
-    cols = read_columns(os.path.join(run_dir, recs[0]["fields"]))
-    if "y" in cols:
+    if "streamlines" not in manifest["files"]:
         raise ValueError("potential landscape needs a 1D run")
-    x, U = cols["x"], cols["U"]
+    table = _frame_table(run_dir, manifest, ("x", "U"))
+    x, U = table["x"], table["U"][0]
     e_plus = float(manifest["derived"]["band_limits"][0])
     levels = [e for e in manifest["derived"]["energies"] if e <= e_plus * 1.05]
     u_cap = max(e_plus * 1.6, float(np.percentile(U, 95)))

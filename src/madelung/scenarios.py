@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import classify_superoscillation, decompose, decomposition_to_csv, masks_to_csv
+from .energy import classify_superoscillation, decompose, write_frame_table
 from .flow import (
     circulation,
     find_nodes,
@@ -509,29 +509,24 @@ def _round_trip_report(state: Superposition, t_end: float) -> dict:
 
 def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     """Execute a scenario and write its deterministic bundle under out_dir:
-    manifest.json, config.txt, per-frame field and mask CSVs, streamlines
-    (or 2D loops), node events, and the vortex profile where applicable.
-    Returns the manifest."""
+    manifest.json, config.txt, the frame archive frames.npz (energy ledger
+    and masks of every frame), streamlines (or 2D loops), node events, and
+    the vortex profile where applicable.  Returns the manifest."""
     b = build_scenario(c)
     os.makedirs(out_dir, exist_ok=True)
-    frames_dir = os.path.join(out_dir, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
 
     files: dict = {"config": "config.txt", "frames": []}
     save_config(c, os.path.join(out_dir, "config.txt"))
 
-    decomps = []
-    for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
-        d = decompose(b.states[si], float(t))
-        decomps.append(d)
-        if c.write_fields:
-            dname = f"frames/decomp_{i:04d}.csv"
-            mname = f"frames/masks_{i:04d}.csv"
-            decomposition_to_csv(d, os.path.join(out_dir, dname))
-            masks_to_csv(classify_superoscillation(d), os.path.join(out_dir, mname))
-            files["frames"].append({"index": i, "t": float(t),
-                                    "state": b.labels[si],
-                                    "fields": dname, "masks": mname})
+    if c.write_fields:
+        ledgers = []
+        for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
+            d = decompose(b.states[si], float(t))
+            ledgers.append((d, classify_superoscillation(d)))
+            files["frames"].append({"index": i, "t": float(t), "state": b.labels[si]})
+        write_frame_table(os.path.join(out_dir, "frames.npz"), b.frame_times, ledgers)
+        files["frame_table"] = "frames.npz"
+        del ledgers
 
     derived: dict = {
         "energies": [float(e) for e in b.basis.energies[: min(b.basis.k, 12)]],

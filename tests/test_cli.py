@@ -10,8 +10,9 @@ import re
 import numpy as np
 import pytest
 
+from madelung import render as rd
 from madelung.cli import run_cli
-from madelung.scenarios import build_scenario, default_config
+from madelung.scenarios import build_scenario, default_config, run_scenario
 from madelung.spectral import load_basis
 
 
@@ -84,6 +85,51 @@ class TestRender:
         assert code == 1
         doc = json.loads(err)
         assert doc["error"] == "ValueError"
+
+
+class TestRenderFrameTable:
+    def test_run_without_table_is_value_error(self, capsys, tmp_path):
+        out = tmp_path / "nf"
+        run_scenario(default_config("well_superposition", frames=2, streamlines=2,
+                                    write_fields=False), out)
+        for kind in ("streamlines", "densities", "potential_landscape"):
+            with pytest.raises(ValueError, match="frames.npz"):
+                rd.render_run(out, rd.RenderSpec(kind=kind), tmp_path / "f.svg")
+        code, _, err = _run(capsys, ["render", "--run", str(out), "--kind", "densities"])
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "frames.npz" in doc["message"]
+
+    def test_bundle_without_table_entry_is_value_error(self, capsys, well_run, tmp_path):
+        # a bundle written before the archive: its manifest lists no frame_table
+        old = tmp_path / "old"
+        old.mkdir()
+        manifest = json.loads((well_run / "manifest.json").read_text())
+        del manifest["files"]["frame_table"]
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = _run(capsys, ["render", "--run", str(old), "--kind", "streamlines"])
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "frames.npz" in doc["message"]
+
+    def test_figures_read_the_archive_once_each(self, tmp_path, monkeypatch):
+        out = tmp_path / "w16"
+        run_scenario(default_config("well_superposition", frames=16, streamlines=2), out)
+        column_reads, table_reads = [], []
+
+        def counting(log, fn):
+            def wrapped(path, *args, **kwargs):
+                log.append(os.path.basename(str(path)))
+                return fn(path, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(rd, "read_columns", counting(column_reads, rd.read_columns))
+        monkeypatch.setattr(rd, "read_frame_table",
+                            counting(table_reads, rd.read_frame_table))
+        figures = rd.default_figures(out)
+        assert len(figures) == 3
+        assert column_reads == ["streamlines.csv"]
+        assert table_reads == ["frames.npz"] * len(figures)
 
 
 class TestExports:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from madelung.energy import (
     continuity_residual,
     decompose,
     hj_residual,
+    read_frame_table,
+    write_frame_table,
 )
 from madelung.grids import Grid1D, gradient, read_columns
 from madelung.states import WavepacketSpec, evaluate
@@ -217,6 +220,86 @@ class TestRunBundle:
         loops = (tmp_path / "v" / "loops.csv").read_text().splitlines()
         assert loops[0] == "seed_q,t,x,y"
         assert len({ln.split(",")[0] for ln in loops[1:]}) == 4
+
+
+LEDGER_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
+               "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho")
+MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
+             "forbidden_global", "forbidden_local")
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestFrameTable:
+    @pytest.mark.parametrize("name, overrides", [
+        ("well_superposition", dict(frames=4, streamlines=2)),
+        ("vortex_2d", {}),
+    ])
+    def test_archive_equals_ledger_of_every_frame(self, tmp_path, name, overrides):
+        c = sc.default_config(name, **overrides)
+        m = sc.run_scenario(c, tmp_path / "r")
+        assert not (tmp_path / "r" / "frames").exists()
+        assert m["files"]["frame_table"] == "frames.npz"
+        path = tmp_path / "r" / "frames.npz"
+        with np.load(path, allow_pickle=False) as z:
+            loaded = {k: z[k] for k in z.files}
+        table = read_frame_table(path)
+        assert set(table) == set(loaded)
+        for k in table:
+            assert _bits(table[k]) == _bits(loaded[k]), k
+
+        b = sc.build_scenario(c)
+        grid = b.states[0].grid
+        axes = ["x"] if grid.ndim == 1 else ["x", "y"]
+        assert set(table) == {"t", "valid", *axes, *LEDGER_COLS, *MASK_COLS}
+        assert _bits(table["t"]) == _bits(np.asarray(b.frame_times, dtype=float))
+        if grid.ndim == 1:
+            assert _bits(table["x"]) == _bits(grid.x)
+        else:
+            assert _bits(table["x"]) == _bits(grid.grid_x.x)
+            assert _bits(table["y"]) == _bits(grid.grid_y.x)
+        assert len(m["files"]["frames"]) == len(b.frame_times)
+        for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
+            assert m["files"]["frames"][i] == {"index": i, "t": float(t),
+                                               "state": b.labels[si]}
+            d = decompose(b.states[si], float(t))
+            mk = classify_superoscillation(d)
+            for col in LEDGER_COLS:
+                want = getattr(d, col).values
+                assert table[col].dtype == np.float64, col
+                assert _bits(table[col][i]) == _bits(want), (i, col)
+            for col in MASK_COLS:
+                assert table[col].dtype == bool, col
+                assert _bits(table[col][i]) == _bits(getattr(mk, col)), (i, col)
+            assert _bits(table["valid"][i]) == _bits(d.valid)
+            assert _bits(table["valid"][i]) == _bits(mk.valid)
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        b = sc.build_scenario(sc.default_config("well_superposition", frames=2))
+        ledgers = []
+        for t in b.frame_times:
+            d = decompose(b.states[0], float(t))
+            ledgers.append((d, classify_superoscillation(d)))
+        blobs = []
+        for k, now in enumerate((1.0e9, 1.7e9)):
+            monkeypatch.setattr("time.time", lambda now=now: now)
+            path = tmp_path / f"f{k}.npz"
+            write_frame_table(path, b.frame_times, ledgers)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        with zipfile.ZipFile(tmp_path / "f0.npz") as zf:
+            infos = zf.infolist()
+        assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+
+    def test_no_table_without_fields(self, tmp_path):
+        c = sc.default_config("well_superposition", frames=2, streamlines=2,
+                              write_fields=False)
+        m = sc.run_scenario(c, tmp_path / "r")
+        assert "frame_table" not in m["files"] and m["files"]["frames"] == []
+        assert not (tmp_path / "r" / "frames.npz").exists()
 
 
 class TestPhysicsAcrossScenarios:
