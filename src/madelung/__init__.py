@@ -109,6 +109,8 @@ from .scenarios import (
     save_config,
     transmission,
     tune_beam_splitter,
+    tuning_record,
+    vortex_record,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ nonzero with a JSON error object on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ import numpy as np
 from . import render as rd
 from . import scenarios as sc
 from .energy import classify_superoscillation, decompose, decomposition_to_csv, mask_area, masks_to_csv
-from .flow import circulation, streamline_bundle, streamlines_to_csv, vortex_profile, vortex_profile_to_csv
+from .flow import streamline_bundle, streamlines_to_csv, vortex_profile_to_csv
 from .grids import field_to_csv
-from .spectral import eigenbasis, save_basis
+from .spectral import save_basis
 from .states import evaluate
 
 
@@ -36,6 +37,16 @@ def _emit_error(kind: str, message: str):
     print(json.dumps({"error": kind, "message": str(message)}), file=sys.stderr)
 
 
+# ScenarioConfig fields that a flag of the same name replaces
+_OVERRIDES = ("grid_n", "frames", "streamlines", "eta", "tol", "barrier_height",
+              "wide_barrier")
+
+
+def _with_overrides(c: sc.ScenarioConfig, args) -> sc.ScenarioConfig:
+    given = {k: getattr(args, k, None) for k in _OVERRIDES}
+    return dataclasses.replace(c, **{k: v for k, v in given.items() if v is not None})
+
+
 def _config_from_args(args) -> sc.ScenarioConfig:
     if getattr(args, "config", None):
         c = sc.load_config(args.config)
@@ -45,25 +56,7 @@ def _config_from_args(args) -> sc.ScenarioConfig:
         if not getattr(args, "name", None):
             raise ValueError("need --name or --config")
         c = sc.default_config(args.name)
-    overrides = {}
-    for flag, key in (("grid_n", "grid_n"), ("frames", "frames"), ("eta", "eta"),
-                      ("tol", "tol"), ("streamlines", "streamlines"),
-                      ("wide_barrier", "wide_barrier"),
-                      ("barrier_height", "barrier_height")):
-        v = getattr(args, flag, None)
-        if v is not None and v is not False:
-            overrides[key] = v
-    if overrides:
-        c = sc.default_config(c.name, **{**_asdict_no_name(c), **overrides})
-    return c
-
-
-def _asdict_no_name(c: sc.ScenarioConfig) -> dict:
-    import dataclasses
-
-    d = dataclasses.asdict(c)
-    d.pop("name")
-    return d
+    return _with_overrides(c, args)
 
 
 def _say(path):
@@ -138,25 +131,25 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_vortex(args) -> int:
-    c = _config_from_args(args) if (args.name or args.config) else sc.default_config("vortex_2d")
+    if args.name or args.config:
+        c = _config_from_args(args)
+    else:
+        c = _with_overrides(sc.default_config("vortex_2d"), args)
     if c.name != "vortex_2d":
         raise ValueError("vortex analysis needs the vortex_2d scenario")
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
-    s = b.states[0]
-    prof = vortex_profile(s, (0.5, 0.5), 0.1, 10)
+    prof, v = sc.vortex_record(b.states[0])
     path = os.path.join(args.out, "vortex_profile.csv")
     vortex_profile_to_csv(prof, path)
     _say(path)
-    circ = circulation(s, (0.5, 0.5), 0.1, orientation=-1)
-    print(f"fit_exponent = {prof.fit_exponent:.4f}  fit_Z = {prof.fit_Z:.4f}  "
-          f"circulation = {circ:.6f}")
+    print(f"fit_exponent = {v['fit_exponent']:.4f}  fit_Z = {v['fit_Z']:.4f}  "
+          f"circulation = {v['circulation_along_swirl']:.6f}")
     return 0
 
 
 def _cmd_tune(args) -> int:
-    name = args.scenario or "mzi_1d"
-    c = sc.default_config(name, tol=args.tol) if args.tol else sc.default_config(name)
+    c = _with_overrides(sc.default_config(args.scenario), args)
     if c.name != "mzi_1d":
         raise ValueError("tuning applies to the mzi_1d scenario")
     r = sc.tune_beam_splitter(*sc.splitter_setup(c), tol=c.tol)
@@ -166,10 +159,7 @@ def _cmd_tune(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "tuning.json")
         with open(path, "w") as fh:
-            json.dump({"U0_star": r.U0_star, "transmission": r.transmission,
-                       "iterations": r.iterations, "bracket": list(r.bracket),
-                       "history": [[u, t] for u, t in r.history]},
-                      fh, indent=1, sort_keys=True)
+            json.dump(sc.tuning_record(r), fh, indent=1, sort_keys=True)
             fh.write("\n")
         _say(path)
     return 0
@@ -245,7 +235,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="tune the splitter barrier height to 50/50")
     p.add_argument("--scenario", default="mzi_1d")
-    p.add_argument("--tol", type=float, default=0.01)
+    p.add_argument("--tol", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tune)
 

@@ -286,16 +286,24 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
     return str(out_path)
 
 
+# stock figures, each drawn when the run lists every file it needs
+_FIGURES = (
+    ("streamlines", ("streamlines", "frame_table")),
+    ("densities", ("streamlines", "frame_table")),
+    ("potential_landscape", ("streamlines", "frame_table")),
+    ("vortex", ("vortex_profile",)),
+)
+
+
 def default_figures(run_dir, shading: str = "qka") -> list:
-    """The stock figure set for a run: written next to the manifest."""
-    manifest = _load_manifest(run_dir)
+    """The stock figure set for a run: written next to the manifest.  The
+    1D figures need the frame archive, so a run written with
+    write_fields = false gets only the figures that do without it."""
+    files = _load_manifest(run_dir)["files"]
     outs = []
-    if manifest["name"] == "vortex_2d":
-        kinds = ["vortex"]
-    else:
-        kinds = ["streamlines", "densities", "potential_landscape"]
-    for kind in kinds:
-        out = os.path.join(run_dir, f"{kind}.svg")
-        render_run(run_dir, RenderSpec(kind=kind, shading=shading), out)
-        outs.append(out)
+    for kind, needs in _FIGURES:
+        if all(k in files for k in needs):
+            out = os.path.join(run_dir, f"{kind}.svg")
+            render_run(run_dir, RenderSpec(kind=kind, shading=shading), out)
+            outs.append(out)
     return outs

@@ -49,18 +49,6 @@ from .states import (
     superposition,
 )
 
-SCENARIOS = (
-    "well_superposition",
-    "well_barrier_superposition",
-    "ho_eigenstates",
-    "ho_superposition",
-    "quartic_eigenstates",
-    "quartic_superposition",
-    "reflection_pulse",
-    "mzi_1d",
-    "vortex_2d",
-)
-
 # stock geometry in natural units (hbar = m = unit length = 1)
 WELL_HALF_WIDTH = 1.0
 BARRIER_HEIGHT = 15.0
@@ -108,34 +96,11 @@ class ScenarioConfig:
             raise ValueError("eta must lie in (0, 1)")
 
 
-_DEFAULTS = {
-    "well_superposition": dict(grid_n=2001, modes=4),
-    "well_barrier_superposition": dict(
-        grid_n=2001, modes=6, barrier_height=BARRIER_HEIGHT, barrier_width=BARRIER_WIDTH
-    ),
-    "ho_eigenstates": dict(grid_n=2001, modes=4, frames=2),
-    "ho_superposition": dict(grid_n=2001, modes=4),
-    "quartic_eigenstates": dict(grid_n=2001, modes=6, frames=2),
-    "quartic_superposition": dict(grid_n=2001, modes=6),
-    "reflection_pulse": dict(
-        grid_n=2001, modes=40, packet_center=0.0, packet_momentum=25.0,
-        packet_width=0.08, band_cap=18,
-    ),
-    "mzi_1d": dict(
-        grid_n=2001, modes=140, packet_center=-1.0, packet_momentum=60.0,
-        packet_width=0.23, band_cap=89,
-        barrier_width=MZI_HALF_WIDTH * 2.0 / 4.0 / 50.0,
-    ),
-    "vortex_2d": dict(grid_n=161, modes=2, frames=1, streamlines=4),
-}
-
-
 def default_config(name: str, **overrides) -> ScenarioConfig:
-    if name not in _DEFAULTS:
+    """The stock config of a scenario, with the given fields replaced."""
+    if name not in SCENARIO_TABLE:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    fields = dict(_DEFAULTS[name])
-    fields.update(overrides)
-    return ScenarioConfig(name=name, **fields)
+    return ScenarioConfig(name=name, **{**SCENARIO_TABLE[name][1], **overrides})
 
 
 # --------------------------------------------------------------- config I/O
@@ -187,10 +152,7 @@ def config_from_text(text: str) -> ScenarioConfig:
             out[key] = int(val)
         else:
             out[key] = float(val)
-    name = out.pop("name")
-    fields = dict(_DEFAULTS[name]) if name in _DEFAULTS else {}
-    fields.update(out)
-    return ScenarioConfig(name=name, **fields)
+    return default_config(**out)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -379,114 +341,174 @@ def splitter_setup(c: ScenarioConfig) -> tuple:
     return geo, WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
 
 
-def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
-    """Construct the basis and state(s) for a config, tuning the splitter
-    height when the config leaves it open."""
-    name = c.name
-    extras: dict = {}
-    tuning = None
-    period = None
+def _barrier_record(pot: WellWithBarrier, grid: Grid1D) -> dict:
+    return {"height": pot.barrier_height, "width": pot.barrier_width,
+            "width_on_grid": snapped_barrier_width(pot, grid)}
 
-    if name == "vortex_2d":
-        axis = Grid1D(0.0, 1.0, c.grid_n)
-        grid2 = Grid2D(axis, axis)
-        basis = product_basis_2d(list(VORTEX_PAIRS), grid2)
-        state = superposition(
-            basis, [0, 1], np.array([1.0, 1.0j]) / math.sqrt(2.0)
-        )
-        span = (0.0, 0.05)
-        return ScenarioBundle(c, basis, [state], ["state"],
-                              np.array([0.0]), [0], span, None, None, extras)
 
-    if name in ("well_superposition", "well_barrier_superposition",
-                "ho_superposition", "ho_eigenstates",
-                "quartic_superposition", "quartic_eigenstates"):
-        if name.startswith("well"):
-            grid = Grid1D(-WELL_HALF_WIDTH, WELL_HALF_WIDTH, c.grid_n)
-            if name == "well_barrier_superposition":
-                pot = WellWithBarrier(
-                    WELL_HALF_WIDTH,
-                    c.barrier_height if c.barrier_height is not None else BARRIER_HEIGHT,
-                    c.barrier_width if c.barrier_width is not None else BARRIER_WIDTH,
-                )
-                extras["barrier"] = {
-                    "height": pot.barrier_height,
-                    "width": pot.barrier_width,
-                    "width_on_grid": snapped_barrier_width(pot, grid),
-                }
-            else:
-                pot = InfiniteWell(WELL_HALF_WIDTH)
-        elif name.startswith("ho"):
-            grid = Grid1D(-HO_HALF_SPAN, HO_HALF_SPAN, c.grid_n)
-            pot = Harmonic(OMEGA)
-        else:
-            grid = Grid1D(-QUARTIC_HALF_SPAN, QUARTIC_HALF_SPAN, c.grid_n)
-            pot = QuarticDoubleWell()
-        basis = eigenbasis(pot, grid, c.modes)
+def _barrier_well(c: ScenarioConfig) -> WellWithBarrier:
+    return WellWithBarrier(
+        WELL_HALF_WIDTH,
+        c.barrier_height if c.barrier_height is not None else BARRIER_HEIGHT,
+        c.barrier_width if c.barrier_width is not None else BARRIER_WIDTH,
+    )
+
+
+def _standing(half_span: float, potential, eigenstates: bool = False):
+    """Builder of a standing-wave scenario on [-half_span, half_span]: the
+    two lowest modes of potential(config), either as two stationary states
+    or as their equal superposition sampled over one beat period."""
+
+    def build(c: ScenarioConfig) -> ScenarioBundle:
+        grid = Grid1D(-half_span, half_span, c.grid_n)
+        basis = eigenbasis(potential(c), grid, c.modes)
         period = 2.0 * math.pi / (basis.energies[1] - basis.energies[0])
-        if name.endswith("eigenstates"):
+        if eigenstates:
             states = [superposition(basis, [0], [1.0]),
                       superposition(basis, [1], [1.0])]
             labels = ["mode_0", "mode_1"]
-            frame_times = np.zeros(len(states))
-            frame_states = list(range(len(states)))
+            frame_times, frame_states = np.zeros(2), [0, 1]
         else:
-            states = [equal_two_mode(basis, 0, 1)]
-            labels = ["state"]
+            states, labels = [equal_two_mode(basis, 0, 1)], ["state"]
             frame_times = np.arange(c.frames) * (period / c.frames)
             frame_states = [0] * c.frames
         return ScenarioBundle(c, basis, states, labels, frame_times,
-                              frame_states, (0.0, period), period, None, extras)
+                              frame_states, (0.0, period), period, None, {})
 
-    if name == "reflection_pulse":
-        grid = Grid1D(-REFLECT_HALF_WIDTH, REFLECT_HALF_WIDTH, c.grid_n)
-        basis = eigenbasis(InfiniteWell(REFLECT_HALF_WIDTH), grid, c.modes)
-        packet = WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
-        state = project_gaussian(basis, packet, eta=c.eta)
-        if c.band_cap is not None:
-            state = cap_modes(state, c.band_cap)
-        extras["band"] = {
-            "truncation_index": int(state.meta["truncation_index"]),
-            "band_limit": band_limit(state),
-            "cap_dropped_norm": state.meta.get("cap_dropped_norm", 0.0),
-        }
-        span = (0.0, REFLECT_SPAN)
-        frame_times = np.arange(c.frames) * (span[1] / c.frames)
-        return ScenarioBundle(c, basis, [state], ["state"], frame_times,
-                              [0] * c.frames, span, None, None, extras)
+    return build
 
-    # mzi_1d: band-limited launch in the free well, then re-projection onto
-    # the barrier well at the (tuned or given) height
-    geo, packet = splitter_setup(c)
-    grid, width = geo.grid, geo.barrier_width
-    launch = _launch_state(geo, packet)
-    if c.barrier_height is None:
-        tuning = tune_beam_splitter(geo, packet, tol=c.tol)
-        u0 = tuning.U0_star
-    else:
-        u0 = c.barrier_height
-    pot = WellWithBarrier(MZI_HALF_WIDTH, float(u0), width)
-    basis = eigenbasis(pot, grid, c.modes)
-    state = project_field(basis, evaluate(launch, 0.0).values, eta=c.eta)
-    extras["barrier"] = {
-        "height": float(u0),
-        "width": width,
-        "width_on_grid": snapped_barrier_width(pot, grid),
-        "width_rule": "full_width/50" if c.wide_barrier else "unit_length/50",
-    }
-    extras["band"] = {
-        "launch_truncation_index": int(launch.meta["truncation_index"]),
-        "launch_cap_dropped_norm": launch.meta.get("cap_dropped_norm", 0.0),
-        "truncation_index": int(state.meta["truncation_index"]),
-        "band_limit": band_limit(state),
-    }
-    span = (0.0, MZI_SPAN)
+
+def _build_barrier_superposition(c: ScenarioConfig) -> ScenarioBundle:
+    b = _standing(WELL_HALF_WIDTH, _barrier_well)(c)
+    b.extras["barrier"] = _barrier_record(_barrier_well(c), b.basis.grid)
+    return b
+
+
+def _pulse_bundle(c, basis, state, span, tuning, extras) -> ScenarioBundle:
     frame_times = np.arange(c.frames) * (span[1] / c.frames)
     return ScenarioBundle(c, basis, [state], ["state"], frame_times,
                           [0] * c.frames, span, None, tuning, extras)
 
 
+def _build_reflection(c: ScenarioConfig) -> ScenarioBundle:
+    grid = Grid1D(-REFLECT_HALF_WIDTH, REFLECT_HALF_WIDTH, c.grid_n)
+    basis = eigenbasis(InfiniteWell(REFLECT_HALF_WIDTH), grid, c.modes)
+    packet = WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
+    state = project_gaussian(basis, packet, eta=c.eta)
+    if c.band_cap is not None:
+        state = cap_modes(state, c.band_cap)
+    band = {
+        "truncation_index": int(state.meta["truncation_index"]),
+        "band_limit": band_limit(state),
+        "cap_dropped_norm": state.meta.get("cap_dropped_norm", 0.0),
+    }
+    return _pulse_bundle(c, basis, state, (0.0, REFLECT_SPAN), None, {"band": band})
+
+
+def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
+    """Band-limited launch in the free well, re-projected onto the barrier
+    well at the tuned (or given) height."""
+    geo, packet = splitter_setup(c)
+    launch = _launch_state(geo, packet)
+    tuning, u0 = None, c.barrier_height
+    if u0 is None:
+        tuning = tune_beam_splitter(geo, packet, tol=c.tol)
+        u0 = tuning.U0_star
+    pot = WellWithBarrier(MZI_HALF_WIDTH, float(u0), geo.barrier_width)
+    basis = eigenbasis(pot, geo.grid, c.modes)
+    state = project_field(basis, evaluate(launch, 0.0).values, eta=c.eta)
+    extras = {
+        "barrier": {**_barrier_record(pot, geo.grid),
+                    "width_rule": "full_width/50" if c.wide_barrier else "unit_length/50"},
+        "band": {
+            "launch_truncation_index": int(launch.meta["truncation_index"]),
+            "launch_cap_dropped_norm": launch.meta.get("cap_dropped_norm", 0.0),
+            "truncation_index": int(state.meta["truncation_index"]),
+            "band_limit": band_limit(state),
+        },
+        "round_trip": _round_trip_report(state, MZI_SPAN),
+    }
+    if tuning is not None:
+        extras["tuning"] = tuning_record(tuning)
+    return _pulse_bundle(c, basis, state, (0.0, MZI_SPAN), tuning, extras)
+
+
+def _build_vortex(c: ScenarioConfig) -> ScenarioBundle:
+    axis = Grid1D(0.0, 1.0, c.grid_n)
+    basis = product_basis_2d(list(VORTEX_PAIRS), Grid2D(axis, axis))
+    state = superposition(basis, [0, 1], np.array([1.0, 1.0j]) / math.sqrt(2.0))
+    return ScenarioBundle(c, basis, [state], ["state"], np.array([0.0]), [0],
+                          (0.0, 0.05), None, None, {})
+
+
+# name -> (builder, stock config values); a scenario is one row
+SCENARIO_TABLE = {
+    "well_superposition": (
+        _standing(WELL_HALF_WIDTH, lambda c: InfiniteWell(WELL_HALF_WIDTH)),
+        dict(grid_n=2001, modes=4)),
+    "well_barrier_superposition": (
+        _build_barrier_superposition,
+        dict(grid_n=2001, modes=6, barrier_height=BARRIER_HEIGHT,
+             barrier_width=BARRIER_WIDTH)),
+    "ho_eigenstates": (
+        _standing(HO_HALF_SPAN, lambda c: Harmonic(OMEGA), eigenstates=True),
+        dict(grid_n=2001, modes=4, frames=2)),
+    "ho_superposition": (
+        _standing(HO_HALF_SPAN, lambda c: Harmonic(OMEGA)),
+        dict(grid_n=2001, modes=4)),
+    "quartic_eigenstates": (
+        _standing(QUARTIC_HALF_SPAN, lambda c: QuarticDoubleWell(), eigenstates=True),
+        dict(grid_n=2001, modes=6, frames=2)),
+    "quartic_superposition": (
+        _standing(QUARTIC_HALF_SPAN, lambda c: QuarticDoubleWell()),
+        dict(grid_n=2001, modes=6)),
+    "reflection_pulse": (
+        _build_reflection,
+        dict(grid_n=2001, modes=40, packet_center=0.0, packet_momentum=25.0,
+             packet_width=0.08, band_cap=18)),
+    "mzi_1d": (
+        _build_mzi,
+        dict(grid_n=2001, modes=140, packet_center=-1.0, packet_momentum=60.0,
+             packet_width=0.23, band_cap=89,
+             barrier_width=MZI_HALF_WIDTH * 2.0 / 4.0 / 50.0)),
+    "vortex_2d": (
+        _build_vortex,
+        dict(grid_n=161, modes=2, frames=1, streamlines=4)),
+}
+SCENARIOS = tuple(SCENARIO_TABLE)
+
+
+def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
+    """Construct the basis and state(s) for a config, tuning the splitter
+    height when an mzi_1d config leaves it open."""
+    return SCENARIO_TABLE[c.name][0](c)
+
+
 # -------------------------------------------------------------- run bundle
+
+
+def tuning_record(r: TuningResult) -> dict:
+    """A tuning result as stored in tuning.json and derived.tuning."""
+    return {"U0_star": r.U0_star, "transmission": r.transmission,
+            "iterations": r.iterations, "bracket": list(r.bracket),
+            "history": [[u, t] for u, t in r.history]}
+
+
+def vortex_record(state: Superposition) -> tuple:
+    """(VortexProfile, derived.vortex) of the stock vortex analysis: the
+    K_a profile and circulations on radius 0.1 about the box center."""
+    center, r_max = (0.5, 0.5), 0.1
+    profile = vortex_profile(state, center, r_max, 10)
+    g = state.grid
+    return profile, {
+        "fit_exponent": float(profile.fit_exponent),
+        "fit_Z": float(profile.fit_Z),
+        "stencil_floor": 2.0 * max(g.grid_x.h, g.grid_y.h),
+        "circulation_along_swirl": float(
+            circulation(state, center, r_max, orientation=-1)),
+        "circulation_counterclockwise": float(
+            circulation(state, center, r_max, orientation=1)),
+    }
 
 
 def _round_trip_report(state: Superposition, t_end: float) -> dict:
@@ -510,8 +532,8 @@ def _round_trip_report(state: Superposition, t_end: float) -> dict:
 def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     """Execute a scenario and write its deterministic bundle under out_dir:
     manifest.json, config.txt, the frame archive frames.npz (energy ledger
-    and masks of every frame), streamlines (or 2D loops), node events, and
-    the vortex profile where applicable.  Returns the manifest."""
+    and masks of every frame), streamlines (1D) or loops and the vortex
+    profile (2D), and node events.  Returns the manifest."""
     b = build_scenario(c)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -538,42 +560,20 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         derived["period"] = float(b.period)
     derived.update(b.extras)
 
-    if c.name == "vortex_2d":
-        state = b.states[0]
+    state = b.states[0]
+    if state.grid.ndim == 2:
         seeds = loop_seeds_on_axis(state, c.streamlines, 0.5)
         te = np.linspace(0.0, 0.5, 129)
-        loops = []
-        for q, y0 in zip(
-            np.arange(1, c.streamlines + 1) / (c.streamlines + 1.0), seeds
-        ):
-            loops.append(integrate_loop_2d(state, (0.5, y0), (0.0, 0.5),
-                                           t_eval=te, seed_quantile=q))
+        qs = np.arange(1, c.streamlines + 1) / (c.streamlines + 1.0)
+        loops = [integrate_loop_2d(state, (0.5, y0), (0.0, 0.5), t_eval=te,
+                                   seed_quantile=q) for q, y0 in zip(qs, seeds)]
         loops_to_csv(loops, os.path.join(out_dir, "loops.csv"))
         files["loops"] = "loops.csv"
-
-        node_search: dict = {}
-        events = find_nodes(state, b.span, nt=9, diagnostics=node_search)
-        save_node_events(events, os.path.join(out_dir, "nodes.json"))
-        files["nodes"] = "nodes.json"
-        derived["node_events"] = node_events_to_json(events)
-
-        h = max(state.grid.grid_x.h, state.grid.grid_y.h)
-        profile = vortex_profile(state, (0.5, 0.5), 0.1, 10)
+        profile, derived["vortex"] = vortex_record(state)
         vortex_profile_to_csv(profile, os.path.join(out_dir, "vortex_profile.csv"))
         files["vortex_profile"] = "vortex_profile.csv"
-        derived["vortex"] = {
-            "fit_exponent": float(profile.fit_exponent),
-            "fit_Z": float(profile.fit_Z),
-            "stencil_floor": 2.0 * h,
-            "circulation_along_swirl": float(
-                circulation(state, (0.5, 0.5), 0.1, orientation=-1)
-            ),
-            "circulation_counterclockwise": float(
-                circulation(state, (0.5, 0.5), 0.1, orientation=1)
-            ),
-        }
+        node_source, window, kw = state, b.span, {"nt": 9}
     else:
-        state = b.states[0]
         t_eval = np.asarray(b.frame_times, dtype=float)
         if t_eval.size < 2 or not (np.diff(t_eval) > 0).all():
             t_eval = None
@@ -584,31 +584,18 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
             {"seed_q": ln.seed_quantile, "t_flag": ln.t_flag}
             for ln in lines if ln.flagged
         ]
-
-        node_source = b.states[-1]
+        node_source, window, kw = b.states[-1], b.span, {}
         if b.period is not None:
             # one period shifted off t = 0 so both generic events (phase
             # pi and 2 pi) sit strictly inside the window
             window = (b.period / 16.0, b.period * 17.0 / 16.0)
-        else:
-            window = b.span
-        node_search = {}
-        events = find_nodes(node_source, window, diagnostics=node_search)
-        save_node_events(events, os.path.join(out_dir, "nodes.json"))
-        files["nodes"] = "nodes.json"
-        derived["node_events"] = node_events_to_json(events)
 
+    node_search: dict = {}
+    events = find_nodes(node_source, window, diagnostics=node_search, **kw)
+    save_node_events(events, os.path.join(out_dir, "nodes.json"))
+    files["nodes"] = "nodes.json"
+    derived["node_events"] = node_events_to_json(events)
     derived["diagnostics"] = {"node_search": node_search}
-    if b.tuning is not None:
-        derived["tuning"] = {
-            "U0_star": b.tuning.U0_star,
-            "transmission": b.tuning.transmission,
-            "iterations": b.tuning.iterations,
-            "bracket": list(b.tuning.bracket),
-            "history": [[u, t] for u, t in b.tuning.history],
-        }
-    if c.name == "mzi_1d":
-        derived["round_trip"] = _round_trip_report(b.states[0], b.span[1])
 
     manifest = {"name": c.name, "config": dataclasses.asdict(c),
                 "derived": derived, "files": files}

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from madelung import render as rd
-from madelung.cli import run_cli
-from madelung.scenarios import build_scenario, default_config, run_scenario
+from madelung import scenarios as sc
+from madelung.cli import _config_from_args, build_parser, run_cli
+from madelung.scenarios import build_scenario, default_config, run_scenario, save_config
 from madelung.spectral import load_basis
 
 
@@ -59,6 +60,29 @@ class TestScenario:
         lines = [ln for ln in out.splitlines() if ln.startswith("wrote ")]
         assert any(ln.endswith("manifest.json") for ln in lines)
         assert any(ln.endswith(".svg") for ln in lines)
+
+    def test_run_without_fields_exits_zero_without_1d_figures(self, capsys, tmp_path):
+        cfg = tmp_path / "nf.cfg"
+        save_config(default_config("well_superposition", frames=2, streamlines=2,
+                                   write_fields=False), cfg)
+        out = tmp_path / "nf"
+        code, stdout, err = _run(capsys, ["scenario", "--config", str(cfg),
+                                          "--out", str(out)])
+        assert code == 0 and err == ""
+        for name in ("manifest.json", "config.txt", "streamlines.csv", "nodes.json"):
+            assert (out / name).exists(), name
+        assert not list(out.glob("*.svg")) and ".svg" not in stdout
+        code, _, err = _run(capsys, ["render", "--run", str(out), "--kind", "streamlines"])
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "frames.npz" in doc["message"]
+
+    def test_config_file_with_flag_override(self, tmp_path):
+        cfg = tmp_path / "ho.cfg"
+        save_config(default_config("ho_superposition"), cfg)
+        args = build_parser().parse_args(["scenario", "--config", str(cfg),
+                                          "--frames", "3", "--out", str(tmp_path)])
+        assert _config_from_args(args) == default_config("ho_superposition", frames=3)
 
 
 class TestRender:
@@ -189,6 +213,17 @@ class TestExports:
         assert head == "r,Q,K_a,speed"
         assert "fit_exponent" in out and "circulation" in out
 
+    def test_vortex_without_name_applies_flags(self, capsys, monkeypatch, tmp_path):
+        seen = []
+
+        def stop(c):
+            seen.append(c)
+            raise ValueError("stop before the build")
+
+        monkeypatch.setattr(sc, "build_scenario", stop)
+        _run(capsys, ["vortex", "--grid-n", "81", "--out", str(tmp_path)])
+        assert seen == [default_config("vortex_2d", grid_n=81)]
+
 
 class TestTune:
     def test_prints_height_and_half(self, capsys, tmp_path):
@@ -200,6 +235,29 @@ class TestTune:
         assert 0.49 <= t_val <= 0.51
         doc = json.loads((tmp_path / "tuning.json").read_text())
         assert doc["U0_star"] > 0 and len(doc["history"]) >= 1
+
+    @pytest.mark.parametrize("argv, tol", [((), 0.01), (("--tol", "0.05"), 0.05)])
+    def test_tol_reaches_the_tuner(self, capsys, monkeypatch, argv, tol):
+        seen = []
+
+        def fake_tune(geometry, packet, tol):
+            seen.append(tol)
+            return sc.TuningResult(2437.5, 0.5, 0, (2437.5, 2437.5), ((2437.5, 0.5),))
+
+        monkeypatch.setattr(sc, "tune_beam_splitter", fake_tune)
+        code, _, _ = _run(capsys, ["tune", *argv])
+        assert code == 0 and seen == [tol]
+
+    def test_zero_tolerance_is_refused_before_probing(self, capsys, monkeypatch):
+        def no_probe(*args):
+            raise AssertionError("the tuner probed despite a zero tolerance")
+
+        monkeypatch.setattr(sc, "_launch_state", no_probe)
+        code, _, err = _run(capsys, ["tune", "--tol", "0"])
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert "tolerance must be positive" in doc["message"]
 
     def test_rejects_other_scenarios(self, capsys):
         code, _, err = _run(capsys, ["tune", "--scenario", "ho_superposition"])

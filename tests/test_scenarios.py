@@ -65,8 +65,9 @@ class TestConfig:
         v = sc.default_config("vortex_2d")
         assert v.grid_n == 161 and v.frames == 1
 
-    def test_text_round_trip(self, tmp_path):
-        c = sc.default_config("ho_superposition", frames=16, eta=2e-3)
+    @pytest.mark.parametrize("name", sc.SCENARIOS)
+    def test_text_round_trip(self, tmp_path, name):
+        c = sc.default_config(name, frames=16, eta=2e-3)
         p = tmp_path / "run.cfg"
         sc.save_config(c, p)
         assert sc.load_config(p) == c
@@ -372,6 +373,13 @@ class TestMZI:
         assert rep["launch_side_probability"] + rep["far_side_probability"] == pytest.approx(1.0)
         assert rep["recombination_fraction"] > 0.95
         assert rep["exit_port"] in ("launch", "far")
+
+    def test_tuning_and_round_trip_come_from_the_builder(self, mzi):
+        assert mzi.extras["tuning"] == sc.tuning_record(mzi.tuning)
+        assert mzi.extras["round_trip"] == sc._round_trip_report(mzi.states[0],
+                                                                 sc.MZI_SPAN)
+        fixed = sc.build_scenario(sc.default_config("mzi_1d", barrier_height=2437.5))
+        assert "tuning" not in fixed.extras and "round_trip" in fixed.extras
 
     def test_wide_barrier_flag(self):
         c = sc.default_config("mzi_1d", wide_barrier=True, barrier_height=2437.5)
