@@ -19,6 +19,7 @@ from .grids import (
     integrate,
     integrate_masked,
     laplacian,
+    partials,
 )
 from .spectral import (
     EigenBasis,

@@ -13,13 +13,11 @@ import numpy as np
 
 from .grids import (
     ComplexField,
-    Grid1D,
     ScalarField,
+    _grid_weights,
     coordinate_columns,
-    gradient,
-    gradient2d,
     laplacian,
-    trapezoid_weights,
+    partials,
     write_columns,
 )
 from .states import Superposition, evaluate, time_derivative
@@ -53,10 +51,7 @@ EDGE_PAD = 2
 
 def _interior_mask(shape) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
-    if len(shape) == 1:
-        mask[EDGE_PAD:-EDGE_PAD] = True
-    else:
-        mask[EDGE_PAD:-EDGE_PAD, EDGE_PAD:-EDGE_PAD] = True
+    mask[(slice(EDGE_PAD, -EDGE_PAD),) * len(shape)] = True
     return mask
 
 
@@ -167,10 +162,7 @@ def polar_fields(psi: ComplexField, dpsidt: ComplexField) -> MadelungFields:
     rho = ScalarField(grid, rho_vals, full.copy())
     R = ScalarField(grid, np.sqrt(rho_vals), full.copy())
 
-    if grid.ndim == 1:
-        dpsi = (gradient(ComplexField(grid, psi.values, full.copy())),)
-    else:
-        dpsi = gradient2d(ComplexField(grid, psi.values, full.copy()))
+    dpsi = partials(ComplexField(grid, psi.values, full.copy()))
 
     grad_S = []
     for comp in dpsi:
@@ -305,19 +297,12 @@ def continuity_residual(s: Superposition, t: float, dt: float) -> ScalarField:
     rho_m = np.abs(evaluate(s, t - dt).values) ** 2
     drho = (rho_p - rho_m) / (2.0 * dt)
 
-    grid = f.grid
-    if grid.ndim == 1:
-        flux = ScalarField(grid, f.rho.values * f.grad_S[0].values, f.grad_S[0].mask.copy())
-        div = gradient(flux)
-        vals = np.where(div.mask, drho + div.values, 0.0)
-        return ScalarField(grid, vals, div.mask)
-    fx = ScalarField(grid, f.rho.values * f.grad_S[0].values, f.grad_S[0].mask.copy())
-    fy = ScalarField(grid, f.rho.values * f.grad_S[1].values, f.grad_S[1].mask.copy())
-    dx = gradient2d(fx)[0]
-    dy = gradient2d(fy)[1]
-    mask = dx.mask & dy.mask
-    vals = np.where(mask, drho + dx.values + dy.values, 0.0)
-    return ScalarField(grid, vals, mask)
+    # add d(rho v_a)/dx_a along each axis
+    total, mask = drho, True
+    for axis, v in enumerate(f.v_a):
+        d = partials(ScalarField(f.grid, f.rho.values * v.values, v.mask.copy()))[axis]
+        total, mask = total + d.values, mask & d.mask
+    return ScalarField(f.grid, np.where(mask, total, 0.0), mask)
 
 
 def decompose(s: Superposition, t: float, U: ScalarField = None,
@@ -334,8 +319,7 @@ def decompose(s: Superposition, t: float, U: ScalarField = None,
     if U is None:
         pot = s.basis.potential
         if pot is None:
-            U = ScalarField(grid, np.zeros(grid.shape if grid.ndim == 2 else grid.n),
-                            np.ones(grid.shape if grid.ndim == 2 else grid.n, dtype=bool))
+            U = ScalarField(grid, np.zeros(grid.shape))
         else:
             U = sample_potential(pot, grid)
     if E_plus is None:
@@ -346,9 +330,10 @@ def decompose(s: Superposition, t: float, U: ScalarField = None,
 
 def mask_area(grid, flags: np.ndarray) -> float:
     """Total length (1D) or area (2D) of the flagged cells."""
-    if isinstance(grid, Grid1D):
-        return float(flags.sum()) * grid.h
-    return float(flags.sum()) * grid.grid_x.h * grid.grid_y.h
+    size = float(flags.sum())
+    for g in grid.axes:
+        size *= g.h
+    return size
 
 
 def ledger_integrals(d: EnergyDecomposition) -> dict:
@@ -362,12 +347,7 @@ def ledger_integrals(d: EnergyDecomposition) -> dict:
     the telescoping, and stall near O(h) on densities with curvature
     jumps.
     """
-    g = d.grid
-    if isinstance(g, Grid1D):
-        w = trapezoid_weights(g.n, g.h)
-    else:
-        w = np.outer(trapezoid_weights(g.grid_x.n, g.grid_x.h),
-                     trapezoid_weights(g.grid_y.n, g.grid_y.h))
+    w = _grid_weights(d.grid)
     out = {}
     for name in ("q", "k_a", "k_s", "q_r", "k_c", "e_p", "u"):
         out[name] = float(np.sum(w * getattr(d, name).values))
@@ -416,12 +396,10 @@ def write_frame_table(path, times, ledgers):
     are stacked over frames one at a time, so memory holds one stacked
     column on top of the ledgers.
     """
-    grid = ledgers[0][0].grid
-    axes = (grid.x,) if grid.ndim == 1 else (grid.grid_x.x, grid.grid_y.x)
     with zipfile.ZipFile(path, "w") as zf:
         _put_array(zf, "t", np.asarray(times, dtype=float))
-        for name, axis in zip(("x", "y"), axes):
-            _put_array(zf, name, axis)
+        for name, axis in zip(("x", "y"), ledgers[0][0].grid.axes):
+            _put_array(zf, name, axis.x)
         for c in _DECOMP_COLS:
             _put_array(zf, c, np.stack([getattr(d, c).values for d, _ in ledgers]))
         for c in _MASK_COLS + ("valid",):

@@ -399,6 +399,8 @@ def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
     Pairs are found by a sweep over the events sorted by time."""
     n = len(raw)
     parent = list(range(n))
+    # positions as coordinate tuples: (x,) in 1D, (x, y) in 2D
+    pos = [p if isinstance(p, tuple) else (p,) for _, p, _, _ in raw]
 
     def find(a):
         while parent[a] != a:
@@ -411,38 +413,28 @@ def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
         for b in order[k + 1:]:
             if raw[b][0] - raw[a][0] > 2 * dt_lat:
                 break
-            if _dist(raw[a][1], raw[b][1]) <= space_tol:
+            if math.dist(pos[a], pos[b]) <= space_tol:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
 
     groups = {}
     for a in range(n):
-        groups.setdefault(find(a), []).append(raw[a])
-    events = []
+        groups.setdefault(find(a), []).append(a)
+    keyed = []
     for members in groups.values():
-        ts = [m[0] for m in members]
+        ts = [raw[m][0] for m in members]
         extent = max(ts) - min(ts)
         degenerate = extent > 0.25 * window_span
-        best = min(members, key=lambda m: m[3])
-        refined = any(m[2] for m in members)
+        best = min(members, key=lambda m: raw[m][3])
+        refined = any(raw[m][2] for m in members)
         if refined:
-            best = min((m for m in members if m[2]), key=lambda m: m[3])
-        t_star = 0.5 * (max(ts) + min(ts)) if degenerate else best[0]
-        events.append(NodeEvent(float(t_star), best[1], refined, degenerate,
-                                float(best[3])))
-    events.sort(key=lambda e: (e.t_star, _first_coord(e.x_star)))
-    return events
-
-
-def _dist(p, q):
-    if np.ndim(p) == 0:
-        return abs(p - q)
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def _first_coord(p):
-    return p if np.ndim(p) == 0 else p[0]
+            best = min((m for m in members if raw[m][2]), key=lambda m: raw[m][3])
+        t_star = float(0.5 * (max(ts) + min(ts)) if degenerate else raw[best][0])
+        event = NodeEvent(t_star, raw[best][1], refined, degenerate, float(raw[best][3]))
+        keyed.append(((t_star, pos[best][0]), event))
+    keyed.sort(key=lambda ke: ke[0])
+    return [e for _, e in keyed]
 
 
 def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,

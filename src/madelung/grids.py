@@ -7,6 +7,8 @@ energies are reported in units of hbar^2/(m L^2) with L the unit length.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "trapezoid_weights",
     "gradient",
     "gradient2d",
+    "partials",
     "laplacian",
     "coordinate_columns",
     "write_columns",
@@ -53,6 +56,14 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n)
 
     @property
+    def shape(self) -> tuple:
+        return (self.n,)
+
+    @property
+    def axes(self) -> tuple:
+        return (self,)
+
+    @property
     def ndim(self) -> int:
         return 1
 
@@ -68,6 +79,10 @@ class Grid2D:
     def shape(self) -> tuple:
         return (self.grid_x.n, self.grid_y.n)
 
+    @property
+    def axes(self) -> tuple:
+        return (self.grid_x, self.grid_y)
+
     def mesh(self) -> tuple:
         return np.meshgrid(self.grid_x.x, self.grid_y.x, indexing="ij")
 
@@ -77,7 +92,7 @@ class Grid2D:
 
 
 def _check_values(grid, values: np.ndarray, mask: np.ndarray):
-    shape = (grid.n,) if grid.ndim == 1 else grid.shape
+    shape = grid.shape
     if values.shape != shape:
         raise ValueError(f"values shape {values.shape} does not match grid {shape}")
     if mask.shape != shape:
@@ -160,12 +175,12 @@ def integrate_masked(f) -> float:
 
 def quadrature(grid, vals: np.ndarray):
     """Raw Simpson/trapezoid sum; works on real or complex arrays."""
-    if grid.ndim == 1:
-        w = _quad_weights(grid.n, grid.h)
-        return np.sum(w * vals)
-    wx = _quad_weights(grid.grid_x.n, grid.grid_x.h)
-    wy = _quad_weights(grid.grid_y.n, grid.grid_y.h)
-    return wx @ vals @ wy
+    return np.sum(_grid_weights(grid, _quad_weights) * vals)
+
+
+def _grid_weights(grid, rule=trapezoid_weights) -> np.ndarray:
+    """Weights of a 1D rule(n, h), multiplied out over the grid's axes."""
+    return functools.reduce(np.multiply.outer, (rule(g.n, g.h) for g in grid.axes))
 
 
 # Second-order one-sided first-derivative edge stencil.
@@ -183,15 +198,17 @@ def _same_kind(f, values, mask):
     return cls(f.grid, values, mask)
 
 
-def _mask_1d(mask: np.ndarray, edge_span: int) -> np.ndarray:
+# The stencils act along axis 0 of arrays of any rank; _partial moves the
+# axis it differentiates to the front.
+def _stencil_mask(mask: np.ndarray, edge_span: int) -> np.ndarray:
     out = np.empty_like(mask)
     out[1:-1] = mask[1:-1] & mask[2:] & mask[:-2]
-    out[0] = mask[:edge_span].all()
-    out[-1] = mask[-edge_span:].all()
+    out[0] = mask[:edge_span].all(axis=0)
+    out[-1] = mask[-edge_span:].all(axis=0)
     return out
 
 
-def _d1_1d(v: np.ndarray, h: float) -> np.ndarray:
+def _d1(v: np.ndarray, h: float) -> np.ndarray:
     g = np.empty_like(v)
     g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     g[0] = _GRAD_EDGE @ v[:3] / h
@@ -199,7 +216,7 @@ def _d1_1d(v: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def _d2_1d(v: np.ndarray, h: float) -> np.ndarray:
+def _d2(v: np.ndarray, h: float) -> np.ndarray:
     L = np.empty_like(v)
     L[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
     L[0] = _LAP_EDGE @ v[:5] / h**2
@@ -207,48 +224,49 @@ def _d2_1d(v: np.ndarray, h: float) -> np.ndarray:
     return L
 
 
-def gradient(f):
-    """First derivative: central interior, one-sided second-order edges.
+def _partial(f, axis: int, stencil, edge_span: int) -> tuple:
+    """Stencil values and propagated mask of f along one grid axis; masked
+    outputs are not yet zeroed."""
+    vals = stencil(np.moveaxis(f.values, axis, 0), f.grid.axes[axis].h)
+    mask = _stencil_mask(np.moveaxis(f.mask, axis, 0), edge_span)
+    return np.moveaxis(vals, 0, axis), np.moveaxis(mask, 0, axis)
+
+
+def partials(f) -> tuple:
+    """First derivatives of f along each grid axis, one field per axis:
+    central interior, one-sided second-order edges.
 
     Masked points poison every output point whose stencil touches them.
-    1D fields only; use gradient2d for tensor grids.
     """
+    out = []
+    for axis in range(len(f.grid.axes)):
+        vals, mask = _partial(f, axis, _d1, 3)
+        vals[~mask] = 0.0
+        out.append(_same_kind(f, vals, mask))
+    return tuple(out)
+
+
+def gradient(f):
+    """First derivative of a 1D field; use gradient2d for tensor grids."""
     if f.grid.ndim != 1:
         raise ValueError("gradient expects a 1D field; use gradient2d")
-    vals = _d1_1d(f.values, f.grid.h)
-    mask = _mask_1d(f.mask, 3)
-    vals[~mask] = 0.0
-    return _same_kind(f, vals, mask)
+    return partials(f)[0]
 
 
 def gradient2d(f) -> tuple:
     """Partial derivatives (d/dx, d/dy) of a 2D field."""
     if f.grid.ndim != 2:
         raise ValueError("gradient2d expects a 2D field")
-    hx, hy = f.grid.grid_x.h, f.grid.grid_y.h
-    gx = np.apply_along_axis(_d1_1d, 0, f.values, hx)
-    gy = np.apply_along_axis(_d1_1d, 1, f.values, hy)
-    mx = np.apply_along_axis(_mask_1d, 0, f.mask, 3)
-    my = np.apply_along_axis(_mask_1d, 1, f.mask, 3)
-    gx[~mx] = 0.0
-    gy[~my] = 0.0
-    return _same_kind(f, gx, mx), _same_kind(f, gy, my)
+    return partials(f)
 
 
 def laplacian(f):
-    """Second derivative (1D) or 5-point Laplacian (2D)."""
-    if f.grid.ndim == 1:
-        vals = _d2_1d(f.values, f.grid.h)
-        mask = _mask_1d(f.mask, 5)
-        vals[~mask] = 0.0
-        return _same_kind(f, vals, mask)
-    hx, hy = f.grid.grid_x.h, f.grid.grid_y.h
-    dxx = np.apply_along_axis(_d2_1d, 0, f.values, hx)
-    dyy = np.apply_along_axis(_d2_1d, 1, f.values, hy)
-    mx = np.apply_along_axis(_mask_1d, 0, f.mask, 5)
-    my = np.apply_along_axis(_mask_1d, 1, f.mask, 5)
-    mask = mx & my
-    vals = dxx + dyy
+    """Sum of the second derivatives along each axis: the 3-point second
+    derivative in 1D, the 5-point Laplacian in 2D; valid where every
+    axis's stencil is."""
+    terms = [_partial(f, axis, _d2, 5) for axis in range(len(f.grid.axes))]
+    vals = functools.reduce(operator.add, (v for v, _ in terms))
+    mask = functools.reduce(operator.and_, (m for _, m in terms))
     vals[~mask] = 0.0
     return _same_kind(f, vals, mask)
 
@@ -300,10 +318,8 @@ def read_columns(path) -> dict:
 
 def coordinate_columns(grid) -> tuple:
     """Names and per-point arrays of a grid's coordinates, x-outer in 2D."""
-    if grid.ndim == 1:
-        return ("x",), (grid.x,)
-    X, Y = grid.mesh()
-    return ("x", "y"), (X, Y)
+    axes = grid.axes
+    return ("x", "y")[:len(axes)], tuple(np.meshgrid(*(g.x for g in axes), indexing="ij"))
 
 
 def field_to_csv(f, path: str):

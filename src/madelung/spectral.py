@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grids import Grid1D, Grid2D, ScalarField, trapezoid_weights
+from .grids import Grid1D, Grid2D, ScalarField, _grid_weights, trapezoid_weights
 
 __all__ = [
     "InfiniteWell",
@@ -173,13 +173,8 @@ class EigenBasis:
         # it; Simpson weights would report spurious 1e-5 overlaps for high
         # modes
         V = self.states_matrix()
-        if self.grid.ndim == 1:
-            w = trapezoid_weights(self.grid.n, self.grid.h)
-            gram = (V * w) @ V.T
-        else:
-            wx = trapezoid_weights(self.grid.grid_x.n, self.grid.grid_x.h)
-            wy = trapezoid_weights(self.grid.grid_y.n, self.grid.grid_y.h)
-            gram = np.einsum("ixy,x,y,jxy->ij", V, wx, wy, V)
+        V = V.reshape(len(V), -1)
+        gram = (V * _grid_weights(self.grid).ravel()) @ V.T
         if np.abs(np.diag(gram) - 1.0).max() > 1e-8:
             raise ValueError("states not normalized to 1e-8")
         off = gram - np.diag(np.diag(gram))

@@ -180,18 +180,6 @@ def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
     """Cubic interpolation of the sampled modes, gathering only the four
     stencil columns of the selected modes."""
     g = basis.grid
-    if np.ndim(x) == 0 and math.isfinite(x):
-        # one point: Python-float stencil and weights, one column slice;
-        # the same arithmetic as the array path, so the same bits
-        u = (float(x) - g.x_min) / g.h
-        i = min(max(math.floor(u), 1), g.n - 3)
-        s = u - i
-        c = basis.states_matrix()[idx, i - 1:i + 3]
-        c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
-        w0, w1, w2, w3 = _lagrange_weights(s)
-        d0, d1, d2, d3 = _lagrange_dweights(s)
-        return (c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3,
-                (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3) / g.h)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     i = np.floor((xa - g.x_min) / g.h).astype(int)
     i = np.clip(i, 1, g.n - 3)

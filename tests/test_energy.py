@@ -137,11 +137,11 @@ class TestPolar:
 
     def test_psi_gradient_once_per_frame(self, two_mode, vortex_state, monkeypatch):
         import madelung.energy as en
-        from madelung.grids import gradient, gradient2d
+        from madelung.grids import gradient, gradient2d, partials
 
         calls = []
-        monkeypatch.setattr(en, "gradient", lambda f: calls.append(1) or gradient(f))
-        monkeypatch.setattr(en, "gradient2d", lambda f: calls.append(2) or gradient2d(f))
+        monkeypatch.setattr(en, "partials",
+                            lambda f: calls.append(f.grid.ndim) or partials(f))
         for s, want in ((two_mode, [1]), (vortex_state, [2])):
             calls.clear()
             psi = evaluate(s, 0.1)

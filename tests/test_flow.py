@@ -351,6 +351,16 @@ class TestBatchNewton:
                 assert _same_bits(getattr(batch, field)[k:k + 1], getattr(one, field)), (k, field)
 
 
+def _dist(p, q):
+    if np.ndim(p) == 0:
+        return abs(p - q)
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _first_coord(p):
+    return p if np.ndim(p) == 0 else p[0]
+
+
 def _cluster_oracle(raw, dt_lat, space_tol, window_span):
     """The all-pairs union the sweep in flow._cluster replaced."""
     n = len(raw)
@@ -364,7 +374,7 @@ def _cluster_oracle(raw, dt_lat, space_tol, window_span):
 
     for a in range(n):
         for b in range(a + 1, n):
-            if abs(raw[a][0] - raw[b][0]) <= 2 * dt_lat and flow._dist(
+            if abs(raw[a][0] - raw[b][0]) <= 2 * dt_lat and _dist(
                 raw[a][1], raw[b][1]
             ) <= space_tol:
                 ra, rb = find(a), find(b)
@@ -386,7 +396,7 @@ def _cluster_oracle(raw, dt_lat, space_tol, window_span):
         t_star = 0.5 * (max(ts) + min(ts)) if degenerate else best[0]
         events.append(NodeEvent(float(t_star), best[1], refined, degenerate,
                                 float(best[3])))
-    events.sort(key=lambda e: (e.t_star, flow._first_coord(e.x_star)))
+    events.sort(key=lambda e: (e.t_star, _first_coord(e.x_star)))
     return events
 
 

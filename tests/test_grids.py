@@ -16,6 +16,7 @@ from madelung.grids import (
     integrate,
     integrate_masked,
     laplacian,
+    partials,
     read_columns,
     write_columns,
 )
@@ -194,6 +195,78 @@ class TestLaplacian:
         assert not out.mask[0]  # 5-point edge stencil touches index 3
         assert not out.mask[2] and not out.mask[4]
         assert out.mask[6]
+
+
+class TestPerAxis:
+    """The 2D operators against the 1D ones run along every row and column,
+    on a complex field with one masked interior point and one masked edge
+    point."""
+
+    def _field(self):
+        gx, gy = Grid1D(-1.0, 1.0, 13), Grid1D(0.0, 2.0, 17)
+        g2 = Grid2D(gx, gy)
+        X, Y = g2.mesh()
+        vals = (1.0 + X * Y**2) * np.exp(1j * (3.0 * X - 2.0 * Y))
+        mask = np.ones(g2.shape, bool)
+        mask[6, 8] = False
+        mask[0, 5] = False
+        return ComplexField(g2, vals, mask)
+
+    def _lines(self, f, axis):
+        """1D fields along the given axis, with the index of each line."""
+        g = f.grid.axes[axis]
+        for k in range(f.grid.shape[1 - axis]):
+            sel = (slice(None), k) if axis == 0 else (k, slice(None))
+            yield sel, ComplexField(g, f.values[sel], f.mask[sel])
+
+    def _assert_same(self, got, want, mask_got, mask_want):
+        # interior exactly, the two one-sided edge points to rounding
+        assert np.array_equal(mask_got, mask_want)
+        assert np.array_equal(got[1:-1], want[1:-1])
+        np.testing.assert_allclose(got[[0, -1]], want[[0, -1]], rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_grid_axes(self):
+        g = Grid1D(0.0, 1.0, 11)
+        assert g.shape == (11,) and g.axes == (g,)
+        g2 = self._field().grid
+        assert g2.axes == (g2.grid_x, g2.grid_y)
+
+    def test_gradient2d_is_1d_gradient_per_line(self):
+        f = self._field()
+        parts = gradient2d(f)
+        assert all(np.array_equal(p.values, q.values) and np.array_equal(p.mask, q.mask)
+                   for p, q in zip(parts, partials(f), strict=True))
+        for axis in (0, 1):
+            for sel, line in self._lines(f, axis):
+                ref = gradient(line)
+                got = parts[axis]
+                self._assert_same(got.values[sel], ref.values, got.mask[sel], ref.mask)
+        # the masked points poison their stencil neighbours along each axis
+        assert not parts[0].mask[5, 8] and not parts[0].mask[7, 8] and parts[0].mask[6, 7]
+        assert not parts[1].mask[6, 7] and not parts[1].mask[6, 9] and parts[1].mask[5, 8]
+        assert not parts[0].mask[:2, 5].any() and parts[0].mask[2, 5]
+
+    def test_laplacian_is_sum_of_1d_second_derivatives(self):
+        f = self._field()
+        out = laplacian(f)
+        terms = []
+        for axis in (0, 1):
+            vals = np.zeros(f.grid.shape, complex)
+            mask = np.zeros(f.grid.shape, bool)
+            for sel, line in self._lines(f, axis):
+                ref = laplacian(line)
+                vals[sel], mask[sel] = ref.values, ref.mask
+            terms.append((vals, mask))
+        (dxx, mx), (dyy, my) = terms
+        mask = mx & my
+        want = np.where(mask, dxx + dyy, 0.0)
+        assert np.array_equal(out.mask, mask)
+        assert not out.mask[:2, 5].any() and out.mask[2, 5]
+        inner = (slice(1, -1), slice(1, -1))
+        assert np.array_equal(out.values[inner], want[inner])
+        np.testing.assert_allclose(out.values, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
 
 
 class TestIdentities:
