@@ -96,7 +96,7 @@ def _cdf(values: np.ndarray, x: np.ndarray):
 def _grid_cdfs(s: Superposition, ts: np.ndarray):
     """(times, rho, CDF, total) on the grid, one row per time, in chunks
     of _TIME_CHUNK times."""
-    V = s.basis.states_matrix()[s.indices]  # real modes
+    V = s.basis.states[s.indices]  # real modes
     for k in range(0, ts.size, _TIME_CHUNK):
         tc = ts[k:k + _TIME_CHUNK]
         w = s.coeffs * np.exp(-1j * np.multiply.outer(tc, s.energies))

@@ -1,10 +1,11 @@
 """Potentials and eigenproblem solvers.
 
-Analytic eigenbases for the hard-wall well and the harmonic oscillator,
-a finite-difference solver (symmetric tridiagonal, bisection + inverse
-iteration with an extended-precision polish) for everything else, and an
-on-disk cache so repeated solves are free: one directory per basis,
-published by rename and validated when read.
+Closed-form mode tables (hard-wall sine, Hermite function) that both the
+analytic bases and the off-grid `mode_table` sample, a finite-difference
+solver (symmetric tridiagonal, bisection + inverse iteration with an
+extended-precision polish) for everything else, and an on-disk cache so
+repeated solves are free: one directory per basis, published by rename
+and validated when read.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "analytic_harmonic",
     "eigenbasis",
     "product_basis_2d",
+    "mode_table",
     "save_basis",
     "load_basis",
 ]
@@ -82,6 +84,14 @@ class Tabulated:
         return hash(self.field.values.tobytes())
 
 
+def _barrier_span(potential: WellWithBarrier, grid: Grid1D) -> tuple:
+    """First and last grid index of the barrier, its edges snapped to grid
+    points."""
+    half = 0.5 * potential.barrier_width
+    return (int(round((-half - grid.x_min) / grid.h)),
+            int(round((half - grid.x_min) / grid.h)))
+
+
 def sample_potential(potential, grid: Grid1D) -> ScalarField:
     """Sample U(x) on the grid; barrier edges snap to grid points."""
     x = grid.x
@@ -89,9 +99,7 @@ def sample_potential(potential, grid: Grid1D) -> ScalarField:
         u = np.zeros(grid.n)
     elif isinstance(potential, WellWithBarrier):
         u = np.zeros(grid.n)
-        half = 0.5 * potential.barrier_width
-        i_lo = int(round((-half - grid.x_min) / grid.h))
-        i_hi = int(round((half - grid.x_min) / grid.h))
+        i_lo, i_hi = _barrier_span(potential, grid)
         u[i_lo : i_hi + 1] = potential.barrier_height
     elif isinstance(potential, Harmonic):
         u = 0.5 * potential.omega**2 * x**2
@@ -110,9 +118,7 @@ def sample_potential(potential, grid: Grid1D) -> ScalarField:
 
 def snapped_barrier_width(potential: WellWithBarrier, grid: Grid1D) -> float:
     """Actual barrier width after snapping edges to grid points."""
-    half = 0.5 * potential.barrier_width
-    i_lo = int(round((-half - grid.x_min) / grid.h))
-    i_hi = int(round((half - grid.x_min) / grid.h))
+    i_lo, i_hi = _barrier_span(potential, grid)
     return (i_hi - i_lo) * grid.h
 
 
@@ -143,11 +149,12 @@ def build_hamiltonian(potential, grid: Grid1D) -> SymTridiag:
 
 @dataclass
 class EigenBasis:
-    """Energies and orthonormal eigenfunctions over a grid."""
+    """Energies and orthonormal eigenfunctions over a grid; states is the
+    (k, *grid.shape) array of sampled modes."""
 
     grid: object
     energies: np.ndarray
-    states: list
+    states: np.ndarray
     potential: object
     meta: dict = dc_field(default_factory=dict)
 
@@ -155,14 +162,12 @@ class EigenBasis:
     def k(self) -> int:
         return len(self.energies)
 
-    def states_matrix(self) -> np.ndarray:
-        cached = self.__dict__.get("_matrix")
-        if cached is None or len(cached) != len(self.states):
-            cached = np.stack([s.values for s in self.states])
-            self.__dict__["_matrix"] = cached
-        return cached
-
     def validate(self, strict_ascending: bool = True):
+        shape = (self.k,) + self.grid.shape
+        if np.shape(self.states) != shape:
+            raise ValueError(f"states {np.shape(self.states)} do not match {shape}")
+        if not np.isfinite(self.states).all():
+            raise ValueError("states not finite")
         diffs = np.diff(self.energies)
         if strict_ascending and not (diffs > 0).all():
             raise ValueError("energies not strictly ascending")
@@ -172,8 +177,7 @@ class EigenBasis:
         # is symmetric under, so FD eigenvectors are exactly orthogonal in
         # it; Simpson weights would report spurious 1e-5 overlaps for high
         # modes
-        V = self.states_matrix()
-        V = V.reshape(len(V), -1)
+        V = self.states.reshape(self.k, -1)
         gram = (V * _grid_weights(self.grid).ravel()) @ V.T
         if np.abs(np.diag(gram) - 1.0).max() > 1e-8:
             raise ValueError("states not normalized to 1e-8")
@@ -183,11 +187,12 @@ class EigenBasis:
         return self
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # first lobe (scanning from x_min) is positive
-    big = np.abs(v) > _SIGN_TOL * np.abs(v).max()
-    lead = v[np.argmax(big)]
-    return -v if lead < 0 else v
+def _fix_sign(V: np.ndarray) -> np.ndarray:
+    # first lobe (scanning from x_min) of each mode along the last axis is
+    # positive
+    big = np.abs(V) > _SIGN_TOL * np.abs(V).max(axis=-1, keepdims=True)
+    lead = np.take_along_axis(V, np.argmax(big, axis=-1)[..., None], axis=-1)
+    return np.where(lead < 0, -V, V)
 
 
 def _polish_pairs(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
@@ -275,61 +280,161 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
         if r > 1e-8 * np.abs(V[:, j]).max():
             raise RuntimeError(f"eigenpair {j} residual {r:.2e} exceeds tolerance")
     order = np.argsort(lam)
-    lam, V = lam[order], V[:, order]
-    states = []
-    wq = trapezoid_weights(grid.n, grid.h)
-    for j in range(k):
-        full = np.zeros(grid.n)
-        full[1:-1] = V[:, j]
-        nrm = np.sum(wq * full**2)
-        full = _fix_sign(full / math.sqrt(nrm))
-        states.append(ScalarField(grid, full))
+    lam = lam[order]
+    full = np.zeros((k, grid.n))
+    full[:, 1:-1] = V[:, order].T
+    nrm = np.sum(trapezoid_weights(grid.n, grid.h) * full**2, axis=1)
+    states = _fix_sign(full / np.sqrt(nrm)[:, None])
     basis = EigenBasis(grid, lam, states, potential, {"method": "fd_tridiag"})
     basis.validate()
     return basis
+
+
+# ------------------------------------------------------------ mode tables
+
+
+def _sine_modes(n, lo: float, width: float, x):
+    """Hard-wall modes sqrt(2/w) sin(n pi (x - lo) / w) and their
+    x-derivatives; a mode axis leads for an array n."""
+    amp = math.sqrt(2.0 / width)
+    n = np.asarray(n)
+    arg = np.multiply.outer(n * math.pi, np.asarray(x) - lo) / width
+    kk = np.reshape(n * math.pi / width, n.shape + (1,) * np.ndim(x))
+    return amp * np.sin(arg), amp * kk * np.cos(arg)
+
+
+def _hermite_modes(omega: float, idx: np.ndarray, x):
+    """Hermite functions n = idx of U = omega^2 x^2 / 2, by the stable
+    normalized recurrence, signed so the first lobe from the left is
+    positive, and their x-derivatives; a mode axis leads."""
+    n_max = int(idx.max())
+    xi = math.sqrt(omega) * np.asarray(x, dtype=float)
+    chain = [(omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)]
+    if n_max >= 1:
+        chain.append(math.sqrt(2.0) * xi * chain[0])
+    for m in range(1, n_max):
+        chain.append(
+            math.sqrt(2.0 / (m + 1)) * xi * chain[m] - math.sqrt(m / (m + 1.0)) * chain[m - 1]
+        )
+    vals, dx = [], []
+    for n in idx:
+        flip = -1.0 if n % 2 else 1.0
+        lower = chain[n - 1] if n >= 1 else 0.0
+        vals.append(flip * chain[n])
+        dx.append(flip * (math.sqrt(omega) * (math.sqrt(2.0 * n) * lower - xi * chain[n])))
+    return np.stack(vals), np.stack(dx)
+
+
+def _lagrange_weights(s: float):
+    # cubic Lagrange on offsets {-1, 0, 1, 2}
+    return (
+        -s * (s - 1.0) * (s - 2.0) / 6.0,
+        (s * s - 1.0) * (s - 2.0) / 2.0,
+        -s * (s + 1.0) * (s - 2.0) / 2.0,
+        s * (s * s - 1.0) / 6.0,
+    )
+
+
+def _lagrange_dweights(s: float):
+    return (
+        -(3.0 * s * s - 6.0 * s + 2.0) / 6.0,
+        (3.0 * s * s - 4.0 * s - 1.0) / 2.0,
+        -(3.0 * s * s - 2.0 * s - 2.0) / 2.0,
+        (3.0 * s * s - 1.0) / 6.0,
+    )
+
+
+def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
+    """Cubic interpolation of the sampled modes, gathering only the four
+    stencil columns of the selected modes."""
+    g = basis.grid
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    i = np.floor((xa - g.x_min) / g.h).astype(int)
+    i = np.clip(i, 1, g.n - 3)
+    s = (xa - g.x_min) / g.h - i
+    V = basis.states
+    c0, c1, c2, c3 = (V[idx[:, None], i + off] for off in (-1, 0, 1, 2))
+    w0, w1, w2, w3 = _lagrange_weights(s)
+    d0, d1, d2, d3 = _lagrange_dweights(s)
+    vals = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
+    dx = (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3) / g.h
+    return (vals, dx) if np.ndim(x) else (vals[:, 0], dx[:, 0])
+
+
+def mode_table(basis: EigenBasis, idx: np.ndarray, *coords):
+    """Modes idx of the basis at arbitrary points, one coordinate array per
+    grid axis, and their derivative along each axis: (values, (d/dx, ...)),
+    a mode axis leading.  Closed forms for the hard well, the harmonic
+    oscillator and the 2D box, cubic interpolation of the sampled modes
+    otherwise."""
+    method = basis.meta.get("method")
+    if method == "analytic_box2d":
+        pairs = basis.meta["pairs"]
+        gx, gy = basis.grid.axes
+        x, y = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+        nx, ny = (np.array([pairs[j][a] for j in idx]) for a in (0, 1))
+        fx, dfx = _sine_modes(nx, gx.x_min, gx.x_max - gx.x_min, x)
+        fy, dfy = _sine_modes(ny, gy.x_min, gy.x_max - gy.x_min, y)
+        return fx * fy, (dfx * fy, fx * dfy)
+    (x,) = coords
+    g = basis.grid
+    if method == "analytic_well":
+        vals, dx = _sine_modes(idx + 1, g.x_min, g.x_max - g.x_min, x)
+    elif method == "analytic_hermite":
+        vals, dx = _hermite_modes(basis.potential.omega, idx, x)
+    else:
+        vals, dx = _interp_modes(basis, idx, x)
+    return vals, (dx,)
+
+
+# ----------------------------------------------------------- analytic bases
+
+
+def _analytic_states(potential, grid: Grid1D, modes: np.ndarray):
+    """Energies and sampled states of the hard-wall well (modes from 1) or
+    the harmonic oscillator (modes from 0): the mode tables at grid.x."""
+    if isinstance(potential, InfiniteWell):
+        a = potential.half_width
+        if abs(grid.x_min + a) > 1e-12 or abs(grid.x_max - a) > 1e-12:
+            raise ValueError("grid must span [-a, a] exactly")
+        width = 2.0 * a
+        V, _ = _sine_modes(modes, grid.x_min, width, grid.x)
+        return modes**2 * math.pi**2 / (2.0 * width**2), _fix_sign(V)
+    omega = potential.omega
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    V, _ = _hermite_modes(omega, modes, grid.x)
+    edge = np.maximum(np.abs(V[:, 0]), np.abs(V[:, -1]))
+    if (edge >= 1e-12).any():
+        j = int(np.argmax(edge >= 1e-12))
+        raise ValueError(
+            f"grid too narrow for harmonic mode {modes[j]}: edge amplitude {edge[j]:.2e}"
+        )
+    return (modes + 0.5) * omega, _fix_sign(V)
 
 
 def analytic_infinite_well(n: int, half_width: float, grid: Grid1D):
     """Standing-wave eigenstate n >= 1 of the hard-wall well [-a, a]."""
     if n < 1:
         raise ValueError("mode index starts at 1")
-    a = half_width
-    if abs(grid.x_min + a) > 1e-12 or abs(grid.x_max - a) > 1e-12:
-        raise ValueError("grid must span [-a, a] exactly")
-    width = 2.0 * a
-    energy = n**2 * math.pi**2 / (2.0 * width**2)
-    vals = math.sqrt(2.0 / width) * np.sin(n * math.pi * (grid.x - grid.x_min) / width)
-    return energy, ScalarField(grid, _fix_sign(vals))
+    energy, V = _analytic_states(InfiniteWell(half_width), grid, np.array([n]))
+    return float(energy[0]), ScalarField(grid, V[0])
 
 
 def analytic_harmonic(n: int, omega: float, grid: Grid1D):
     """Hermite-function eigenstate n >= 0 of U = omega^2 x^2 / 2.
 
-    Uses the stable normalized recurrence; requires the grid wide enough
-    that the state has decayed below 1e-12 at both ends.
+    Requires the grid wide enough that the state has decayed below 1e-12
+    at both ends.
     """
     if n < 0:
         raise ValueError("mode index starts at 0")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    xi = math.sqrt(omega) * grid.x
-    phi_prev = (omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)
-    if n == 0:
-        psi = phi_prev
-    else:
-        phi = math.sqrt(2.0) * xi * phi_prev
-        for m in range(1, n):
-            phi, phi_prev = (
-                math.sqrt(2.0 / (m + 1)) * xi * phi - math.sqrt(m / (m + 1.0)) * phi_prev,
-                phi,
-            )
-        psi = phi
-    edge = max(abs(psi[0]), abs(psi[-1]))
-    if edge >= 1e-12:
-        raise ValueError(
-            f"grid too narrow for harmonic mode {n}: edge amplitude {edge:.2e}"
-        )
-    return (n + 0.5) * omega, ScalarField(grid, _fix_sign(psi))
+    energy, V = _analytic_states(Harmonic(omega), grid, np.array([n]))
+    return float(energy[0]), ScalarField(grid, V[0])
+
+
+# analytic 1D bases: basis method and first mode number
+_ANALYTIC = {InfiniteWell: ("analytic_well", 1), Harmonic: ("analytic_hermite", 0)}
 
 
 def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None) -> EigenBasis:
@@ -348,24 +453,10 @@ def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None) ->
         entry = os.path.join(cache_dir, _cache_key(potential, grid, k))
         if os.path.isdir(entry):
             return load_basis(entry, potential)
-    if isinstance(potential, InfiniteWell):
-        pairs = [analytic_infinite_well(n, potential.half_width, grid) for n in range(1, k + 1)]
-        basis = EigenBasis(
-            grid,
-            np.array([p[0] for p in pairs]),
-            [p[1] for p in pairs],
-            potential,
-            {"method": "analytic_well"},
-        )
-    elif isinstance(potential, Harmonic):
-        pairs = [analytic_harmonic(n, potential.omega, grid) for n in range(k)]
-        basis = EigenBasis(
-            grid,
-            np.array([p[0] for p in pairs]),
-            [p[1] for p in pairs],
-            potential,
-            {"method": "analytic_hermite"},
-        )
+    if type(potential) in _ANALYTIC:
+        method, first = _ANALYTIC[type(potential)]
+        energies, V = _analytic_states(potential, grid, np.arange(first, first + k))
+        basis = EigenBasis(grid, energies, V, potential, {"method": method})
     else:
         basis = solve_eigen(build_hamiltonian(potential, grid), k, grid, potential)
         if isinstance(potential, WellWithBarrier):
@@ -398,18 +489,15 @@ def product_basis_2d(pairs, grid2: Grid2D) -> EigenBasis:
 
     pairs: list of (nx, ny) mode indices; box spans the grid extents.
     """
-    gx, gy = grid2.grid_x, grid2.grid_y
+    gx, gy = grid2.axes
     wx, wy = gx.x_max - gx.x_min, gy.x_max - gy.x_min
-    energies, states = [], []
-    for nx, ny in pairs:
-        ux = math.sqrt(2.0 / wx) * np.sin(nx * math.pi * (gx.x - gx.x_min) / wx)
-        uy = math.sqrt(2.0 / wy) * np.sin(ny * math.pi * (gy.x - gy.x_min) / wy)
-        energies.append(0.5 * math.pi**2 * (nx**2 / wx**2 + ny**2 / wy**2))
-        states.append(ScalarField(grid2, np.outer(ux, uy)))
+    nx, ny = np.array(pairs).T
+    ux, _ = _sine_modes(nx, gx.x_min, wx, gx.x)
+    uy, _ = _sine_modes(ny, gy.x_min, wy, gy.x)
     basis = EigenBasis(
         grid2,
-        np.array(energies, dtype=float),
-        states,
+        0.5 * math.pi**2 * (nx**2 / wx**2 + ny**2 / wy**2),
+        ux[:, :, None] * uy[:, None, :],
         None,
         {"method": "analytic_box2d", "pairs": [tuple(p) for p in pairs]},
     )
@@ -442,7 +530,7 @@ def save_basis(basis: EigenBasis, path: str):
     """Persist a 1D basis as states.npy, the (k, n) state matrix, plus
     basis.json with the energies, grid, k and meta."""
     os.makedirs(path, exist_ok=True)
-    np.save(os.path.join(path, _STATES_FILE), basis.states_matrix())
+    np.save(os.path.join(path, _STATES_FILE), basis.states)
     g = basis.grid
     doc = {
         "energies": [float(e) for e in basis.energies],
@@ -468,10 +556,8 @@ def load_basis(path: str, potential=None) -> EigenBasis:
         g = Grid1D(doc["grid"]["x_min"], doc["grid"]["x_max"], doc["grid"]["n"])
         V = np.load(os.path.join(path, doc["states"]), allow_pickle=False)
         energies = np.array(doc["energies"], dtype=float)
-        if V.shape != (doc["k"], g.n) or energies.shape != (doc["k"],):
-            raise ValueError(f"states {V.shape} and energies {energies.shape} "
-                             f"do not match k={doc['k']}, n={g.n}")
-        states = [ScalarField(g, v) for v in V]
-        return EigenBasis(g, energies, states, potential, doc.get("meta", {})).validate()
+        if energies.shape != (doc["k"],):
+            raise ValueError(f"energies {energies.shape} do not match k={doc['k']}")
+        return EigenBasis(g, energies, V, potential, doc.get("meta", {})).validate()
     except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad eigenbasis entry {path}: {exc}") from exc

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import ComplexField, Grid1D, quadrature
-from .spectral import EigenBasis
+from .spectral import EigenBasis, mode_table
 
 __all__ = [
     "Superposition",
@@ -89,23 +89,27 @@ def equal_two_mode(basis: EigenBasis, i: int = 0, j: int = 1) -> Superposition:
     return Superposition(basis, np.array([r, r], complex), np.array([i, j]))
 
 
-def _phases(s: Superposition, t: float) -> np.ndarray:
-    return np.exp(-1j * s.energies * t)
+def _weights(s: Superposition, t):
+    """c e^{-i E t} and its t-derivative, the mode axis last: (K,) for a
+    scalar t, (*t.shape, K) for an array t."""
+    if np.ndim(t) == 0:
+        ph = np.exp(-1j * s.energies * t)
+    else:
+        ph = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), s.energies))
+    return s.coeffs * ph, -1j * s.energies * s.coeffs * ph
 
 
 def evaluate(s: Superposition, t: float) -> ComplexField:
     """Psi(x, t) = sum c_n psi_n(x) e^{-i E_n t} on the basis grid."""
-    V = s.basis.states_matrix()[s.indices]
-    w = s.coeffs * _phases(s, t)
-    vals = np.tensordot(w, V, axes=(0, 0))
+    w, _ = _weights(s, t)
+    vals = np.tensordot(w, s.basis.states[s.indices], axes=(0, 0))
     return ComplexField(s.grid, vals)
 
 
 def time_derivative(s: Superposition, t: float) -> ComplexField:
     """dPsi/dt, analytic in t (no finite differencing)."""
-    V = s.basis.states_matrix()[s.indices]
-    w = -1j * s.energies * s.coeffs * _phases(s, t)
-    vals = np.tensordot(w, V, axes=(0, 0))
+    _, wt = _weights(s, t)
+    vals = np.tensordot(wt, s.basis.states[s.indices], axes=(0, 0))
     return ComplexField(s.grid, vals)
 
 
@@ -118,94 +122,6 @@ def band_limit(s: Superposition) -> float:
 
 
 # ---------------------------------------------------------------- off-grid
-
-
-def _sine_modes(n, lo: float, width: float, x):
-    """Hard-wall modes sqrt(2/w) sin(k (x - lo)), k = n pi / w, and their
-    x-derivatives; a mode axis leads for an array n."""
-    amp = math.sqrt(2.0 / width)
-    kk = np.asarray(n) * math.pi / width
-    arg = np.multiply.outer(kk, np.asarray(x) - lo)
-    kk = np.reshape(kk, np.shape(kk) + (1,) * np.ndim(x))
-    return amp * np.sin(arg), amp * kk * np.cos(arg)
-
-
-def _well_modes(basis: EigenBasis, idx: np.ndarray, x):
-    g = basis.grid
-    return _sine_modes(idx + 1, g.x_min, g.x_max - g.x_min, x)
-
-
-def _hermite_modes(basis: EigenBasis, idx: np.ndarray, x):
-    omega = basis.potential.omega
-    n_max = int(idx.max())
-    xi = math.sqrt(omega) * np.asarray(x, dtype=float)
-    chain = [(omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)]
-    if n_max >= 1:
-        chain.append(math.sqrt(2.0) * xi * chain[0])
-    for m in range(1, n_max):
-        chain.append(
-            math.sqrt(2.0 / (m + 1)) * xi * chain[m] - math.sqrt(m / (m + 1.0)) * chain[m - 1]
-        )
-    vals, dx = [], []
-    for n in idx:
-        flip = -1.0 if n % 2 else 1.0
-        lower = chain[n - 1] if n >= 1 else 0.0
-        vals.append(flip * chain[n])
-        dx.append(flip * (math.sqrt(omega) * (math.sqrt(2.0 * n) * lower - xi * chain[n])))
-    shape = np.shape(xi)
-    return (np.stack([np.broadcast_to(r, shape) for r in vals]),
-            np.stack([np.broadcast_to(r, shape) for r in dx]))
-
-
-def _lagrange_weights(s: float):
-    # cubic Lagrange on offsets {-1, 0, 1, 2}
-    return (
-        -s * (s - 1.0) * (s - 2.0) / 6.0,
-        (s * s - 1.0) * (s - 2.0) / 2.0,
-        -s * (s + 1.0) * (s - 2.0) / 2.0,
-        s * (s * s - 1.0) / 6.0,
-    )
-
-
-def _lagrange_dweights(s: float):
-    return (
-        -(3.0 * s * s - 6.0 * s + 2.0) / 6.0,
-        (3.0 * s * s - 4.0 * s - 1.0) / 2.0,
-        -(3.0 * s * s - 2.0 * s - 2.0) / 2.0,
-        (3.0 * s * s - 1.0) / 6.0,
-    )
-
-
-def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
-    """Cubic interpolation of the sampled modes, gathering only the four
-    stencil columns of the selected modes."""
-    g = basis.grid
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    i = np.floor((xa - g.x_min) / g.h).astype(int)
-    i = np.clip(i, 1, g.n - 3)
-    s = (xa - g.x_min) / g.h - i
-    V = basis.states_matrix()
-    c0, c1, c2, c3 = (V[idx[:, None], i + off] for off in (-1, 0, 1, 2))
-    w0, w1, w2, w3 = _lagrange_weights(s)
-    d0, d1, d2, d3 = _lagrange_dweights(s)
-    vals = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
-    dx = (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3) / g.h
-    return (vals, dx) if np.ndim(x) else (vals[:, 0], dx[:, 0])
-
-
-# 1D mode tables (values, x-derivatives) by basis method; sampled bases
-# without closed-form modes fall back to cubic interpolation
-_MODE_TABLES = {"analytic_well": _well_modes, "analytic_hermite": _hermite_modes}
-
-
-def _weights(s: Superposition, t):
-    """c e^{-i E t} and its t-derivative, the mode axis last: (K,) for a
-    scalar t, (*t.shape, K) for an array t."""
-    if np.ndim(t) == 0:
-        ph = _phases(s, t)
-    else:
-        ph = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), s.energies))
-    return s.coeffs * ph, -1j * s.energies * s.coeffs * ph
 
 
 def _contract(weights, tables):
@@ -241,8 +157,7 @@ def evaluate_at(s: Superposition, x, t):
     """
     if s.grid.ndim != 1:
         raise ValueError("2D states: use evaluate_at_2d")
-    table = _MODE_TABLES.get(s.basis.meta.get("method", ""), _interp_modes)
-    modes, dmodes = table(s.basis, s.indices, x)
+    modes, (dmodes,) = mode_table(s.basis, s.indices, x)
     w, wt = _weights(s, t)
     return _contract((w, w, wt), (modes, dmodes, modes))
 
@@ -250,14 +165,9 @@ def evaluate_at(s: Superposition, x, t):
 def evaluate_at_2d(s: Superposition, x, y, t):
     """(Psi, dPsi/dx, dPsi/dy) at arbitrary 2D position(s) for the analytic
     box product-state basis; t is a scalar, or an array paired with x, y."""
-    pairs = s.basis.meta["pairs"]
-    gx, gy = s.grid.grid_x, s.grid.grid_y
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    nx, ny = (np.array([pairs[j][a] for j in s.indices]) for a in (0, 1))
-    fx, dfx = _sine_modes(nx, gx.x_min, gx.x_max - gx.x_min, x)
-    fy, dfy = _sine_modes(ny, gy.x_min, gy.x_max - gy.x_min, y)
+    modes, (dx, dy) = mode_table(s.basis, s.indices, x, y)
     w, _ = _weights(s, t)
-    return _contract((w, w, w), (fx * fy, dfx * fy, fx * dfy))
+    return _contract((w, w, w), (modes, dx, dy))
 
 
 # ------------------------------------------------------------- projection
@@ -287,7 +197,7 @@ def project_field(basis: EigenBasis, values: np.ndarray, eta: float = 1e-3) -> S
     g = basis.grid
     nrm = math.sqrt(float(quadrature(g, np.abs(values) ** 2).real))
     vals = values / nrm
-    V = basis.states_matrix()
+    V = basis.states
     raw = np.array([quadrature(g, V[j] * vals) for j in range(basis.k)])
     raw[np.abs(raw) < CLAMP] = 0.0
     keep = np.abs(raw) >= eta * np.abs(raw).max()

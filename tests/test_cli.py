@@ -186,7 +186,7 @@ class TestExports:
         back = load_basis(str(tmp_path))
         basis = build_scenario(default_config("well_superposition")).basis
         assert np.array_equal(back.energies, basis.energies)
-        assert np.array_equal(back.states_matrix(), basis.states_matrix())
+        assert np.array_equal(back.states, basis.states)
         assert back.grid == basis.grid and back.meta == basis.meta
 
     def test_evolve(self, capsys, tmp_path):

@@ -28,6 +28,7 @@ from madelung.spectral import (
     build_hamiltonian,
     eigenbasis,
     load_basis,
+    mode_table,
     product_basis_2d,
     sample_potential,
     save_basis,
@@ -144,6 +145,30 @@ class TestAnalyticBases:
         assert abs(quadrature(g, psi5.values * psi3.values)) < 1e-9
 
 
+class TestModeTable:
+    """The grid basis of every analytic potential is its mode table sampled
+    at the grid points, bit for bit."""
+
+    @pytest.mark.parametrize("potential, grid, k", [
+        (InfiniteWell(1.5), Grid1D(-1.5, 1.5, 501), 6),
+        (Harmonic(10.0), Grid1D(-3.0, 3.0, 601), 8),
+    ], ids=["well", "hermite"])
+    def test_1d_basis_is_table_on_grid(self, potential, grid, k):
+        basis = eigenbasis(potential, grid, k)
+        values, (dx,) = mode_table(basis, np.arange(k), grid.x)
+        assert values.shape == dx.shape == (k, grid.n)
+        assert np.array_equal(values, basis.states)
+
+    def test_box_basis_is_table_on_grid(self):
+        grid2 = Grid2D(Grid1D(0.0, 1.3, 41), Grid1D(0.0, 2.0, 61))
+        pairs = [(1, 1), (1, 2), (2, 1), (3, 2)]
+        basis = product_basis_2d(pairs, grid2)
+        x, y = np.meshgrid(grid2.grid_x.x, grid2.grid_y.x, indexing="ij")
+        values, (dx, dy) = mode_table(basis, np.arange(len(pairs)), x, y)
+        assert values.shape == dx.shape == dy.shape == (len(pairs),) + grid2.shape
+        assert np.array_equal(values, basis.states)
+
+
 class TestSolveEigen:
     def test_well_against_analytic(self):
         # acceptance-grade: n=2001, k=4, 0.1 percent
@@ -173,7 +198,7 @@ class TestSolveEigen:
         H = build_hamiltonian(WellWithBarrier(1.0, 15.0, 0.2), g)
         basis = solve_eigen(H, 2, g)
         for j in range(2):
-            psi = basis.states[j].values[1:-1]
+            psi = basis.states[j][1:-1]
             Hpsi = H.diagonal * psi
             Hpsi[:-1] += H.offdiag * psi[1:]
             Hpsi[1:] += H.offdiag * psi[:-1]
@@ -185,7 +210,7 @@ class TestSolveEigen:
         H = build_hamiltonian(WellWithBarrier(1.0, 15.0, 0.2), g)
         basis = solve_eigen(H, 2, g)
         for j in range(2):
-            v = basis.states[j].values[1:-1]
+            v = basis.states[j][1:-1]
             Hv = H.diagonal * v
             Hv[:-1] += H.offdiag * v[1:]
             Hv[1:] += H.offdiag * v[:-1]
@@ -203,7 +228,7 @@ class TestSolveEigen:
         # energy and the gap to the next level (~12.3)
         assert e1 - e0 < 0.25 * e0
         # definite parity: ground even, first excited odd
-        psi0, psi1 = basis.states[0].values, basis.states[1].values
+        psi0, psi1 = basis.states[0], basis.states[1]
         assert np.abs(psi0 - psi0[::-1]).max() < 1e-6 * np.abs(psi0).max()
         assert np.abs(psi1 + psi1[::-1]).max() < 1e-6 * np.abs(psi1).max()
 
@@ -255,7 +280,7 @@ class TestBasisFactory:
         cached = eigenbasis(pot, g, 2, cache_dir=str(tmp_path))
         assert np.array_equal(fresh.energies, cached.energies)
         for a, b in zip(fresh.states, cached.states):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
 
     def test_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MADELUNG_CACHE_DIR", str(tmp_path))
@@ -269,7 +294,7 @@ class TestBasisFactory:
         save_basis(basis, str(tmp_path / "b"))
         back = load_basis(str(tmp_path / "b"))
         assert np.array_equal(back.energies, basis.energies)
-        assert np.array_equal(back.states_matrix(), basis.states_matrix())
+        assert np.array_equal(back.states, basis.states)
 
 
 CACHE_POT = WellWithBarrier(1.0, 15.0, 0.2)
@@ -300,7 +325,7 @@ _RACER = textwrap.dedent(
     spectral._publish = meet_then_publish
     pot = spectral.WellWithBarrier(1.0, 15.0, 0.2)
     basis = spectral.eigenbasis(pot, Grid1D(-1.0, 1.0, 601), 3, cache_dir=cache_dir)
-    np.save(out, basis.states_matrix())
+    np.save(out, basis.states)
     """
 )
 
@@ -335,7 +360,7 @@ class TestCache:
         assert sorted(os.listdir(entry)) == ["basis.json", "states.npy"]
         V = np.load(os.path.join(entry, "states.npy"), allow_pickle=False)
         assert V.shape == (CACHE_K, CACHE_GRID.n)
-        assert np.array_equal(V, basis.states_matrix())
+        assert np.array_equal(V, basis.states)
         with open(os.path.join(entry, "basis.json")) as fh:
             doc = json.load(fh)
         assert doc["states"] == "states.npy" and doc["k"] == CACHE_K
@@ -365,6 +390,15 @@ class TestCache:
             np.save(path, np.load(path)[:-1])
 
         self._corrupt(tmp_path, drop_mode)
+
+    def test_non_finite_state_raises(self, tmp_path):
+        def poison(entry):
+            path = os.path.join(entry, "states.npy")
+            V = np.load(path)
+            V[1, 17] = np.nan
+            np.save(path, V)
+
+        self._corrupt(tmp_path, poison)
 
     def test_failed_validation_raises(self, tmp_path):
         def denormalize(entry):
@@ -404,12 +438,12 @@ class TestCache:
         finally:
             for p in racers:
                 p.kill()  # a no-op once the racer has exited
-        fresh = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K).states_matrix()
+        fresh = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K).states
         for out in outs:
             assert np.array_equal(np.load(out), fresh)
         assert os.listdir(cache_dir) == [os.path.basename(_entry(cache_dir))]
         cached = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(cache_dir))
-        assert np.array_equal(cached.states_matrix(), fresh)
+        assert np.array_equal(cached.states, fresh)
 
 
 class TestProduct2D:
@@ -422,5 +456,5 @@ class TestProduct2D:
     def test_product_norm(self):
         g1 = Grid1D(0.0, 1.0, 301)
         basis = product_basis_2d([(1, 2)], Grid2D(g1, g1))
-        rho = ScalarField(basis.grid, basis.states[0].values ** 2)
+        rho = ScalarField(basis.grid, basis.states[0] ** 2)
         assert integrate(rho) == pytest.approx(1.0, abs=1e-10)
