@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import minimize_scalar
 
 from .energy import EPS_NODE, decompose
@@ -86,7 +84,8 @@ NODE_SCAN_SAMPLES = 257
 def _cdf(values: np.ndarray, x: np.ndarray):
     """Trapezoid CDF along the last axis, normalised to end at 1, and the
     total it was divided by."""
-    cdf = cumulative_trapezoid(values, x, axis=-1, initial=0.0)
+    steps = np.cumsum(np.diff(x) * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
+    cdf = np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
     total = cdf[..., -1:]
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise ValueError("density does not carry positive mass")
@@ -262,37 +261,179 @@ class Loop2D:
             raise ValueError("sample times not strictly increasing")
 
 
-def integrate_loop_2d(s: Superposition, p0, t_span, tol: float = 1e-8,
-                      t_eval=None, seed_quantile: float = float("nan")) -> Loop2D:
-    """Integrate (dx/dt, dy/dt) = v_a in a 2D state with adaptive
-    Runge-Kutta; positions clip to the box."""
+# Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, 5th-order
+# weights, error weights (7 stages, the last at the step's end) and the
+# 4th-order dense-output matrix
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+# step-size control: safety factor and the bounds of one step's change
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _combine(coeffs, K):
+    """sum_j coeffs[j] K[j] term by term, zero coefficients skipped: a fixed
+    elementwise order, so each loop's sums are the same in any batch."""
+    terms = [c * K[j] for j, c in enumerate(coeffs) if c != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _rms(a, b):
+    # RMS norm of the pairs (a, b)
+    return np.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def integrate_loop_2d(s: Superposition, starts, t_span, tol: float = 1e-8,
+                      t_eval=None, seed_quantiles=None,
+                      diagnostics: dict | None = None) -> list:
+    """Integrate (dx/dt, dy/dt) = v_a in a 2D state from each of the (L, 2)
+    starting points, all loops at once; returns L Loop2D tagged with
+    seed_quantiles (NaN by default).
+
+    A lockstep Dormand-Prince 5(4) stepper with scipy RK45's tableau, error
+    estimate and step control (rtol = atol = tol, max_step = span / 64,
+    first step from the Hairer-Norsett-Wanner estimate): each stage makes
+    one paired evaluate_at_2d call for every live loop, and each loop keeps
+    its own step size and accept/reject decision.  Stage sums run
+    elementwise in a fixed order, so a loop comes out bit for bit the same
+    alone or in a batch.  Samples are the 4th-order dense output at t_eval,
+    or the accepted step ends when t_eval is None.  Positions clip to the
+    box in the velocity and in the output; rho is floored at
+    NODE_PAUSE_FACTOR * EPS_NODE * max rho(., t0).
+
+    A dict passed as diagnostics receives the work counts: accepted_steps
+    and rejected_steps per loop and evaluator_calls (batched calls).
+    """
     g2 = s.grid
     if g2.ndim != 2:
         raise ValueError("loop integration needs a 2D state")
     gx, gy = g2.grid_x, g2.grid_y
+    p0 = np.array(starts, dtype=float).reshape(-1, 2)
+    L = p0.shape[0]
+    qs = np.full(L, np.nan) if seed_quantiles is None else np.asarray(seed_quantiles, float)
+    if qs.shape != (L,):
+        raise ValueError("one seed quantile per starting point")
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("time span must be increasing")
+    te = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    if te is not None and (te.ndim != 1 or te.size == 0 or te.min() < t0 or te.max() > t1):
+        raise ValueError("sample times lie outside the time span")
+    if L == 0:
+        return []
+    max_step = (t1 - t0) / 64.0
     rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
     floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
+    lo, hi = np.array([gx.x_min, gy.x_min]), np.array([gx.x_max, gy.x_max])
+    calls = 0
 
-    # solve_ivp's solver holds rhs in a reference cycle, which would keep the
-    # state and its eigenbasis alive until the next full garbage collection
-    state = weakref.ref(s)
+    def velocity(t, y):
+        # v_a = Im(conj(psi) grad psi) / rho at the rows of y, paired with t
+        nonlocal calls
+        calls += 1
+        p = np.minimum(np.maximum(y, lo), hi)
+        psi, dx_, dy_ = evaluate_at_2d(s, p[:, 0], p[:, 1], t)
+        rho = np.maximum(psi.real**2 + psi.imag**2, floor)
+        return (psi.conjugate()[:, None] * np.stack([dx_, dy_], axis=1)).imag / rho[:, None]
 
-    def rhs(t, p):
-        x = min(max(p[0], gx.x_min), gx.x_max)
-        y = min(max(p[1], gy.x_min), gy.x_max)
-        psi, dx_, dy_ = (complex(v) for v in evaluate_at_2d(state(), x, y, t))
-        rho = max(psi.real**2 + psi.imag**2, floor)
-        return (psi.conjugate() * dx_).imag / rho, (psi.conjugate() * dy_).imag / rho
+    # first step: scipy's select_initial_step, one batched probe
+    t = np.full(L, t0)
+    y = p0.copy()
+    f = velocity(t, y)
+    scale = tol + np.abs(y) * tol
+    d0 = _rms(*(y / scale).T)
+    d1 = _rms(*(f / scale).T)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t1 - t0)
+    d2 = _rms(*((velocity(t + h0, y + h0[:, None] * f) - f) / scale).T) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** 0.2)
+    h_abs = np.minimum(np.minimum(100 * h0, h1), min(t1 - t0, max_step))
 
-    sol = solve_ivp(rhs, (t0, t1), (float(p0[0]), float(p0[1])), method="RK45",
-                    rtol=tol, atol=tol, t_eval=t_eval,
-                    max_step=(t1 - t0) / 64.0)
-    if not sol.success:
-        raise RuntimeError(f"loop integration failed: {sol.message}")
-    return Loop2D(float(seed_quantile), sol.t,
-                  np.clip(sol.y[0], gx.x_min, gx.x_max),
-                  np.clip(sol.y[1], gy.x_min, gy.x_max))
+    retry = np.zeros(L, dtype=bool)  # the step is being retried smaller
+    accepted = np.zeros(L, dtype=int)
+    rejected = np.zeros(L, dtype=int)
+    steps = []  # (loop indices, t_old, t_new, y_old, y_new, stages (n, 7, 2))
+    live = np.arange(L)
+    while live.size:
+        tl, yl, fl, hl, rl = t[live], y[live], f[live], h_abs[live], retry[live]
+        min_step = 10.0 * np.abs(np.nextafter(tl, np.inf) - tl)
+        # a retried step under min_step (or NaN) underflows
+        under = rl & ~(hl >= min_step)
+        if under.any():
+            i = live[np.argmax(under)]
+            raise RuntimeError(f"loop integration failed: step size underflow at "
+                               f"t = {t[i]!r} on the loop from {tuple(p0[i])}")
+        hl = np.where(rl, hl, np.clip(hl, min_step, max_step))
+        t_new = np.minimum(tl + hl, t1)
+        h = t_new - tl
+        K = [fl]
+        for a, c in zip(_DP_A[1:], _DP_C[1:]):
+            K.append(velocity(tl + c * h, yl + _combine(a, K) * h[:, None]))
+        y_new = yl + h[:, None] * _combine(_DP_B, K)
+        K.append(velocity(t_new, y_new))
+        scale = tol + np.maximum(np.abs(yl), np.abs(y_new)) * tol
+        err_norm = _rms(*(_combine(_DP_E, K) * h[:, None] / scale).T)
+        ok = err_norm < 1.0
+        with np.errstate(divide="ignore"):
+            factor = _SAFETY * err_norm**-0.2  # inf at a zero error
+        grow = np.minimum(np.where(rl, 1.0, _MAX_FACTOR), factor)
+        # fmax: a NaN error norm shrinks the step until it underflows
+        shrink = np.fmax(_MIN_FACTOR, factor)
+        h_abs[live] = h * np.where(ok, grow, shrink)
+        retry[live] = ~ok
+        accepted[live] += ok
+        rejected[live] += ~ok
+        go = live[ok]
+        if go.size:
+            steps.append((go, tl[ok], t_new[ok], yl[ok], y_new[ok], np.stack(K, axis=1)[ok]))
+            t[go], y[go], f[go] = t_new[ok], y_new[ok], K[-1][ok]
+        live = live[t[live] < t1]
+
+    if diagnostics is not None:
+        diagnostics.update(accepted_steps=accepted.tolist(),
+                           rejected_steps=rejected.tolist(), evaluator_calls=calls)
+    idx, t_old, t_new, y_old, y_new, K = (np.concatenate(col) for col in zip(*steps))
+    # dense-output coefficients of every step, (steps, 2, 4)
+    Q = np.stack([_combine(_DP_P[:, j], K.transpose(1, 0, 2)) for j in range(4)], axis=-1)
+    loops = []
+    for j in range(L):
+        sel = idx == j
+        if te is None:
+            ts = np.concatenate([[t0], t_new[sel]])
+            ys = np.concatenate([p0[j:j + 1], y_new[sel]])
+        else:
+            # the step (t_old, t_new] holding each sample, t0 in the first
+            k = np.searchsorted(t_new[sel], te, side="left")
+            to, hk, Qk = t_old[sel][k], (t_new[sel] - t_old[sel])[k], Q[sel][k]
+            x = ((te - to) / hk)[:, None]
+            poly = (Qk[..., 0] * x + Qk[..., 1] * (x * x) + Qk[..., 2] * (x * x * x)
+                    + Qk[..., 3] * (x * x * x * x))
+            ys = y_old[sel][k] + hk[:, None] * poly
+            ts = te
+        loops.append(Loop2D(float(qs[j]), ts, np.clip(ys[:, 0], gx.x_min, gx.x_max),
+                            np.clip(ys[:, 1], gy.x_min, gy.x_max)))
+    return loops
 
 
 def loop_seeds_on_axis(s: Superposition, m: int, axis_x: float) -> np.ndarray:

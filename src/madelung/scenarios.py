@@ -561,12 +561,14 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     derived.update(b.extras)
 
     state = b.states[0]
+    diagnostics: dict = {"node_search": {}}
     if state.grid.ndim == 2:
         seeds = loop_seeds_on_axis(state, c.streamlines, 0.5)
         te = np.linspace(0.0, 0.5, 129)
         qs = np.arange(1, c.streamlines + 1) / (c.streamlines + 1.0)
-        loops = [integrate_loop_2d(state, (0.5, y0), (0.0, 0.5), t_eval=te,
-                                   seed_quantile=q) for q, y0 in zip(qs, seeds)]
+        diagnostics["loops"] = {}
+        loops = integrate_loop_2d(state, [(0.5, y0) for y0 in seeds], (0.0, 0.5), t_eval=te,
+                                  seed_quantiles=qs, diagnostics=diagnostics["loops"])
         loops_to_csv(loops, os.path.join(out_dir, "loops.csv"))
         files["loops"] = "loops.csv"
         profile, derived["vortex"] = vortex_record(state)
@@ -590,12 +592,11 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
             # pi and 2 pi) sit strictly inside the window
             window = (b.period / 16.0, b.period * 17.0 / 16.0)
 
-    node_search: dict = {}
-    events = find_nodes(node_source, window, diagnostics=node_search, **kw)
+    events = find_nodes(node_source, window, diagnostics=diagnostics["node_search"], **kw)
     save_node_events(events, os.path.join(out_dir, "nodes.json"))
     files["nodes"] = "nodes.json"
     derived["node_events"] = node_events_to_json(events)
-    derived["diagnostics"] = {"node_search": node_search}
+    derived["diagnostics"] = diagnostics
 
     manifest = {"name": c.name, "config": dataclasses.asdict(c),
                 "derived": derived, "files": files}

@@ -46,7 +46,7 @@ __all__ = [
 _SIGN_TOL = 1e-8  # relative threshold for the leading-lobe sign convention
 # leads every cache key: bump it when the entry format or a solver's output
 # changes, so entries written before are never read
-_CACHE_VERSION = "npy1|fd_tridiag+polish2"
+_CACHE_VERSION = "npy2|fd_tridiag+polish2"
 _STATES_FILE = "states.npy"
 
 
@@ -381,7 +381,7 @@ def mode_table(basis: EigenBasis, idx: np.ndarray, *coords):
     if method == "analytic_well":
         vals, dx = _sine_modes(idx + 1, g.x_min, g.x_max - g.x_min, x)
     elif method == "analytic_hermite":
-        vals, dx = _hermite_modes(basis.potential.omega, idx, x)
+        vals, dx = _hermite_modes(basis.meta["omega"], idx, x)
     else:
         vals, dx = _interp_modes(basis, idx, x)
     return vals, (dx,)
@@ -457,6 +457,10 @@ def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None) ->
         method, first = _ANALYTIC[type(potential)]
         energies, V = _analytic_states(potential, grid, np.arange(first, first + k))
         basis = EigenBasis(grid, energies, V, potential, {"method": method})
+        if isinstance(potential, Harmonic):
+            # the off-grid Hermite modes need omega, also in a basis loaded
+            # without its potential
+            basis.meta["omega"] = potential.omega
     else:
         basis = solve_eigen(build_hamiltonian(potential, grid), k, grid, potential)
         if isinstance(potential, WellWithBarrier):

@@ -6,6 +6,8 @@ Physics is covered by the module suites; these tests only check the shell.
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ from madelung import scenarios as sc
 from madelung.cli import _config_from_args, build_parser, run_cli
 from madelung.scenarios import build_scenario, default_config, run_scenario, save_config
 from madelung.spectral import load_basis
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package's only scipy needs are eigh_tridiagonal and minimize_scalar
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+    code = "import sys, madelung.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def shaded_area(svg_path) -> dict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.stats import norm
 
 from madelung import flow
@@ -19,7 +19,9 @@ from madelung.flow import (
     circulation,
     cumulative_probability,
     find_nodes,
+    integrate_loop_2d,
     integrate_streamline,
+    loop_seeds_on_axis,
     node_events_to_json,
     quantile_position,
     save_node_events,
@@ -87,6 +89,17 @@ class TestSeeding:
         sigma = math.sqrt(1.0 / (2.0 * OMEGA))
         oracle = norm.ppf([1.0 / 3.0, 2.0 / 3.0], scale=sigma)
         assert np.abs(seeds - oracle).max() < 1e-5
+
+    def test_cdf_matches_scipy_trapezoid_bits(self, well_basis):
+        g = well_basis.grid
+        ts = np.linspace(0.0, 1.0, 37)
+        s = equal_two_mode(well_basis, 0, 1)
+        rho = np.stack([np.abs(evaluate(s, t).values) ** 2 for t in ts])
+        for values in (rho, rho[5]):
+            cdf, total = flow._cdf(values, g.x)
+            ref = cumulative_trapezoid(values, g.x, axis=-1, initial=0.0)
+            assert np.array_equal(total, ref[..., -1:])
+            assert np.array_equal(cdf, ref / ref[..., -1:])
 
     def test_count_must_be_positive(self, ho_basis):
         s = superposition(ho_basis, [0], [1.0])
@@ -419,6 +432,100 @@ class TestClusterSweep:
            st.sampled_from([0.5, 2.0, 8.0]))
     def test_2d_matches_all_pairs(self, raw, span):
         assert flow._cluster(raw, 0.125, 0.25, span) == _cluster_oracle(raw, 0.125, 0.25, span)
+
+
+LOOP_SPAN = (0.0, 0.5)
+LOOP_T = np.linspace(0.0, 0.5, 129)
+
+
+@pytest.fixture(scope="module")
+def stock_loops():
+    """The stock vortex state, its 4 stock seeds on x = 0.5, their loops
+    and the integrator's work counts."""
+    state = sc.build_scenario(sc.default_config("vortex_2d")).states[0]
+    starts = [(0.5, y0) for y0 in loop_seeds_on_axis(state, 4, 0.5)]
+    work = {}
+    loops = integrate_loop_2d(state, starts, LOOP_SPAN, t_eval=LOOP_T,
+                              seed_quantiles=[0.2, 0.4, 0.6, 0.8], diagnostics=work)
+    return state, starts, loops, work
+
+
+def _reference_loop(s, p0, tol):
+    """scipy RK45 on the same clipped, rho-floored velocity field."""
+    gx, gy = s.grid.axes
+    floor = flow.NODE_PAUSE_FACTOR * flow.EPS_NODE * (np.abs(evaluate(s, 0.0).values) ** 2).max()
+
+    def rhs(t, p):
+        x = min(max(p[0], gx.x_min), gx.x_max)
+        y = min(max(p[1], gy.x_min), gy.x_max)
+        psi, dx, dy = (complex(v) for v in evaluate_at_2d(s, x, y, t))
+        rho = max(psi.real**2 + psi.imag**2, floor)
+        return (psi.conjugate() * dx).imag / rho, (psi.conjugate() * dy).imag / rho
+
+    sol = solve_ivp(rhs, LOOP_SPAN, p0, method="RK45", rtol=tol, atol=tol, t_eval=LOOP_T,
+                    max_step=(LOOP_SPAN[1] - LOOP_SPAN[0]) / 64.0)
+    assert sol.success
+    return np.clip(sol.y[0], gx.x_min, gx.x_max), np.clip(sol.y[1], gy.x_min, gy.x_max)
+
+
+class TestLoops:
+    def test_loops_match_tight_rk45_reference(self, stock_loops):
+        state, starts, loops, _ = stock_loops
+        for p0, loop in zip(starts, loops):
+            x, y = _reference_loop(state, p0, 1e-12)
+            assert np.abs(loop.x - x).max() < 1e-6
+            assert np.abs(loop.y - y).max() < 1e-6
+
+    def test_loop_alone_equals_loop_in_batch(self, stock_loops):
+        state, starts, loops, _ = stock_loops
+        for j in (0, 1):
+            alone, = integrate_loop_2d(state, [starts[j]], LOOP_SPAN, t_eval=LOOP_T,
+                                       seed_quantiles=[loops[j].seed_quantile])
+            assert np.array_equal(alone.x, loops[j].x)
+            assert np.array_equal(alone.y, loops[j].y)
+
+    def test_samples_at_t_eval(self, stock_loops):
+        _, _, loops, _ = stock_loops
+        assert [lp.seed_quantile for lp in loops] == [0.2, 0.4, 0.6, 0.8]
+        for loop in loops:
+            assert np.array_equal(loop.t, LOOP_T)
+            assert loop.x.shape == loop.y.shape == LOOP_T.shape
+
+    def test_loops_follow_the_stream_function(self, stock_loops):
+        # for psi = sin(pi x) sin(2 pi y) + i sin(2 pi x) sin(pi y) the
+        # current rho v_a is the curl of -(4/3) (sin(pi x) sin(pi y))^3, so
+        # sin(pi x) sin(pi y) is constant along every loop
+        _, _, loops, _ = stock_loops
+        for loop in loops:
+            c = np.sin(math.pi * loop.x) * np.sin(math.pi * loop.y)
+            assert np.abs(c / c[0] - 1.0).max() < 1e-6
+
+    def test_one_evaluator_call_per_stage(self, stock_loops):
+        _, _, _, work = stock_loops
+        assert set(work) == {"accepted_steps", "rejected_steps", "evaluator_calls"}
+        attempts = np.add(work["accepted_steps"], work["rejected_steps"])
+        assert len(attempts) == 4 and (attempts > 0).all()
+        # f(t0) and the first-step probe, then 6 stages per lockstep round
+        assert work["evaluator_calls"] == 2 + 6 * attempts.max()
+
+    def test_step_ends_without_t_eval(self, vortex_state):
+        loop, = integrate_loop_2d(vortex_state, [(0.5, 0.3)], (0.0, 0.05))
+        assert loop.t[0] == 0.0 and loop.t[-1] == 0.05
+        assert (loop.x[0], loop.y[0]) == (0.5, 0.3)
+        assert np.isnan(loop.seed_quantile)
+
+    def test_step_size_underflow_raises(self, vortex_state):
+        with pytest.raises(RuntimeError, match="loop integration failed"):
+            integrate_loop_2d(vortex_state, [(0.5, 0.3), (math.nan, 0.5)], (0.0, 0.05))
+
+    def test_bad_arguments_rejected(self, vortex_state, two_mode):
+        with pytest.raises(ValueError, match="2D"):
+            integrate_loop_2d(two_mode, [(0.5, 0.3)], (0.0, 0.05))
+        with pytest.raises(ValueError, match="seed quantile"):
+            integrate_loop_2d(vortex_state, [(0.5, 0.3)], (0.0, 0.05), seed_quantiles=[0.1, 0.2])
+        with pytest.raises(ValueError, match="outside the time span"):
+            integrate_loop_2d(vortex_state, [(0.5, 0.3)], (0.0, 0.05), t_eval=[0.0, 0.1])
+        assert integrate_loop_2d(vortex_state, np.empty((0, 2)), (0.0, 0.05)) == []
 
 
 class TestVortexProfile:

@@ -36,6 +36,7 @@ from madelung.spectral import (
     solve_eigen,
 )
 from madelung.grids import ScalarField
+from madelung.states import equal_two_mode, evaluate_at
 
 E1_WELL = math.pi**2 / 8.0  # ground state of the half-width-1 hard well
 
@@ -287,6 +288,16 @@ class TestBasisFactory:
         g = Grid1D(-1.0, 1.0, 301)
         eigenbasis(QuarticDoubleWell(), Grid1D(-1.25, 1.25, 301), 1)
         assert any(tmp_path.iterdir())
+
+    def test_loaded_hermite_basis_evaluates_off_grid(self, tmp_path):
+        # omega travels in the basis meta, so no potential is needed
+        basis = eigenbasis(Harmonic(10.0), Grid1D(-3.0, 3.0, 601), 3)
+        save_basis(basis, str(tmp_path / "ho"))
+        back = load_basis(str(tmp_path / "ho"))
+        assert back.potential is None
+        here = [complex(v) for v in evaluate_at(equal_two_mode(basis), 0.123, 0.4)]
+        there = [complex(v) for v in evaluate_at(equal_two_mode(back), 0.123, 0.4)]
+        assert there == here
 
     def test_save_load_direct(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 301)
