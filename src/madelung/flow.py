@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .energy import EPS_NODE, decompose
 from .grids import Grid1D, Grid2D, ScalarField, write_columns
@@ -180,6 +179,10 @@ def _first_dip(s: Superposition, q: float, lattice, rho_lat, floor: float,
     r = rho_lat[1:-1]
     cand = 1 + np.flatnonzero((r < 1e-3 * rho_ref) & (r <= rho_lat[:-2]) & (r <= rho_lat[2:]))
     for i in cand[cand < first]:
+        # imported here: scipy.optimize adds about 0.25 s to import, and
+        # only a dip candidate needs it
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(lambda t: _quantile_curves(s, [q], [t])[1][0, 0],
                               bounds=(lattice[i - 1], lattice[i + 1]),
                               method="bounded", options={"xatol": 1e-13})

@@ -19,7 +19,6 @@ import tempfile
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grids import Grid1D, Grid2D, ScalarField, _grid_weights, trapezoid_weights
 
@@ -267,6 +266,10 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
         raise ValueError(f"k={k} must be below interior dimension {dim}")
     if k < 1:
         raise ValueError("k must be positive")
+    # imported here: scipy.linalg adds about 0.25 s to import, and runs on
+    # analytic bases never solve
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         vals, vecs = eigh_tridiagonal(
             H.diagonal, H.offdiag, select="i", select_range=(0, k - 1)
@@ -369,10 +372,9 @@ def mode_table(basis: EigenBasis, idx: np.ndarray, *coords):
     otherwise."""
     method = basis.meta.get("method")
     if method == "analytic_box2d":
-        pairs = basis.meta["pairs"]
         gx, gy = basis.grid.axes
         x, y = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-        nx, ny = (np.array([pairs[j][a] for j in idx]) for a in (0, 1))
+        nx, ny = np.array(basis.meta["pairs"])[idx].T
         fx, dfx = _sine_modes(nx, gx.x_min, gx.x_max - gx.x_min, x)
         fy, dfy = _sine_modes(ny, gy.x_min, gy.x_max - gy.x_min, y)
         return fx * fy, (dfx * fy, fx * dfy)

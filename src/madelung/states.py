@@ -142,7 +142,7 @@ def _contract(weights, tables):
         out = np.stack(weights).reshape(J, 1, -1) @ m.reshape(J, m.shape[1], -1)
         return tuple(out.reshape((J,) + m.shape[2:]))
     a = np.array(weights, order="C")
-    b = np.array([np.moveaxis(m, 0, -1) for m in tables], dtype=complex, order="C")
+    b = np.ascontiguousarray(np.moveaxis(np.array(tables, dtype=complex), 1, -1))
     K = a.shape[-1]
     out = a.reshape(J, -1, 1, K) @ b.reshape(J, -1, K, 1)
     return tuple(out.reshape(a.shape[:-1]))

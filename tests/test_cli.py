@@ -19,13 +19,54 @@ from madelung.scenarios import build_scenario, default_config, run_scenario, sav
 from madelung.spectral import load_basis
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # the package's only scipy needs are eigh_tridiagonal and minimize_scalar
+def _fresh(code, *args) -> str:
+    """stdout of code run with args in a fresh interpreter on this source
+    tree, with the eigenbasis cache off."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
-    code = "import sys, madelung.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    env = {k: v for k, v in os.environ.items() if k != "MADELUNG_CACHE_DIR"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return out.stdout
+
+
+_LOADED = "print(*(m in sys.modules for m in ('scipy', 'scipy.linalg', 'scipy.optimize')))"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy loads on first use: scipy.linalg at the first finite-difference
+    # eigensolve, scipy.optimize at the first node-dip refinement, so the
+    # import itself loads no scipy module at all
+    code = "import sys, madelung.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh(code).strip() == "[]"
+
+
+_RUN = ("import sys; from madelung.cli import run_cli; code = run_cli(sys.argv[1:]); "
+        + _LOADED + "; sys.exit(code)")
+_DIP = (
+    "import math, sys\n"
+    "import numpy as np\n"
+    "from madelung import Grid1D, InfiniteWell, eigenbasis, integrate_streamline, superposition\n"
+    "s = superposition(eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, 2001), 4), [0, 2],\n"
+    "                  np.array([1.0, 1.0]) / math.sqrt(2.0))\n"
+    "print('scipy.optimize' in sys.modules)\n"
+    "t_node = 2.0 / math.pi\n"
+    "ln = integrate_streamline(s, 0.0, (1.0 / math.pi, t_node + 0.05))\n"
+    "print(ln.flagged, abs(ln.t_flag - t_node) < 1e-4)\n" + _LOADED
+)
+
+
+@pytest.mark.parametrize("code, argv, last_lines", [
+    (_RUN, ["scenario", "--name", "well_superposition"], ["False False False"]),
+    (_RUN, ["scenario", "--name", "quartic_eigenstates"], ["True True False"]),
+    # TestStreamlines::test_pause_when_node_arrives, whose dip refines
+    (_DIP, [], ["False", "True True", "True True True"]),
+], ids=["analytic_run", "fd_run", "node_dip"])
+def test_scipy_loads_on_first_use(tmp_path, code, argv, last_lines):
+    # inside pytest scipy.stats has already loaded scipy.optimize, so only a
+    # fresh process reaches the deferred imports cold
+    lines = _fresh(code, *argv, "--out", str(tmp_path / "run")).strip().splitlines()
+    assert lines[-len(last_lines):] == last_lines
 
 
 def shaded_area(svg_path) -> dict:
