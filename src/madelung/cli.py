@@ -263,7 +263,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
 

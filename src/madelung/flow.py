@@ -12,12 +12,14 @@ import numpy as np
 
 from .energy import EPS_NODE, decompose
 from .grids import Grid1D, Grid2D, ScalarField, write_columns
-from .states import Superposition, evaluate, evaluate_at, evaluate_at_2d
+from .states import Superposition, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
 NODE_PAUSE_FACTOR = 10.0
 # refined node events must reach this amplitude residual (relative)
 NODE_RESIDUAL = 1e-8
+# node candidates are lattice minima of rho under this fraction of its maximum
+NODE_RHO_REL_TOL = 1e-3
 
 
 # ------------------------------------------------------------------- types
@@ -73,9 +75,9 @@ class VortexProfile:
 
 # --------------------------------------------------------------- quantiles
 
-# times per batched grid evaluation (a (64, 2001) real stack is 1 MB), the
-# default sample times of a streamline, and its node scan's time lattice
-_TIME_CHUNK = 32
+# values in one grid read's Re/Im stack (1 MB: 32 times on 2001 points, 2 on
+# 161 x 161), a streamline's default sample times, its node scan's lattice
+_STACK_VALUES = 2**17
 STREAMLINE_SAMPLES = 65
 NODE_SCAN_SAMPLES = 257
 
@@ -91,18 +93,21 @@ def _cdf(values: np.ndarray, x: np.ndarray):
     return cdf / total, total
 
 
-def _grid_cdfs(s: Superposition, ts: np.ndarray):
-    """(times, rho, CDF, total) on the grid, one row per time, in chunks
-    of _TIME_CHUNK times."""
-    V = s.basis.states[s.indices]  # real modes
-    for k in range(0, ts.size, _TIME_CHUNK):
-        tc = ts[k:k + _TIME_CHUNK]
+def _grid_rho(s: Superposition, ts):
+    """(k, times, rho) for consecutive chunks ts[k:k + len(times)] whose Re/Im
+    stack holds at most _STACK_VALUES values: rho = |Psi|^2 on the grid, one
+    grid-shaped row per time.  Every |Psi|^2 lattice of this module comes from here."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    V = s.basis.states[s.indices].reshape(s.indices.size, -1)  # real modes
+    chunk = max(1, _STACK_VALUES // (2 * V.shape[1]))
+    for k in range(0, ts.size, chunk):
+        tc = ts[k:k + chunk]
         w = s.coeffs * np.exp(-1j * np.multiply.outer(tc, s.energies))
         # Re and Im stacked into one real matmul: on NumPy 2.4 a complex
         # product with the real modes runs 100x slower at one to four rows
         parts = np.concatenate([w.real, w.imag]) @ V
         rho = parts[:tc.size] ** 2 + parts[tc.size:] ** 2
-        yield (tc, rho) + _cdf(rho, s.grid.x)
+        yield k, tc, rho.reshape(tc.shape + s.grid.shape)
 
 
 def _rho_at(s: Superposition, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -129,7 +134,8 @@ def _quantile_curves(s: Superposition, qs, ts):
     g = s.grid
     qs = np.asarray(qs, dtype=float)
     X, R = [], []
-    for tc, rho, cdf, total in _grid_cdfs(s, np.atleast_1d(np.asarray(ts, dtype=float))):
+    for _, tc, rho in _grid_rho(s, ts):
+        cdf, total = _cdf(rho, g.x)
         x = np.stack([np.interp(qs, row, g.x) for row in cdf])
         tt = np.repeat(tc[:, None], qs.size, axis=1)
         r = _rho_at(s, x, tt)
@@ -155,7 +161,8 @@ def seed_quantiles(rho0: ScalarField, m: int) -> np.ndarray:
 def cumulative_probability(s: Superposition, x: float, t: float) -> float:
     """CDF of |Psi(., t)|^2 at x, the one _quantile_curves inverts."""
     g = s.grid
-    (tc, rho, cdf, total), = _grid_cdfs(s, np.array([float(t)]))
+    (_, tc, rho), = _grid_rho(s, [float(t)])
+    cdf, total = _cdf(rho, g.x)
     xs = np.array([[min(max(float(x), g.x_min), g.x_max)]])
     return float(_cdf_at(g, cdf, rho, total, xs, _rho_at(s, xs, tc[:, None]))[0][0, 0])
 
@@ -204,7 +211,8 @@ def _quantile_lines(s: Superposition, t_span, t_eval, qs=None, x0=None) -> list:
                     dtype=float)
     if ts.ndim != 1 or ts.size == 0 or ts.min() < t0 or ts.max() > t1:
         raise ValueError("sample times lie outside the time span")
-    rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
+    (_, _, rho0), = _grid_rho(s, [t0])
+    rho_ref = float(rho0.max())
     x0 = _quantile_curves(s, qs, [t0])[0][0] if x0 is None else np.asarray(x0, float)
     if (not ((g.x_min + 2 * g.h <= x0) & (x0 <= g.x_max - 2 * g.h)).all()
             or (_rho_at(s, x0, np.full(x0.shape, t0)) < EPS_NODE * rho_ref).any()):
@@ -346,8 +354,8 @@ def integrate_loop_2d(s: Superposition, starts, t_span, tol: float = 1e-8,
     if L == 0:
         return []
     max_step = (t1 - t0) / 64.0
-    rho_ref = float((np.abs(evaluate(s, t0).values) ** 2).max())
-    floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
+    (_, _, rho0), = _grid_rho(s, [t0])
+    floor = NODE_PAUSE_FACTOR * EPS_NODE * float(rho0.max())
     lo, hi = np.array([gx.x_min, gy.x_min]), np.array([gx.x_max, gy.x_max])
     calls = 0
 
@@ -444,29 +452,29 @@ def loop_seeds_on_axis(s: Superposition, m: int, axis_x: float) -> np.ndarray:
     the 1D restriction rho(axis_x, y)."""
     g2 = s.grid
     gx, gy = g2.grid_x, g2.grid_y
-    vals = np.abs(evaluate(s, 0.0).values) ** 2
+    (_, _, rho), = _grid_rho(s, [0.0])
     i = int(round((axis_x - gx.x_min) / gx.h))
     i = min(max(i, 0), gx.n - 1)
-    return seed_quantiles(ScalarField(gy, vals[i]), m)
+    return seed_quantiles(ScalarField(gy, rho[0, i]), m)
 
 
 # ------------------------------------------------------------- node events
 
 
-def _local_minima_2d(R2: np.ndarray, threshold: float):
-    """Indices (i, j) of interior strict-in-x local minima below threshold.
-    The second-axis comparison carries relative slack so stationary node
-    lines (flat in t up to rounding) register at every slice."""
-    c = R2[1:-1, 1:-1]
+def _local_minima_2d(R2: np.ndarray, threshold):
+    """Indices (*lead, i, j) of interior strict-in-i local minima below
+    threshold over the last two axes; the j comparison carries relative slack
+    so stationary node lines (flat in t up to rounding) register at every slice."""
+    c = R2[..., 1:-1, 1:-1]
     keep = (
         (c < threshold)
-        & (c < R2[:-2, 1:-1])
-        & (c < R2[2:, 1:-1])
-        & (c <= R2[1:-1, :-2] * (1.0 + 1e-9))
-        & (c <= R2[1:-1, 2:] * (1.0 + 1e-9))
+        & (c < R2[..., :-2, 1:-1])
+        & (c < R2[..., 2:, 1:-1])
+        & (c <= R2[..., 1:-1, :-2] * (1.0 + 1e-9))
+        & (c <= R2[..., 1:-1, 2:] * (1.0 + 1e-9))
     )
-    ii, jj = np.nonzero(keep)
-    return ii + 1, jj + 1
+    *lead, ii, jj = np.nonzero(keep)
+    return (*lead, ii + 1, jj + 1)
 
 
 NEWTON_OK, NEWTON_SINGULAR, NEWTON_OUT_OF_BOUNDS = 0, 1, 2
@@ -484,10 +492,11 @@ class NewtonResult:
     steps: np.ndarray
 
 
-def _newton_node(f, a, b, bounds, steps: int = 30) -> NewtonResult:
+def _newton_node(f, a, b, bounds, steps: int = 30, paired=()) -> NewtonResult:
     """Newton on (Re psi, Im psi) = (0, 0) in two real unknowns (a, b), for
-    arrays of starting points iterated together; f(a, b) returns (psi,
-    dpsi/da, dpsi/db) paired elementwise with its arguments.  Each candidate
+    arrays of starting points iterated together; f(a, b, *paired) returns
+    (psi, dpsi/da, dpsi/db) paired elementwise with its arguments, paired
+    holding fixed per-candidate arrays (a slice time).  Each candidate
     stops when both step components fall under 1e-14 or after `steps`
     steps, and fails when its Jacobian turns singular or an iterate leaves
     bounds = ((a_lo, a_hi), (b_lo, b_hi)).  Only live candidates are
@@ -501,7 +510,7 @@ def _newton_node(f, a, b, bounds, steps: int = 30) -> NewtonResult:
     for _ in range(steps):
         if live.size == 0:
             break
-        psi, da, db = f(a[live], b[live])
+        psi, da, db = f(a[live], b[live], *(p[live] for p in paired))
         scale = np.maximum(np.hypot(da.real, da.imag), np.hypot(db.real, db.imag))
         det = da.real * db.imag - db.real * da.imag
         singular = ~np.isfinite(det) | (np.abs(det) <= 1e-12 * scale**2)
@@ -523,7 +532,7 @@ def _newton_node(f, a, b, bounds, steps: int = 30) -> NewtonResult:
     ok = np.flatnonzero(status == NEWTON_OK)
     if ok.size:
         # abs(complex) per point: np.abs can differ from it in the last bit
-        amp[ok] = [abs(complex(v)) for v in f(a[ok], b[ok])[0]]
+        amp[ok] = [abs(complex(v)) for v in f(a[ok], b[ok], *(p[ok] for p in paired))[0]]
     return NewtonResult(a, b, amp, status, taken)
 
 
@@ -582,14 +591,14 @@ def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
 
 
 def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
-               rho_rel_tol: float = 1e-3, diagnostics: dict | None = None) -> list:
+               diagnostics: dict | None = None) -> list:
     """Locate wavefunction zeros inside a space-time window.
 
-    Coarse scan for local minima of |Psi|^2 on an (x, t) lattice, then
-    Newton refinement on (Re Psi, Im Psi) = (0, 0) using the analytic mode
-    functions; duplicates within (2h, 2 dt) merge. A singular Newton system
-    (stationary node line) is reported unrefined at coarse coordinates and
-    a cluster persisting in t is marked degenerate.
+    Coarse scan for local minima of |Psi|^2 on an (x, t) lattice (2D: time
+    slices), then one Newton pass on (Re Psi, Im Psi) = (0, 0) over all
+    candidates; duplicates within (2h, 2 dt) merge. A singular Newton system
+    (stationary node line) is reported unrefined at coarse coordinates and a
+    cluster persisting in t is marked degenerate.  x_window is 1D only.
 
     A dict passed as diagnostics receives the search's work counts:
     candidates, refined, singular, out_of_bounds, newton_iterations_max and
@@ -601,9 +610,11 @@ def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
         raise ValueError("time window must be increasing")
     g = s.grid
     if g.ndim == 2:
-        events, stats = _find_nodes_2d(s, (t0, t1), nt, rho_rel_tol)
+        if x_window is not None:
+            raise ValueError("x_window applies to 1D states; 2D searches cover the box")
+        events, stats = _find_nodes_2d(s, (t0, t1), nt)
     else:
-        events, stats = _find_nodes_1d(s, (t0, t1), x_window, nt, rho_rel_tol)
+        events, stats = _find_nodes_1d(s, (t0, t1), x_window, nt)
     if diagnostics is not None:
         diagnostics.update(stats)
         diagnostics["events_outside_window"] = sum(
@@ -611,7 +622,7 @@ def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
     return events
 
 
-def _find_nodes_1d(s: Superposition, t_window, x_window, nt: int, rho_rel_tol: float):
+def _find_nodes_1d(s: Superposition, t_window, x_window, nt: int):
     t0, t1 = t_window
     g = s.grid
     if x_window is None:
@@ -622,13 +633,12 @@ def _find_nodes_1d(s: Superposition, t_window, x_window, nt: int, rho_rel_tol: f
     nt = max(int(nt), 9)
     ts = np.linspace(t0, t1, nt)
     dt_lat = ts[1] - ts[0]
-    R2 = np.empty((nt, g.n))
-    for j, tj in enumerate(ts):
-        v = evaluate(s, float(tj)).values
-        R2[j] = v.real**2 + v.imag**2
+    R2 = np.empty(ts.shape + s.grid.shape)  # in place: a chunk list would raise peak RSS
+    for k, tc, rho in _grid_rho(s, ts):
+        R2[k:k + tc.size] = rho
     scale = R2.max()
     amp_scale = math.sqrt(scale)
-    jj, ii = _local_minima_2d(R2.T, rho_rel_tol * scale)  # strict in x, ties in t
+    jj, ii = _local_minima_2d(R2.T, NODE_RHO_REL_TOL * scale)  # strict in x, ties in t
     inside = (g.x[jj] >= xlo) & (g.x[jj] <= xhi)
     jj, ii = jj[inside], ii[inside]
 
@@ -644,7 +654,7 @@ def _find_nodes_1d(s: Superposition, t_window, x_window, nt: int, rho_rel_tol: f
             _node_diagnostics(res.status, res.steps, refined))
 
 
-def _find_nodes_2d(s: Superposition, t_window, nt: int, rho_rel_tol: float):
+def _find_nodes_2d(s: Superposition, t_window, nt: int):
     t0, t1 = t_window
     g2 = s.grid
     gx, gy = g2.grid_x, g2.grid_y
@@ -653,30 +663,25 @@ def _find_nodes_2d(s: Superposition, t_window, nt: int, rho_rel_tol: float):
     dt_lat = ts[1] - ts[0]
     h = max(gx.h, gy.h)
     bounds = ((gx.x_min, gx.x_max), (gy.x_min, gy.x_max))
-    raw, status, steps, refined = [], [], [], []
-    for tj in ts:
-        v = evaluate(s, float(tj)).values
-        R2 = v.real**2 + v.imag**2
-        scale = R2.max()
-        amp_scale = math.sqrt(scale)
-        ix, iy = _local_minima_2d(R2, rho_rel_tol * scale)
-        # paired times: each candidate takes the dot product a one-point call would
-        res = _newton_node(lambda x, y: evaluate_at_2d(s, x, y, np.full(x.shape, tj)),
-                           gx.x[ix], gy.x[iy], bounds)
-        ok = res.amp < NODE_RESIDUAL * amp_scale
-        raw += [
-            (float(tj), (float(res.a[k]), float(res.b[k])), True, res.amp[k] / amp_scale)
-            if ok[k]
-            else (float(tj), (float(gx.x[i]), float(gy.x[j])), False,
-                  math.sqrt(R2[i, j] / scale))
-            for k, (i, j) in enumerate(zip(ix, iy))
-        ]
-        status.append(res.status)
-        steps.append(res.steps)
-        refined.append(ok)
+    R2 = np.empty(ts.shape + s.grid.shape)  # in place: a chunk list would raise peak RSS
+    for k, tc, rho in _grid_rho(s, ts):
+        R2[k:k + tc.size] = rho
+    scale = R2.max(axis=(1, 2))
+    amp_scale = np.sqrt(scale)
+    kk, ix, iy = _local_minima_2d(R2, NODE_RHO_REL_TOL * scale[:, None, None])
+    # paired times: each candidate takes the dot product a one-point call would
+    res = _newton_node(lambda x, y, t: evaluate_at_2d(s, x, y, t), gx.x[ix], gy.x[iy],
+                       bounds, paired=(ts[kk],))
+    refined = res.amp < NODE_RESIDUAL * amp_scale[kk]
+    raw = [
+        (float(ts[k]), (float(res.a[n]), float(res.b[n])), True, res.amp[n] / amp_scale[k])
+        if refined[n]
+        else (float(ts[k]), (float(gx.x[i]), float(gy.x[j])), False,
+              math.sqrt(R2[k, i, j] / scale[k]))
+        for n, (k, i, j) in enumerate(zip(kk, ix, iy))
+    ]
     return (_cluster(raw, dt_lat, 2 * h, t1 - t0),
-            _node_diagnostics(np.concatenate(status), np.concatenate(steps),
-                              np.concatenate(refined)))
+            _node_diagnostics(res.status, res.steps, refined))
 
 
 # ---------------------------------------------------------------- vortices

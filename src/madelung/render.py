@@ -20,6 +20,9 @@ from .grids import read_columns
 RENDER_KINDS = ("streamlines", "densities", "potential_landscape", "vortex")
 SHADINGS = ("qka", "qrkc")
 
+# figure size in pixels; every figure spans its data ranges
+WIDTH, HEIGHT = 720, 520
+
 SOFT_GRAY = "#d4d4d4"
 HARD_GRAY = "#8a8a8a"
 
@@ -39,10 +42,6 @@ class RenderSpec:
 
     kind: str
     shading: str = "qka"
-    x_range: tuple | None = None
-    y_range: tuple | None = None
-    width: int = 720
-    height: int = 520
 
     def __post_init__(self):
         if self.kind not in RENDER_KINDS:
@@ -56,13 +55,12 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _svg(spec: RenderSpec, body: list) -> str:
-    w, h = spec.width, spec.height
+def _svg(body: list) -> str:
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f"<style>{_STYLE}</style>",
-        f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     parts.extend(body)
     parts.append("</svg>")
@@ -74,14 +72,14 @@ class _Frame:
 
     PAD = 42
 
-    def __init__(self, spec: RenderSpec, x0, x1, y0, y1):
+    def __init__(self, x0, x1, y0, y1):
         if x1 <= x0:
             x0, x1 = x0 - 0.5, x0 + 0.5
         if y1 <= y0:
             y0, y1 = y0 - 0.5, y0 + 0.5
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        self.px0, self.px1 = self.PAD, spec.width - self.PAD
-        self.py0, self.py1 = spec.height - self.PAD, self.PAD
+        self.px0, self.px1 = self.PAD, WIDTH - self.PAD
+        self.py0, self.py1 = HEIGHT - self.PAD, self.PAD
 
     def x(self, v):
         return self.px0 + (v - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
@@ -168,10 +166,9 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
     frames, _ = _frame_masks(run_dir, manifest, spec.shading)
     lines = read_columns(os.path.join(run_dir, manifest["files"]["streamlines"]))
     x_all = frames[0][1]
-    x0, x1 = spec.x_range or (float(x_all[0]), float(x_all[-1]))
     times = [t for t, *_ in frames]
-    t0, t1 = spec.y_range or (times[0], times[-1] if len(times) > 1 else times[0] + 1.0)
-    fr = _Frame(spec, x0, x1, t0, t1)
+    t1 = times[-1] if len(times) > 1 else times[0] + 1.0
+    fr = _Frame(float(x_all[0]), float(x_all[-1]), times[0], t1)
 
     mids = list(times)
     edges = []
@@ -190,7 +187,7 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
                        for ti, xi in zip(ts[order], xs[order]))
         body.append(f'<polyline class="curve" points="{pts}"/>')
     body.extend(fr.axes("x", "t"))
-    return _svg(spec, body)
+    return _svg(body)
 
 
 def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
@@ -200,9 +197,8 @@ def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
     rhos = table["rho"]
     rho_max = float(rhos.max())
     x_all = frames[0][1]
-    x0, x1 = spec.x_range or (float(x_all[0]), float(x_all[-1]))
     n = len(frames)
-    fr = _Frame(spec, x0, x1, 0.0, float(n))
+    fr = _Frame(float(x_all[0]), float(x_all[-1]), 0.0, float(n))
     body = []
     for j, ((t, x, soft, hard), rho) in enumerate(zip(frames, rhos)):
         base, top = float(j), float(j + 0.92)
@@ -215,7 +211,7 @@ def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
         body.append(f'<text x="{_fmt(fr.px1 + 4)}" y="{_fmt(fr.y(base) - 2)}">'
                     f't={_fmt(t)}</text>')
     body.extend(fr.axes("x", "frame"))
-    return _svg(spec, body)
+    return _svg(body)
 
 
 def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
@@ -227,8 +223,7 @@ def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
     levels = [e for e in manifest["derived"]["energies"] if e <= e_plus * 1.05]
     u_cap = max(e_plus * 1.6, float(np.percentile(U, 95)))
     u_lo = min(0.0, float(U.min()))
-    x0, x1 = spec.x_range or (float(x[0]), float(x[-1]))
-    fr = _Frame(spec, x0, x1, u_lo, u_cap)
+    fr = _Frame(float(x[0]), float(x[-1]), u_lo, u_cap)
     body = []
     # classically forbidden band at the band-limit energy
     body.extend(_mask_rects(fr, x, U > e_plus, fr.py1, fr.py0, "hard"))
@@ -243,7 +238,7 @@ def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
     body.append(f'<text x="{_fmt(fr.px1 - 4)}" y="{_fmt(fr.y(e_plus) - 4)}" '
                 f'text-anchor="end">E+={_fmt(e_plus)}</text>')
     body.extend(fr.axes("x", "U"))
-    return _svg(spec, body)
+    return _svg(body)
 
 
 def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
@@ -253,7 +248,7 @@ def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
     cols = read_columns(path)
     r, ka = cols["r"], cols["K_a"]
     lr, lk = np.log10(r), np.log10(ka)
-    fr = _Frame(spec, float(lr.min()), float(lr.max()),
+    fr = _Frame(float(lr.min()), float(lr.max()),
                 float(lk.min()) - 0.1, float(lk.max()) + 0.1)
     v = manifest["derived"]["vortex"]
     z, p = v["fit_Z"], v["fit_exponent"]
@@ -266,7 +261,7 @@ def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
     body.append(f'<text x="{_fmt(fr.px0 + 8)}" y="{_fmt(fr.py1 + 14)}">'
                 f'slope={_fmt(p)} Z={_fmt(z)}</text>')
     body.extend(fr.axes("log10 r", "log10 K_a"))
-    return _svg(spec, body)
+    return _svg(body)
 
 
 _RENDERERS = {

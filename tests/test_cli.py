@@ -325,6 +325,18 @@ class TestErrors:
         doc = json.loads(err)
         assert doc["error"] == "ValueError" and "nope" in doc["message"]
 
+    def test_runtime_error_is_json(self, capsys, monkeypatch, tmp_path):
+        # convergence and step-underflow failures raise RuntimeError
+        def fail(c):
+            raise RuntimeError("eigensolve did not converge")
+
+        monkeypatch.setattr(sc, "build_scenario", fail)
+        code, _, err = _run(capsys, ["scenario", "--name", "well_superposition",
+                                     "--out", str(tmp_path)])
+        assert code == 1
+        assert json.loads(err) == {"error": "RuntimeError",
+                                   "message": "eigensolve did not converge"}
+
     def test_unknown_command_is_usage_json(self, capsys):
         code, _, err = _run(capsys, ["frobnicate"])
         assert code == 2

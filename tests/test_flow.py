@@ -290,11 +290,13 @@ class TestNodeEvents:
         x, y = e.x_star
         assert abs(x - 0.5) < 1e-9 and abs(y - 0.5) < 1e-9
 
-    def test_bad_window_rejected(self, two_mode):
+    def test_bad_window_rejected(self, two_mode, vortex_state):
         with pytest.raises(ValueError, match="increasing"):
             find_nodes(two_mode, (1.0, 0.5))
         with pytest.raises(ValueError, match="domain"):
             find_nodes(two_mode, (0.0, 1.0), x_window=(-2.0, 0.5))
+        with pytest.raises(ValueError, match="x_window"):
+            find_nodes(vortex_state, (0.0, 0.1), x_window=(0.2, 0.8), nt=9)
 
     def test_diagnostics_count_the_search(self, two_mode, well_basis):
         stats = {}
@@ -324,6 +326,42 @@ class TestNodeEvents:
         find_nodes(s, (0.0, 3.0 * PERIOD), diagnostics=stats)
         assert stats["candidates"] > 31 and stats["newton_iterations_max"] > 1
         assert len(calls) <= 31
+
+    def test_2d_search_is_one_newton_pass(self, vortex_state, monkeypatch):
+        # the candidates of every time slice refine together
+        real, calls = flow.evaluate_at_2d, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "evaluate_at_2d", counting)
+        stats = {}
+        find_nodes(vortex_state, (0.0, 0.05), nt=9, diagnostics=stats)
+        assert stats["candidates"] == 9
+        assert len(calls) <= stats["newton_iterations_max"] + 1
+
+
+class TestGridRho:
+    @pytest.mark.parametrize("kind", ["well", "barrier", "box"])
+    def test_rows_match_evaluate(self, kind, two_mode, vortex_state):
+        if kind == "well":
+            s = two_mode
+        elif kind == "barrier":
+            basis = eigenbasis(WellWithBarrier(1.0, 15.0, 0.2), Grid1D(-1.0, 1.0, 2001), 3)
+            s = superposition(basis, [0, 1, 2], [0.6, 0.48j, 0.64])
+        else:
+            s = vortex_state
+        # more times than one chunk of the Re/Im stack holds
+        per_chunk = flow._STACK_VALUES // (2 * math.prod(s.grid.shape))
+        ts = np.linspace(0.0, 1.0, 2 * per_chunk + 1)
+        chunks = list(flow._grid_rho(s, ts))
+        assert [k for k, _, _ in chunks] == [0, per_chunk, 2 * per_chunk]
+        assert np.array_equal(np.concatenate([tc for _, tc, _ in chunks]), ts)
+        rho = np.concatenate([r for _, _, r in chunks])
+        for t, row in zip(ts, rho):
+            want = np.abs(evaluate(s, t).values) ** 2
+            assert np.abs(row - want).max() <= 1e-14 * want.max()
 
 
 def _newton_starts():
