@@ -221,6 +221,10 @@ class TuningResult:
     iterations: int
     bracket: tuple
     history: tuple
+    # the launch projected on the basis of the last probe, which is always
+    # the one at U0_star; not part of tuning_record
+    state: Superposition | None = dataclasses.field(default=None, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.transmission):
@@ -235,12 +239,12 @@ def _launch_state(geo: SplitterGeometry, packet: WavepacketSpec) -> Superpositio
     return sp
 
 
-def _splitter_transmission(geo: SplitterGeometry, launch: Superposition,
-                           u0: float) -> float:
+def _splitter_state(geo: SplitterGeometry, launch: Superposition,
+                    u0: float) -> Superposition:
+    """The launch projected on the barrier-well basis at height u0."""
     pot = WellWithBarrier(geo.half_width, float(u0), geo.barrier_width)
     basis = eigenbasis(pot, geo.grid, geo.modes)
-    s = project_field(basis, evaluate(launch, 0.0).values, eta=geo.eta)
-    return transmission(s, geo.x_split, geo.t_measure)
+    return project_field(basis, evaluate(launch, 0.0).values, eta=geo.eta)
 
 
 def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
@@ -252,14 +256,21 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
     Each probe re-solves the barrier-well eigenbasis and re-projects the
     packet. A geometric ladder over probe_range first verifies a bracket
     with T(low) > 0.5 > T(high) and that T is decreasing across the probes.
+    The result carries the last probe's projected packet as `state`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     launch = _launch_state(geometry, packet)
     history = []
+    last = None
 
     def probe(u0: float) -> float:
-        t = _splitter_transmission(geometry, launch, u0)
+        nonlocal last
+        # drop the previous probe's basis before the next solve: holding
+        # both kept about 5 MB more resident through every later probe
+        last = None
+        last = _splitter_state(geometry, launch, u0)
+        t = transmission(last, geometry.x_split, geometry.t_measure)
         history.append((float(u0), float(t)))
         return t
 
@@ -272,7 +283,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         t = probe(u0)
         if abs(t - 0.5) < tol:
             return TuningResult(float(u0), t, 0, (float(u0), float(u0)),
-                                tuple(history))
+                                tuple(history), last)
         pairs.append((u0, t))
         if len(pairs) >= 2 and pairs[-1][1] > pairs[-2][1] + 1e-3:
             raise ValueError(
@@ -293,7 +304,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         t_mid = probe(mid)
         if abs(t_mid - 0.5) < tol:
             return TuningResult(float(mid), float(t_mid), it,
-                                (float(b_lo), float(b_hi)), tuple(history))
+                                (float(b_lo), float(b_hi)), tuple(history), last)
         if t_mid > 0.5:
             b_lo = mid
         else:
@@ -407,16 +418,16 @@ def _build_reflection(c: ScenarioConfig) -> ScenarioBundle:
 
 def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
     """Band-limited launch in the free well, re-projected onto the barrier
-    well at the tuned (or given) height."""
+    well at the tuned (or given) height; a tuned build takes the tuner's
+    last probe, which solved that height already."""
     geo, packet = splitter_setup(c)
     launch = _launch_state(geo, packet)
-    tuning, u0 = None, c.barrier_height
-    if u0 is None:
+    if c.barrier_height is None:
         tuning = tune_beam_splitter(geo, packet, tol=c.tol)
-        u0 = tuning.U0_star
-    pot = WellWithBarrier(MZI_HALF_WIDTH, float(u0), geo.barrier_width)
-    basis = eigenbasis(pot, geo.grid, c.modes)
-    state = project_field(basis, evaluate(launch, 0.0).values, eta=c.eta)
+        state = tuning.state
+    else:
+        tuning, state = None, _splitter_state(geo, launch, c.barrier_height)
+    basis, pot = state.basis, state.basis.potential
     extras = {
         "barrier": {**_barrier_record(pot, geo.grid),
                     "width_rule": "full_width/50" if c.wide_barrier else "unit_length/50"},

@@ -194,46 +194,64 @@ def _fix_sign(V: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -V, V)
 
 
+def _apply_h(dl: np.ndarray, el: np.ndarray, W: np.ndarray, HW: np.ndarray,
+             tmp: np.ndarray):
+    """HW = T W for the tridiagonal T = (dl, el), each e*W product staged in
+    tmp; returns the Rayleigh quotients, the column sums of W*HW."""
+    np.multiply(dl[:, None], W, out=HW)
+    np.multiply(el[:, None], W[1:], out=tmp[:-1])
+    np.add(HW[:-1], tmp[:-1], out=HW[:-1])
+    np.multiply(el[:, None], W[:-1], out=tmp[:-1])
+    np.add(HW[1:], tmp[:-1], out=HW[1:])
+    return np.multiply(W, HW, out=tmp).sum(axis=0)
+
+
 def _polish_pairs(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     """One-step-per-sweep inverse iteration in extended precision.
 
     Float64 bisection/inverse-iteration residuals sit at the backward
     stability floor eps*|H|, which for h ~ 1e-4 exceeds the 1e-8 target;
     two longdouble sweeps push them to ~1e-11.
+
+    The working set is three (n, k) longdouble arrays: the pivots c, the
+    iterate (the forward sweep's g, overwritten by the back-substitution
+    with W) and HW. Row i of the previous iterate is read before g_i
+    replaces it, and the float64 vecs are read row by row, an exact cast.
     """
     dl = d.astype(np.longdouble)
     el = e.astype(np.longdouble)
     n, k = vecs.shape
-    lam = vals.astype(np.longdouble).copy()
-    V = vecs.astype(np.longdouble).copy()
+    lam = vals.astype(np.longdouble)
+    c = np.empty((n, k), np.longdouble)  # pivots, then staged products
+    W = np.empty((n, k), np.longdouble)
+    HW = np.empty((n, k), np.longdouble)
+    m = np.empty(k, np.longdouble)
+    r = np.empty(k, np.longdouble)
     tiny = np.longdouble(1e-300)
+    V = vecs
     for _ in range(2):
         # vectorized Thomas solve of (T - lam_j) w_j = v_j for all j
-        c = np.empty((n - 1, k), np.longdouble)
-        g = np.empty((n, k), np.longdouble)
-        m = dl[0] - lam
-        m = np.where(np.abs(m) < tiny, tiny, m)
-        c[0] = el[0] / m
-        g[0] = V[0] / m
+        np.subtract(dl[0], lam, out=m)
+        np.copyto(m, tiny, where=np.abs(m) < tiny)
+        np.divide(el[0], m, out=c[0])
+        np.divide(V[0], m, out=W[0])
         for i in range(1, n):
-            m = dl[i] - lam - el[i - 1] * c[i - 1]
-            m = np.where(np.abs(m) < tiny, tiny, m)
+            np.subtract(dl[i], lam, out=m)
+            np.subtract(m, np.multiply(el[i - 1], c[i - 1], out=r), out=m)
+            np.copyto(m, tiny, where=np.abs(m) < tiny)
             if i < n - 1:
-                c[i] = el[i] / m
-            g[i] = (V[i] - el[i - 1] * g[i - 1]) / m
-        W = np.empty_like(g)
-        W[-1] = g[-1]
+                np.divide(el[i], m, out=c[i])
+            np.subtract(V[i], np.multiply(el[i - 1], W[i - 1], out=r), out=W[i])
+            np.divide(W[i], m, out=W[i])
         for i in range(n - 2, -1, -1):
-            W[i] = g[i] - c[i] * W[i + 1]
-        W /= np.sqrt((W * W).sum(axis=0))
-        HW = dl[:, None] * W
-        HW[:-1] += el[:, None] * W[1:]
-        HW[1:] += el[:, None] * W[:-1]
-        lam = (W * HW).sum(axis=0)
+            np.subtract(W[i], np.multiply(c[i], W[i + 1], out=r), out=W[i])
+        W /= np.sqrt(np.multiply(W, W, out=c).sum(axis=0))
+        lam = _apply_h(dl, el, W, HW, c)
         V = W
     # independent shifts cross-talk inside near-degenerate clusters
     # (tall-barrier doublets), so re-orthogonalize within each cluster
     scale = np.abs(dl).max() + 2.0 * np.abs(el).max()
+    col = c.reshape(-1)[:n]
     changed = False
     j = 0
     while j < k:
@@ -242,16 +260,15 @@ def _polish_pairs(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarr
             end += 1
         for a in range(j + 1, end):
             for b in range(j, a):
-                V[:, a] = V[:, a] - (V[:, b] * V[:, a]).sum() * V[:, b]
-            V[:, a] /= np.sqrt((V[:, a] ** 2).sum())
+                s = np.multiply(W[:, b], W[:, a], out=col).sum()
+                np.subtract(W[:, a], np.multiply(s, W[:, b], out=col), out=W[:, a])
+            W[:, a] /= np.sqrt(np.multiply(W[:, a], W[:, a], out=col).sum())
             changed = True
         j = end
     if changed:
-        HW = dl[:, None] * V
-        HW[:-1] += el[:, None] * V[1:]
-        HW[1:] += el[:, None] * V[:-1]
-        lam = (V * HW).sum(axis=0)
-    return lam.astype(float), V.astype(float), HW.astype(float)
+        lam = _apply_h(dl, el, W, HW, c)
+    del c, col  # the float64 copies take its place
+    return lam.astype(float), W.astype(float), HW.astype(float)
 
 
 def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBasis:
@@ -278,10 +295,11 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
         raise RuntimeError(f"eigensolve failed to converge: {exc}")
     lam, V, HV = _polish_pairs(H.diagonal, H.offdiag, vals, vecs)
     # residual acceptance per pair
-    for j in range(k):
-        r = np.abs(HV[:, j] - lam[j] * V[:, j]).max()
-        if r > 1e-8 * np.abs(V[:, j]).max():
-            raise RuntimeError(f"eigenpair {j} residual {r:.2e} exceeds tolerance")
+    r = np.abs(HV - lam * V).max(axis=0)
+    bad = np.flatnonzero(r > 1e-8 * np.abs(V).max(axis=0))
+    if bad.size:
+        j = bad[0]
+        raise RuntimeError(f"eigenpair {j} residual {r[j]:.2e} exceeds tolerance")
     order = np.argsort(lam)
     lam = lam[order]
     full = np.zeros((k, grid.n))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from madelung import scenarios as sc
+from madelung import spectral
 from madelung.energy import (
     classify_superoscillation,
     continuity_residual,
@@ -19,6 +20,7 @@ from madelung.energy import (
     write_frame_table,
 )
 from madelung.grids import Grid1D, gradient, read_columns
+from madelung.spectral import solve_eigen
 from madelung.states import WavepacketSpec, evaluate
 
 TWO_TERM = (
@@ -37,8 +39,25 @@ def bundles():
 
 
 @pytest.fixture(scope="module")
-def mzi():
-    return sc.build_scenario(sc.default_config("mzi_1d"))
+def mzi_build():
+    """The stock tuned mzi_1d bundle, built without a cache, and the number
+    of finite-difference eigensolves the build made."""
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_eigen(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("MADELUNG_CACHE_DIR", raising=False)
+        mp.setattr(spectral, "solve_eigen", counted)
+        bundle = sc.build_scenario(sc.default_config("mzi_1d"))
+    return bundle, len(solves)
+
+
+@pytest.fixture(scope="module")
+def mzi(mzi_build):
+    return mzi_build[0]
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +67,10 @@ def splitter():
     packet = WavepacketSpec(-1.0, 60.0, 0.23)
     launch = sc._launch_state(geo, packet)
     return geo, packet, launch
+
+
+def _transmission_at(geo, launch, u0):
+    return sc.transmission(sc._splitter_state(geo, launch, u0), geo.x_split, geo.t_measure)
 
 
 class TestConfig:
@@ -95,11 +118,11 @@ class TestConfig:
 class TestTransmission:
     def test_opaque_barrier(self, splitter):
         geo, _, launch = splitter
-        assert sc._splitter_transmission(geo, launch, 1e4) < 0.01
+        assert _transmission_at(geo, launch, 1e4) < 0.01
 
     def test_open_well(self, splitter):
         geo, _, launch = splitter
-        assert sc._splitter_transmission(geo, launch, 0.0) > 0.99
+        assert _transmission_at(geo, launch, 0.0) > 0.99
 
     def test_not_cleared_error(self, splitter):
         geo, _, launch = splitter
@@ -123,6 +146,14 @@ class TestTuner:
         assert r.iterations <= 30
         assert r.bracket[0] < r.U0_star <= r.bracket[1]
         assert abs(r.U0_star - 2437.5) < 50.0
+
+    def test_build_solves_each_height_once(self, mzi_build):
+        # the bundle takes the last probe's basis and state, so the ten
+        # probed heights are the only solves
+        bundle, solves = mzi_build
+        assert len(bundle.tuning.history) == 10
+        assert solves == 10
+        assert bundle.basis is bundle.tuning.state.basis
 
     def test_ladder_monotone(self, mzi):
         hist = mzi.tuning.history

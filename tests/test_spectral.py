@@ -256,6 +256,139 @@ class TestSolveEigen:
             solve_eigen(H, 9, g)
 
 
+# The polish as it was written before it ran in preallocated buffers, kept
+# verbatim: the buffered one must reproduce it bit for bit.
+def _polish_pairs_oracle(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """One-step-per-sweep inverse iteration in extended precision.
+
+    Float64 bisection/inverse-iteration residuals sit at the backward
+    stability floor eps*|H|, which for h ~ 1e-4 exceeds the 1e-8 target;
+    two longdouble sweeps push them to ~1e-11.
+    """
+    dl = d.astype(np.longdouble)
+    el = e.astype(np.longdouble)
+    n, k = vecs.shape
+    lam = vals.astype(np.longdouble).copy()
+    V = vecs.astype(np.longdouble).copy()
+    tiny = np.longdouble(1e-300)
+    for _ in range(2):
+        # vectorized Thomas solve of (T - lam_j) w_j = v_j for all j
+        c = np.empty((n - 1, k), np.longdouble)
+        g = np.empty((n, k), np.longdouble)
+        m = dl[0] - lam
+        m = np.where(np.abs(m) < tiny, tiny, m)
+        c[0] = el[0] / m
+        g[0] = V[0] / m
+        for i in range(1, n):
+            m = dl[i] - lam - el[i - 1] * c[i - 1]
+            m = np.where(np.abs(m) < tiny, tiny, m)
+            if i < n - 1:
+                c[i] = el[i] / m
+            g[i] = (V[i] - el[i - 1] * g[i - 1]) / m
+        W = np.empty_like(g)
+        W[-1] = g[-1]
+        for i in range(n - 2, -1, -1):
+            W[i] = g[i] - c[i] * W[i + 1]
+        W /= np.sqrt((W * W).sum(axis=0))
+        HW = dl[:, None] * W
+        HW[:-1] += el[:, None] * W[1:]
+        HW[1:] += el[:, None] * W[:-1]
+        lam = (W * HW).sum(axis=0)
+        V = W
+    # independent shifts cross-talk inside near-degenerate clusters
+    # (tall-barrier doublets), so re-orthogonalize within each cluster
+    scale = np.abs(dl).max() + 2.0 * np.abs(el).max()
+    changed = False
+    j = 0
+    while j < k:
+        end = j + 1
+        while end < k and lam[end] - lam[end - 1] < 1e-8 * scale:
+            end += 1
+        for a in range(j + 1, end):
+            for b in range(j, a):
+                V[:, a] = V[:, a] - (V[:, b] * V[:, a]).sum() * V[:, b]
+            V[:, a] /= np.sqrt((V[:, a] ** 2).sum())
+            changed = True
+        j = end
+    if changed:
+        HW = dl[:, None] * V
+        HW[:-1] += el[:, None] * V[1:]
+        HW[1:] += el[:, None] * V[:-1]
+        lam = (V * HW).sum(axis=0)
+    return lam.astype(float), V.astype(float), HW.astype(float)
+
+
+# (potential, grid, k): the stock interferometer barrier, a tall barrier
+# whose doublets take the re-orthogonalization path, and the double well
+_POLISH_CASES = {
+    "barrier_2437": (WellWithBarrier(2.0, 2437.5, 0.02), Grid1D(-2.0, 2.0, 2001), 140),
+    "barrier_16000": (WellWithBarrier(2.0, 16000.0, 0.02), Grid1D(-2.0, 2.0, 2001), 140),
+    "quartic": (QuarticDoubleWell(), Grid1D(-1.25, 1.25, 2001), 6),
+}
+
+
+@pytest.fixture(scope="module")
+def stein_pairs():
+    """Bisection + inverse-iteration pairs per case, before the polish;
+    eigh_tridiagonal returns the vectors Fortran-ordered."""
+    from scipy.linalg import eigh_tridiagonal
+
+    out = {}
+    for name, (pot, g, k) in _POLISH_CASES.items():
+        H = build_hamiltonian(pot, g)
+        vals, vecs = eigh_tridiagonal(H.diagonal, H.offdiag, select="i",
+                                      select_range=(0, k - 1))
+        out[name] = (H, vals, vecs)
+    return out
+
+
+class TestPolish:
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("name", sorted(_POLISH_CASES))
+    def test_bits_match_the_unbuffered_polish(self, stein_pairs, name, order):
+        H, vals, vecs = stein_pairs[name]
+        vecs = np.asarray(vecs, order=order)
+        got = spectral._polish_pairs(H.diagonal, H.offdiag, vals, vecs)
+        want = _polish_pairs_oracle(H.diagonal, H.offdiag, vals, vecs)
+        for g_arr, w_arr in zip(got, want):
+            assert g_arr.dtype == w_arr.dtype and np.array_equal(g_arr, w_arr)
+
+    def test_tall_barrier_takes_the_cluster_path(self, stein_pairs):
+        H, vals, vecs = stein_pairs["barrier_16000"]
+        lam = spectral._polish_pairs(H.diagonal, H.offdiag, vals, vecs)[0]
+        scale = np.abs(H.diagonal).max() + 2.0 * np.abs(H.offdiag).max()
+        assert (np.diff(lam) < 1e-8 * scale).any()
+
+    @pytest.mark.parametrize("name", ["barrier_2437", "barrier_16000"])
+    def test_solve_peak_within_four_longdouble_arrays(self, stein_pairs, name):
+        import tracemalloc
+
+        H = stein_pairs[name][0]
+        _, g, k = _POLISH_CASES[name]
+        bound = 4 * len(H.diagonal) * k * 16
+        tracemalloc.start()
+        try:
+            solve_eigen(H, k, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
+
+    def test_residual_failure_names_the_first_pair(self, monkeypatch):
+        g = Grid1D(-1.0, 1.0, 201)
+        H = build_hamiltonian(InfiniteWell(1.0), g)
+        real = spectral._polish_pairs
+
+        def spoiled(d, e, vals, vecs):
+            lam, V, HV = real(d, e, vals, vecs)
+            lam[[1, 3]] += 1.0
+            return lam, V, HV
+
+        monkeypatch.setattr(spectral, "_polish_pairs", spoiled)
+        with pytest.raises(RuntimeError, match=r"^eigenpair 1 residual .* exceeds tolerance$"):
+            solve_eigen(H, 4, g)
+
+
 class TestBasisFactory:
     def test_analytic_dispatch(self):
         g = Grid1D(-1.0, 1.0, 801)
