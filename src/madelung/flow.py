@@ -364,9 +364,10 @@ def integrate_loop_2d(s: Superposition, starts, t_span, tol: float = 1e-8,
         nonlocal calls
         calls += 1
         p = np.minimum(np.maximum(y, lo), hi)
-        psi, dx_, dy_ = evaluate_at_2d(s, p[:, 0], p[:, 1], t)
+        v = evaluate_at_2d(s, p[:, 0], p[:, 1], t)
+        psi = v[0]
         rho = np.maximum(psi.real**2 + psi.imag**2, floor)
-        return (psi.conjugate()[:, None] * np.stack([dx_, dy_], axis=1)).imag / rho[:, None]
+        return ((psi.conjugate() * v[1:]).imag / rho).T
 
     # first step: scipy's select_initial_step, one batched probe
     t = np.full(L, t0)

@@ -221,10 +221,12 @@ class TuningResult:
     iterations: int
     bracket: tuple
     history: tuple
-    # the launch projected on the basis of the last probe, which is always
-    # the one at U0_star; not part of tuning_record
+    # the launch, and the launch projected on the basis of the last probe,
+    # which is always the one at U0_star; neither is part of tuning_record
     state: Superposition | None = dataclasses.field(default=None, repr=False,
                                                     compare=False)
+    launch: Superposition | None = dataclasses.field(default=None, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.transmission):
@@ -256,7 +258,8 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
     Each probe re-solves the barrier-well eigenbasis and re-projects the
     packet. A geometric ladder over probe_range first verifies a bracket
     with T(low) > 0.5 > T(high) and that T is decreasing across the probes.
-    The result carries the last probe's projected packet as `state`.
+    The result carries the packet as `launch` and the last probe's
+    projection of it as `state`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -283,7 +286,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         t = probe(u0)
         if abs(t - 0.5) < tol:
             return TuningResult(float(u0), t, 0, (float(u0), float(u0)),
-                                tuple(history), last)
+                                tuple(history), last, launch)
         pairs.append((u0, t))
         if len(pairs) >= 2 and pairs[-1][1] > pairs[-2][1] + 1e-3:
             raise ValueError(
@@ -304,7 +307,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         t_mid = probe(mid)
         if abs(t_mid - 0.5) < tol:
             return TuningResult(float(mid), float(t_mid), it,
-                                (float(b_lo), float(b_hi)), tuple(history), last)
+                                (float(b_lo), float(b_hi)), tuple(history), last, launch)
         if t_mid > 0.5:
             b_lo = mid
         else:
@@ -419,13 +422,13 @@ def _build_reflection(c: ScenarioConfig) -> ScenarioBundle:
 def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
     """Band-limited launch in the free well, re-projected onto the barrier
     well at the tuned (or given) height; a tuned build takes the tuner's
-    last probe, which solved that height already."""
+    launch and last probe, which solved that height already."""
     geo, packet = splitter_setup(c)
-    launch = _launch_state(geo, packet)
     if c.barrier_height is None:
         tuning = tune_beam_splitter(geo, packet, tol=c.tol)
-        state = tuning.state
+        launch, state = tuning.launch, tuning.state
     else:
+        launch = _launch_state(geo, packet)
         tuning, state = None, _splitter_state(geo, launch, c.barrier_height)
     basis, pot = state.basis, state.basis.potential
     extras = {

@@ -10,6 +10,7 @@ and validated when read.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -160,6 +161,20 @@ class EigenBasis:
     @property
     def k(self) -> int:
         return len(self.energies)
+
+    @functools.cached_property
+    def _sines(self):
+        """The _SineModes of the hard well and the 2D box over all k modes,
+        built at the first off-grid evaluation; None for other bases."""
+        method = self.meta.get("method")
+        if method == "analytic_box2d":
+            numbers = np.array(self.meta["pairs"]).T
+        elif method == "analytic_well":
+            numbers = np.arange(1, self.k + 1)[None]
+        else:
+            return None
+        axes = self.grid.axes
+        return _SineModes(numbers, [g.x_min for g in axes], [g.x_max - g.x_min for g in axes])
 
     def validate(self, strict_ascending: bool = True):
         shape = (self.k,) + self.grid.shape
@@ -314,20 +329,39 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
 # ------------------------------------------------------------ mode tables
 
 
-def _sine_modes(n, lo: float, width: float, x):
+class _SineModes:
     """Hard-wall modes sqrt(2/w) sin(n pi (x - lo) / w) and their
-    x-derivatives; a mode axis leads for an array n."""
-    amp = math.sqrt(2.0 / width)
-    n = np.asarray(n)
-    arg = np.multiply.outer(n * math.pi, np.asarray(x) - lo) / width
-    kk = np.reshape(n * math.pi / width, n.shape + (1,) * np.ndim(x))
-    return amp * np.sin(arg), amp * kk * np.cos(arg)
+    x-derivatives along D axes, for the (D, k) mode numbers n.  The
+    per-mode constants n pi, sqrt(2/w) and sqrt(2/w) n pi / w are computed
+    once."""
+
+    def __init__(self, numbers, lo, width):
+        npi = np.asarray(numbers)[:, :, None] * math.pi  # (D, k, 1)
+        D = len(npi)
+        self.lo = np.reshape(lo, (D, 1, 1)).astype(float)
+        self.width = np.reshape(width, (D, 1, 1)).astype(float)
+        self.npi = npi
+        amp = np.sqrt(2.0 / self.width)
+        self.scale = np.stack([np.broadcast_to(amp, npi.shape), amp * (npi / self.width)])
+
+    def __call__(self, pts, idx):
+        """Modes idx at the points pts, a (D, *shape) array with one row per
+        axis: (2, D, K, *shape), the values, then the x-derivatives."""
+        npi, scale = self.npi.take(idx, axis=1), self.scale.take(idx, axis=2)
+        arg = npi * (pts.reshape(len(npi), 1, -1) - self.lo)
+        arg /= self.width
+        table = np.empty((2,) + arg.shape)
+        np.sin(arg, out=table[0])
+        np.cos(arg, out=table[1])
+        table *= scale
+        return table.reshape(table.shape[:3] + pts.shape[1:])
 
 
-def _hermite_modes(omega: float, idx: np.ndarray, x):
+def _hermite_modes(omega: float, idx: np.ndarray, x, out=None):
     """Hermite functions n = idx of U = omega^2 x^2 / 2, by the stable
     normalized recurrence, signed so the first lobe from the left is
-    positive, and their x-derivatives; a mode axis leads."""
+    positive: out[0] the values, out[1] the x-derivatives, a mode axis
+    leading."""
     n_max = int(idx.max())
     xi = math.sqrt(omega) * np.asarray(x, dtype=float)
     chain = [(omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)]
@@ -337,13 +371,14 @@ def _hermite_modes(omega: float, idx: np.ndarray, x):
         chain.append(
             math.sqrt(2.0 / (m + 1)) * xi * chain[m] - math.sqrt(m / (m + 1.0)) * chain[m - 1]
         )
-    vals, dx = [], []
-    for n in idx:
+    if out is None:
+        out = np.empty((2, len(idx)) + xi.shape)
+    for j, n in enumerate(idx):
         flip = -1.0 if n % 2 else 1.0
         lower = chain[n - 1] if n >= 1 else 0.0
-        vals.append(flip * chain[n])
-        dx.append(flip * (math.sqrt(omega) * (math.sqrt(2.0 * n) * lower - xi * chain[n])))
-    return np.stack(vals), np.stack(dx)
+        out[0, j] = flip * chain[n]
+        out[1, j] = flip * (math.sqrt(omega) * (math.sqrt(2.0 * n) * lower - xi * chain[n]))
+    return out
 
 
 def _lagrange_weights(s: float):
@@ -365,46 +400,55 @@ def _lagrange_dweights(s: float):
     )
 
 
-def _interp_modes(basis: EigenBasis, idx: np.ndarray, x):
+def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, out=None):
     """Cubic interpolation of the sampled modes, gathering only the four
-    stencil columns of the selected modes."""
+    stencil columns of the selected modes: out[0] the values, out[1] the
+    x-derivatives, a mode axis leading."""
     g = basis.grid
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    i = np.floor((xa - g.x_min) / g.h).astype(int)
-    i = np.clip(i, 1, g.n - 3)
-    s = (xa - g.x_min) / g.h - i
-    V = basis.states
-    c0, c1, c2, c3 = (V[idx[:, None], i + off] for off in (-1, 0, 1, 2))
+    x = np.asarray(x, dtype=float)
+    u = (x - g.x_min) / g.h
+    i = np.clip(np.floor(u).astype(int), 1, g.n - 3)
+    s = u - i
+    rows = idx.reshape(idx.shape + (1,) * x.ndim)
+    c0, c1, c2, c3 = (basis.states[rows, i + off] for off in (-1, 0, 1, 2))
     w0, w1, w2, w3 = _lagrange_weights(s)
     d0, d1, d2, d3 = _lagrange_dweights(s)
-    vals = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
-    dx = (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3) / g.h
-    return (vals, dx) if np.ndim(x) else (vals[:, 0], dx[:, 0])
+    if out is None:
+        out = np.empty((2,) + c0.shape)
+    np.add(c0 * w0 + c1 * w1 + c2 * w2, c3 * w3, out=out[0])
+    np.divide(c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3, g.h, out=out[1])
+    return out
 
 
-def mode_table(basis: EigenBasis, idx: np.ndarray, *coords):
+def mode_table(basis: EigenBasis, idx: np.ndarray, *coords, out=None):
     """Modes idx of the basis at arbitrary points, one coordinate array per
     grid axis, and their derivative along each axis: (values, (d/dx, ...)),
     a mode axis leading.  Closed forms for the hard well, the harmonic
     oscillator and the 2D box, cubic interpolation of the sampled modes
-    otherwise."""
+    otherwise.
+
+    out, if given, is a float (1 + ndim, K, *shape) array of any strides
+    that the tables are written into, and the coordinates must all have
+    that shape; the returned tables are views of it.  The off-grid
+    evaluator passes the real part of its complex matmul operand.
+    """
+    if out is None:
+        coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+        out = np.empty((1 + len(coords), len(idx)) + coords[0].shape)
+    if len(coords) != basis.grid.ndim:
+        raise ValueError(f"{basis.grid.ndim}D basis: one coordinate array per axis")
     method = basis.meta.get("method")
     if method == "analytic_box2d":
-        gx, gy = basis.grid.axes
-        x, y = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-        nx, ny = np.array(basis.meta["pairs"])[idx].T
-        fx, dfx = _sine_modes(nx, gx.x_min, gx.x_max - gx.x_min, x)
-        fy, dfy = _sine_modes(ny, gy.x_min, gy.x_max - gy.x_min, y)
-        return fx * fy, (dfx * fy, fx * dfy)
-    (x,) = coords
-    g = basis.grid
-    if method == "analytic_well":
-        vals, dx = _sine_modes(idx + 1, g.x_min, g.x_max - g.x_min, x)
+        sines = basis._sines(np.array(coords, dtype=float), idx)
+        np.multiply(sines[:, 0], sines[0, 1], out=out[:2])  # (fx, dfx) fy
+        np.multiply(sines[0, 0], sines[1, 1], out=out[2])  # fx dfy
+    elif method == "analytic_well":
+        out[...] = basis._sines(np.array(coords, dtype=float), idx)[:, 0]
     elif method == "analytic_hermite":
-        vals, dx = _hermite_modes(basis.meta["omega"], idx, x)
+        _hermite_modes(basis.meta["omega"], idx, coords[0], out)
     else:
-        vals, dx = _interp_modes(basis, idx, x)
-    return vals, (dx,)
+        _interp_modes(basis, idx, coords[0], out)
+    return out[0], tuple(out[1:])
 
 
 # ----------------------------------------------------------- analytic bases
@@ -418,12 +462,15 @@ def _analytic_states(potential, grid: Grid1D, modes: np.ndarray):
         if abs(grid.x_min + a) > 1e-12 or abs(grid.x_max - a) > 1e-12:
             raise ValueError("grid must span [-a, a] exactly")
         width = 2.0 * a
-        V, _ = _sine_modes(modes, grid.x_min, width, grid.x)
+        # a copy of the values, so the derivative half of the table is
+        # freed here: holding it adds about 2 MB to the peak RSS of a
+        # 140-mode build
+        V = _SineModes([modes], grid.x_min, width)(grid.x[None], np.arange(len(modes)))[0, 0].copy()
         return modes**2 * math.pi**2 / (2.0 * width**2), _fix_sign(V)
     omega = potential.omega
     if omega <= 0:
         raise ValueError("omega must be positive")
-    V, _ = _hermite_modes(omega, modes, grid.x)
+    V = _hermite_modes(omega, modes, grid.x)[0].copy()  # values only, as above
     edge = np.maximum(np.abs(V[:, 0]), np.abs(V[:, -1]))
     if (edge >= 1e-12).any():
         j = int(np.argmax(edge >= 1e-12))
@@ -516,8 +563,9 @@ def product_basis_2d(pairs, grid2: Grid2D) -> EigenBasis:
     gx, gy = grid2.axes
     wx, wy = gx.x_max - gx.x_min, gy.x_max - gy.x_min
     nx, ny = np.array(pairs).T
-    ux, _ = _sine_modes(nx, gx.x_min, wx, gx.x)
-    uy, _ = _sine_modes(ny, gy.x_min, wy, gy.x)
+    every = np.arange(len(pairs))
+    ux = _SineModes([nx], gx.x_min, wx)(gx.x[None], every)[0, 0]
+    uy = _SineModes([ny], gy.x_min, wy)(gy.x[None], every)[0, 0]
     basis = EigenBasis(
         grid2,
         0.5 * math.pi**2 * (nx**2 / wx**2 + ny**2 / wy**2),

@@ -89,13 +89,17 @@ def equal_two_mode(basis: EigenBasis, i: int = 0, j: int = 1) -> Superposition:
     return Superposition(basis, np.array([r, r], complex), np.array([i, j]))
 
 
-def _weights(s: Superposition, t):
-    """c e^{-i E t} and its t-derivative, the mode axis last: (K,) for a
-    scalar t, (*t.shape, K) for an array t."""
+def _phases(s: Superposition, t):
+    """e^{-i E t}, the mode axis last: (K,) for a scalar t, (*t.shape, K)
+    for an array t."""
     if np.ndim(t) == 0:
-        ph = np.exp(-1j * s.energies * t)
-    else:
-        ph = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), s.energies))
+        return np.exp(-1j * s.energies * t)
+    return np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), s.energies))
+
+
+def _weights(s: Superposition, t):
+    """c e^{-i E t} and its t-derivative, the mode axis last."""
+    ph = _phases(s, t)
     return s.coeffs * ph, -1j * s.energies * s.coeffs * ph
 
 
@@ -124,32 +128,50 @@ def band_limit(s: Superposition) -> float:
 # ---------------------------------------------------------------- off-grid
 
 
-def _contract(weights, tables):
-    """sum_k w[..., k] m[k, ...] for each weight/mode-table pair, in one
-    stacked matmul.  Weights carry the mode axis last, tables first.
+def _off_grid(s: Superposition, coords, t, time_derivative: bool):
+    """Three sums sum_k w_k m_k(x), one stacked matmul of the weights with
+    the mode tables, as one (3, *shape) array: (Psi, dPsi/dx, dPsi/dt) with
+    time_derivative, else Psi and its derivative along each of the two axes.
 
-    For one time the weights are (K,) and the tables (K, *x.shape):
-    (J, 1, K) @ (J, K, points).  For paired times the weights are
-    (*t.shape, K), t and x of one shape, and each point takes its own dot
-    product, (J, N, 1, K) @ (J, N, K, 1): the BLAS dot a one-point call
-    makes, so paired and one-point calls agree bit for bit.
+    spectral.mode_table writes the tables straight into the real part of
+    the complex matmul operand.  For one time that is modes first,
+    (3, 1, K) @ (3, K, points).  For t paired with the points it is points
+    first and each point takes its own dot product, (3, N, 1, K) @
+    (3, N, K, 1): the BLAS dot a one-point call makes, so paired and
+    one-point calls agree bit for bit.  Both operands are C-ordered:
+    matmul reaches BLAS only through unit-stride rows, and a None axis or
+    a transposed stack would miss it.
     """
-    # reshaped, C-ordered operands: matmul reaches BLAS only through
-    # unit-stride rows, and a None axis or a transposed stack would miss it
-    J = len(weights)
-    if np.ndim(weights[0]) == 1:
-        m = np.stack(tables)
-        out = np.stack(weights).reshape(J, 1, -1) @ m.reshape(J, m.shape[1], -1)
-        return tuple(out.reshape((J,) + m.shape[2:]))
-    a = np.array(weights, order="C")
-    b = np.ascontiguousarray(np.moveaxis(np.array(tables, dtype=complex), 1, -1))
-    K = a.shape[-1]
-    out = a.reshape(J, -1, 1, K) @ b.reshape(J, -1, K, 1)
-    return tuple(out.reshape(a.shape[:-1]))
+    K = s.indices.size
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    paired = np.ndim(t) > 0
+    shapes = {c.shape for c in coords}
+    if paired:
+        shape = np.shape(t)
+    else:
+        shape = coords[0].shape if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    flat = [(c if c.shape == shape else np.broadcast_to(c, shape)).reshape(-1) for c in coords]
+    n = flat[0].size
+    op = np.zeros((3, n, K) if paired else (3, K, n), dtype=complex)
+    tables = op.real.transpose(0, 2, 1) if paired else op.real
+    mode_table(s.basis, s.indices, *flat, out=tables[:1 + len(flat)])
+    ph = _phases(s, t).reshape(-1, K)
+    w = np.empty((3,) + ph.shape, dtype=complex)
+    np.multiply(s.coeffs, ph, out=w[0])
+    w[1:] = w[0]
+    if time_derivative:
+        op[2] = op[0]
+        np.multiply(-1j * s.energies * s.coeffs, ph, out=w[2])
+    if paired:
+        out = w.reshape(3, n, 1, K) @ op.reshape(3, n, K, 1)
+    else:
+        out = w @ op
+    return out.reshape((3,) + shape)
 
 
 def evaluate_at(s: Superposition, x, t):
-    """(Psi, dPsi/dx, dPsi/dt) at arbitrary position(s), analytic in t.
+    """(Psi, dPsi/dx, dPsi/dt) at arbitrary position(s), analytic in t, as
+    one (3, *x.shape) array.
 
     t is a scalar, or an array paired elementwise with x.  Mode functions
     are analytic for the hard well and harmonic bases and cubic
@@ -157,17 +179,16 @@ def evaluate_at(s: Superposition, x, t):
     """
     if s.grid.ndim != 1:
         raise ValueError("2D states: use evaluate_at_2d")
-    modes, (dmodes,) = mode_table(s.basis, s.indices, x)
-    w, wt = _weights(s, t)
-    return _contract((w, w, wt), (modes, dmodes, modes))
+    return _off_grid(s, (x,), t, True)
 
 
 def evaluate_at_2d(s: Superposition, x, y, t):
     """(Psi, dPsi/dx, dPsi/dy) at arbitrary 2D position(s) for the analytic
-    box product-state basis; t is a scalar, or an array paired with x, y."""
-    modes, (dx, dy) = mode_table(s.basis, s.indices, x, y)
-    w, _ = _weights(s, t)
-    return _contract((w, w, w), (modes, dx, dy))
+    box product-state basis, as one (3, *shape) array; t is a scalar, or an
+    array paired with x, y."""
+    if s.grid.ndim != 2:
+        raise ValueError("1D states: use evaluate_at")
+    return _off_grid(s, (x, y), t, False)
 
 
 # ------------------------------------------------------------- projection

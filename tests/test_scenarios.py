@@ -5,6 +5,7 @@ import json
 import math
 import os
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,19 +41,22 @@ def bundles():
 
 @pytest.fixture(scope="module")
 def mzi_build():
-    """The stock tuned mzi_1d bundle, built without a cache, and the number
-    of finite-difference eigensolves the build made."""
-    solves = []
+    """The stock tuned mzi_1d bundle, built without a cache, and how often
+    the build made a finite-difference eigensolve and a launch state."""
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return solve_eigen(*args, **kwargs)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("MADELUNG_CACHE_DIR", raising=False)
-        mp.setattr(spectral, "solve_eigen", counted)
+        mp.setattr(spectral, "solve_eigen", counting(solve_eigen))
+        mp.setattr(sc, "_launch_state", counting(sc._launch_state))
         bundle = sc.build_scenario(sc.default_config("mzi_1d"))
-    return bundle, len(solves)
+    return bundle, calls
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +154,19 @@ class TestTuner:
     def test_build_solves_each_height_once(self, mzi_build):
         # the bundle takes the last probe's basis and state, so the ten
         # probed heights are the only solves
-        bundle, solves = mzi_build
+        bundle, calls = mzi_build
         assert len(bundle.tuning.history) == 10
-        assert solves == 10
+        assert calls["solve_eigen"] == 10
         assert bundle.basis is bundle.tuning.state.basis
+
+    def test_build_makes_the_launch_once(self, mzi_build):
+        # the tuner's launch is the one the bundle reports
+        bundle, calls = mzi_build
+        assert calls["_launch_state"] == 1
+        launch = bundle.tuning.launch
+        band = bundle.extras["band"]
+        assert band["launch_truncation_index"] == launch.meta["truncation_index"]
+        assert "launch" not in sc.tuning_record(bundle.tuning)
 
     def test_ladder_monotone(self, mzi):
         hist = mzi.tuning.history

@@ -251,6 +251,14 @@ class TestEvaluateAt:
         direct = evaluate(s, 0.0).values[50, 120]
         assert evaluate_at_2d(s, g1.x[50], g1.x[120], 0.0)[0] == pytest.approx(direct, abs=1e-12)
 
+    def test_evaluators_refuse_the_other_dimension(self, two_mode):
+        g1 = Grid1D(0.0, 1.0, 41)
+        box = superposition(product_basis_2d([(1, 2)], Grid2D(g1, g1)), [0], [1.0])
+        with pytest.raises(ValueError, match="use evaluate_at$"):
+            evaluate_at_2d(two_mode, 0.5, 0.5, 0.0)
+        with pytest.raises(ValueError, match="use evaluate_at_2d$"):
+            evaluate_at(box, 0.5, 0.0)
+
     def test_2d_paired_times_match_pointwise(self):
         g1 = Grid1D(0.0, 1.0, 201)
         basis = product_basis_2d([(1, 2), (2, 1), (2, 3)], Grid2D(g1, g1))
