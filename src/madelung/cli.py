@@ -13,13 +13,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import render as rd
 from . import scenarios as sc
 from .energy import classify_superoscillation, decompose, decomposition_to_csv, mask_area, masks_to_csv
 from .flow import streamline_bundle, streamlines_to_csv, vortex_profile_to_csv
-from .grids import field_to_csv
+from .grids import field_to_csv, write_json
 from .spectral import save_basis
 from .states import evaluate
 
@@ -80,9 +78,8 @@ def _cmd_evolve(args) -> int:
     c = _config_from_args(args)
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
-    s = b.states[0]
-    for j, t in enumerate(np.asarray(b.frame_times, dtype=float)):
-        f = evaluate(s, float(t))
+    for j, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
+        f = evaluate(b.states[si], float(t))
         path = os.path.join(args.out, f"psi_{j:04d}.csv")
         field_to_csv(f, path)
         _say(path)
@@ -158,9 +155,7 @@ def _cmd_tune(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "tuning.json")
-        with open(path, "w") as fh:
-            json.dump(sc.tuning_record(r), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, sc.tuning_record(r))
         _say(path)
     return 0
 

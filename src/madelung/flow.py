@@ -4,14 +4,13 @@ with Newton refinement, and 2D vortex radial analysis."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import EPS_NODE, decompose
-from .grids import Grid1D, Grid2D, ScalarField, write_columns
+from .grids import Grid1D, Grid2D, ScalarField, write_columns, write_json
 from .states import Superposition, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
@@ -784,9 +783,7 @@ def node_events_to_json(events) -> list:
 
 
 def save_node_events(events, path):
-    with open(path, "w") as fh:
-        json.dump(node_events_to_json(events), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, node_events_to_json(events))
 
 
 def vortex_profile_to_csv(p: VortexProfile, path):

@@ -8,6 +8,7 @@ energies are reported in units of hbar^2/(m L^2) with L the unit length.
 from __future__ import annotations
 
 import functools
+import json
 import operator
 from dataclasses import dataclass, field
 
@@ -294,6 +295,14 @@ def write_columns(path, names, columns):
         for a in range(0, n, _BLOCK_ROWS):
             cells = [_format_cells(c[a:a + _BLOCK_ROWS]) for c in cols]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_json(path, doc):
+    """Write a JSON document as the package's .json files are written:
+    one-space indents, sorted keys and a final LF."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _format_cells(c: np.ndarray) -> list:

@@ -17,7 +17,6 @@ import numpy as np
 from .energy import read_frame_table
 from .grids import read_columns
 
-RENDER_KINDS = ("streamlines", "densities", "potential_landscape", "vortex")
 SHADINGS = ("qka", "qrkc")
 
 # figure size in pixels; every figure spans its data ranges
@@ -106,24 +105,29 @@ class _Frame:
         return out
 
 
-def _runs_of(flags: np.ndarray):
-    idx = np.where(flags)[0]
-    if idx.size == 0:
-        return []
-    groups = np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
-    return [(g[0], g[-1]) for g in groups]
+def _fmts(v) -> list:
+    """_fmt of every element of an array."""
+    return [_fmt(a) for a in v.tolist()]
 
 
-def _mask_rects(fr: _Frame, x, flags, y_top, y_bot, cls: str) -> list:
+def _points(px: list, py: list) -> str:
+    """A polyline's points attribute from formatted pixel x and y columns."""
+    return " ".join(map("{},{}".format, px, py))
+
+
+def _band(fr: _Frame, x, y_top, y_bot, **flags) -> list:
+    """One rect from y_top to y_bot (pixels) over each run of set flags,
+    class by class in the order given; runs under 0.05 px wide are left out."""
+    y = f'y="{_fmt(y_top)}"'
+    height = f'height="{_fmt(y_bot - y_top)}"'
     out = []
-    for a, b in _runs_of(flags):
-        x_left, x_right = fr.x(x[a]), fr.x(x[b])
-        if x_right - x_left < 0.05:
-            continue
-        out.append(
-            f'<rect class="{cls}" x="{_fmt(x_left)}" y="{_fmt(y_top)}" '
-            f'width="{_fmt(x_right - x_left)}" height="{_fmt(y_bot - y_top)}"/>'
-        )
+    for cls, f in flags.items():
+        edges = np.flatnonzero(np.diff(f, prepend=False, append=False))
+        left = fr.x(x[edges[::2]])
+        width = fr.x(x[edges[1::2] - 1]) - left
+        keep = width >= 0.05
+        out += [f'<rect class="{cls}" x="{a}" {y} width="{w}" {height}/>'
+                for a, w in zip(_fmts(left[keep]), _fmts(width[keep]))]
     return out
 
 
@@ -132,82 +136,66 @@ def _load_manifest(run_dir):
         return json.load(fh)
 
 
-def _frame_table(run_dir, manifest, keys) -> dict:
-    """The named columns of the run's frame archive."""
-    name = manifest["files"].get("frame_table")
-    if name is None:
-        raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
-                         "scenario (with write_fields = true) to write one")
-    return read_frame_table(os.path.join(run_dir, name), keys)
-
-
-def _frame_masks(run_dir, manifest, shading, extra=()):
-    """Per frame (t, x, soft flags, hard flags) honoring the valid flags,
-    and the archive columns read for them plus the extra ones."""
+def _frame_table(run_dir, manifest, keys, shading=None) -> dict:
+    """The named columns of the run's frame archive; with a shading, also
+    its soft and hard flags as "soft" and "hard", cleared where a point is
+    not valid."""
+    path = os.path.join(run_dir, manifest["files"]["frame_table"])
+    if shading is None:
+        return read_frame_table(path, keys)
     soft, hard = f"soft_{shading}", f"hard_{shading}"
-    table = _frame_table(run_dir, manifest, ("t", "x", "valid", soft, hard) + extra)
-    frames = [(float(t), table["x"], s & v, h & v) for t, s, h, v in
-              zip(table["t"], table[soft], table[hard], table["valid"])]
-    return frames, table
-
-
-def _shading_bands(fr: _Frame, frames, band_edges) -> list:
-    body = []
-    for (t, x, soft, hard), (lo, hi) in zip(frames, band_edges):
-        y_top, y_bot = fr.y(hi), fr.y(lo)
-        body.extend(_mask_rects(fr, x, soft, y_top, y_bot, "soft"))
-        body.extend(_mask_rects(fr, x, hard, y_top, y_bot, "hard"))
-    return body
+    table = read_frame_table(path, keys + ("valid", soft, hard))
+    valid = table["valid"]
+    table["soft"], table["hard"] = table[soft] & valid, table[hard] & valid
+    return table
 
 
 def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
-    if "streamlines" not in manifest["files"]:
-        raise ValueError("run has no streamline table; this kind needs a 1D run")
-    frames, _ = _frame_masks(run_dir, manifest, spec.shading)
+    table = _frame_table(run_dir, manifest, ("t", "x"), spec.shading)
     lines = read_columns(os.path.join(run_dir, manifest["files"]["streamlines"]))
-    x_all = frames[0][1]
-    times = [t for t, *_ in frames]
-    t1 = times[-1] if len(times) > 1 else times[0] + 1.0
-    fr = _Frame(float(x_all[0]), float(x_all[-1]), times[0], t1)
+    x, t = table["x"], table["t"]
+    if t[-1] > t[0]:
+        # each frame shades out to the midpoints with its neighbours, and
+        # the end frames as far past their own time
+        fr = _Frame(float(x[0]), float(x[-1]), t[0], t[-1])
+        edges = np.concatenate(([t[0] - (t[1] - t[0]) / 2.0],
+                                t[:-1] / 2.0 + t[1:] / 2.0,
+                                [t[-1] + (t[-1] - t[-2]) / 2.0]))
+    else:
+        # frames that do not advance (stationary states, a single frame)
+        # mark no time: the axis spans the streamline samples, and the
+        # frames share it in equal lanes
+        samples = lines["t"] if lines["t"].size else t
+        fr = _Frame(float(x[0]), float(x[-1]), float(samples.min()), float(samples.max()))
+        edges = np.linspace(fr.y0, fr.y1, t.size + 1)
+    y = fr.y(edges)
+    body = []
+    for j in range(t.size):
+        body += _band(fr, x, y[j + 1], y[j], soft=table["soft"][j], hard=table["hard"][j])
 
-    mids = list(times)
-    edges = []
-    for j, t in enumerate(mids):
-        lo = mids[j - 1] / 2.0 + t / 2.0 if j > 0 else t - (mids[1] - t) / 2.0 if len(mids) > 1 else t - 0.5
-        hi = mids[j + 1] / 2.0 + t / 2.0 if j < len(mids) - 1 else t + (t - mids[-2]) / 2.0 if len(mids) > 1 else t + 0.5
-        edges.append((lo, hi))
-    body = _shading_bands(fr, frames, edges)
-
-    seeds = sorted(set(lines["seed_q"]))
-    for q in seeds:
+    for q in np.unique(lines["seed_q"]):
         sel = lines["seed_q"] == q
         ts, xs = lines["t"][sel], lines["x"][sel]
         order = np.argsort(ts)
-        pts = " ".join(f"{_fmt(fr.x(xi))},{_fmt(fr.y(ti))}"
-                       for ti, xi in zip(ts[order], xs[order]))
+        pts = _points(_fmts(fr.x(xs[order])), _fmts(fr.y(ts[order])))
         body.append(f'<polyline class="curve" points="{pts}"/>')
     body.extend(fr.axes("x", "t"))
     return _svg(body)
 
 
 def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
-    if "streamlines" not in manifest["files"]:
-        raise ValueError("run has no 1D frames; this kind needs a 1D run")
-    frames, table = _frame_masks(run_dir, manifest, spec.shading, ("rho",))
-    rhos = table["rho"]
-    rho_max = float(rhos.max())
-    x_all = frames[0][1]
-    n = len(frames)
-    fr = _Frame(float(x_all[0]), float(x_all[-1]), 0.0, float(n))
+    table = _frame_table(run_dir, manifest, ("t", "x", "rho"), spec.shading)
+    x, rho = table["x"], table["rho"]
+    rho_max = float(rho.max())
+    fr = _Frame(float(x[0]), float(x[-1]), 0.0, float(len(rho)))
+    px = _fmts(fr.x(x[::4]))
     body = []
-    for j, ((t, x, soft, hard), rho) in enumerate(zip(frames, rhos)):
-        base, top = float(j), float(j + 0.92)
-        body.extend(_mask_rects(fr, x, soft, fr.y(top), fr.y(base), "soft"))
-        body.extend(_mask_rects(fr, x, hard, fr.y(top), fr.y(base), "hard"))
-        lane = rho / rho_max * 0.92 + j
-        pts = " ".join(f"{_fmt(fr.x(xi))},{_fmt(fr.y(vi))}"
-                       for xi, vi in zip(x[::4], lane[::4]))
-        body.append(f'<polyline class="curve" points="{pts}"/>')
+    for j, t in enumerate(table["t"]):
+        base = float(j)
+        body += _band(fr, x, fr.y(j + 0.92), fr.y(base),
+                      soft=table["soft"][j], hard=table["hard"][j])
+        lane = rho[j, ::4] / rho_max * 0.92 + j
+        body.append(f'<polyline class="curve" points="{_points(px, _fmts(fr.y(lane)))}"/>')
         body.append(f'<text x="{_fmt(fr.px1 + 4)}" y="{_fmt(fr.y(base) - 2)}">'
                     f't={_fmt(t)}</text>')
     body.extend(fr.axes("x", "frame"))
@@ -215,8 +203,6 @@ def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
 
 
 def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
-    if "streamlines" not in manifest["files"]:
-        raise ValueError("potential landscape needs a 1D run")
     table = _frame_table(run_dir, manifest, ("x", "U"))
     x, U = table["x"], table["U"][0]
     e_plus = float(manifest["derived"]["band_limits"][0])
@@ -224,11 +210,10 @@ def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
     u_cap = max(e_plus * 1.6, float(np.percentile(U, 95)))
     u_lo = min(0.0, float(U.min()))
     fr = _Frame(float(x[0]), float(x[-1]), u_lo, u_cap)
-    body = []
     # classically forbidden band at the band-limit energy
-    body.extend(_mask_rects(fr, x, U > e_plus, fr.py1, fr.py0, "hard"))
+    body = _band(fr, x, fr.py1, fr.py0, hard=U > e_plus)
     clip = np.minimum(U, u_cap * 1.02)
-    pts = " ".join(f"{_fmt(fr.x(xi))},{_fmt(fr.y(vi))}" for xi, vi in zip(x[::2], clip[::2]))
+    pts = _points(_fmts(fr.x(x[::2])), _fmts(fr.y(clip[::2])))
     body.append(f'<polyline class="curve" points="{pts}"/>')
     for e in levels:
         body.append(f'<line class="level" x1="{_fmt(fr.px0)}" y1="{_fmt(fr.y(e))}" '
@@ -242,52 +227,54 @@ def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
 
 
 def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
-    path = os.path.join(run_dir, manifest["files"].get("vortex_profile", ""))
-    if not manifest["files"].get("vortex_profile") or not os.path.exists(path):
-        raise ValueError("run has no vortex profile; this kind needs the 2D run")
-    cols = read_columns(path)
-    r, ka = cols["r"], cols["K_a"]
-    lr, lk = np.log10(r), np.log10(ka)
+    cols = read_columns(os.path.join(run_dir, manifest["files"]["vortex_profile"]))
+    lr, lk = np.log10(cols["r"]), np.log10(cols["K_a"])
     fr = _Frame(float(lr.min()), float(lr.max()),
                 float(lk.min()) - 0.1, float(lk.max()) + 0.1)
     v = manifest["derived"]["vortex"]
     z, p = v["fit_Z"], v["fit_exponent"]
-    body = []
     fit = math.log10(z / 2.0) + p * lr
-    pts = " ".join(f"{_fmt(fr.x(a))},{_fmt(fr.y(b))}" for a, b in zip(lr, fit))
-    body.append(f'<polyline class="fit" points="{pts}"/>')
-    for a, b in zip(lr, lk):
-        body.append(f'<circle class="pt" cx="{_fmt(fr.x(a))}" cy="{_fmt(fr.y(b))}" r="2.5"/>')
+    px = _fmts(fr.x(lr))
+    body = [f'<polyline class="fit" points="{_points(px, _fmts(fr.y(fit)))}"/>']
+    body += [f'<circle class="pt" cx="{a}" cy="{b}" r="2.5"/>'
+             for a, b in zip(px, _fmts(fr.y(lk)))]
     body.append(f'<text x="{_fmt(fr.px0 + 8)}" y="{_fmt(fr.py1 + 14)}">'
                 f'slope={_fmt(p)} Z={_fmt(z)}</text>')
     body.extend(fr.axes("log10 r", "log10 K_a"))
     return _svg(body)
 
 
-_RENDERERS = {
-    "streamlines": _render_streamlines,
-    "densities": _render_densities,
-    "potential_landscape": _render_potential,
-    "vortex": _render_vortex,
+# every figure: its renderer, the run files it reads (keys of the
+# manifest's files) and its refusal of a run that does not list them; a run
+# without the frame archive gets the same refusal from every kind
+_FIGURES = {
+    "streamlines": (_render_streamlines, ("streamlines", "frame_table"),
+                    "run has no streamline table; this kind needs a 1D run"),
+    "densities": (_render_densities, ("streamlines", "frame_table"),
+                  "run has no 1D frames; this kind needs a 1D run"),
+    "potential_landscape": (_render_potential, ("streamlines", "frame_table"),
+                            "potential landscape needs a 1D run"),
+    "vortex": (_render_vortex, ("vortex_profile",),
+               "run has no vortex profile; this kind needs the 2D run"),
 }
+RENDER_KINDS = tuple(_FIGURES)
 
 
 def render_run(run_dir, spec: RenderSpec, out_path) -> str:
-    """Draw one figure from a completed run directory; returns out_path."""
+    """Draw one figure from a completed run directory; returns out_path.
+    A run that lists not every file the figure reads is refused with a
+    ValueError."""
     manifest = _load_manifest(run_dir)
-    text = _RENDERERS[spec.kind](run_dir, manifest, spec)
+    draw, needs, refusal = _FIGURES[spec.kind]
+    for key in needs:
+        if key not in manifest["files"]:
+            raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
+                             "scenario (with write_fields = true) to write one"
+                             if key == "frame_table" else refusal)
+    text = draw(run_dir, manifest, spec)
     with open(out_path, "w") as fh:
         fh.write(text)
     return str(out_path)
-
-
-# stock figures, each drawn when the run lists every file it needs
-_FIGURES = (
-    ("streamlines", ("streamlines", "frame_table")),
-    ("densities", ("streamlines", "frame_table")),
-    ("potential_landscape", ("streamlines", "frame_table")),
-    ("vortex", ("vortex_profile",)),
-)
 
 
 def default_figures(run_dir, shading: str = "qka") -> list:
@@ -296,7 +283,7 @@ def default_figures(run_dir, shading: str = "qka") -> list:
     write_fields = false gets only the figures that do without it."""
     files = _load_manifest(run_dir)["files"]
     outs = []
-    for kind, needs in _FIGURES:
+    for kind, (_, needs, _) in _FIGURES.items():
         if all(k in files for k in needs):
             out = os.path.join(run_dir, f"{kind}.svg")
             render_run(run_dir, RenderSpec(kind=kind, shading=shading), out)

@@ -5,7 +5,6 @@ tuning, with deterministic file bundles per run."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .flow import (
     vortex_profile,
     vortex_profile_to_csv,
 )
-from .grids import Grid1D, Grid2D, trapezoid_weights
+from .grids import Grid1D, Grid2D, trapezoid_weights, write_json
 from .spectral import (
     EigenBasis,
     Harmonic,
@@ -614,7 +613,5 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
 
     manifest = {"name": c.name, "config": dataclasses.asdict(c),
                 "derived": derived, "files": files}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

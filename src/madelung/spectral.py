@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Grid1D, Grid2D, ScalarField, _grid_weights, trapezoid_weights
+from .grids import Grid1D, Grid2D, ScalarField, _grid_weights, trapezoid_weights, write_json
 
 __all__ = [
     "InfiniteWell",
@@ -611,9 +611,7 @@ def save_basis(basis: EigenBasis, path: str):
         "meta": basis.meta,
         "states": _STATES_FILE,
     }
-    with open(os.path.join(path, "basis.json"), "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(path, "basis.json"), doc)
 
 
 def load_basis(path: str, potential=None) -> EigenBasis:

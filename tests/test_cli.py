@@ -15,8 +15,10 @@ import pytest
 from madelung import render as rd
 from madelung import scenarios as sc
 from madelung.cli import _config_from_args, build_parser, run_cli
+from madelung.grids import field_to_csv
 from madelung.scenarios import build_scenario, default_config, run_scenario, save_config
 from madelung.spectral import load_basis
+from madelung.states import evaluate
 
 
 def _fresh(code, *args) -> str:
@@ -249,6 +251,19 @@ class TestExports:
         assert frames == ["psi_0000.csv", "psi_0001.csv", "psi_0002.csv"]
         head = (tmp_path / "psi_0000.csv").read_text().splitlines()[0]
         assert head == "x,re,im,mask"
+
+    def test_evolve_follows_the_frame_states(self, capsys, tmp_path):
+        # ho_eigenstates: frame 0 is mode_0 and frame 1 is mode_1, both at t = 0
+        code, _, _ = _run(capsys, ["evolve", "--name", "ho_eigenstates",
+                                   "--out", str(tmp_path)])
+        assert code == 0
+        b = build_scenario(default_config("ho_eigenstates"))
+        assert [b.labels[si] for si in b.frame_states] == ["mode_0", "mode_1"]
+        for j, si in enumerate(b.frame_states):
+            ref = tmp_path / f"ref_{j}.csv"
+            field_to_csv(evaluate(b.states[si], float(b.frame_times[j])), ref)
+            assert (tmp_path / f"psi_{j:04d}.csv").read_bytes() == ref.read_bytes()
+        assert (tmp_path / "psi_0000.csv").read_bytes() != (tmp_path / "psi_0001.csv").read_bytes()
 
     def test_streamlines(self, capsys, tmp_path):
         code, out, _ = _run(capsys, ["streamlines", "--name", "ho_superposition",

@@ -19,6 +19,7 @@ from madelung.grids import (
     partials,
     read_columns,
     write_columns,
+    write_json,
 )
 
 
@@ -342,6 +343,16 @@ class TestCsvRoundTrip:
         back = read_columns(str(p))
         assert list(back) == ["a", "b"]
         assert all(c.shape == (0,) and c.dtype == np.float64 for c in back.values())
+
+    def test_json_layout(self, tmp_path):
+        # the bytes json.dump(doc, fh, indent=1, sort_keys=True) plus a final
+        # LF gave at each of the four .json writers before they shared one
+        doc = {"b": [1.5, {"z": None, "a": True}], "a": 0.1 + 0.2, "c": "x"}
+        p = tmp_path / "d.json"
+        write_json(p, doc)
+        assert p.read_text() == (
+            '{\n "a": 0.30000000000000004,\n "b": [\n  1.5,\n  {\n   "a": true,\n'
+            '   "z": null\n  }\n ],\n "c": "x"\n}\n')
 
     def test_1d_complex(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 51)
