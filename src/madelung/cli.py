@@ -104,7 +104,7 @@ def _cmd_streamlines(args) -> int:
     c = _config_from_args(args)
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
-    lines = streamline_bundle(b.states[0], c.streamlines, b.span)
+    lines = streamline_bundle(b.states[0], c.streamlines, b.span, t_eval=sc.streamline_times(b))
     path = os.path.join(args.out, "streamlines.csv")
     streamlines_to_csv(lines, path)
     _say(path)

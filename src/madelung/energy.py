@@ -20,7 +20,8 @@ from .grids import (
     partials,
     write_columns,
 )
-from .states import Superposition, evaluate, time_derivative
+from .spectral import sample_potential
+from .states import Superposition, band_limit, evaluate, time_derivative
 
 __all__ = [
     "EPS_NODE",
@@ -305,27 +306,18 @@ def continuity_residual(s: Superposition, t: float, dt: float) -> ScalarField:
     return ScalarField(f.grid, np.where(mask, total, 0.0), mask)
 
 
-def decompose(s: Superposition, t: float, U: ScalarField = None,
-              E_plus: float = None) -> EnergyDecomposition:
-    """Evaluate a superposition at time t and build its energy ledger.
-
-    U defaults to the basis potential sampled on the basis grid (zero for
-    bases without one); E_plus defaults to the state's band limit.
-    """
-    from .spectral import sample_potential
-    from .states import band_limit
-
-    grid = s.grid
-    if U is None:
-        pot = s.basis.potential
-        if pot is None:
-            U = ScalarField(grid, np.zeros(grid.shape))
-        else:
-            U = sample_potential(pot, grid)
-    if E_plus is None:
-        E_plus = band_limit(s)
+def decompose(s: Superposition, t: float) -> EnergyDecomposition:
+    """Evaluate a superposition at time t and build its energy ledger, with
+    U the basis potential sampled on the basis grid (zero for bases without
+    one) and E_plus the state's band limit; energy_decomposition takes any
+    other U and E_plus."""
+    pot = s.basis.potential
+    if pot is None:
+        U = ScalarField(s.grid, np.zeros(s.grid.shape))
+    else:
+        U = sample_potential(pot, s.grid)
     f = polar_fields(evaluate(s, t), time_derivative(s, t))
-    return energy_decomposition(f, U, E_plus)
+    return energy_decomposition(f, U, band_limit(s))
 
 
 def mask_area(grid, flags: np.ndarray) -> float:

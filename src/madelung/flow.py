@@ -230,17 +230,14 @@ def _quantile_lines(s: Superposition, t_span, t_eval, qs=None, x0=None) -> list:
     return lines
 
 
-def integrate_streamline(s: Superposition, x0: float, t_span, t_eval=None,
-                         seed_quantile: float | None = None) -> Streamline:
+def integrate_streamline(s: Superposition, x0: float, t_span, t_eval=None) -> Streamline:
     """The streamline through x0 at t_span[0]: probability is conserved and
     1D trajectories never cross, so the fluid keeps its quantile
     q = CDF(x0, t0) and follows x_q(t) = CDF^-1(q, t), sampled at t_eval or
     at STREAMLINE_SAMPLES even steps.  The line stops, flagged, at the first
     time rho(x_q(t), t) falls under NODE_PAUSE_FACTOR * EPS_NODE *
-    max rho(., t0), where v_a diverges.  seed_quantile replaces q as tag."""
+    max rho(., t0), where v_a diverges."""
     line, = _quantile_lines(s, t_span, t_eval, x0=[float(x0)])
-    if seed_quantile is not None:
-        line.seed_quantile = float(seed_quantile)
     return line
 
 
@@ -297,6 +294,8 @@ _DP_P = np.array([
 ])
 # step-size control: safety factor and the bounds of one step's change
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# loop integration tolerance: rtol = atol
+LOOP_TOL = 1e-8
 
 
 def _combine(coeffs, K):
@@ -314,15 +313,14 @@ def _rms(a, b):
     return np.sqrt(a * a + b * b) / math.sqrt(2.0)
 
 
-def integrate_loop_2d(s: Superposition, starts, t_span, tol: float = 1e-8,
-                      t_eval=None, seed_quantiles=None,
+def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quantiles=None,
                       diagnostics: dict | None = None) -> list:
     """Integrate (dx/dt, dy/dt) = v_a in a 2D state from each of the (L, 2)
     starting points, all loops at once; returns L Loop2D tagged with
     seed_quantiles (NaN by default).
 
     A lockstep Dormand-Prince 5(4) stepper with scipy RK45's tableau, error
-    estimate and step control (rtol = atol = tol, max_step = span / 64,
+    estimate and step control (rtol = atol = LOOP_TOL, max_step = span / 64,
     first step from the Hairer-Norsett-Wanner estimate): each stage makes
     one paired evaluate_at_2d call for every live loop, and each loop keeps
     its own step size and accept/reject decision.  Stage sums run
@@ -372,7 +370,7 @@ def integrate_loop_2d(s: Superposition, starts, t_span, tol: float = 1e-8,
     t = np.full(L, t0)
     y = p0.copy()
     f = velocity(t, y)
-    scale = tol + np.abs(y) * tol
+    scale = LOOP_TOL + np.abs(y) * LOOP_TOL
     d0 = _rms(*(y / scale).T)
     d1 = _rms(*(f / scale).T)
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t1 - t0)
@@ -403,7 +401,7 @@ def integrate_loop_2d(s: Superposition, starts, t_span, tol: float = 1e-8,
             K.append(velocity(tl + c * h, yl + _combine(a, K) * h[:, None]))
         y_new = yl + h[:, None] * _combine(_DP_B, K)
         K.append(velocity(t_new, y_new))
-        scale = tol + np.maximum(np.abs(yl), np.abs(y_new)) * tol
+        scale = LOOP_TOL + np.maximum(np.abs(yl), np.abs(y_new)) * LOOP_TOL
         err_norm = _rms(*(_combine(_DP_E, K) * h[:, None] / scale).T)
         ok = err_norm < 1.0
         with np.errstate(divide="ignore"):
@@ -478,6 +476,8 @@ def _local_minima_2d(R2: np.ndarray, threshold):
 
 
 NEWTON_OK, NEWTON_SINGULAR, NEWTON_OUT_OF_BOUNDS = 0, 1, 2
+# Newton steps a node candidate may take
+NEWTON_STEPS = 30
 
 
 @dataclass
@@ -492,22 +492,22 @@ class NewtonResult:
     steps: np.ndarray
 
 
-def _newton_node(f, a, b, bounds, steps: int = 30, paired=()) -> NewtonResult:
+def _newton_node(f, a, b, bounds, paired=()) -> NewtonResult:
     """Newton on (Re psi, Im psi) = (0, 0) in two real unknowns (a, b), for
     arrays of starting points iterated together; f(a, b, *paired) returns
     (psi, dpsi/da, dpsi/db) paired elementwise with its arguments, paired
     holding fixed per-candidate arrays (a slice time).  Each candidate
-    stops when both step components fall under 1e-14 or after `steps`
+    stops when both step components fall under 1e-14 or after NEWTON_STEPS
     steps, and fails when its Jacobian turns singular or an iterate leaves
     bounds = ((a_lo, a_hi), (b_lo, b_hi)).  Only live candidates are
-    evaluated, so f runs at most steps + 1 times."""
+    evaluated, so f runs at most NEWTON_STEPS + 1 times."""
     (alo, ahi), (blo, bhi) = bounds
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     status = np.full(a.shape, NEWTON_OK)
     taken = np.zeros(a.shape, dtype=int)
     live = np.arange(a.size)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         if live.size == 0:
             break
         psi, da, db = f(a[live], b[live], *(p[live] for p in paired))
@@ -590,101 +590,73 @@ def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
     return [e for _, e in keyed]
 
 
-def find_nodes(s: Superposition, t_window, x_window=None, nt: int = 257,
+def find_nodes(s: Superposition, t_window, nt: int = 257,
                diagnostics: dict | None = None) -> list:
-    """Locate wavefunction zeros inside a space-time window.
+    """Locate wavefunction zeros inside a time window.
 
-    Coarse scan for local minima of |Psi|^2 on an (x, t) lattice (2D: time
-    slices), then one Newton pass on (Re Psi, Im Psi) = (0, 0) over all
-    candidates; duplicates within (2h, 2 dt) merge. A singular Newton system
-    (stationary node line) is reported unrefined at coarse coordinates and a
-    cluster persisting in t is marked degenerate.  x_window is 1D only.
+    The search runs on lattice planes of |Psi|^2 at nt lattice times (at
+    least 9 in 1D, 2 to 33 in 2D): one (x, t) plane in 1D, one (x, y)
+    plane per lattice time in 2D.  Local minima of every plane
+    under NODE_RHO_REL_TOL of its maximum are the candidates, and one Newton
+    pass on (Re Psi, Im Psi) = (0, 0) moves each in its plane's two
+    coordinates; duplicates within (2h, 2 dt) merge, h the largest axis
+    spacing.  A singular Newton system (stationary node line) is reported
+    unrefined at lattice coordinates and a cluster persisting in t is
+    marked degenerate.
 
     A dict passed as diagnostics receives the search's work counts:
     candidates, refined, singular, out_of_bounds, newton_iterations_max and
-    events_outside_window (Newton may move an event up to five lattice
-    steps past the time window).
+    events_outside_window (in 1D, Newton may move an event up to five
+    lattice steps past the time window).
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("time window must be increasing")
     g = s.grid
-    if g.ndim == 2:
-        if x_window is not None:
-            raise ValueError("x_window applies to 1D states; 2D searches cover the box")
-        events, stats = _find_nodes_2d(s, (t0, t1), nt)
+    # per dimension: lattice times, the planes' (a, b) axes, Newton bounds
+    # on (a, b), and psi with its (a, b) derivatives given the plane time
+    ts = np.linspace(t0, t1, max(int(nt), 9) if g.ndim == 1 else max(2, min(int(nt), 33)))
+    dt_lat = ts[1] - ts[0]
+    if g.ndim == 1:
+        axes = (g.x, ts)
+        bounds = ((g.x_min - 5 * g.h, g.x_max + 5 * g.h), (t0 - 5 * dt_lat, t1 + 5 * dt_lat))
+        psi = lambda x, t, _: evaluate_at(s, x, t)
     else:
-        events, stats = _find_nodes_1d(s, (t0, t1), x_window, nt)
+        axes = tuple(ax.x for ax in g.axes)
+        bounds = tuple((ax.x_min, ax.x_max) for ax in g.axes)
+        psi = lambda x, y, t: evaluate_at_2d(s, x, y, t)
+    R2 = np.empty(ts.shape + g.shape)  # in place: a chunk list would raise peak RSS
+    for k, tc, rho in _grid_rho(s, ts):
+        R2[k:k + tc.size] = rho
+    planes = R2.T[None] if g.ndim == 1 else R2  # (plane, a, b); a view
+    scale = planes.max(axis=(1, 2))
+    amp_scale = np.sqrt(scale)
+    # strict in a, ties in b: a stationary node line registers at every time
+    kk, ia, ib = _local_minima_2d(planes, NODE_RHO_REL_TOL * scale[:, None, None])
+    # paired times: each candidate takes the dot product a one-point call would
+    res = _newton_node(psi, axes[0][ia], axes[1][ib], bounds, paired=(ts[kk],))
+    refined = res.amp < NODE_RESIDUAL * amp_scale[kk]
+    a = np.where(refined, res.a, axes[0][ia])
+    b = np.where(refined, res.b, axes[1][ib])
+    resid = np.where(refined, res.amp / amp_scale[kk], np.sqrt(planes[kk, ia, ib] / scale[kk]))
+    # (plane, a, b) back to (t, x): (b, a) in 1D, (plane time, (a, b)) in 2D
+    if g.ndim == 1:
+        t_ev, x_ev = b.tolist(), a.tolist()
+    else:
+        t_ev, x_ev = ts[kk].tolist(), list(zip(a.tolist(), b.tolist()))
+    raw = list(zip(t_ev, x_ev, refined.tolist(), resid.tolist()))
+    events = _cluster(raw, dt_lat, 2 * max(ax.h for ax in g.axes), t1 - t0)
     if diagnostics is not None:
-        diagnostics.update(stats)
+        diagnostics.update(_node_diagnostics(res.status, res.steps, refined))
         diagnostics["events_outside_window"] = sum(
             1 for e in events if not t0 <= e.t_star <= t1)
     return events
 
 
-def _find_nodes_1d(s: Superposition, t_window, x_window, nt: int):
-    t0, t1 = t_window
-    g = s.grid
-    if x_window is None:
-        x_window = (g.x_min, g.x_max)
-    xlo, xhi = float(x_window[0]), float(x_window[1])
-    if xlo < g.x_min or xhi > g.x_max:
-        raise ValueError("space window outside the domain")
-    nt = max(int(nt), 9)
-    ts = np.linspace(t0, t1, nt)
-    dt_lat = ts[1] - ts[0]
-    R2 = np.empty(ts.shape + s.grid.shape)  # in place: a chunk list would raise peak RSS
-    for k, tc, rho in _grid_rho(s, ts):
-        R2[k:k + tc.size] = rho
-    scale = R2.max()
-    amp_scale = math.sqrt(scale)
-    jj, ii = _local_minima_2d(R2.T, NODE_RHO_REL_TOL * scale)  # strict in x, ties in t
-    inside = (g.x[jj] >= xlo) & (g.x[jj] <= xhi)
-    jj, ii = jj[inside], ii[inside]
-
-    bounds = ((xlo - 5 * g.h, xhi + 5 * g.h), (t0 - 5 * dt_lat, t1 + 5 * dt_lat))
-    res = _newton_node(lambda x, t: evaluate_at(s, x, t), g.x[jj], ts[ii], bounds)
-    refined = res.amp < NODE_RESIDUAL * amp_scale
-    raw = [
-        (float(res.b[k]), float(res.a[k]), True, res.amp[k] / amp_scale) if refined[k]
-        else (float(ts[i]), float(g.x[j]), False, math.sqrt(R2[i, j] / scale))
-        for k, (j, i) in enumerate(zip(jj, ii))
-    ]
-    return (_cluster(raw, dt_lat, 2 * g.h, t1 - t0),
-            _node_diagnostics(res.status, res.steps, refined))
-
-
-def _find_nodes_2d(s: Superposition, t_window, nt: int):
-    t0, t1 = t_window
-    g2 = s.grid
-    gx, gy = g2.grid_x, g2.grid_y
-    nt = max(2, min(int(nt), 33))
-    ts = np.linspace(t0, t1, nt)
-    dt_lat = ts[1] - ts[0]
-    h = max(gx.h, gy.h)
-    bounds = ((gx.x_min, gx.x_max), (gy.x_min, gy.x_max))
-    R2 = np.empty(ts.shape + s.grid.shape)  # in place: a chunk list would raise peak RSS
-    for k, tc, rho in _grid_rho(s, ts):
-        R2[k:k + tc.size] = rho
-    scale = R2.max(axis=(1, 2))
-    amp_scale = np.sqrt(scale)
-    kk, ix, iy = _local_minima_2d(R2, NODE_RHO_REL_TOL * scale[:, None, None])
-    # paired times: each candidate takes the dot product a one-point call would
-    res = _newton_node(lambda x, y, t: evaluate_at_2d(s, x, y, t), gx.x[ix], gy.x[iy],
-                       bounds, paired=(ts[kk],))
-    refined = res.amp < NODE_RESIDUAL * amp_scale[kk]
-    raw = [
-        (float(ts[k]), (float(res.a[n]), float(res.b[n])), True, res.amp[n] / amp_scale[k])
-        if refined[n]
-        else (float(ts[k]), (float(gx.x[i]), float(gy.x[j])), False,
-              math.sqrt(R2[k, i, j] / scale[k]))
-        for n, (k, i, j) in enumerate(zip(kk, ix, iy))
-    ]
-    return (_cluster(raw, dt_lat, 2 * h, t1 - t0),
-            _node_diagnostics(res.status, res.steps, refined))
-
-
 # ---------------------------------------------------------------- vortices
+
+# points on a circulation circle
+CIRCULATION_SAMPLES = 720
 
 
 def vortex_profile(s: Superposition, center, r_max: float, n_bins: int,
@@ -732,11 +704,12 @@ def vortex_profile(s: Superposition, center, r_max: float, n_bins: int,
 
 
 def circulation(s: Superposition, center, radius: float, t: float = 0.0,
-                n_samples: int = 720, orientation: int = 1) -> float:
+                orientation: int = 1) -> float:
     """Line integral of v_a = grad S around a circle: the summed wrapped
-    phase increments along the loop. orientation +1 is counterclockwise."""
+    phase increments along the loop at CIRCULATION_SAMPLES even angles.
+    orientation +1 is counterclockwise."""
     cx, cy = float(center[0]), float(center[1])
-    ang = orientation * np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    ang = orientation * np.linspace(0.0, 2 * np.pi, CIRCULATION_SAMPLES, endpoint=False)
     xs = cx + radius * np.cos(ang)
     ys = cy + radius * np.sin(ang)
     psi = evaluate_at_2d(s, xs, ys, t)[0]

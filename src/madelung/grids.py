@@ -52,9 +52,12 @@ class Grid1D:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n)
+        # computed once per grid and read-only, so every caller shares it
+        x = np.linspace(self.x_min, self.x_max, self.n)
+        x.flags.writeable = False
+        return x
 
     @property
     def shape(self) -> tuple:

@@ -156,11 +156,9 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
     x, t = table["x"], table["t"]
     if t[-1] > t[0]:
         # each frame shades out to the midpoints with its neighbours, and
-        # the end frames as far past their own time
+        # the end frames to the ends of the time axis
         fr = _Frame(float(x[0]), float(x[-1]), t[0], t[-1])
-        edges = np.concatenate(([t[0] - (t[1] - t[0]) / 2.0],
-                                t[:-1] / 2.0 + t[1:] / 2.0,
-                                [t[-1] + (t[-1] - t[-2]) / 2.0]))
+        edges = np.concatenate(([t[0]], t[:-1] / 2.0 + t[1:] / 2.0, [t[-1]]))
     else:
         # frames that do not advance (stationary states, a single frame)
         # mark no time: the axis spans the streamline samples, and the

@@ -248,10 +248,13 @@ def _splitter_state(geo: SplitterGeometry, launch: Superposition,
     return project_field(basis, evaluate(launch, 0.0).values, eta=geo.eta)
 
 
+# bisection steps the tuner may take after its bracket
+MAX_BISECT = 30
+
+
 def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
                        tol: float = 0.01,
-                       probe_range: tuple = (250.0, 16000.0),
-                       max_bisect: int = 30) -> TuningResult:
+                       probe_range: tuple = (250.0, 16000.0)) -> TuningResult:
     """Bisect the barrier height until the packet splits 50/50.
 
     Each probe re-solves the barrier-well eigenbasis and re-projects the
@@ -301,7 +304,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
 
     b_lo, b_hi = pairs[-2][0], pairs[-1][0]
     t_mid = None
-    for it in range(1, max_bisect + 1):
+    for it in range(1, MAX_BISECT + 1):
         mid = 0.5 * (b_lo + b_hi)
         t_mid = probe(mid)
         if abs(t_mid - 0.5) < tol:
@@ -312,7 +315,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         else:
             b_hi = mid
     raise ValueError(
-        f"bisection did not reach |T - 0.5| < {tol} in {max_bisect} steps; "
+        f"bisection did not reach |T - 0.5| < {tol} in {MAX_BISECT} steps; "
         f"last bracket ({b_lo}, {b_hi}), last T {t_mid}"
     )
 
@@ -500,6 +503,15 @@ def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
 # -------------------------------------------------------------- run bundle
 
 
+def streamline_times(b: ScenarioBundle):
+    """The times a scenario's streamlines are sampled at: its frame times
+    when they strictly increase, else None (the default even steps)."""
+    t_eval = np.asarray(b.frame_times, dtype=float)
+    if t_eval.size < 2 or not (np.diff(t_eval) > 0).all():
+        return None
+    return t_eval
+
+
 def tuning_record(r: TuningResult) -> dict:
     """A tuning result as stored in tuning.json and derived.tuning."""
     return {"U0_star": r.U0_star, "transmission": r.transmission,
@@ -589,10 +601,7 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         files["vortex_profile"] = "vortex_profile.csv"
         node_source, window, kw = state, b.span, {"nt": 9}
     else:
-        t_eval = np.asarray(b.frame_times, dtype=float)
-        if t_eval.size < 2 or not (np.diff(t_eval) > 0).all():
-            t_eval = None
-        lines = streamline_bundle(state, c.streamlines, b.span, t_eval=t_eval)
+        lines = streamline_bundle(state, c.streamlines, b.span, t_eval=streamline_times(b))
         streamlines_to_csv(lines, os.path.join(out_dir, "streamlines.csv"))
         files["streamlines"] = "streamlines.csv"
         derived["streamline_flags"] = [

@@ -234,21 +234,25 @@ def project_field(basis: EigenBasis, values: np.ndarray, eta: float = 1e-3) -> S
     return Superposition(basis, c, idx, meta)
 
 
-def project_gaussian(basis: EigenBasis, packet: WavepacketSpec, eta: float = 1e-3,
-                     max_leak: float = 1e-3) -> Superposition:
+# the largest tail probability a projected packet may have beyond the walls
+MAX_LEAK = 1e-3
+
+
+def project_gaussian(basis: EigenBasis, packet: WavepacketSpec,
+                     eta: float = 1e-3) -> Superposition:
     """Expand a Gaussian pulse over the basis and truncate at relative
     threshold eta, then renormalize the surviving coefficients.
 
     The packet must be essentially contained in the well: its tail
-    probability beyond the walls (max_leak, default 1e-3) bounds the
+    probability beyond the walls (at most MAX_LEAK) bounds the
     projection error floor.
     """
     g = basis.grid
     leak = leaked_norm(packet, g)
-    if leak > max_leak:
+    if leak > MAX_LEAK:
         raise ValueError(
             f"packet leaks outside the well: tail probability {leak:.3e} "
-            f"exceeds {max_leak:.1e}"
+            f"exceeds {MAX_LEAK:.1e}"
         )
     sp = project_field(basis, gaussian_values(packet, g.x), eta)
     sp.meta["packet"] = {"center": packet.center, "momentum": packet.momentum,

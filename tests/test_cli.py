@@ -273,6 +273,18 @@ class TestExports:
         assert lines[0] == "seed_q,t,x"
         assert len({ln.split(",")[0] for ln in lines[1:]}) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--name", "well_superposition", "--frames", "16"],
+        ["--name", "ho_eigenstates"],
+    ], ids=["frames_advance", "frames_do_not_advance"])
+    def test_streamlines_match_the_bundle(self, capsys, tmp_path, argv):
+        # the CLI samples at the bundle's times: the frame times when they
+        # advance, the default even steps otherwise
+        assert _run(capsys, ["streamlines", *argv, "--out", str(tmp_path / "cli")])[0] == 0
+        assert _run(capsys, ["scenario", *argv, "--out", str(tmp_path / "run")])[0] == 0
+        cli = (tmp_path / "cli" / "streamlines.csv").read_bytes()
+        assert cli == (tmp_path / "run" / "streamlines.csv").read_bytes()
+
     def test_vortex(self, capsys, tmp_path):
         code, out, _ = _run(capsys, ["vortex", "--out", str(tmp_path)])
         assert code == 0

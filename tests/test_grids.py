@@ -52,6 +52,15 @@ class TestGrid:
         assert len(g.x) == 201
         assert g.x[0] == -1.0 and g.x[-1] == 1.0
 
+    def test_positions_computed_once_and_read_only(self):
+        g = Grid1D(-1.0, 1.0, 2001)
+        x = g.x
+        assert g.x is x
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert np.array_equal(x, np.linspace(-1.0, 1.0, 2001))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 2)

@@ -2,7 +2,8 @@
 
 The drawing code as it stood before the single points writer, band writer
 and input table is kept below verbatim as a frozen oracle (its entry point
-renamed ``oracle_render_run``).  Every figure kind in both shadings must
+renamed ``oracle_render_run``; its end bands since clipped to the time
+axis, as the renderer's are).  Every figure kind in both shadings must
 give the same SVG text, or the same exception type and message, on runs
 whose frames advance and on the 2D run.  Only the streamlines figure of a
 run whose frames do not advance may differ; it is checked on its own.
@@ -165,8 +166,8 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
     mids = list(times)
     edges = []
     for j, t in enumerate(mids):
-        lo = mids[j - 1] / 2.0 + t / 2.0 if j > 0 else t - (mids[1] - t) / 2.0 if len(mids) > 1 else t - 0.5
-        hi = mids[j + 1] / 2.0 + t / 2.0 if j < len(mids) - 1 else t + (t - mids[-2]) / 2.0 if len(mids) > 1 else t + 0.5
+        lo = mids[j - 1] / 2.0 + t / 2.0 if j > 0 else t if len(mids) > 1 else t - 0.5
+        hi = mids[j + 1] / 2.0 + t / 2.0 if j < len(mids) - 1 else t if len(mids) > 1 else t + 0.5
         edges.append((lo, hi))
     body = _shading_bands(fr, frames, edges)
 
@@ -365,4 +366,13 @@ def test_streamlines_stay_in_the_box_when_frames_do_not_advance(tmp_path, name, 
     # bottom edge of the box to its top edge
     ys = {y for _, y in points}
     assert min(ys) == rd._Frame.PAD and max(ys) == rd.HEIGHT - rd._Frame.PAD
+
+
+@pytest.mark.parametrize("shading", rd.SHADINGS)
+def test_streamlines_end_bands_stay_in_the_box_when_frames_advance(runs, tmp_path, shading):
+    # well_superposition --frames 16: the first and last bands end at the
+    # first and last frame time, the edges of the time axis
+    assert RUNS[0] == ("well_superposition", {"frames": 16})
+    out = rd.render_run(runs[0], RenderSpec("streamlines", shading), tmp_path / "s.svg")
+    _points_inside(open(out).read())
 
