@@ -14,8 +14,6 @@ from .grids import (
     Grid1D,
     Grid2D,
     ScalarField,
-    gradient,
-    gradient2d,
     integrate,
     integrate_masked,
     laplacian,
@@ -61,18 +59,17 @@ from .states import (
 )
 from .energy import (
     EnergyDecomposition,
-    MadelungFields,
     SuperoscillationMask,
     classify_superoscillation,
     continuity_residual,
     decompose,
     decomposition_to_csv,
-    energy_decomposition,
+    frame_ledger,
     hj_residual,
+    ledger,
     ledger_integrals,
     mask_area,
     masks_to_csv,
-    polar_fields,
     read_frame_table,
     write_frame_table,
 )

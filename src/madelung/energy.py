@@ -1,22 +1,26 @@
-"""Polar decomposition of the wavefunction and the full energy ledger.
+"""The energy ledger of psi = R e^{iS} and its superoscillation classes.
 
-Splits psi = R e^{iS} into density and phase-derivative fields without ever
-unwrapping S, assembles per-particle and density forms of each energy term,
-and classifies superoscillation in both the (Q, K_a) and (Q_r, K_c)
-pictures.  Natural units hbar = m = 1 throughout.
+One array pass computes the whole ledger of every frame of a run from the
+stacked psi and dpsi/dt: density and phase derivatives without ever
+unwrapping S, per-particle and density forms of each energy term, and the
+soft/hard/forbidden classes in both the (Q, K_a) and (Q_r, K_c) pictures.
+Natural units hbar = m = 1 throughout.
 """
 
+import functools
+import operator
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (
-    ComplexField,
     ScalarField,
+    _along,
+    _d1,
+    _d2,
     _grid_weights,
     coordinate_columns,
-    laplacian,
     partials,
     write_columns,
 )
@@ -26,15 +30,14 @@ from .states import Superposition, band_limit, evaluate, time_derivative
 __all__ = [
     "EPS_NODE",
     "EQ_TOL",
-    "MadelungFields",
     "EnergyDecomposition",
     "SuperoscillationMask",
-    "polar_fields",
-    "energy_decomposition",
+    "ledger",
+    "frame_ledger",
+    "decompose",
     "classify_superoscillation",
     "hj_residual",
     "continuity_residual",
-    "decompose",
     "mask_area",
     "decomposition_to_csv",
     "masks_to_csv",
@@ -49,79 +52,40 @@ EQ_TOL = 1e-12
 # outermost grid points dropped from valid sets (hard-wall stencil pollution)
 EDGE_PAD = 2
 
-
-def _interior_mask(shape) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    mask[(slice(EDGE_PAD, -EDGE_PAD),) * len(shape)] = True
-    return mask
-
-
-@dataclass
-class MadelungFields:
-    """Hydrodynamic form of a wavefunction snapshot.
-
-    grad_psi and grad_S are tuples of one (1D) or two (2D) component
-    fields; v_a equals grad_S in natural units.  node_mask marks points
-    where the density is large enough for phase derivatives to be
-    meaningful and which sit away from the domain edges.
-    """
-
-    psi: ComplexField
-    dpsidt: ComplexField
-    rho: ScalarField
-    R: ScalarField
-    grad_psi: tuple
-    grad_S: tuple
-    dSdt: ScalarField
-    node_mask: np.ndarray
-
-    @property
-    def grid(self):
-        return self.psi.grid
-
-    @property
-    def v_a(self) -> tuple:
-        return self.grad_S
+# the ledger columns, per-particle forms first, then the density forms
+_DECOMP_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
+                "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho")
+_MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
+              "forbidden_global", "forbidden_local")
+# every column of a frame table, in archive order
+_FRAME_COLS = _DECOMP_COLS + _MASK_COLS + ("valid",)
 
 
 @dataclass
 class EnergyDecomposition:
-    """Per-particle energy fields, their density forms, and the band limit.
+    """One frame of the ledger: each column an array on the grid, the band
+    limit E_plus, and valid, the points where the per-particle forms are
+    defined (away from nodes and the grid edges).  See ledger."""
 
-    Densities equal rho times the per-particle field; where an undivided
-    form exists (q = -R lap(R)/2, k_s = |grad R|^2/2, q_r = -lap(rho)/4,
-    e_p from the raw phase-derivative numerator, u = rho U) the density is
-    built from it directly and keeps the full-grid mask, so integral
-    identities are free of node-mask bias.  k_a and k_c genuinely diverge
-    at nodes and stay node-masked.  Per-particle forms are the divided
-    fields, masked wherever division by rho is unreliable.
-    """
-
-    Q: ScalarField
-    K_a: ScalarField
-    K_s: ScalarField
-    Q_r: ScalarField
-    K_c: ScalarField
-    E_p: ScalarField
-    K_cl: ScalarField
-    U: ScalarField
-    q: ScalarField
-    k_a: ScalarField
-    k_s: ScalarField
-    q_r: ScalarField
-    k_c: ScalarField
-    e_p: ScalarField
-    u: ScalarField
-    rho: ScalarField
+    grid: object
     E_plus: float
-
-    @property
-    def grid(self):
-        return self.Q.grid
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.Q.mask
+    Q: np.ndarray
+    K_a: np.ndarray
+    K_s: np.ndarray
+    Q_r: np.ndarray
+    K_c: np.ndarray
+    E_p: np.ndarray
+    K_cl: np.ndarray
+    U: np.ndarray
+    q: np.ndarray
+    k_a: np.ndarray
+    k_s: np.ndarray
+    q_r: np.ndarray
+    k_c: np.ndarray
+    e_p: np.ndarray
+    u: np.ndarray
+    rho: np.ndarray
+    valid: np.ndarray
 
 
 @dataclass
@@ -143,147 +107,159 @@ class SuperoscillationMask:
     valid: np.ndarray
 
 
-def polar_fields(psi: ComplexField, dpsidt: ComplexField) -> MadelungFields:
-    """Decompose a snapshot into density and phase-derivative fields.
+def _divided(num: np.ndarray, rho: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(num)
+    np.divide(num, rho, out=out, where=mask)
+    return out
 
-    grad_S = Im(conj(psi) grad psi)/rho and dS/dt = Im(conj(psi) dpsi/dt)/rho
-    are evaluated only where rho >= EPS_NODE * max(rho) and away from the
-    outermost EDGE_PAD points; elsewhere they are zeroed and masked.
+
+def _polar(grid, psi: np.ndarray) -> tuple:
+    """rho, the node mask, the partials of psi along each grid axis and
+    grad S = Im(conj(psi) grad psi)/rho of a (frames, *grid) stack.
+
+    The node mask keeps the points where rho >= EPS_NODE times the frame's
+    peak and which sit EDGE_PAD points or more inside every grid edge;
+    grad S is zero elsewhere.
     """
-    if psi.grid is not dpsidt.grid and psi.grid != dpsidt.grid:
-        raise ValueError("psi and dpsidt must share a grid")
-    rho_vals = np.abs(psi.values) ** 2
-    peak = rho_vals.max()
-    if peak == 0.0:
+    rho = np.abs(psi) ** 2
+    peak = rho.max(axis=tuple(range(1, rho.ndim)), keepdims=True)
+    if (peak == 0.0).any():
         raise ValueError("wavefunction is identically zero")
-    node_mask = (rho_vals >= EPS_NODE * peak) & _interior_mask(rho_vals.shape)
-
-    grid = psi.grid
-    full = np.ones_like(node_mask)
-    rho = ScalarField(grid, rho_vals, full.copy())
-    R = ScalarField(grid, np.sqrt(rho_vals), full.copy())
-
-    dpsi = partials(ComplexField(grid, psi.values, full.copy()))
-
-    grad_S = []
-    for comp in dpsi:
-        num = np.imag(np.conj(psi.values) * comp.values)
-        vals = np.zeros_like(rho_vals)
-        np.divide(num, rho_vals, out=vals, where=node_mask)
-        grad_S.append(ScalarField(grid, vals, node_mask.copy()))
-
-    num_t = np.imag(np.conj(psi.values) * dpsidt.values)
-    dSdt_vals = np.zeros_like(rho_vals)
-    np.divide(num_t, rho_vals, out=dSdt_vals, where=node_mask)
-    dSdt = ScalarField(grid, dSdt_vals, node_mask.copy())
-
-    return MadelungFields(psi, dpsidt, rho, R, dpsi, tuple(grad_S), dSdt, node_mask)
+    interior = np.zeros(grid.shape, dtype=bool)
+    interior[(slice(EDGE_PAD, -EDGE_PAD),) * grid.ndim] = True
+    mask = (rho >= EPS_NODE * peak) & interior
+    dpsi = [_along(psi, 1 + a, _d1, g.h) for a, g in enumerate(grid.axes)]
+    grad_S = [_divided(np.imag(np.conj(psi) * c), rho, mask) for c in dpsi]
+    return rho, mask, dpsi, grad_S
 
 
-def _divided(grid, num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> ScalarField:
-    vals = np.zeros_like(num)
-    np.divide(num, den, out=vals, where=mask)
-    return ScalarField(grid, vals, mask.copy())
+def ledger(grid, psi, dpsidt, U, E_plus) -> dict:
+    """The energy ledger and superoscillation classes of every frame.
 
+    psi and dpsidt are complex (frames, *grid.shape) stacks, U the
+    potential on the grid and E_plus one band limit per frame.  Returns
+    {column: (frames, *grid.shape) array} for the ledger columns
 
-def energy_decomposition(f: MadelungFields, U: ScalarField, E_plus: float) -> EnergyDecomposition:
-    """Assemble the complete energy ledger from hydrodynamic fields.
+      Q = -lap(R)/(2R), K_a = |grad S|^2/2, K_s = |grad R|^2/(2R^2),
+      Q_r = -lap(rho)/(4 rho), K_c = K_a + K_s, E_p = -dS/dt,
+      K_cl = E_p - U, U,
 
-    Q = -lap(R)/(2R), K_a = |grad S|^2/2, K_s = |grad R|^2/(2R^2),
-    Q_r = -lap(rho)/(4 rho), K_c = K_a + K_s, E_p = -dS/dt, K_cl = E_p - U.
-    Densities are rho times the per-particle forms; the q_r density comes
-    straight from the Laplacian of rho with no division.
+    their density forms q, k_a, k_s, q_r, k_c, e_p, u and rho, the six
+    classes of classify_superoscillation and valid.  Where an undivided
+    form exists (q = -R lap(R)/2, k_s, k_c, q_r = -lap(rho)/4, e_p from
+    the raw phase-derivative numerator, u = rho U) the density is built
+    from it on the whole grid, so integral identities are free of node-mask
+    bias.  The per-particle forms and k_a, which diverges at nodes, are
+    zero outside valid.
     """
-    grid = f.grid
-    mask = f.node_mask
-    rho_vals = f.rho.values
+    psi = np.asarray(psi, dtype=complex)
+    dpsidt = np.asarray(dpsidt, dtype=complex)
+    U = np.asarray(U, dtype=float)
+    E_plus = np.reshape(np.asarray(E_plus, dtype=float), (-1,) + (1,) * grid.ndim)
+    if psi.shape != dpsidt.shape or psi.shape[1:] != grid.shape or U.shape != grid.shape:
+        raise ValueError(f"psi {psi.shape}, dpsidt {dpsidt.shape} and U {U.shape} "
+                         f"do not fit grid {grid.shape}")
+    if E_plus.shape[0] != psi.shape[0]:
+        raise ValueError(f"{E_plus.shape[0]} band limits for {psi.shape[0]} frames")
+    for name, v in (("psi", psi), ("dpsidt", dpsidt), ("U", U), ("E_plus", E_plus)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has a non-finite value")
 
-    # undivided densities first: exact forms valid on the whole grid
-    lap_R = laplacian(f.R)
-    q_vals = -0.5 * f.R.values * lap_R.values
-    q = ScalarField(grid, q_vals, lap_R.mask.copy())
-
-    lap_rho = laplacian(f.rho)
-    q_r = ScalarField(grid, -0.25 * lap_rho.values, lap_rho.mask.copy())
-
-    ep_vals = -np.imag(np.conj(f.psi.values) * f.dpsidt.values)
-    e_p_density = ScalarField(grid, ep_vals, np.ones_like(mask))
-
-    u = ScalarField(grid, rho_vals * U.values, U.mask.copy())
+    rho, mask, dpsi, grad_S = _polar(grid, psi)
+    R = np.sqrt(rho)
+    c = {"U": np.broadcast_to(U, rho.shape), "rho": rho, "valid": mask}
+    c["q"] = -0.5 * R * _laplacian(grid, R)
+    c["q_r"] = -0.25 * _laplacian(grid, rho)
+    num_t = np.imag(np.conj(psi) * dpsidt)
+    c["e_p"] = -num_t
+    c["E_p"] = -_divided(num_t, rho, mask)
+    c["u"] = rho * U
 
     # kinetic densities: 0.5|grad psi|^2 is smooth across density zeros
     # (|grad R|^2 is not: R kinks at the nodes of real states), so k_c is
     # built undivided from it; the advective part subtracts off to give
     # k_s.  Cauchy-Schwarz makes that difference nonnegative pointwise
     # even in the discrete fields, up to rounding, which is clipped.
-    full = np.ones_like(mask)
-    kc_vals = np.zeros_like(rho_vals)
-    for comp in f.grad_psi:
-        kc_vals = kc_vals + 0.5 * np.abs(comp.values) ** 2
+    kc = functools.reduce(operator.add, (0.5 * np.abs(d) ** 2 for d in dpsi))
+    ka = functools.reduce(operator.add, (0.5 * g**2 for g in grad_S))
+    c["k_a"] = np.where(mask, rho * ka, 0.0)
+    c["k_s"] = np.maximum(kc - c["k_a"], 0.0)
+    c["k_c"] = c["k_a"] + c["k_s"]
 
-    ka_vals = np.zeros_like(rho_vals)
-    for comp in f.grad_S:
-        ka_vals = ka_vals + 0.5 * comp.values**2
-    ka_density = np.where(mask, rho_vals * ka_vals, 0.0)
-    k_a = ScalarField(grid, ka_density, mask.copy())
+    c["Q"] = _divided(c["q"], rho, mask)
+    c["K_s"] = _divided(c["k_s"], rho, mask)
+    c["Q_r"] = _divided(c["q_r"], rho, mask)
+    c["K_a"] = np.where(mask, ka, 0.0)
+    c["K_c"] = np.where(mask, c["K_a"] + c["K_s"], 0.0)
+    c["K_cl"] = np.where(mask, c["E_p"] - U, 0.0)
+    c.update(_classes(c, E_plus))
+    return c
 
-    ks_density = np.maximum(kc_vals - ka_density, 0.0)
-    k_s = ScalarField(grid, ks_density, full.copy())
-    k_c = ScalarField(grid, ka_density + ks_density, full.copy())
 
-    # per-particle forms: divide by rho, masked near nodes and edges
-    Q = _divided(grid, q_vals, rho_vals, mask & q.mask)
-    K_s = _divided(grid, ks_density, rho_vals, mask)
-    Q_r = _divided(grid, q_r.values, rho_vals, mask & q_r.mask)
-    K_a = ScalarField(grid, np.where(mask, ka_vals, 0.0), mask.copy())
+def _laplacian(grid, v: np.ndarray) -> np.ndarray:
+    # sum of the second derivatives along each grid axis of a frame stack
+    return functools.reduce(operator.add, (_along(v, 1 + a, _d2, g.h)
+                                           for a, g in enumerate(grid.axes)))
 
-    kc_mask = K_a.mask & K_s.mask
-    K_c = ScalarField(grid, np.where(kc_mask, K_a.values + K_s.values, 0.0), kc_mask)
 
-    E_p = ScalarField(grid, -f.dSdt.values, f.dSdt.mask.copy())
-    kcl_mask = E_p.mask & U.mask
-    K_cl = ScalarField(grid, np.where(kcl_mask, E_p.values - U.values, 0.0), kcl_mask)
+def _classes(c, E_plus) -> dict:
+    """The six superoscillation classes of ledger columns c: strict
+    inequalities with an EQ_TOL band, so points within EQ_TOL of a class
+    boundary are left unflagged.  The density picture uses the q_r and k_c
+    density fields directly."""
+    valid = c["valid"]
+    head = E_plus - c["U"]
+    return {
+        "soft_qka": valid & (c["Q"] < -EQ_TOL),
+        "hard_qka": valid & (c["K_a"] - head > EQ_TOL),
+        "soft_qrkc": valid & (c["q_r"] < -EQ_TOL),
+        "hard_qrkc": valid & (c["k_c"] - (c["rho"] * E_plus - c["u"]) > EQ_TOL),
+        "forbidden_global": valid & (head < -EQ_TOL),
+        "forbidden_local": valid & (c["K_cl"] < -EQ_TOL),
+    }
 
-    return EnergyDecomposition(
-        Q=Q, K_a=K_a, K_s=K_s, Q_r=Q_r, K_c=K_c, E_p=E_p, K_cl=K_cl,
-        U=ScalarField(grid, U.values.copy(), U.mask.copy()),
-        q=q, k_a=k_a, k_s=k_s, q_r=q_r, k_c=k_c,
-        e_p=e_p_density, u=u,
-        rho=ScalarField(grid, rho_vals.copy(), f.rho.mask.copy()),
-        E_plus=float(E_plus),
-    )
+
+def _potential(s: Superposition) -> np.ndarray:
+    # the basis potential on the basis grid, zero for bases without one
+    pot = s.basis.potential
+    return np.zeros(s.grid.shape) if pot is None else sample_potential(pot, s.grid).values
+
+
+def frame_ledger(states, times) -> dict:
+    """ledger of states[i] at times[i], states on one basis: one evaluate
+    and one time_derivative per frame, U the basis potential sampled on the
+    basis grid and E_plus each state's band limit."""
+    frames = list(zip(states, times, strict=True))
+    psi = _stack([evaluate(s, float(t)).values for s, t in frames])
+    dpsidt = _stack([time_derivative(s, float(t)).values for s, t in frames])
+    return ledger(states[0].grid, psi, dpsidt, _potential(states[0]),
+                  [band_limit(s) for s in states])
+
+
+def _stack(frames: list) -> np.ndarray:
+    # one frame is a view, not a copy
+    return frames[0][None] if len(frames) == 1 else np.stack(frames)
+
+
+def decompose(s: Superposition, t: float) -> EnergyDecomposition:
+    """The ledger of a superposition at time t: frame_ledger on one frame,
+    so U is the basis potential (zero for bases without one) and E_plus the
+    state's band limit; ledger takes any other U and E_plus."""
+    c = frame_ledger([s], [t])
+    return EnergyDecomposition(s.grid, band_limit(s),
+                               **{k: c[k][0] for k in _DECOMP_COLS + ("valid",)})
 
 
 def classify_superoscillation(d: EnergyDecomposition) -> SuperoscillationMask:
-    """Flag the six superoscillation classes.
-
-    Strict inequalities with an EQ_TOL band: points within EQ_TOL of a
-    class boundary are left unflagged.  Soft/hard in the density picture
-    use the q_r and k_c density fields directly.
-    """
-    valid = d.Q.mask & d.K_a.mask & d.K_s.mask & d.E_p.mask
-    head = d.E_plus - d.U.values
-
-    soft_qka = valid & (d.Q.values < -EQ_TOL)
-    hard_qka = valid & (d.K_a.values - head > EQ_TOL)
-    soft_qrkc = valid & (d.q_r.values < -EQ_TOL)
-    hard_qrkc = valid & (d.k_c.values - (d.rho.values * d.E_plus - d.u.values) > EQ_TOL)
-    forbidden_global = valid & (head < -EQ_TOL)
-    forbidden_local = valid & (d.K_cl.values < -EQ_TOL)
-
-    return SuperoscillationMask(
-        grid=d.grid, soft_qka=soft_qka, hard_qka=hard_qka,
-        soft_qrkc=soft_qrkc, hard_qrkc=hard_qrkc,
-        forbidden_global=forbidden_global, forbidden_local=forbidden_local,
-        valid=valid,
-    )
+    """The six superoscillation classes of one ledger frame, as ledger
+    computes them."""
+    return SuperoscillationMask(d.grid, valid=d.valid, **_classes(vars(d), d.E_plus))
 
 
 def hj_residual(d: EnergyDecomposition) -> ScalarField:
     """Hamilton-Jacobi balance K_a + Q + U - E_p; zero in the continuum."""
-    mask = d.K_a.mask & d.Q.mask & d.U.mask & d.E_p.mask
-    vals = np.where(mask, d.K_a.values + d.Q.values + d.U.values - d.E_p.values, 0.0)
-    return ScalarField(d.grid, vals, mask)
+    vals = np.where(d.valid, d.K_a + d.Q + d.U - d.E_p, 0.0)
+    return ScalarField(d.grid, vals, d.valid)
 
 
 def continuity_residual(s: Superposition, t: float, dt: float) -> ScalarField:
@@ -292,32 +268,17 @@ def continuity_residual(s: Superposition, t: float, dt: float) -> ScalarField:
     The time derivative is a centered difference over dt; the divergence
     uses the grid stencils, so the residual carries O(dt^2) + O(h^2).
     """
-    psi = evaluate(s, t)
-    f = polar_fields(psi, time_derivative(s, t))
+    rho, mask, _, v_a = _polar(s.grid, evaluate(s, t).values[None])
     rho_p = np.abs(evaluate(s, t + dt).values) ** 2
     rho_m = np.abs(evaluate(s, t - dt).values) ** 2
     drho = (rho_p - rho_m) / (2.0 * dt)
 
     # add d(rho v_a)/dx_a along each axis
-    total, mask = drho, True
-    for axis, v in enumerate(f.v_a):
-        d = partials(ScalarField(f.grid, f.rho.values * v.values, v.mask.copy()))[axis]
-        total, mask = total + d.values, mask & d.mask
-    return ScalarField(f.grid, np.where(mask, total, 0.0), mask)
-
-
-def decompose(s: Superposition, t: float) -> EnergyDecomposition:
-    """Evaluate a superposition at time t and build its energy ledger, with
-    U the basis potential sampled on the basis grid (zero for bases without
-    one) and E_plus the state's band limit; energy_decomposition takes any
-    other U and E_plus."""
-    pot = s.basis.potential
-    if pot is None:
-        U = ScalarField(s.grid, np.zeros(s.grid.shape))
-    else:
-        U = sample_potential(pot, s.grid)
-    f = polar_fields(evaluate(s, t), time_derivative(s, t))
-    return energy_decomposition(f, U, band_limit(s))
+    total, ok = drho, True
+    for axis, v in enumerate(v_a):
+        d = partials(ScalarField(s.grid, rho[0] * v[0], mask[0]))[axis]
+        total, ok = total + d.values, ok & d.mask
+    return ScalarField(s.grid, np.where(ok, total, 0.0), ok)
 
 
 def mask_area(grid, flags: np.ndarray) -> float:
@@ -342,23 +303,15 @@ def ledger_integrals(d: EnergyDecomposition) -> dict:
     w = _grid_weights(d.grid)
     out = {}
     for name in ("q", "k_a", "k_s", "q_r", "k_c", "e_p", "u"):
-        out[name] = float(np.sum(w * getattr(d, name).values))
+        out[name] = float(np.sum(w * getattr(d, name)))
     return out
-
-
-_DECOMP_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
-                "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho")
 
 
 def decomposition_to_csv(d: EnergyDecomposition, path: str):
     """One row per grid point: coordinates, every ledger field, valid flag."""
     names, coords = coordinate_columns(d.grid)
-    fields = tuple(getattr(d, c).values for c in _DECOMP_COLS)
+    fields = tuple(getattr(d, c) for c in _DECOMP_COLS)
     write_columns(path, names + _DECOMP_COLS + ("valid",), coords + fields + (d.valid,))
-
-
-_MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
-              "forbidden_global", "forbidden_local")
 
 
 def masks_to_csv(m: SuperoscillationMask, path: str):
@@ -378,24 +331,20 @@ def _put_array(zf: zipfile.ZipFile, name: str, array: np.ndarray):
         np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
-def write_frame_table(path, times, ledgers):
+def write_frame_table(path, times, grid, table):
     """All frames of a run as one uncompressed .npz archive.
 
-    ledgers holds one (EnergyDecomposition, SuperoscillationMask) pair per
-    entry of times.  Keys: t; the grid axes x (and y in 2D) as 1D arrays;
-    one float64 array of shape (frames, *grid shape) per ledger column;
-    one bool array of that shape per mask column and for valid.  Columns
-    are stacked over frames one at a time, so memory holds one stacked
-    column on top of the ledgers.
+    table is a ledger result over the frames at times.  Keys: t; the grid
+    axes x (and y in 2D) as 1D arrays; one float64 array of shape
+    (frames, *grid shape) per ledger column; one bool array of that shape
+    per mask column and for valid.
     """
     with zipfile.ZipFile(path, "w") as zf:
         _put_array(zf, "t", np.asarray(times, dtype=float))
-        for name, axis in zip(("x", "y"), ledgers[0][0].grid.axes):
+        for name, axis in zip(("x", "y"), grid.axes):
             _put_array(zf, name, axis.x)
-        for c in _DECOMP_COLS:
-            _put_array(zf, c, np.stack([getattr(d, c).values for d, _ in ledgers]))
-        for c in _MASK_COLS + ("valid",):
-            _put_array(zf, c, np.stack([getattr(m, c) for _, m in ledgers]))
+        for c in _FRAME_COLS:
+            _put_array(zf, c, table[c])
 
 
 def read_frame_table(path, keys=None) -> dict:

@@ -678,21 +678,20 @@ def vortex_profile(s: Superposition, center, r_max: float, n_bins: int,
     d = decompose(s, t)
     X, Y = g2.mesh()
     r = np.hypot(X - cx, Y - cy)
-    speed = np.sqrt(2.0 * np.maximum(d.K_a.values, 0.0))
-    ok = d.Q.mask & d.K_a.mask
+    speed = np.sqrt(2.0 * np.maximum(d.K_a, 0.0))
 
     edges = np.linspace(2 * h, r_max, n_bins + 1)
     radii, q_m, k_m, s_m = [], [], [], []
     for b in range(n_bins):
-        sel = (r >= edges[b]) & (r < edges[b + 1]) & ok
+        sel = (r >= edges[b]) & (r < edges[b + 1]) & d.valid
         if not sel.any():
             continue
         # bin abscissa 1/sqrt(mean(1/r^2)): an ideal 1/r^2 field then lands
         # exactly on its power law whatever the bin width, so the fit is
         # free of bin-attribution bias
         radii.append(1.0 / math.sqrt(float(np.mean(r[sel] ** -2.0))))
-        q_m.append(float(d.Q.values[sel].mean()))
-        k_m.append(float(d.K_a.values[sel].mean()))
+        q_m.append(float(d.Q[sel].mean()))
+        k_m.append(float(d.K_a[sel].mean()))
         s_m.append(float(speed[sel].mean()))
     radii = np.asarray(radii)
     k_arr = np.asarray(k_m)

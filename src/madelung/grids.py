@@ -23,8 +23,6 @@ __all__ = [
     "integrate_masked",
     "quadrature",
     "trapezoid_weights",
-    "gradient",
-    "gradient2d",
     "partials",
     "laplacian",
     "coordinate_columns",
@@ -202,8 +200,10 @@ def _same_kind(f, values, mask):
     return cls(f.grid, values, mask)
 
 
-# The stencils act along axis 0 of arrays of any rank; _partial moves the
-# axis it differentiates to the front.
+# The stencils act along axis 0 of arrays of any rank; _along moves the
+# axis it differentiates to the front.  Each edge row is a sum taken left
+# to right over the leading axis, elementwise, so a frame of a stack
+# rounds as it does alone.
 def _stencil_mask(mask: np.ndarray, edge_span: int) -> np.ndarray:
     out = np.empty_like(mask)
     out[1:-1] = mask[1:-1] & mask[2:] & mask[:-2]
@@ -212,28 +212,41 @@ def _stencil_mask(mask: np.ndarray, edge_span: int) -> np.ndarray:
     return out
 
 
+def _edge(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # c0 rows[0] + c1 rows[1] + ... in that order
+    total = coeffs[0] * rows[0]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        total = total + c * row
+    return total
+
+
 def _d1(v: np.ndarray, h: float) -> np.ndarray:
     g = np.empty_like(v)
     g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    g[0] = _GRAD_EDGE @ v[:3] / h
-    g[-1] = -(_GRAD_EDGE @ v[-1:-4:-1]) / h
+    g[0] = _edge(_GRAD_EDGE, v[:3]) / h
+    g[-1] = -_edge(_GRAD_EDGE, v[-1:-4:-1]) / h
     return g
 
 
 def _d2(v: np.ndarray, h: float) -> np.ndarray:
     L = np.empty_like(v)
     L[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    L[0] = _LAP_EDGE @ v[:5] / h**2
-    L[-1] = _LAP_EDGE @ v[-1:-6:-1] / h**2
+    L[0] = _edge(_LAP_EDGE, v[:5]) / h**2
+    L[-1] = _edge(_LAP_EDGE, v[-1:-6:-1]) / h**2
     return L
+
+
+def _along(v: np.ndarray, axis: int, stencil, h: float) -> np.ndarray:
+    """stencil(v, h) applied along one axis of v."""
+    return np.moveaxis(stencil(np.moveaxis(v, axis, 0), h), 0, axis)
 
 
 def _partial(f, axis: int, stencil, edge_span: int) -> tuple:
     """Stencil values and propagated mask of f along one grid axis; masked
     outputs are not yet zeroed."""
-    vals = stencil(np.moveaxis(f.values, axis, 0), f.grid.axes[axis].h)
+    vals = _along(f.values, axis, stencil, f.grid.axes[axis].h)
     mask = _stencil_mask(np.moveaxis(f.mask, axis, 0), edge_span)
-    return np.moveaxis(vals, 0, axis), np.moveaxis(mask, 0, axis)
+    return vals, np.moveaxis(mask, 0, axis)
 
 
 def partials(f) -> tuple:
@@ -248,20 +261,6 @@ def partials(f) -> tuple:
         vals[~mask] = 0.0
         out.append(_same_kind(f, vals, mask))
     return tuple(out)
-
-
-def gradient(f):
-    """First derivative of a 1D field; use gradient2d for tensor grids."""
-    if f.grid.ndim != 1:
-        raise ValueError("gradient expects a 1D field; use gradient2d")
-    return partials(f)[0]
-
-
-def gradient2d(f) -> tuple:
-    """Partial derivatives (d/dx, d/dy) of a 2D field."""
-    if f.grid.ndim != 2:
-        raise ValueError("gradient2d expects a 2D field")
-    return partials(f)
 
 
 def laplacian(f):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import classify_superoscillation, decompose, write_frame_table
+from .energy import frame_ledger, write_frame_table
 from .flow import (
     circulation,
     find_nodes,
@@ -566,14 +566,12 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     save_config(c, os.path.join(out_dir, "config.txt"))
 
     if c.write_fields:
-        ledgers = []
-        for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
-            d = decompose(b.states[si], float(t))
-            ledgers.append((d, classify_superoscillation(d)))
-            files["frames"].append({"index": i, "t": float(t), "state": b.labels[si]})
-        write_frame_table(os.path.join(out_dir, "frames.npz"), b.frame_times, ledgers)
+        table = frame_ledger([b.states[si] for si in b.frame_states], b.frame_times)
+        write_frame_table(os.path.join(out_dir, "frames.npz"), b.frame_times, b.basis.grid, table)
         files["frame_table"] = "frames.npz"
-        del ledgers
+        files["frames"] = [{"index": i, "t": float(t), "state": b.labels[si]}
+                           for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states))]
+        del table
 
     derived: dict = {
         "energies": [float(e) for e in b.basis.energies[: min(b.basis.k, 12)]],

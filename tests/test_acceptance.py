@@ -136,9 +136,9 @@ def test_criterion_02_flatness():
         g = Grid1D(-1.25, 1.25, n)
         b = eigenbasis(QuarticDoubleWell(), g, 1)
         d = decompose(superposition(b, [0], [1.0]), 0.0)
-        m = d.Q.mask & d.U.mask
+        m = d.valid
         flat[n] = float(
-            (np.abs(d.Q.values + d.U.values - e_ref)[m] / abs(e_ref)).max()
+            (np.abs(d.Q + d.U - e_ref)[m] / abs(e_ref)).max()
         )
     ratio = flat[2001] / flat[4001]
     ok = flat[2001] < 1e-3 and 3.0 < ratio < 5.5
@@ -154,10 +154,9 @@ def test_criterion_03_ledger_integrals(bundles):
     for n in (2001, 4001):
         s, T = _well_two_mode(n)
         d = decompose(s, 0.123 * T)
-        m = d.Q.mask & d.K_s.mask & d.Q_r.mask
-        r1[n] = float(np.abs(d.Q.values - d.K_s.values - d.Q_r.values)[m].max())
-        m2 = d.K_c.mask & d.K_a.mask & d.K_s.mask
-        r2[n] = float(np.abs(d.K_c.values - d.K_a.values - d.K_s.values)[m2].max())
+        m = d.valid
+        r1[n] = float(np.abs(d.Q - d.K_s - d.Q_r)[m].max())
+        r2[n] = float(np.abs(d.K_c - d.K_a - d.K_s)[m].max())
     ratio = r1[2001] / r1[4001]
     ok_ident = 2.5 < ratio < 6.0 and max(r2.values()) < 1e-12
 
@@ -347,7 +346,7 @@ def test_criterion_08_vortex():
     s = superposition(basis, [0, 1], np.array([1.0, 1.0j]) / math.sqrt(2.0))
     d = decompose(s, 0.0)
     e_expect = 5.0 * np.pi ** 2 / 2.0
-    ep_err = float(np.abs(d.E_p.values[d.E_p.mask] - e_expect).max())
+    ep_err = float(np.abs(d.E_p[d.valid] - e_expect).max())
 
     h = axis.h
     prof = vortex_profile(s, (0.5, 0.5), 0.1, 10)

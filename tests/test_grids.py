@@ -10,9 +10,10 @@ from madelung.grids import (
     Grid1D,
     Grid2D,
     ScalarField,
+    _along,
+    _d1,
+    _d2,
     field_to_csv,
-    gradient,
-    gradient2d,
     integrate,
     integrate_masked,
     laplacian,
@@ -127,7 +128,7 @@ class TestIntegrate:
 class TestGradient:
     def test_quadratic_exact_interior(self):
         g = Grid1D(-1.0, 1.0, 201)
-        out = gradient(make_field(lambda x: x**2, g))
+        out = partials(make_field(lambda x: x**2, g))[0]
         assert np.allclose(out.values[1:-1], 2.0 * g.x[1:-1], atol=1e-12)
         # one-sided edges are exact for quadratics too
         assert out.values[0] == pytest.approx(-2.0, abs=1e-10)
@@ -135,7 +136,7 @@ class TestGradient:
 
     def test_constant_zero(self):
         g = Grid1D(0.0, 2.0, 51)
-        out = gradient(make_field(np.ones_like, g))
+        out = partials(make_field(np.ones_like, g))[0]
         assert np.allclose(out.values, 0.0, atol=1e-13)
 
     def test_convergence_order(self):
@@ -143,7 +144,7 @@ class TestGradient:
         errs = []
         for n in (201, 401):
             g = Grid1D(0.0, 2.0, n)
-            out = gradient(make_field(lambda x: np.sin(5.0 * x), g))
+            out = partials(make_field(lambda x: np.sin(5.0 * x), g))[0]
             errs.append(np.abs(out.values - 5.0 * np.cos(5.0 * g.x)).max())
         ratio = errs[0] / errs[1]
         assert 3.3 < ratio < 4.7
@@ -152,14 +153,14 @@ class TestGradient:
         g = Grid1D(0.0, 1.0, 801)
         k = 7.0
         f = ComplexField(g, np.exp(1j * k * g.x))
-        out = gradient(f)
+        out = partials(f)[0]
         assert np.allclose(out.values, 1j * k * f.values, atol=3e-4)
 
     def test_mask_propagates_to_neighbors(self):
         g = Grid1D(0.0, 1.0, 21)
         mask = np.ones(21, bool)
         mask[10] = False
-        out = gradient(ScalarField(g, np.zeros(21), mask))
+        out = partials(ScalarField(g, np.zeros(21), mask))[0]
         assert not out.mask[9] and not out.mask[10] and not out.mask[11]
         assert out.mask[8] and out.mask[12]
 
@@ -242,14 +243,12 @@ class TestPerAxis:
         g2 = self._field().grid
         assert g2.axes == (g2.grid_x, g2.grid_y)
 
-    def test_gradient2d_is_1d_gradient_per_line(self):
+    def test_partials_2d_are_1d_partials_per_line(self):
         f = self._field()
-        parts = gradient2d(f)
-        assert all(np.array_equal(p.values, q.values) and np.array_equal(p.mask, q.mask)
-                   for p, q in zip(parts, partials(f), strict=True))
+        parts = partials(f)
         for axis in (0, 1):
             for sel, line in self._lines(f, axis):
-                ref = gradient(line)
+                (ref,) = partials(line)
                 got = parts[axis]
                 self._assert_same(got.values[sel], ref.values, got.mask[sel], ref.mask)
         # the masked points poison their stencil neighbours along each axis
@@ -279,13 +278,57 @@ class TestPerAxis:
                                    atol=1e-13 * np.abs(want).max())
 
 
+class TestStackedStencils:
+    """The stencils on stacks of frames: a frame's derivative is the same
+    alone as in its stack, bit for bit, for grid and stack axes of length 3
+    and 5 too (the lengths an edge row written as a matrix product would
+    contract over)."""
+
+    @pytest.mark.parametrize("stencil", [_d1, _d2])
+    def test_frame_alone_equals_its_slice(self, stencil):
+        rng = np.random.default_rng(7)
+        for frames, shape in ((3, (11,)), (5, (7,)), (4, (5,)), (3, (5, 3)), (5, (3, 5)),
+                              (3, (7, 11)), (5, (5, 5))):
+            re, im = rng.standard_normal((2, frames, *shape))
+            for v in (re, re + 1j * im):
+                for axis in range(len(shape)):
+                    stacked = _along(v, 1 + axis, stencil, 0.1)
+                    assert stacked.shape == v.shape
+                    for i in range(frames):
+                        alone = _along(v[i].copy(), axis, stencil, 0.1)
+                        assert stacked[i].tobytes() == alone.tobytes(), (shape, axis, i)
+
+    @pytest.mark.parametrize("stencil, coeffs", [
+        (_d1, [-1.5, 2.0, -0.5]),
+        (_d2, [35.0 / 12.0, -26.0 / 3.0, 19.0 / 2.0, -14.0 / 3.0, 11.0 / 12.0]),
+    ])
+    def test_rank3_edge_rows(self, stencil, coeffs):
+        # axis 0 is differentiated; every line along it gives the 1D result,
+        # and the edge rows are the one-sided stencils, whatever the other
+        # axes' lengths
+        rng = np.random.default_rng(3)
+        h = 0.25
+        for shape in ((9, 3, 5), (9, 5, 3), (9, 5, 5), (9, 3, 3)):
+            v = rng.standard_normal(shape)
+            out = stencil(v, h)
+            scale = h if stencil is _d1 else h**2
+            first = sum(c * v[k] for k, c in enumerate(coeffs)) / scale
+            last = sum(c * v[-1 - k] for k, c in enumerate(coeffs)) / scale
+            np.testing.assert_allclose(out[0], first, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out[-1], -last if stencil is _d1 else last,
+                                       rtol=1e-12, atol=1e-12)
+            for j in range(shape[1]):
+                for k in range(shape[2]):
+                    assert out[:, j, k].tobytes() == stencil(v[:, j, k].copy(), h).tobytes()
+
+
 class TestIdentities:
     def test_fundamental_theorem(self):
-        # integrate(gradient(f)) = f(b) - f(a) within O(h^2)
+        # integrate(partials(f)[0]) = f(b) - f(a) within O(h^2)
         for n in (401, 801):
             g = Grid1D(0.0, 1.5, n)
             f = make_field(lambda x: np.exp(x) * np.sin(3.0 * x), g)
-            got = integrate(gradient(f))
+            got = integrate(partials(f)[0])
             expect = f.values[-1] - f.values[0]
             assert got == pytest.approx(expect, abs=20.0 * g.h**2)
 
@@ -296,7 +339,7 @@ class TestIdentities:
             g = Grid1D(0.0, 2.0, n)
             R = make_field(lambda x: 1.5 + np.sin(4.0 * x), g)
             lhs = laplacian(ScalarField(g, R.values**2))
-            gr = gradient(R)
+            gr = partials(R)[0]
             rhs = 2.0 * R.values * laplacian(R).values + 2.0 * gr.values**2
             errs.append(np.abs(lhs.values - rhs).max())
         assert errs[0] / errs[1] > 3.0
@@ -312,8 +355,8 @@ class TestIdentities:
         f1 = make_field(lambda x: np.sin(k * x), g)
         f2 = make_field(lambda x: np.cos(2.0 * x), g)
         combo = ScalarField(g, a * f1.values + b * f2.values)
-        direct = gradient(combo).values
-        parts = a * gradient(f1).values + b * gradient(f2).values
+        direct = partials(combo)[0].values
+        parts = a * partials(f1)[0].values + b * partials(f2)[0].values
         assert np.allclose(direct, parts, atol=1e-9 * (1 + abs(a) + abs(b)))
 
 
