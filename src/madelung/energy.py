@@ -57,8 +57,10 @@ _DECOMP_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
                 "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho")
 _MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
               "forbidden_global", "forbidden_local")
-# every column of a frame table, in archive order
-_FRAME_COLS = _DECOMP_COLS + _MASK_COLS + ("valid",)
+# the float columns a frame archive stores, one (frames, *grid) array each;
+# _derive rebuilds the others from them, U and valid
+_STORED_COLS = ("rho", "q", "K_a", "k_s", "q_r", "e_p")
+_DERIVED_COLS = tuple(c for c in _DECOMP_COLS if c not in _STORED_COLS + ("U",))
 
 
 @dataclass
@@ -145,12 +147,12 @@ def ledger(grid, psi, dpsidt, U, E_plus) -> dict:
       K_cl = E_p - U, U,
 
     their density forms q, k_a, k_s, q_r, k_c, e_p, u and rho, the six
-    classes of classify_superoscillation and valid.  Where an undivided
-    form exists (q = -R lap(R)/2, k_s, k_c, q_r = -lap(rho)/4, e_p from
-    the raw phase-derivative numerator, u = rho U) the density is built
-    from it on the whole grid, so integral identities are free of node-mask
-    bias.  The per-particle forms and k_a, which diverges at nodes, are
-    zero outside valid.
+    classes of classify_superoscillation and valid, and E_plus as a
+    (frames,) array.  Where an undivided form exists (q = -R lap(R)/2,
+    k_s, k_c, q_r = -lap(rho)/4, e_p from the raw phase-derivative
+    numerator, u = rho U) the density is built from it on the whole grid,
+    so integral identities are free of node-mask bias.  The per-particle
+    forms and k_a, which diverges at nodes, are zero outside valid.
     """
     psi = np.asarray(psi, dtype=complex)
     dpsidt = np.asarray(dpsidt, dtype=complex)
@@ -167,33 +169,43 @@ def ledger(grid, psi, dpsidt, U, E_plus) -> dict:
 
     rho, mask, dpsi, grad_S = _polar(grid, psi)
     R = np.sqrt(rho)
-    c = {"U": np.broadcast_to(U, rho.shape), "rho": rho, "valid": mask}
+    c = {"E_plus": E_plus.reshape(-1), "rho": rho, "valid": mask}
     c["q"] = -0.5 * R * _laplacian(grid, R)
     c["q_r"] = -0.25 * _laplacian(grid, rho)
-    num_t = np.imag(np.conj(psi) * dpsidt)
-    c["e_p"] = -num_t
-    c["E_p"] = -_divided(num_t, rho, mask)
-    c["u"] = rho * U
+    c["e_p"] = -np.imag(np.conj(psi) * dpsidt)
 
     # kinetic densities: 0.5|grad psi|^2 is smooth across density zeros
     # (|grad R|^2 is not: R kinks at the nodes of real states), so k_c is
-    # built undivided from it; the advective part subtracts off to give
-    # k_s.  Cauchy-Schwarz makes that difference nonnegative pointwise
-    # even in the discrete fields, up to rounding, which is clipped.
+    # built undivided from it; the advective part k_a = rho K_a (zero
+    # outside valid, as K_a is) subtracts off to give k_s.  Cauchy-Schwarz
+    # makes that difference nonnegative pointwise even in the discrete
+    # fields, up to rounding, which is clipped.
     kc = functools.reduce(operator.add, (0.5 * np.abs(d) ** 2 for d in dpsi))
     ka = functools.reduce(operator.add, (0.5 * g**2 for g in grad_S))
-    c["k_a"] = np.where(mask, rho * ka, 0.0)
-    c["k_s"] = np.maximum(kc - c["k_a"], 0.0)
-    c["k_c"] = c["k_a"] + c["k_s"]
-
-    c["Q"] = _divided(c["q"], rho, mask)
-    c["K_s"] = _divided(c["k_s"], rho, mask)
-    c["Q_r"] = _divided(c["q_r"], rho, mask)
     c["K_a"] = np.where(mask, ka, 0.0)
-    c["K_c"] = np.where(mask, c["K_a"] + c["K_s"], 0.0)
-    c["K_cl"] = np.where(mask, c["E_p"] - U, 0.0)
+    c["k_s"] = np.maximum(kc - rho * c["K_a"], 0.0)
+    c.update(_derive(c, U))
     c.update(_classes(c, E_plus))
     return c
+
+
+def _derive(c: dict, U: np.ndarray) -> dict:
+    """The ledger columns that follow exactly from the independent ones:
+    c holds rho, valid, q, K_a, k_s, q_r and e_p as (frames, *grid) arrays,
+    U is the potential on the grid or over the frames.  ledger and
+    read_frame_table both build these columns here, so an archive reads
+    back the ledger's own bits."""
+    rho, valid = c["rho"], c["valid"]
+    d = {"U": np.broadcast_to(U, rho.shape), "u": rho * U}
+    d["E_p"] = -_divided(-c["e_p"], rho, valid)
+    d["k_a"] = np.where(valid, rho * c["K_a"], 0.0)
+    d["k_c"] = d["k_a"] + c["k_s"]
+    d["Q"] = _divided(c["q"], rho, valid)
+    d["K_s"] = _divided(c["k_s"], rho, valid)
+    d["Q_r"] = _divided(c["q_r"], rho, valid)
+    d["K_c"] = np.where(valid, c["K_a"] + d["K_s"], 0.0)
+    d["K_cl"] = np.where(valid, d["E_p"] - U, 0.0)
+    return d
 
 
 def _laplacian(grid, v: np.ndarray) -> np.ndarray:
@@ -332,23 +344,52 @@ def _put_array(zf: zipfile.ZipFile, name: str, array: np.ndarray):
 
 
 def write_frame_table(path, times, grid, table):
-    """All frames of a run as one uncompressed .npz archive.
+    """All frames of a run as one uncompressed .npz archive of the
+    independent ledger.
 
     table is a ledger result over the frames at times.  Keys: t; the grid
-    axes x (and y in 2D) as 1D arrays; one float64 array of shape
-    (frames, *grid shape) per ledger column; one bool array of that shape
-    per mask column and for valid.
+    axes x (and y in 2D) as 1D arrays; E_plus, the band limit of each frame;
+    U once, on the grid; one float64 array of shape (frames, *grid shape)
+    for each of rho, q, K_a, k_s, q_r and e_p; one bool array of that shape
+    per mask column and for valid.  read_frame_table rebuilds the other
+    ledger columns from these.
     """
     with zipfile.ZipFile(path, "w") as zf:
         _put_array(zf, "t", np.asarray(times, dtype=float))
         for name, axis in zip(("x", "y"), grid.axes):
             _put_array(zf, name, axis.x)
-        for c in _FRAME_COLS:
+        _put_array(zf, "E_plus", table["E_plus"])
+        _put_array(zf, "U", table["U"][0])
+        for c in _STORED_COLS + _MASK_COLS + ("valid",):
             _put_array(zf, c, table[c])
 
 
 def read_frame_table(path, keys=None) -> dict:
     """{key: array} of an archive written by write_frame_table: every key,
-    or only those named in keys."""
+    or only those named in keys.
+
+    Besides the stored keys, the ledger columns u, E_p, k_a, k_c, Q, K_s,
+    Q_r, K_c and K_cl are rebuilt with ledger's own code, bit for bit, and
+    only when one of them is asked for.  U comes back over the frames, as a
+    read-only (frames, *grid shape) view.  An archive without E_plus (the
+    layout that stored every ledger column) and a key the archive cannot
+    supply are refused with a ValueError.
+    """
     with np.load(path, allow_pickle=False) as z:
-        return {k: z[k] for k in (z.files if keys is None else keys)}
+        if "E_plus" not in z.files:
+            raise ValueError(f"{path} is a frame archive of the old layout, without "
+                             "E_plus; re-run the scenario to write it again")
+        known = z.files + list(_DERIVED_COLS)
+        keys = known if keys is None else list(keys)
+        unknown = [k for k in keys if k not in known]
+        if unknown:
+            raise ValueError(f"{path} has no key {', '.join(unknown)}; "
+                             f"valid keys: {', '.join(known)}")
+        derive = any(k in _DERIVED_COLS for k in keys)
+        load = set(keys).union(_STORED_COLS, ("valid", "U")) if derive else set(keys)
+        table = {k: z[k] for k in z.files if k in load}
+        if "U" in table:
+            table["U"] = np.broadcast_to(table["U"], z["t"].shape + table["U"].shape)
+    if derive:
+        table.update(_derive(table, table["U"]))
+    return {k: table[k] for k in keys}

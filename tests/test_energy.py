@@ -656,7 +656,8 @@ class TestLedgerOracle:
         states = [b.states[si] for si in b.frame_states]
         table = frame_ledger(states, b.frame_times)
         shape = b.basis.grid.shape
-        assert set(table) == set(LEDGER_COLS + MASK_COLS + ("valid",))
+        assert set(table) == set(LEDGER_COLS + MASK_COLS + ("valid", "E_plus"))
+        assert np.array_equal(table["E_plus"], [band_limit(s) for s in states])
         edge = np.zeros(shape, dtype=bool)
         for axis in range(len(shape)):
             edge[(slice(None),) * axis + ([0, -1],)] = True

@@ -19,6 +19,7 @@ import re
 import numpy as np
 import pytest
 
+from madelung import energy
 from madelung import render as rd
 from madelung.energy import read_frame_table
 from madelung.grids import read_columns
@@ -329,6 +330,26 @@ def test_default_figures_are_the_kinds_the_frozen_renderer_draws(runs, tmp_path)
         figures = rd.default_figures(run)
         assert [os.path.basename(p) for p in figures] == list(drawn)
         assert [open(p).read() for p in figures] == list(drawn.values())
+
+
+def test_figures_read_only_stored_keys(runs, monkeypatch):
+    # the archive stores what the figures read: drawing derives no column,
+    # and no derivable float column is stored
+    derived, derive = [], energy._derive
+
+    def counting(*args):
+        derived.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(energy, "_derive", counting)
+    for i in (0, 6):
+        with np.load(runs[i] / "frames.npz", allow_pickle=False) as z:
+            axes = ("x",) if "y" not in z.files else ("x", "y")
+            assert z.files == ["t", *axes, "E_plus", "U", "rho", "q", "K_a", "k_s", "q_r",
+                               "e_p", "soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
+                               "forbidden_global", "forbidden_local", "valid"]
+        assert rd.default_figures(runs[i])
+    assert derived == []
 
 
 _NUM = r"(-?[0-9.]+)"

@@ -274,8 +274,41 @@ MASK_COLS = ("soft_qka", "hard_qka", "soft_qrkc", "hard_qrkc",
              "forbidden_global", "forbidden_local")
 
 
+# the float columns frames.npz stores; read_frame_table rebuilds the rest
+STORED_COLS = ("rho", "q", "K_a", "k_s", "q_r", "e_p")
+
+
 def _bits(a: np.ndarray) -> tuple:
     return a.dtype, a.shape, a.tobytes()
+
+
+def _oracle_put(zf, name, array):
+    info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+    with zf.open(info, "w", force_zip64=True) as fh:
+        np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def oracle_write_frame_table(path, times, grid, table):
+    """The frame archive as written before it dropped the derivable
+    columns: t, the grid axes and every ledger column, mask and valid in
+    full, U repeated in every frame and no E_plus."""
+    with zipfile.ZipFile(path, "w") as zf:
+        _oracle_put(zf, "t", np.asarray(times, dtype=float))
+        for name, axis in zip(("x", "y"), grid.axes):
+            _oracle_put(zf, name, axis.x)
+        for c in LEDGER_COLS + MASK_COLS + ("valid",):
+            _oracle_put(zf, c, table[c])
+
+
+def _stock_frame_ledger(name):
+    """A short stock run's frames, grid and ledger: four frames (vortex_2d
+    has one), mzi_1d at its tuned barrier height without tuning."""
+    over = {"frames": 4} if name != "vortex_2d" else {}
+    if name == "mzi_1d":
+        over["barrier_height"] = 2437.5
+    b = sc.build_scenario(sc.default_config(name, **over))
+    table = frame_ledger([b.states[si] for si in b.frame_states], b.frame_times)
+    return b.frame_times, b.basis.grid, table
 
 
 class TestFrameTable:
@@ -290,16 +323,18 @@ class TestFrameTable:
         assert m["files"]["frame_table"] == "frames.npz"
         path = tmp_path / "r" / "frames.npz"
         with np.load(path, allow_pickle=False) as z:
-            loaded = {k: z[k] for k in z.files}
+            raw = {k: z[k] for k in z.files}
         table = read_frame_table(path)
-        assert set(table) == set(loaded)
-        for k in table:
-            assert _bits(table[k]) == _bits(loaded[k]), k
+        for k in raw:
+            got = table[k][0] if k == "U" else table[k]
+            assert _bits(got) == _bits(raw[k]), k
+        assert table["U"].shape == table["rho"].shape
 
         b = sc.build_scenario(c)
         grid = b.states[0].grid
         axes = ["x"] if grid.ndim == 1 else ["x", "y"]
-        assert set(table) == {"t", "valid", *axes, *LEDGER_COLS, *MASK_COLS}
+        assert set(raw) == {"t", "E_plus", "U", "valid", *axes, *STORED_COLS, *MASK_COLS}
+        assert set(table) == {"t", "E_plus", "valid", *axes, *LEDGER_COLS, *MASK_COLS}
         assert _bits(table["t"]) == _bits(np.asarray(b.frame_times, dtype=float))
         if grid.ndim == 1:
             assert _bits(table["x"]) == _bits(grid.x)
@@ -312,6 +347,7 @@ class TestFrameTable:
                                                "state": b.labels[si]}
             d = decompose(b.states[si], float(t))
             mk = classify_superoscillation(d)
+            assert table["E_plus"][i] == d.E_plus
             for col in LEDGER_COLS:
                 want = getattr(d, col)
                 assert table[col].dtype == np.float64, col
@@ -321,6 +357,43 @@ class TestFrameTable:
                 assert _bits(table[col][i]) == _bits(getattr(mk, col)), (i, col)
             assert _bits(table["valid"][i]) == _bits(d.valid)
             assert _bits(table["valid"][i]) == _bits(mk.valid)
+
+    @pytest.mark.parametrize("name", sc.SCENARIOS)
+    def test_archive_reads_back_the_full_layout(self, tmp_path, name):
+        times, grid, table = _stock_frame_ledger(name)
+        write_frame_table(tmp_path / "new.npz", times, grid, table)
+        oracle_write_frame_table(tmp_path / "old.npz", times, grid, table)
+        with np.load(tmp_path / "old.npz", allow_pickle=False) as z:
+            want = {k: z[k] for k in z.files}
+        got = read_frame_table(tmp_path / "new.npz")
+        assert set(got) == set(want) | {"E_plus"}
+        for k in want:
+            assert _bits(got[k]) == _bits(want[k]), k
+        assert _bits(got["E_plus"]) == _bits(table["E_plus"])
+        # a derived column read alone is built from the same stored bits
+        part = read_frame_table(tmp_path / "new.npz", ("K_cl", "U"))
+        assert list(part) == ["K_cl", "U"]
+        assert _bits(part["K_cl"]) == _bits(want["K_cl"])
+        assert _bits(part["U"]) == _bits(want["U"])
+        assert (tmp_path / "new.npz").stat().st_size < 0.5 * (tmp_path / "old.npz").stat().st_size
+
+    def test_old_layout_is_refused(self, tmp_path):
+        times, grid, table = _stock_frame_ledger("well_superposition")
+        path = tmp_path / "old.npz"
+        oracle_write_frame_table(path, times, grid, table)
+        for keys in (None, ("rho",), ("Q",)):
+            with pytest.raises(ValueError, match=r"old\.npz.*re-run the scenario"):
+                read_frame_table(path, keys)
+
+    def test_unknown_key_is_refused(self, tmp_path):
+        times, grid, table = _stock_frame_ledger("well_superposition")
+        path = tmp_path / "f.npz"
+        write_frame_table(path, times, grid, table)
+        for keys in (("rho", "nope"), ("y",), ("Q", "soft")):
+            with pytest.raises(ValueError, match="valid keys: t, x, E_plus, U, rho") as err:
+                read_frame_table(path, keys)
+            assert f"f.npz has no key {keys[-1]}; " in str(err.value)
+            assert str(err.value).endswith("K_cl, k_a, k_c, u")
 
     def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         b = sc.build_scenario(sc.default_config("well_superposition", frames=2))
