@@ -64,6 +64,7 @@ from .energy import (
     continuity_residual,
     decompose,
     decomposition_to_csv,
+    frame_decomposition,
     frame_ledger,
     hj_residual,
     ledger,

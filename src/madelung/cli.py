@@ -136,7 +136,7 @@ def _cmd_vortex(args) -> int:
         raise ValueError("vortex analysis needs the vortex_2d scenario")
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
-    prof, v = sc.vortex_record(b.states[0])
+    prof, v = sc.vortex_record(b.states[0], decompose(b.states[0], 0.0))
     path = os.path.join(args.out, "vortex_profile.csv")
     vortex_profile_to_csv(prof, path)
     _say(path)

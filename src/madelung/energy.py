@@ -31,6 +31,7 @@ __all__ = [
     "EPS_NODE",
     "EQ_TOL",
     "EnergyDecomposition",
+    "frame_decomposition",
     "SuperoscillationMask",
     "ledger",
     "frame_ledger",
@@ -253,13 +254,18 @@ def _stack(frames: list) -> np.ndarray:
     return frames[0][None] if len(frames) == 1 else np.stack(frames)
 
 
+def frame_decomposition(grid, c: dict, i: int) -> EnergyDecomposition:
+    """Frame i of the ledger columns c (see ledger) as an
+    EnergyDecomposition, its fields views of the columns."""
+    return EnergyDecomposition(grid, float(c["E_plus"][i]),
+                               **{k: c[k][i] for k in _DECOMP_COLS + ("valid",)})
+
+
 def decompose(s: Superposition, t: float) -> EnergyDecomposition:
     """The ledger of a superposition at time t: frame_ledger on one frame,
     so U is the basis potential (zero for bases without one) and E_plus the
     state's band limit; ledger takes any other U and E_plus."""
-    c = frame_ledger([s], [t])
-    return EnergyDecomposition(s.grid, band_limit(s),
-                               **{k: c[k][0] for k in _DECOMP_COLS + ("valid",)})
+    return frame_decomposition(s.grid, frame_ledger([s], [t]), 0)
 
 
 def classify_superoscillation(d: EnergyDecomposition) -> SuperoscillationMask:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EPS_NODE, decompose
+from .energy import EPS_NODE, EnergyDecomposition
 from .grids import Grid1D, Grid2D, ScalarField, write_columns, write_json
 from .states import Superposition, evaluate_at, evaluate_at_2d
 
@@ -97,11 +97,12 @@ def _grid_rho(s: Superposition, ts):
     stack holds at most _STACK_VALUES values: rho = |Psi|^2 on the grid, one
     grid-shaped row per time.  Every |Psi|^2 lattice of this module comes from here."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    p = s.plan
     V = s.basis.states[s.indices].reshape(s.indices.size, -1)  # real modes
     chunk = max(1, _STACK_VALUES // (2 * V.shape[1]))
     for k in range(0, ts.size, chunk):
         tc = ts[k:k + chunk]
-        w = s.coeffs * np.exp(-1j * np.multiply.outer(tc, s.energies))
+        w = p.coeffs * np.exp(-1j * np.multiply.outer(tc, p.energies))
         # Re and Im stacked into one real matmul: on NumPy 2.4 a complex
         # product with the real modes runs 100x slower at one to four rows
         parts = np.concatenate([w.real, w.imag]) @ V
@@ -298,13 +299,28 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 LOOP_TOL = 1e-8
 
 
-def _combine(coeffs, K):
-    """sum_j coeffs[j] K[j] term by term, zero coefficients skipped: a fixed
-    elementwise order, so each loop's sums are the same in any batch."""
-    terms = [c * K[j] for j, c in enumerate(coeffs) if c != 0.0]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+def _row(coeffs):
+    """A tableau row as its coefficients, a (m, 1, 1) column over the stage
+    axis, and the positions of the nonzero ones."""
+    c = np.asarray(coeffs, dtype=float)
+    return c.reshape(-1, 1, 1), np.flatnonzero(c).tolist()
+
+
+_DP_ROWS = [_row(a) for a in _DP_A[1:]]
+_DP_B_ROW, _DP_E_ROW = _row(_DP_B), _row(_DP_E)
+_DP_C_COL = np.array(_DP_C[1:])[:, None]
+
+
+def _combine(row, K):
+    """sum_j c_j K[j] over the nonzero c_j of a tableau row, term by term in
+    order: every product from one multiply over the stage axis of K, then
+    one elementwise add per term, so each loop's sums are the same in any
+    batch.  The sum shares no memory with K; callers finish it in place."""
+    c, nonzero = row
+    terms = c * K[:len(c)]
+    total = terms[nonzero[0]]
+    for j in nonzero[1:]:
+        total += terms[j]
     return total
 
 
@@ -330,6 +346,10 @@ def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quanti
     box in the velocity and in the output; rho is floored at
     NODE_PAUSE_FACTOR * EPS_NODE * max rho(., t0).
 
+    The live loops' state is held compact, one column per loop: it is
+    gathered again only when a loop finishes, and a round that accepts
+    every step takes its new state without a scatter.
+
     A dict passed as diagnostics receives the work counts: accepted_steps
     and rejected_steps per loop and evaluator_calls (batched calls).
     """
@@ -353,95 +373,117 @@ def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quanti
     max_step = (t1 - t0) / 64.0
     (_, _, rho0), = _grid_rho(s, [t0])
     floor = NODE_PAUSE_FACTOR * EPS_NODE * float(rho0.max())
-    lo, hi = np.array([gx.x_min, gy.x_min]), np.array([gx.x_max, gy.x_max])
+    lo, hi = np.array([[gx.x_min], [gy.x_min]]), np.array([[gx.x_max], [gy.x_max]])
     calls = 0
 
-    def velocity(t, y):
-        # v_a = Im(conj(psi) grad psi) / rho at the rows of y, paired with t
+    def velocity(t, y, out=None):
+        # v_a = Im(conj(psi) grad psi) / rho at the columns of y, paired with t
         nonlocal calls
         calls += 1
         p = np.minimum(np.maximum(y, lo), hi)
-        v = evaluate_at_2d(s, p[:, 0], p[:, 1], t)
+        v = evaluate_at_2d(s, p[0], p[1], t)
         psi = v[0]
         rho = np.maximum(psi.real**2 + psi.imag**2, floor)
-        return ((psi.conjugate() * v[1:]).imag / rho).T
+        return np.divide((psi.conjugate() * v[1:]).imag, rho, out=out)
 
-    # first step: scipy's select_initial_step, one batched probe
-    t = np.full(L, t0)
-    y = p0.copy()
-    f = velocity(t, y)
-    scale = LOOP_TOL + np.abs(y) * LOOP_TOL
-    d0 = _rms(*(y / scale).T)
-    d1 = _rms(*(f / scale).T)
-    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t1 - t0)
-    d2 = _rms(*((velocity(t + h0, y + h0[:, None] * f) - f) / scale).T) / h0
-    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d1, d2)) ** 0.2)
-    h_abs = np.minimum(np.minimum(100 * h0, h1), min(t1 - t0, max_step))
+    with np.errstate(divide="ignore"):  # err_norm**-0.2 is inf at a zero error
+        # first step: scipy's select_initial_step, one batched probe
+        t = np.full(L, t0)
+        y = p0.T.copy()
+        f = velocity(t, y)
+        scale = LOOP_TOL + np.abs(y) * LOOP_TOL
+        d0 = _rms(*(y / scale))
+        d1 = _rms(*(f / scale))
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t1 - t0)
+        d2 = _rms(*((velocity(t + h0, y + h0 * f) - f) / scale)) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** 0.2)
+        h = np.minimum(np.minimum(100 * h0, h1), min(t1 - t0, max_step))
 
-    retry = np.zeros(L, dtype=bool)  # the step is being retried smaller
-    accepted = np.zeros(L, dtype=int)
-    rejected = np.zeros(L, dtype=int)
-    steps = []  # (loop indices, t_old, t_new, y_old, y_new, stages (n, 7, 2))
-    live = np.arange(L)
-    while live.size:
-        tl, yl, fl, hl, rl = t[live], y[live], f[live], h_abs[live], retry[live]
-        min_step = 10.0 * np.abs(np.nextafter(tl, np.inf) - tl)
-        # a retried step under min_step (or NaN) underflows
-        under = rl & ~(hl >= min_step)
-        if under.any():
-            i = live[np.argmax(under)]
-            raise RuntimeError(f"loop integration failed: step size underflow at "
-                               f"t = {t[i]!r} on the loop from {tuple(p0[i])}")
-        hl = np.where(rl, hl, np.clip(hl, min_step, max_step))
-        t_new = np.minimum(tl + hl, t1)
-        h = t_new - tl
-        K = [fl]
-        for a, c in zip(_DP_A[1:], _DP_C[1:]):
-            K.append(velocity(tl + c * h, yl + _combine(a, K) * h[:, None]))
-        y_new = yl + h[:, None] * _combine(_DP_B, K)
-        K.append(velocity(t_new, y_new))
-        scale = LOOP_TOL + np.maximum(np.abs(yl), np.abs(y_new)) * LOOP_TOL
-        err_norm = _rms(*(_combine(_DP_E, K) * h[:, None] / scale).T)
-        ok = err_norm < 1.0
-        with np.errstate(divide="ignore"):
-            factor = _SAFETY * err_norm**-0.2  # inf at a zero error
-        grow = np.minimum(np.where(rl, 1.0, _MAX_FACTOR), factor)
-        # fmax: a NaN error norm shrinks the step until it underflows
-        shrink = np.fmax(_MIN_FACTOR, factor)
-        h_abs[live] = h * np.where(ok, grow, shrink)
-        retry[live] = ~ok
-        accepted[live] += ok
-        rejected[live] += ~ok
-        go = live[ok]
-        if go.size:
-            steps.append((go, tl[ok], t_new[ok], yl[ok], y_new[ok], np.stack(K, axis=1)[ok]))
-            t[go], y[go], f[go] = t_new[ok], y_new[ok], K[-1][ok]
-        live = live[t[live] < t1]
+        # the live loops: their indices, t, y, f = v(t, y), next step size,
+        # and which of them retry a rejected step (None: none)
+        live, retry = np.arange(L), None
+        rejected = np.zeros(L, dtype=int)
+        steps = []  # (loop indices, t_old, t_new, y_old, y_new, stages (7, 2, n))
+        while live.size:
+            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+            if retry is None:
+                h = np.minimum(np.maximum(h, min_step), max_step)
+            else:
+                # a retried step under min_step (or NaN) underflows
+                under = retry & ~(h >= min_step)
+                if under.any():
+                    i = np.argmax(under)
+                    raise RuntimeError(f"loop integration failed: step size underflow at "
+                                       f"t = {t[i]!r} on the loop from {tuple(p0[live[i]])}")
+                h = np.where(retry, h, np.minimum(np.maximum(h, min_step), max_step))
+            t_new = np.minimum(t + h, t1)
+            h = t_new - t
+            ts = t + _DP_C_COL * h
+            K = np.empty((7,) + y.shape)
+            K[0] = f
+            for j, row in enumerate(_DP_ROWS):
+                yj = _combine(row, K)
+                yj *= h
+                yj += y
+                velocity(ts[j], yj, out=K[j + 1])
+            y_new = _combine(_DP_B_ROW, K)
+            y_new *= h
+            y_new += y
+            velocity(t_new, y_new, out=K[6])
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= LOOP_TOL
+            scale += LOOP_TOL
+            err = _combine(_DP_E_ROW, K)
+            err *= h
+            err /= scale
+            err_norm = _rms(*err)
+            ok = err_norm < 1.0
+            factor = _SAFETY * err_norm**-0.2
+            grow = np.minimum(_MAX_FACTOR if retry is None else np.where(retry, 1.0, _MAX_FACTOR),
+                              factor)
+            if all(ok.tolist()):
+                steps.append((live, t, t_new, y, y_new, K))
+                t, y, f, retry = t_new, y_new, K[6], None
+                h = h * grow
+            else:
+                # fmax: a NaN error norm shrinks the step until it underflows
+                h = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
+                if ok.any():
+                    steps.append((live[ok], t[ok], t_new[ok], y[:, ok], y_new[:, ok], K[..., ok]))
+                rejected[live[~ok]] += 1
+                t, y, f, retry = (np.where(ok, t_new, t), np.where(ok, y_new, y),
+                                  np.where(ok, K[6], f), ~ok)
+            running = t < t1
+            if not all(running.tolist()):
+                live, t, h = live[running], t[running], h[running]
+                y, f = y[:, running], f[:, running]
+                retry = None if retry is None else retry[running]
 
+    # every accepted step, the loop axis last
+    idx, t_old, t_new, y_old, y_new, K = (np.concatenate(col, axis=-1) for col in zip(*steps))
     if diagnostics is not None:
-        diagnostics.update(accepted_steps=accepted.tolist(),
+        diagnostics.update(accepted_steps=np.bincount(idx, minlength=L).tolist(),
                            rejected_steps=rejected.tolist(), evaluator_calls=calls)
-    idx, t_old, t_new, y_old, y_new, K = (np.concatenate(col) for col in zip(*steps))
-    # dense-output coefficients of every step, (steps, 2, 4)
-    Q = np.stack([_combine(_DP_P[:, j], K.transpose(1, 0, 2)) for j in range(4)], axis=-1)
+    # dense-output coefficients of every step, four (2, steps) arrays
+    Q = [_combine(_row(_DP_P[:, j]), K) for j in range(4)]
     loops = []
     for j in range(L):
         sel = idx == j
         if te is None:
             ts = np.concatenate([[t0], t_new[sel]])
-            ys = np.concatenate([p0[j:j + 1], y_new[sel]])
+            ys = np.concatenate([p0[j][:, None], y_new[:, sel]], axis=1)
         else:
             # the step (t_old, t_new] holding each sample, t0 in the first
             k = np.searchsorted(t_new[sel], te, side="left")
-            to, hk, Qk = t_old[sel][k], (t_new[sel] - t_old[sel])[k], Q[sel][k]
-            x = ((te - to) / hk)[:, None]
-            poly = (Qk[..., 0] * x + Qk[..., 1] * (x * x) + Qk[..., 2] * (x * x * x)
-                    + Qk[..., 3] * (x * x * x * x))
-            ys = y_old[sel][k] + hk[:, None] * poly
+            to, hk = t_old[sel][k], (t_new[sel] - t_old[sel])[k]
+            Qk = [q[:, sel][:, k] for q in Q]
+            x = (te - to) / hk
+            poly = Qk[0] * x + Qk[1] * (x * x) + Qk[2] * (x * x * x) + Qk[3] * (x * x * x * x)
+            ys = y_old[:, sel][:, k] + hk * poly
             ts = te
-        loops.append(Loop2D(float(qs[j]), ts, np.clip(ys[:, 0], gx.x_min, gx.x_max),
-                            np.clip(ys[:, 1], gy.x_min, gy.x_max)))
+        loops.append(Loop2D(float(qs[j]), ts, np.clip(ys[0], gx.x_min, gx.x_max),
+                            np.clip(ys[1], gy.x_min, gy.x_max)))
     return loops
 
 
@@ -659,11 +701,12 @@ def find_nodes(s: Superposition, t_window, nt: int = 257,
 CIRCULATION_SAMPLES = 720
 
 
-def vortex_profile(s: Superposition, center, r_max: float, n_bins: int,
-                   t: float = 0.0) -> VortexProfile:
-    """Angular averages of Q, K_a and |v_a| on radial bins in [2h, r_max]
-    around a vortex core, with a least-squares power-law fit of K_a."""
-    g2 = s.grid
+def vortex_profile(d: EnergyDecomposition, center, r_max: float,
+                   n_bins: int) -> VortexProfile:
+    """Angular averages of the 2D ledger d's Q, K_a and |v_a| on radial bins
+    in [2h, r_max] around a vortex core, with a least-squares power-law fit
+    of K_a."""
+    g2 = d.grid
     if g2.ndim != 2:
         raise ValueError("vortex profiles are 2D")
     gx, gy = g2.grid_x, g2.grid_y
@@ -675,7 +718,6 @@ def vortex_profile(s: Superposition, center, r_max: float, n_bins: int,
     if n_bins < 2 or r_max <= 2 * h:
         raise ValueError("profile needs r_max > 2h and at least 2 bins")
 
-    d = decompose(s, t)
     X, Y = g2.mesh()
     r = np.hypot(X - cx, Y - cy)
     speed = np.sqrt(2.0 * np.maximum(d.K_a, 0.0))

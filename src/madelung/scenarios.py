@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import frame_ledger, write_frame_table
+from .energy import (
+    EnergyDecomposition,
+    decompose,
+    frame_decomposition,
+    frame_ledger,
+    write_frame_table,
+)
 from .flow import (
     circulation,
     find_nodes,
@@ -519,11 +525,12 @@ def tuning_record(r: TuningResult) -> dict:
             "history": [[u, t] for u, t in r.history]}
 
 
-def vortex_record(state: Superposition) -> tuple:
+def vortex_record(state: Superposition, d: EnergyDecomposition) -> tuple:
     """(VortexProfile, derived.vortex) of the stock vortex analysis: the
-    K_a profile and circulations on radius 0.1 about the box center."""
+    K_a profile of the state's t = 0 ledger d and circulations on radius
+    0.1 about the box center."""
     center, r_max = (0.5, 0.5), 0.1
-    profile = vortex_profile(state, center, r_max, 10)
+    profile = vortex_profile(d, center, r_max, 10)
     g = state.grid
     return profile, {
         "fit_exponent": float(profile.fit_exponent),
@@ -565,12 +572,18 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     files: dict = {"config": "config.txt", "frames": []}
     save_config(c, os.path.join(out_dir, "config.txt"))
 
+    state = b.states[0]
+    vortex = None  # (VortexProfile, derived.vortex) of a 2D run
     if c.write_fields:
         table = frame_ledger([b.states[si] for si in b.frame_states], b.frame_times)
         write_frame_table(os.path.join(out_dir, "frames.npz"), b.frame_times, b.basis.grid, table)
         files["frame_table"] = "frames.npz"
         files["frames"] = [{"index": i, "t": float(t), "state": b.labels[si]}
                            for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states))]
+        if state.grid.ndim == 2 and b.frame_states[0] == 0 and b.frame_times[0] == 0.0:
+            # frame 0 is (state, t = 0), and a frame's ledger has the same
+            # bits alone or in a stack
+            vortex = vortex_record(state, frame_decomposition(b.basis.grid, table, 0))
         del table
 
     derived: dict = {
@@ -583,7 +596,6 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         derived["period"] = float(b.period)
     derived.update(b.extras)
 
-    state = b.states[0]
     diagnostics: dict = {"node_search": {}}
     if state.grid.ndim == 2:
         seeds = loop_seeds_on_axis(state, c.streamlines, 0.5)
@@ -594,7 +606,9 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
                                   seed_quantiles=qs, diagnostics=diagnostics["loops"])
         loops_to_csv(loops, os.path.join(out_dir, "loops.csv"))
         files["loops"] = "loops.csv"
-        profile, derived["vortex"] = vortex_record(state)
+        if vortex is None:
+            vortex = vortex_record(state, decompose(state, 0.0))
+        profile, derived["vortex"] = vortex
         vortex_profile_to_csv(profile, os.path.join(out_dir, "vortex_profile.csv"))
         files["vortex_profile"] = "vortex_profile.csv"
         node_source, window, kw = state, b.span, {"nt": 9}

@@ -1,7 +1,7 @@
 """Potentials and eigenproblem solvers.
 
 Closed-form mode tables (hard-wall sine, Hermite function) that both the
-analytic bases and the off-grid `mode_table` sample, a finite-difference
+analytic bases and the off-grid `ModeTables` sample, a finite-difference
 solver (symmetric tridiagonal, bisection + inverse iteration with an
 extended-precision polish) for everything else, and an on-disk cache so
 repeated solves are free: one directory per basis, published by rename
@@ -38,7 +38,7 @@ __all__ = [
     "analytic_harmonic",
     "eigenbasis",
     "product_basis_2d",
-    "mode_table",
+    "ModeTables",
     "save_basis",
     "load_basis",
 ]
@@ -333,7 +333,7 @@ class _SineModes:
     """Hard-wall modes sqrt(2/w) sin(n pi (x - lo) / w) and their
     x-derivatives along D axes, for the (D, k) mode numbers n.  The
     per-mode constants n pi, sqrt(2/w) and sqrt(2/w) n pi / w are computed
-    once."""
+    once; take picks out the modes of one ModeTables."""
 
     def __init__(self, numbers, lo, width):
         npi = np.asarray(numbers)[:, :, None] * math.pi  # (D, k, 1)
@@ -344,16 +344,22 @@ class _SineModes:
         amp = np.sqrt(2.0 / self.width)
         self.scale = np.stack([np.broadcast_to(amp, npi.shape), amp * (npi / self.width)])
 
-    def __call__(self, pts, idx):
-        """Modes idx at the points pts, a (D, *shape) array with one row per
-        axis: (2, D, K, *shape), the values, then the x-derivatives."""
-        npi, scale = self.npi.take(idx, axis=1), self.scale.take(idx, axis=2)
-        arg = npi * (pts.reshape(len(npi), 1, -1) - self.lo)
+    def take(self, idx) -> "_SineModes":
+        """The modes idx alone, their constants copied out once."""
+        sel = object.__new__(_SineModes)
+        sel.lo, sel.width = self.lo, self.width
+        sel.npi, sel.scale = self.npi.take(idx, axis=1), self.scale.take(idx, axis=2)
+        return sel
+
+    def __call__(self, pts):
+        """Every mode at the points pts, a (D, *shape) array with one row
+        per axis: (2, D, k, *shape), the values, then the x-derivatives."""
+        arg = self.npi * (pts.reshape(len(self.npi), 1, -1) - self.lo)
         arg /= self.width
         table = np.empty((2,) + arg.shape)
         np.sin(arg, out=table[0])
         np.cos(arg, out=table[1])
-        table *= scale
+        table *= self.scale
         return table.reshape(table.shape[:3] + pts.shape[1:])
 
 
@@ -420,35 +426,43 @@ def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, out=None):
     return out
 
 
-def mode_table(basis: EigenBasis, idx: np.ndarray, *coords, out=None):
-    """Modes idx of the basis at arbitrary points, one coordinate array per
-    grid axis, and their derivative along each axis: (values, (d/dx, ...)),
-    a mode axis leading.  Closed forms for the hard well, the harmonic
-    oscillator and the 2D box, cubic interpolation of the sampled modes
-    otherwise.
+class ModeTables:
+    """Modes idx of a basis at arbitrary points: closed forms for the hard
+    well, the harmonic oscillator and the 2D box, cubic interpolation of
+    the sampled modes otherwise.  Built once for repeated calls: the sine
+    bases' constants of the selected modes are taken here, and nothing
+    grid-sized is copied."""
 
-    out, if given, is a float (1 + ndim, K, *shape) array of any strides
-    that the tables are written into, and the coordinates must all have
-    that shape; the returned tables are views of it.  The off-grid
-    evaluator passes the real part of its complex matmul operand.
-    """
-    if out is None:
-        coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-        out = np.empty((1 + len(coords), len(idx)) + coords[0].shape)
-    if len(coords) != basis.grid.ndim:
-        raise ValueError(f"{basis.grid.ndim}D basis: one coordinate array per axis")
-    method = basis.meta.get("method")
-    if method == "analytic_box2d":
-        sines = basis._sines(np.array(coords, dtype=float), idx)
-        np.multiply(sines[:, 0], sines[0, 1], out=out[:2])  # (fx, dfx) fy
-        np.multiply(sines[0, 0], sines[1, 1], out=out[2])  # fx dfy
-    elif method == "analytic_well":
-        out[...] = basis._sines(np.array(coords, dtype=float), idx)[:, 0]
-    elif method == "analytic_hermite":
-        _hermite_modes(basis.meta["omega"], idx, coords[0], out)
-    else:
-        _interp_modes(basis, idx, coords[0], out)
-    return out[0], tuple(out[1:])
+    def __init__(self, basis: EigenBasis, idx):
+        self.basis = basis
+        self.idx = np.asarray(idx, dtype=int)
+        self.method = basis.meta.get("method")
+        sines = basis._sines
+        self.sines = None if sines is None else sines.take(self.idx)
+
+    def __call__(self, *coords, out=None):
+        """The tables at the points, one coordinate array per grid axis: a
+        float (1 + ndim, K, *shape) array, the values, then the derivative
+        along each axis.  out, if given, is such an array of any strides
+        that the tables are written into, and the coordinates must all have
+        its shape; the off-grid evaluator passes the real part of its
+        complex matmul operand."""
+        if len(coords) != self.basis.grid.ndim:
+            raise ValueError(f"{self.basis.grid.ndim}D basis: one coordinate array per axis")
+        if out is None:
+            coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+            out = np.empty((1 + len(coords), self.idx.size) + coords[0].shape)
+        if self.method == "analytic_box2d":
+            sines = self.sines(np.array(coords, dtype=float))
+            np.multiply(sines[:, 0], sines[0, 1], out=out[:2])  # (fx, dfx) fy
+            np.multiply(sines[0, 0], sines[1, 1], out=out[2])  # fx dfy
+        elif self.method == "analytic_well":
+            out[...] = self.sines(np.array(coords, dtype=float))[:, 0]
+        elif self.method == "analytic_hermite":
+            _hermite_modes(self.basis.meta["omega"], self.idx, coords[0], out)
+        else:
+            _interp_modes(self.basis, self.idx, coords[0], out)
+        return out
 
 
 # ----------------------------------------------------------- analytic bases
@@ -465,7 +479,7 @@ def _analytic_states(potential, grid: Grid1D, modes: np.ndarray):
         # a copy of the values, so the derivative half of the table is
         # freed here: holding it adds about 2 MB to the peak RSS of a
         # 140-mode build
-        V = _SineModes([modes], grid.x_min, width)(grid.x[None], np.arange(len(modes)))[0, 0].copy()
+        V = _SineModes([modes], grid.x_min, width)(grid.x[None])[0, 0].copy()
         return modes**2 * math.pi**2 / (2.0 * width**2), _fix_sign(V)
     omega = potential.omega
     if omega <= 0:
@@ -563,9 +577,8 @@ def product_basis_2d(pairs, grid2: Grid2D) -> EigenBasis:
     gx, gy = grid2.axes
     wx, wy = gx.x_max - gx.x_min, gy.x_max - gy.x_min
     nx, ny = np.array(pairs).T
-    every = np.arange(len(pairs))
-    ux = _SineModes([nx], gx.x_min, wx)(gx.x[None], every)[0, 0]
-    uy = _SineModes([ny], gy.x_min, wy)(gy.x[None], every)[0, 0]
+    ux = _SineModes([nx], gx.x_min, wx)(gx.x[None])[0, 0]
+    uy = _SineModes([ny], gy.x_min, wy)(gy.x[None])[0, 0]
     basis = EigenBasis(
         grid2,
         0.5 * math.pi**2 * (nx**2 / wx**2 + ny**2 / wy**2),

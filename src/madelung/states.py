@@ -4,16 +4,18 @@ and off-grid analytic evaluation (used by node refinement and streamlines).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grids import ComplexField, Grid1D, quadrature
-from .spectral import EigenBasis, mode_table
+from .spectral import EigenBasis, ModeTables
 
 __all__ = [
     "Superposition",
+    "EvaluationPlan",
     "WavepacketSpec",
     "superposition",
     "equal_two_mode",
@@ -42,9 +44,11 @@ class WavepacketSpec:
             raise ValueError("width must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Superposition:
-    """Complex coefficients over selected eigenbasis positions (0-based)."""
+    """Complex coefficients over selected eigenbasis positions (0-based).
+
+    Frozen, so the evaluation plan built at first use stays valid."""
 
     basis: EigenBasis
     coeffs: np.ndarray
@@ -52,8 +56,8 @@ class Superposition:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        self.indices = np.asarray(self.indices, dtype=int)
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
         if len(self.coeffs) != len(self.indices):
             raise ValueError("coeffs and indices length mismatch")
         if len(self.indices) == 0:
@@ -66,13 +70,36 @@ class Superposition:
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"coefficients not normalized: sum |c|^2 = {nrm!r}")
 
+    @functools.cached_property
+    def plan(self) -> "EvaluationPlan":
+        """The state's evaluation plan, built at its first evaluation."""
+        return EvaluationPlan(self)
+
     @property
     def energies(self) -> np.ndarray:
-        return self.basis.energies[self.indices]
+        return self.plan.energies
 
     @property
     def grid(self):
         return self.basis.grid
+
+
+class EvaluationPlan:
+    """What every evaluation of one superposition reuses, built once: the
+    selected energies E, the phase rates -i E, the weights -i E c of dPsi/dt
+    and the mode tables of the selected modes (spectral.ModeTables, which
+    takes the sine constants of the hard-well and 2D-box bases once).  It
+    holds O(K) values and no copy of a mode table; the arrays it computes
+    are read-only."""
+
+    def __init__(self, s: Superposition):
+        self.coeffs = s.coeffs
+        self.energies = s.basis.energies[s.indices]
+        self.rates = -1j * self.energies
+        self.dt_coeffs = self.rates * s.coeffs
+        for a in (self.energies, self.rates, self.dt_coeffs):
+            a.flags.writeable = False
+        self.modes = ModeTables(s.basis, s.indices)
 
 
 def superposition(basis: EigenBasis, indices, coeffs, normalize: bool = False,
@@ -89,31 +116,26 @@ def equal_two_mode(basis: EigenBasis, i: int = 0, j: int = 1) -> Superposition:
     return Superposition(basis, np.array([r, r], complex), np.array([i, j]))
 
 
-def _phases(s: Superposition, t):
+def _phases(p: EvaluationPlan, t):
     """e^{-i E t}, the mode axis last: (K,) for a scalar t, (*t.shape, K)
     for an array t."""
     if np.ndim(t) == 0:
-        return np.exp(-1j * s.energies * t)
-    return np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), s.energies))
-
-
-def _weights(s: Superposition, t):
-    """c e^{-i E t} and its t-derivative, the mode axis last."""
-    ph = _phases(s, t)
-    return s.coeffs * ph, -1j * s.energies * s.coeffs * ph
+        return np.exp(p.rates * t)
+    # -i (t E), not t (-i E): at t = 0 their phases differ in the sign of a zero
+    return np.exp(-1j * np.multiply(np.asarray(t, dtype=float)[..., None], p.energies))
 
 
 def evaluate(s: Superposition, t: float) -> ComplexField:
     """Psi(x, t) = sum c_n psi_n(x) e^{-i E_n t} on the basis grid."""
-    w, _ = _weights(s, t)
-    vals = np.tensordot(w, s.basis.states[s.indices], axes=(0, 0))
+    p = s.plan
+    vals = np.tensordot(p.coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
     return ComplexField(s.grid, vals)
 
 
 def time_derivative(s: Superposition, t: float) -> ComplexField:
     """dPsi/dt, analytic in t (no finite differencing)."""
-    _, wt = _weights(s, t)
-    vals = np.tensordot(wt, s.basis.states[s.indices], axes=(0, 0))
+    p = s.plan
+    vals = np.tensordot(p.dt_coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
     return ComplexField(s.grid, vals)
 
 
@@ -133,37 +155,42 @@ def _off_grid(s: Superposition, coords, t, time_derivative: bool):
     the mode tables, as one (3, *shape) array: (Psi, dPsi/dx, dPsi/dt) with
     time_derivative, else Psi and its derivative along each of the two axes.
 
-    spectral.mode_table writes the tables straight into the real part of
+    The plan's ModeTables writes the tables straight into the real part of
     the complex matmul operand.  For one time that is modes first,
-    (3, 1, K) @ (3, K, points).  For t paired with the points it is points
-    first and each point takes its own dot product, (3, N, 1, K) @
-    (3, N, K, 1): the BLAS dot a one-point call makes, so paired and
-    one-point calls agree bit for bit.  Both operands are C-ordered:
-    matmul reaches BLAS only through unit-stride rows, and a None axis or
-    a transposed stack would miss it.
+    (J, 1, K) @ (3, K, points).  For t paired with the points it is points
+    first and each point takes its own dot product, (J, n, 1, K) @ (3, n,
+    K, 1): the BLAS dot a one-point call makes, so paired and one-point
+    calls agree bit for bit.  The matrix axes of both operands are
+    C-ordered: matmul reaches BLAS only through unit-stride rows, and a
+    None axis or a transposed stack there would miss it.  The weights are
+    one row (J = 1), which matmul broadcasts over the three tables, or
+    three rows (J = 3) when dPsi/dt is asked for.
     """
-    K = s.indices.size
+    p = s.plan
+    K = p.energies.size
     coords = [np.asarray(c, dtype=float) for c in coords]
     paired = np.ndim(t) > 0
-    shapes = {c.shape for c in coords}
     if paired:
         shape = np.shape(t)
     else:
+        shapes = {c.shape for c in coords}
         shape = coords[0].shape if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     flat = [(c if c.shape == shape else np.broadcast_to(c, shape)).reshape(-1) for c in coords]
     n = flat[0].size
     op = np.zeros((3, n, K) if paired else (3, K, n), dtype=complex)
     tables = op.real.transpose(0, 2, 1) if paired else op.real
-    mode_table(s.basis, s.indices, *flat, out=tables[:1 + len(flat)])
-    ph = _phases(s, t).reshape(-1, K)
-    w = np.empty((3,) + ph.shape, dtype=complex)
-    np.multiply(s.coeffs, ph, out=w[0])
-    w[1:] = w[0]
+    p.modes(*flat, out=tables[:1 + len(flat)])
+    ph = _phases(p, t).reshape(-1, K)
     if time_derivative:
         op[2] = op[0]
-        np.multiply(-1j * s.energies * s.coeffs, ph, out=w[2])
+        w = np.empty((3,) + ph.shape, dtype=complex)
+        np.multiply(p.coeffs, ph, out=w[0])
+        w[1] = w[0]
+        np.multiply(p.dt_coeffs, ph, out=w[2])
+    else:
+        w = np.multiply(p.coeffs, ph)[None]
     if paired:
-        out = w.reshape(3, n, 1, K) @ op.reshape(3, n, K, 1)
+        out = w.reshape(-1, n, 1, K) @ op.reshape(3, n, K, 1)
     else:
         out = w @ op
     return out.reshape((3,) + shape)

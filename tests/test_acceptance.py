@@ -90,10 +90,11 @@ def _verdict(num: int, name: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def bundles():
+def bundles(mzi_build):
     """All eight 1D scenario bundles at their stock configurations; the
-    interferometer tunes its own barrier height."""
-    return {name: build_scenario(default_config(name)) for name in NAMES_1D}
+    interferometer is the session's tuned build (tests/conftest.py)."""
+    return {name: mzi_build[0] if name == "mzi_1d" else build_scenario(default_config(name))
+            for name in NAMES_1D}
 
 
 def _well_two_mode(n: int):
@@ -349,7 +350,7 @@ def test_criterion_08_vortex():
     ep_err = float(np.abs(d.E_p[d.valid] - e_expect).max())
 
     h = axis.h
-    prof = vortex_profile(s, (0.5, 0.5), 0.1, 10)
+    prof = vortex_profile(d, (0.5, 0.5), 0.1, 10)
     exp_err = abs(prof.fit_exponent + 2.0)
 
     angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)

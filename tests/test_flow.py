@@ -31,6 +31,7 @@ from madelung.flow import (
     vortex_profile,
     vortex_profile_to_csv,
 )
+from madelung.energy import decompose
 from madelung.grids import Grid1D, Grid2D, ScalarField
 from madelung.spectral import (
     Harmonic,
@@ -39,7 +40,14 @@ from madelung.spectral import (
     eigenbasis,
     product_basis_2d,
 )
-from madelung.states import equal_two_mode, evaluate, evaluate_at, evaluate_at_2d, superposition
+from madelung.states import (
+    Superposition,
+    equal_two_mode,
+    evaluate,
+    evaluate_at,
+    evaluate_at_2d,
+    superposition,
+)
 
 E1 = math.pi**2 / 8.0
 PERIOD = 2.0 * math.pi / (3.0 * E1)
@@ -67,6 +75,11 @@ def vortex_state():
     g2 = Grid2D(Grid1D(0.0, 1.0, n), Grid1D(0.0, 1.0, n))
     basis = product_basis_2d([(1, 2), (2, 1)], g2)
     return superposition(basis, [0, 1], np.array([1.0, 1.0j]) / math.sqrt(2.0))
+
+
+@pytest.fixture(scope="module")
+def vortex_ledger(vortex_state):
+    return decompose(vortex_state, 0.0)
 
 
 class TestSeeding:
@@ -701,36 +714,249 @@ class TestLoops:
         assert integrate_loop_2d(vortex_state, np.empty((0, 2)), (0.0, 0.05)) == []
 
 
+# ---------------------------------------------------- loop stepper oracle
+#
+# integrate_loop_2d as it was before the lockstep stepper was reworked
+# (one gather and scatter per step, stages in a list), verbatim apart from
+# the names below and the docstring, on the package's evaluator.  The package's stepper must
+# give the same loops and work counts bit for bit.
+
+# Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, 5th-order
+# weights, error weights (7 stages, the last at the step's end) and the
+# 4th-order dense-output matrix
+_O_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_O_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_O_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_O_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_O_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def _oracle_combine(coeffs, K):
+    """sum_j coeffs[j] K[j] term by term, zero coefficients skipped: a fixed
+    elementwise order, so each loop's sums are the same in any batch."""
+    terms = [c * K[j] for j, c in enumerate(coeffs) if c != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _oracle_rms(a, b):
+    # RMS norm of the pairs (a, b)
+    return np.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def oracle_integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None,
+                             seed_quantiles=None, diagnostics: dict | None = None) -> list:
+    """The pre-rework flow.integrate_loop_2d; its docstring is in the package."""
+    g2 = s.grid
+    if g2.ndim != 2:
+        raise ValueError("loop integration needs a 2D state")
+    gx, gy = g2.grid_x, g2.grid_y
+    p0 = np.array(starts, dtype=float).reshape(-1, 2)
+    L = p0.shape[0]
+    qs = np.full(L, np.nan) if seed_quantiles is None else np.asarray(seed_quantiles, float)
+    if qs.shape != (L,):
+        raise ValueError("one seed quantile per starting point")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("time span must be increasing")
+    te = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    if te is not None and (te.ndim != 1 or te.size == 0 or te.min() < t0 or te.max() > t1):
+        raise ValueError("sample times lie outside the time span")
+    if L == 0:
+        return []
+    max_step = (t1 - t0) / 64.0
+    (_, _, rho0), = flow._grid_rho(s, [t0])
+    floor = flow.NODE_PAUSE_FACTOR * flow.EPS_NODE * float(rho0.max())
+    lo, hi = np.array([gx.x_min, gy.x_min]), np.array([gx.x_max, gy.x_max])
+    calls = 0
+
+    def velocity(t, y):
+        # v_a = Im(conj(psi) grad psi) / rho at the rows of y, paired with t
+        nonlocal calls
+        calls += 1
+        p = np.minimum(np.maximum(y, lo), hi)
+        v = evaluate_at_2d(s, p[:, 0], p[:, 1], t)
+        psi = v[0]
+        rho = np.maximum(psi.real**2 + psi.imag**2, floor)
+        return ((psi.conjugate() * v[1:]).imag / rho).T
+
+    # first step: scipy's select_initial_step, one batched probe
+    t = np.full(L, t0)
+    y = p0.copy()
+    f = velocity(t, y)
+    scale = flow.LOOP_TOL + np.abs(y) * flow.LOOP_TOL
+    d0 = _oracle_rms(*(y / scale).T)
+    d1 = _oracle_rms(*(f / scale).T)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t1 - t0)
+    d2 = _oracle_rms(*((velocity(t + h0, y + h0[:, None] * f) - f) / scale).T) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** 0.2)
+    h_abs = np.minimum(np.minimum(100 * h0, h1), min(t1 - t0, max_step))
+
+    retry = np.zeros(L, dtype=bool)  # the step is being retried smaller
+    accepted = np.zeros(L, dtype=int)
+    rejected = np.zeros(L, dtype=int)
+    steps = []  # (loop indices, t_old, t_new, y_old, y_new, stages (n, 7, 2))
+    live = np.arange(L)
+    while live.size:
+        tl, yl, fl, hl, rl = t[live], y[live], f[live], h_abs[live], retry[live]
+        min_step = 10.0 * np.abs(np.nextafter(tl, np.inf) - tl)
+        # a retried step under min_step (or NaN) underflows
+        under = rl & ~(hl >= min_step)
+        if under.any():
+            i = live[np.argmax(under)]
+            raise RuntimeError(f"loop integration failed: step size underflow at "
+                               f"t = {t[i]!r} on the loop from {tuple(p0[i])}")
+        hl = np.where(rl, hl, np.clip(hl, min_step, max_step))
+        t_new = np.minimum(tl + hl, t1)
+        h = t_new - tl
+        K = [fl]
+        for a, c in zip(_O_A[1:], _O_C[1:]):
+            K.append(velocity(tl + c * h, yl + _oracle_combine(a, K) * h[:, None]))
+        y_new = yl + h[:, None] * _oracle_combine(_O_B, K)
+        K.append(velocity(t_new, y_new))
+        scale = flow.LOOP_TOL + np.maximum(np.abs(yl), np.abs(y_new)) * flow.LOOP_TOL
+        err_norm = _oracle_rms(*(_oracle_combine(_O_E, K) * h[:, None] / scale).T)
+        ok = err_norm < 1.0
+        with np.errstate(divide="ignore"):
+            factor = flow._SAFETY * err_norm**-0.2  # inf at a zero error
+        grow = np.minimum(np.where(rl, 1.0, flow._MAX_FACTOR), factor)
+        # fmax: a NaN error norm shrinks the step until it underflows
+        shrink = np.fmax(flow._MIN_FACTOR, factor)
+        h_abs[live] = h * np.where(ok, grow, shrink)
+        retry[live] = ~ok
+        accepted[live] += ok
+        rejected[live] += ~ok
+        go = live[ok]
+        if go.size:
+            steps.append((go, tl[ok], t_new[ok], yl[ok], y_new[ok], np.stack(K, axis=1)[ok]))
+            t[go], y[go], f[go] = t_new[ok], y_new[ok], K[-1][ok]
+        live = live[t[live] < t1]
+
+    if diagnostics is not None:
+        diagnostics.update(accepted_steps=accepted.tolist(),
+                           rejected_steps=rejected.tolist(), evaluator_calls=calls)
+    idx, t_old, t_new, y_old, y_new, K = (np.concatenate(col) for col in zip(*steps))
+    # dense-output coefficients of every step, (steps, 2, 4)
+    Q = np.stack([_oracle_combine(_O_P[:, j], K.transpose(1, 0, 2)) for j in range(4)], axis=-1)
+    loops = []
+    for j in range(L):
+        sel = idx == j
+        if te is None:
+            ts = np.concatenate([[t0], t_new[sel]])
+            ys = np.concatenate([p0[j:j + 1], y_new[sel]])
+        else:
+            # the step (t_old, t_new] holding each sample, t0 in the first
+            k = np.searchsorted(t_new[sel], te, side="left")
+            to, hk, Qk = t_old[sel][k], (t_new[sel] - t_old[sel])[k], Q[sel][k]
+            x = ((te - to) / hk)[:, None]
+            poly = (Qk[..., 0] * x + Qk[..., 1] * (x * x) + Qk[..., 2] * (x * x * x)
+                    + Qk[..., 3] * (x * x * x * x))
+            ys = y_old[sel][k] + hk[:, None] * poly
+            ts = te
+        loops.append(flow.Loop2D(float(qs[j]), ts, np.clip(ys[:, 0], gx.x_min, gx.x_max),
+                            np.clip(ys[:, 1], gy.x_min, gy.x_max)))
+    return loops
+
+
+def _rejecting_box():
+    """A 3-mode box state whose three loops reject steps and end on
+    different rounds, so the retry path and a shrinking live set both run."""
+    axis = Grid1D(0.0, 1.0, 81)
+    basis = product_basis_2d([(1, 2), (2, 1), (2, 3)], Grid2D(axis, axis))
+    s = superposition(basis, [0, 1, 2], np.array([1.0, 1.0j, 0.5 + 0.3j]), normalize=True)
+    return s, [(0.5, 0.3), (0.3, 0.6), (0.7, 0.45)]
+
+
+def _same_loops(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (np.isnan(a.seed_quantile) and np.isnan(b.seed_quantile)
+                or a.seed_quantile == b.seed_quantile)
+        for name in ("t", "x", "y"):
+            u, v = getattr(a, name), getattr(b, name)
+            assert u.shape == v.shape and np.array_equal(u, v), name
+
+
+class TestStepperOracle:
+    @staticmethod
+    def _both(s, starts, t_span, **kw):
+        work, want_work = {}, {}
+        got = integrate_loop_2d(s, starts, t_span, diagnostics=work, **kw)
+        want = oracle_integrate_loop_2d(s, starts, t_span, diagnostics=want_work, **kw)
+        _same_loops(got, want)
+        assert work == want_work
+        return work
+
+    def test_stock_loops(self, stock_loops):
+        state, starts, _, _ = stock_loops
+        work = self._both(state, starts, LOOP_SPAN, t_eval=LOOP_T,
+                          seed_quantiles=[0.2, 0.4, 0.6, 0.8])
+        assert work["evaluator_calls"] == 818
+
+    def test_rejected_steps(self):
+        s, starts = _rejecting_box()
+        work = self._both(s, starts, (0.0, 0.3), t_eval=np.linspace(0.0, 0.3, 31))
+        assert min(work["rejected_steps"]) > 0
+        assert len(set(work["accepted_steps"])) > 1
+
+    def test_one_loop(self, stock_loops):
+        state, starts, _, _ = stock_loops
+        self._both(state, starts[1:2], LOOP_SPAN, t_eval=LOOP_T, seed_quantiles=[0.4])
+
+    def test_step_ends_without_t_eval(self):
+        s, starts = _rejecting_box()
+        self._both(s, starts, (0.0, 0.3))
+
+
 class TestVortexProfile:
-    def test_inverse_square_exponent(self, vortex_state):
-        p = vortex_profile(vortex_state, (0.5, 0.5), 0.1, 10)
+    def test_inverse_square_exponent(self, vortex_ledger):
+        p = vortex_profile(vortex_ledger, (0.5, 0.5), 0.1, 10)
         assert abs(p.fit_exponent + 2.0) < 0.05
 
-    def test_orbital_speed_scales_as_inverse_radius(self, vortex_state):
+    def test_orbital_speed_scales_as_inverse_radius(self, vortex_ledger):
         # winding one: |v_a| r = sqrt(Z) = 1
-        p = vortex_profile(vortex_state, (0.5, 0.5), 0.1, 10)
+        p = vortex_profile(vortex_ledger, (0.5, 0.5), 0.1, 10)
         assert np.abs(p.speed_mean * p.radii - 1.0).max() < 0.05
         assert 0.85 < p.fit_Z < 1.10
 
-    def test_total_energy_on_profile(self, vortex_state):
+    def test_total_energy_on_profile(self, vortex_ledger):
         # Q + K_a + U = E with U = 0 inside the box and E = 5 pi^2 / 2; the
         # residual is set by stencil error near the 2h floor, so compare to
         # the profile scale there and absolutely further out
-        p = vortex_profile(vortex_state, (0.5, 0.5), 0.1, 10)
+        p = vortex_profile(vortex_ledger, (0.5, 0.5), 0.1, 10)
         E = 2.5 * math.pi**2
         resid = np.abs(p.Q_mean + p.Ka_mean - E)
         assert (resid / p.Ka_mean.max()).max() < 0.02
         assert resid[p.radii > 0.05].max() < 0.5
 
-    def test_radii_respect_stencil_floor(self, vortex_state):
-        p = vortex_profile(vortex_state, (0.5, 0.5), 0.1, 10)
-        h = max(vortex_state.grid.grid_x.h, vortex_state.grid.grid_y.h)
+    def test_radii_respect_stencil_floor(self, vortex_ledger):
+        p = vortex_profile(vortex_ledger, (0.5, 0.5), 0.1, 10)
+        h = max(vortex_ledger.grid.grid_x.h, vortex_ledger.grid.grid_y.h)
         assert p.radii.min() >= 2 * h
         assert (np.diff(p.radii) > 0).all()
 
-    def test_radius_beyond_boundary_rejected(self, vortex_state):
+    def test_radius_beyond_boundary_rejected(self, vortex_ledger):
         with pytest.raises(ValueError, match="boundary"):
-            vortex_profile(vortex_state, (0.5, 0.5), 0.6, 10)
+            vortex_profile(vortex_ledger, (0.5, 0.5), 0.6, 10)
 
 
 class TestCirculation:
@@ -764,8 +990,8 @@ class TestExports:
         save_node_events(events, path)
         assert json.loads(path.read_text()) == docs
 
-    def test_vortex_profile_csv(self, vortex_state, tmp_path):
-        p = vortex_profile(vortex_state, (0.5, 0.5), 0.1, 10)
+    def test_vortex_profile_csv(self, vortex_ledger, tmp_path):
+        p = vortex_profile(vortex_ledger, (0.5, 0.5), 0.1, 10)
         path = tmp_path / "profile.csv"
         vortex_profile_to_csv(p, path)
         rows = path.read_text().strip().split("\n")

@@ -7,17 +7,20 @@ the three public functions.  The package's evaluator must agree with it
 bit for bit, for one time and for paired times, on every kind of basis,
 and the stock 2D loops must come out the same whichever of the two they
 call.  The paired path takes one BLAS dot per point, so CI also runs this
-file at one and at two OpenBLAS threads.
+file at one and at two OpenBLAS threads.  TestPlan checks the evaluation
+plan: built once per state, O(K) values, one plan per selection of a basis.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from madelung import flow
+from madelung import states
 from madelung import scenarios as sc
 from madelung.grids import Grid1D, Grid2D
 from madelung.spectral import (
@@ -27,7 +30,7 @@ from madelung.spectral import (
     eigenbasis,
     product_basis_2d,
 )
-from madelung.states import evaluate_at, evaluate_at_2d, superposition
+from madelung.states import evaluate, evaluate_at, evaluate_at_2d, superposition, time_derivative
 
 # ------------------------------------------------------------------ oracle
 
@@ -303,3 +306,62 @@ class TestOracle:
         for a, b in zip(loops, want):
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
+
+
+def _plan_arrays(plan):
+    """Every array the plan holds, its mode tables' sine constants included
+    (the basis it refers to is not its own)."""
+    parts = [vars(plan), {k: v for k, v in vars(plan.modes).items() if k != "basis"}]
+    if plan.modes.sines is not None:
+        parts.append(vars(plan.modes.sines))
+    return [v for part in parts for v in part.values() if isinstance(v, np.ndarray)]
+
+
+class TestPlan:
+    def test_built_once_per_state(self, monkeypatch):
+        built = []
+
+        class Counting(states.EvaluationPlan):
+            def __init__(self, s):
+                built.append(s)
+                super().__init__(s)
+
+        monkeypatch.setattr(states, "EvaluationPlan", Counting)
+        s = _box9()
+        rng = np.random.default_rng(600)
+        for t in (0.0, 0.1, rng.uniform(0.0, 0.5, 3)):
+            evaluate_at_2d(s, *_points(s, rng, 3), t)
+        evaluate(s, 0.2)
+        time_derivative(s, 0.2)
+        list(flow._grid_rho(s, [0.0, 0.3]))
+        assert built == [s]
+        assert s.plan is s.plan
+
+    def test_holds_no_table(self, state):
+        K = state.indices.size
+        arrays = _plan_arrays(state.plan)
+        assert arrays
+        for a in arrays:
+            assert max(a.shape, default=1) <= max(K, 2) and a.size <= 4 * K, a.shape
+
+    def test_computed_arrays_are_read_only(self, state):
+        p = state.plan
+        for a in (p.energies, p.rates, p.dt_coeffs):
+            assert not a.flags.writeable
+
+    def test_state_is_frozen(self, state):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.indices = state.indices[:1]
+
+    @pytest.mark.parametrize("kind", ["box9", "well"])
+    def test_two_states_on_one_basis(self, kind):
+        # two selections of one basis, evaluated in turn: each plan serves
+        # its own state only
+        first = _box9() if kind == "box9" else _well()
+        basis = first.basis
+        second = _random_state(basis, [1, 4, basis.k - 1], 19)
+        rng = np.random.default_rng(700)
+        for _ in range(3):
+            for s in (first, second, first):
+                _assert_same(s, _points(s, rng, 4), rng.uniform(0.0, 0.5, 4))
+                _assert_same(s, _points(s, rng, 4), float(rng.uniform(0.0, 0.5)))

@@ -5,13 +5,11 @@ import json
 import math
 import os
 import zipfile
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from madelung import scenarios as sc
-from madelung import spectral
 from madelung.energy import (
     classify_superoscillation,
     continuity_residual,
@@ -22,7 +20,6 @@ from madelung.energy import (
     write_frame_table,
 )
 from madelung.grids import Grid1D, partials, read_columns
-from madelung.spectral import solve_eigen
 from madelung.states import WavepacketSpec, evaluate
 
 TWO_TERM = (
@@ -38,26 +35,6 @@ def bundles():
     """Built (not run) bundles for every scenario except the tuned one."""
     names = [n for n in sc.SCENARIOS if n != "mzi_1d"]
     return {n: sc.build_scenario(sc.default_config(n)) for n in names}
-
-
-@pytest.fixture(scope="module")
-def mzi_build():
-    """The stock tuned mzi_1d bundle, built without a cache, and how often
-    the build made a finite-difference eigensolve and a launch state."""
-    calls = Counter()
-
-    def counting(fn):
-        def counted(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("MADELUNG_CACHE_DIR", raising=False)
-        mp.setattr(spectral, "solve_eigen", counting(solve_eigen))
-        mp.setattr(sc, "_launch_state", counting(sc._launch_state))
-        bundle = sc.build_scenario(sc.default_config("mzi_1d"))
-    return bundle, calls
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +243,17 @@ class TestRunBundle:
         loops = (tmp_path / "v" / "loops.csv").read_text().splitlines()
         assert loops[0] == "seed_q,t,x,y"
         assert len({ln.split(",")[0] for ln in loops[1:]}) == 4
+
+    def test_vortex_record_is_the_same_without_fields(self, tmp_path):
+        # with fields the record averages frame 0 of the frame ledger,
+        # without them a t = 0 ledger of its own: the same bits
+        full = sc.run_scenario(sc.default_config("vortex_2d"), tmp_path / "a")
+        bare = sc.run_scenario(sc.default_config("vortex_2d", write_fields=False),
+                               tmp_path / "b")
+        assert "frame_table" not in bare["files"]
+        assert bare["derived"]["vortex"] == full["derived"]["vortex"]
+        assert ((tmp_path / "a" / "vortex_profile.csv").read_bytes()
+                == (tmp_path / "b" / "vortex_profile.csv").read_bytes())
 
 
 LEDGER_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",

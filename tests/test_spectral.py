@@ -19,6 +19,7 @@ from madelung.spectral import (
     EigenBasis,
     Harmonic,
     InfiniteWell,
+    ModeTables,
     QuarticDoubleWell,
     SymTridiag,
     Tabulated,
@@ -28,7 +29,6 @@ from madelung.spectral import (
     build_hamiltonian,
     eigenbasis,
     load_basis,
-    mode_table,
     product_basis_2d,
     sample_potential,
     save_basis,
@@ -156,7 +156,7 @@ class TestModeTable:
     ], ids=["well", "hermite"])
     def test_1d_basis_is_table_on_grid(self, potential, grid, k):
         basis = eigenbasis(potential, grid, k)
-        values, (dx,) = mode_table(basis, np.arange(k), grid.x)
+        values, dx = ModeTables(basis, np.arange(k))(grid.x)
         assert values.shape == dx.shape == (k, grid.n)
         assert np.array_equal(values, basis.states)
 
@@ -165,7 +165,7 @@ class TestModeTable:
         pairs = [(1, 1), (1, 2), (2, 1), (3, 2)]
         basis = product_basis_2d(pairs, grid2)
         x, y = np.meshgrid(grid2.grid_x.x, grid2.grid_y.x, indexing="ij")
-        values, (dx, dy) = mode_table(basis, np.arange(len(pairs)), x, y)
+        values, dx, dy = ModeTables(basis, np.arange(len(pairs)))(x, y)
         assert values.shape == dx.shape == dy.shape == (len(pairs),) + grid2.shape
         assert np.array_equal(values, basis.states)
 
