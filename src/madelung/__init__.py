@@ -14,9 +14,6 @@ from .grids import (
     Grid1D,
     Grid2D,
     ScalarField,
-    integrate,
-    integrate_masked,
-    laplacian,
     partials,
 )
 from .spectral import (
@@ -27,8 +24,6 @@ from .spectral import (
     SymTridiag,
     Tabulated,
     WellWithBarrier,
-    analytic_harmonic,
-    analytic_infinite_well,
     build_hamiltonian,
     eigenbasis,
     load_basis,
@@ -42,7 +37,6 @@ from .states import (
     Superposition,
     WavepacketSpec,
     band_limit,
-    calibrate_sigma,
     cap_modes,
     equal_two_mode,
     evaluate,
@@ -53,8 +47,6 @@ from .states import (
     project_field,
     project_gaussian,
     superposition,
-    superposition_from_json,
-    superposition_to_json,
     time_derivative,
 )
 from .energy import (
@@ -87,7 +79,6 @@ from .flow import (
     loop_seeds_on_axis,
     loops_to_csv,
     node_events_to_json,
-    quantile_position,
     save_node_events,
     seed_quantiles,
     streamline_bundle,

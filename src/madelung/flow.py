@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EPS_NODE, EnergyDecomposition
-from .grids import Grid1D, Grid2D, ScalarField, write_columns, write_json
+from .grids import Grid1D, ScalarField, write_columns, write_json
 from .states import Superposition, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
@@ -165,11 +165,6 @@ def cumulative_probability(s: Superposition, x: float, t: float) -> float:
     cdf, total = _cdf(rho, g.x)
     xs = np.array([[min(max(float(x), g.x_min), g.x_max)]])
     return float(_cdf_at(g, cdf, rho, total, xs, _rho_at(s, xs, tc[:, None]))[0][0, 0])
-
-
-def quantile_position(s: Superposition, q: float, t: float) -> float:
-    """Position x with CDF(x, t) = q."""
-    return float(_quantile_curves(s, [q], [t])[0][0, 0])
 
 
 # ------------------------------------------------------------- streamlines

@@ -9,27 +9,9 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-
-__all__ = [
-    "Grid1D",
-    "Grid2D",
-    "ScalarField",
-    "ComplexField",
-    "integrate",
-    "integrate_masked",
-    "quadrature",
-    "trapezoid_weights",
-    "partials",
-    "laplacian",
-    "coordinate_columns",
-    "write_columns",
-    "read_columns",
-    "field_to_csv",
-]
 
 
 @dataclass(frozen=True)
@@ -155,26 +137,6 @@ def _quad_weights(n: int, h: float) -> np.ndarray:
     return trapezoid_weights(n, h)
 
 
-def integrate(f) -> float:
-    """Quadrature of a fully valid real field over its grid.
-
-    Composite Simpson when the point count is odd, trapezoid when even;
-    the 2D variant iterates the 1D rule along each axis.
-    """
-    if not f.mask.all():
-        raise ValueError("field has masked points; use integrate_masked")
-    if not np.isfinite(f.values).all():
-        bad = np.argwhere(~np.isfinite(f.values))
-        raise ValueError(f"non-finite value at index {tuple(bad[0])}")
-    return float(quadrature(f.grid, f.values.real))
-
-
-def integrate_masked(f) -> float:
-    """Quadrature treating masked points as exact zeros."""
-    vals = np.where(f.mask, f.values.real, 0.0)
-    return float(quadrature(f.grid, vals))
-
-
 def quadrature(grid, vals: np.ndarray):
     """Raw Simpson/trapezoid sum; works on real or complex arrays."""
     return np.sum(_grid_weights(grid, _quad_weights) * vals)
@@ -188,7 +150,7 @@ def _grid_weights(grid, rule=trapezoid_weights) -> np.ndarray:
 # Second-order one-sided first-derivative edge stencil.
 _GRAD_EDGE = np.array([-1.5, 2.0, -0.5])
 # Third-order one-sided second-derivative edge stencil.  The extra order
-# keeps the integral of laplacian(rho) telescoping to the boundary flux
+# keeps the integral of the Laplacian of rho telescoping to the boundary flux
 # closely enough that integral identities hold at 1e-8 on refined grids;
 # a second-order edge leaves an O(h^3) boundary artifact an order of
 # magnitude larger for hard-wall states.
@@ -204,11 +166,12 @@ def _same_kind(f, values, mask):
 # axis it differentiates to the front.  Each edge row is a sum taken left
 # to right over the leading axis, elementwise, so a frame of a stack
 # rounds as it does alone.
-def _stencil_mask(mask: np.ndarray, edge_span: int) -> np.ndarray:
+def _stencil_mask(mask: np.ndarray) -> np.ndarray:
+    # valid where the first-derivative stencil touches only valid points
     out = np.empty_like(mask)
     out[1:-1] = mask[1:-1] & mask[2:] & mask[:-2]
-    out[0] = mask[:edge_span].all(axis=0)
-    out[-1] = mask[-edge_span:].all(axis=0)
+    out[0] = mask[:3].all(axis=0)
+    out[-1] = mask[-3:].all(axis=0)
     return out
 
 
@@ -241,14 +204,6 @@ def _along(v: np.ndarray, axis: int, stencil, h: float) -> np.ndarray:
     return np.moveaxis(stencil(np.moveaxis(v, axis, 0), h), 0, axis)
 
 
-def _partial(f, axis: int, stencil, edge_span: int) -> tuple:
-    """Stencil values and propagated mask of f along one grid axis; masked
-    outputs are not yet zeroed."""
-    vals = _along(f.values, axis, stencil, f.grid.axes[axis].h)
-    mask = _stencil_mask(np.moveaxis(f.mask, axis, 0), edge_span)
-    return vals, np.moveaxis(mask, 0, axis)
-
-
 def partials(f) -> tuple:
     """First derivatives of f along each grid axis, one field per axis:
     central interior, one-sided second-order edges.
@@ -256,22 +211,12 @@ def partials(f) -> tuple:
     Masked points poison every output point whose stencil touches them.
     """
     out = []
-    for axis in range(len(f.grid.axes)):
-        vals, mask = _partial(f, axis, _d1, 3)
+    for axis, g in enumerate(f.grid.axes):
+        vals = _along(f.values, axis, _d1, g.h)
+        mask = np.moveaxis(_stencil_mask(np.moveaxis(f.mask, axis, 0)), 0, axis)
         vals[~mask] = 0.0
         out.append(_same_kind(f, vals, mask))
     return tuple(out)
-
-
-def laplacian(f):
-    """Sum of the second derivatives along each axis: the 3-point second
-    derivative in 1D, the 5-point Laplacian in 2D; valid where every
-    axis's stencil is."""
-    terms = [_partial(f, axis, _d2, 5) for axis in range(len(f.grid.axes))]
-    vals = functools.reduce(operator.add, (v for v, _ in terms))
-    mask = functools.reduce(operator.and_, (m for _, m in terms))
-    vals[~mask] = 0.0
-    return _same_kind(f, vals, mask)
 
 
 # rows formatted per write.  Every cell of a block is a live string until

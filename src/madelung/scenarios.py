@@ -264,13 +264,17 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
     """Bisect the barrier height until the packet splits 50/50.
 
     Each probe re-solves the barrier-well eigenbasis and re-projects the
-    packet. A geometric ladder over probe_range first verifies a bracket
-    with T(low) > 0.5 > T(high) and that T is decreasing across the probes.
+    packet. A geometric ladder over probe_range (0 < low < high), doubling
+    from low, first verifies a bracket with T(low) > 0.5 > T(high) and that
+    T is decreasing across the probes.
     The result carries the packet as `launch` and the last probe's
     projection of it as `state`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    lo, hi = probe_range
+    if not 0 < lo < hi:
+        raise ValueError(f"probe range needs 0 < low < high, got {probe_range}")
     launch = _launch_state(geometry, packet)
     history = []
     last = None
@@ -285,7 +289,6 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         history.append((float(u0), float(t)))
         return t
 
-    lo, hi = probe_range
     ladder = [lo]
     while ladder[-1] < hi:
         ladder.append(min(ladder[-1] * 2.0, hi))

@@ -23,26 +23,6 @@ import numpy as np
 
 from .grids import Grid1D, Grid2D, ScalarField, _grid_weights, trapezoid_weights, write_json
 
-__all__ = [
-    "InfiniteWell",
-    "WellWithBarrier",
-    "Harmonic",
-    "QuarticDoubleWell",
-    "Tabulated",
-    "SymTridiag",
-    "EigenBasis",
-    "sample_potential",
-    "build_hamiltonian",
-    "solve_eigen",
-    "analytic_infinite_well",
-    "analytic_harmonic",
-    "eigenbasis",
-    "product_basis_2d",
-    "ModeTables",
-    "save_basis",
-    "load_basis",
-]
-
 _SIGN_TOL = 1e-8  # relative threshold for the leading-lobe sign convention
 # leads every cache key: bump it when the entry format or a solver's output
 # changes, so entries written before are never read
@@ -492,26 +472,6 @@ def _analytic_states(potential, grid: Grid1D, modes: np.ndarray):
             f"grid too narrow for harmonic mode {modes[j]}: edge amplitude {edge[j]:.2e}"
         )
     return (modes + 0.5) * omega, _fix_sign(V)
-
-
-def analytic_infinite_well(n: int, half_width: float, grid: Grid1D):
-    """Standing-wave eigenstate n >= 1 of the hard-wall well [-a, a]."""
-    if n < 1:
-        raise ValueError("mode index starts at 1")
-    energy, V = _analytic_states(InfiniteWell(half_width), grid, np.array([n]))
-    return float(energy[0]), ScalarField(grid, V[0])
-
-
-def analytic_harmonic(n: int, omega: float, grid: Grid1D):
-    """Hermite-function eigenstate n >= 0 of U = omega^2 x^2 / 2.
-
-    Requires the grid wide enough that the state has decayed below 1e-12
-    at both ends.
-    """
-    if n < 0:
-        raise ValueError("mode index starts at 0")
-    energy, V = _analytic_states(Harmonic(omega), grid, np.array([n]))
-    return float(energy[0]), ScalarField(grid, V[0])
 
 
 # analytic 1D bases: basis method and first mode number

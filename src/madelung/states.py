@@ -13,21 +13,6 @@ import numpy as np
 from .grids import ComplexField, Grid1D, quadrature
 from .spectral import EigenBasis, ModeTables
 
-__all__ = [
-    "Superposition",
-    "EvaluationPlan",
-    "WavepacketSpec",
-    "superposition",
-    "equal_two_mode",
-    "evaluate",
-    "time_derivative",
-    "evaluate_at",
-    "evaluate_at_2d",
-    "project_gaussian",
-    "band_limit",
-    "calibrate_sigma",
-]
-
 CLAMP = 1e-14  # raw projection coefficients below this are exact zeros
 
 
@@ -304,54 +289,3 @@ def cap_modes(sp: Superposition, max_index: int) -> Superposition:
     meta["cap_dropped_norm"] = 1.0 - kept
     meta["truncation_index"] = int(idx.max()) + 1
     return Superposition(sp.basis, c / math.sqrt(kept), idx, meta)
-
-
-def calibrate_sigma(basis: EigenBasis, center: float, momentum: float,
-                    target_index: int, eta: float = 1e-3,
-                    sigma_lo: float = 0.01, sigma_hi: float = 1.0,
-                    steps: int = 200) -> dict:
-    """Sweep the Gaussian width and report the window whose eta-truncation
-    lands exactly on target_index.
-
-    For packets well clear of the walls the truncation index decreases
-    monotonically with sigma (wider packet, narrower band) and the window
-    is an interval.  When the packet tail touches a wall, coefficients
-    gain a slowly decaying component from the wall discontinuity and the
-    index turns back upward at large sigma; the achievable minimum may then
-    sit above the nominal band edge.  The swept window is reported as the
-    [min, max] of the hits with its midpoint as the calibrated width.
-    """
-    sigmas = np.geomspace(sigma_lo, sigma_hi, steps)
-    hits = []
-    for sg in sigmas:
-        try:
-            sp = project_gaussian(basis, WavepacketSpec(center, momentum, sg), eta)
-        except ValueError:
-            continue
-        if sp.meta["truncation_index"] == target_index:
-            hits.append(sg)
-    if not hits:
-        raise ValueError(f"no width in [{sigma_lo}, {sigma_hi}] yields index {target_index}")
-    lo, hi = min(hits), max(hits)
-    return {"sigma_lo": lo, "sigma_hi": hi, "sigma": 0.5 * (lo + hi),
-            "target_index": target_index, "eta": eta}
-
-
-def superposition_to_json(s: Superposition) -> dict:
-    """JSON-ready description: basis reference, indices, coefficients, meta."""
-    return {
-        "basis": {
-            "method": s.basis.meta.get("method", ""),
-            "k": s.basis.k,
-            "potential": repr(s.basis.potential),
-        },
-        "indices": [int(i) for i in s.indices],
-        "coeffs_re": [float(c.real) for c in s.coeffs],
-        "coeffs_im": [float(c.imag) for c in s.coeffs],
-        "meta": {k: v for k, v in s.meta.items()},
-    }
-
-
-def superposition_from_json(doc: dict, basis: EigenBasis) -> Superposition:
-    c = np.array(doc["coeffs_re"]) + 1j * np.array(doc["coeffs_im"])
-    return Superposition(basis, c, np.array(doc["indices"]), doc.get("meta", {}))

@@ -23,7 +23,7 @@ from madelung.energy import (
     mask_area,
     masks_to_csv,
 )
-from madelung.grids import ComplexField, Grid1D, Grid2D, ScalarField, integrate
+from madelung.grids import ComplexField, Grid1D, Grid2D, ScalarField, quadrature
 from madelung.spectral import Harmonic, InfiniteWell, eigenbasis, product_basis_2d, sample_potential
 from madelung.states import (
     Superposition,
@@ -80,10 +80,6 @@ def vortex_on(n: int) -> Superposition:
 def one_frame(g, psi, dpsidt, U, E_plus) -> dict:
     """ledger of a single frame, every column with its frame axis dropped."""
     return {k: v[0] for k, v in ledger(g, psi[None], dpsidt[None], U, [E_plus]).items()}
-
-
-def field(d, name) -> ScalarField:
-    return ScalarField(d.grid, getattr(d, name))
 
 
 class TestPolar:
@@ -204,24 +200,24 @@ class TestLedger:
     def test_qr_integral_zero_well(self):
         basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, 8001), 4)
         d = decompose(equal_two_mode(basis, 0, 1), 0.0)
-        assert abs(integrate(field(d, "q_r"))) < 1e-8
+        assert abs(quadrature(d.grid, d.q_r)) < 1e-8
 
     def test_qr_integral_zero_ho(self):
         basis = eigenbasis(Harmonic(10.0), Grid1D(-3.0, 3.0, 8001), 4)
         d = decompose(equal_two_mode(basis, 0, 2), 0.1)
-        assert abs(integrate(field(d, "q_r"))) < 1e-8
+        assert abs(quadrature(d.grid, d.q_r)) < 1e-8
 
     def test_eigenstate_ks_plus_u_is_energy(self):
         basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, 64001), 3)
         d = decompose(superposition(basis, [1], [1.0]), 0.0)
-        total = integrate(field(d, "k_s")) + integrate(field(d, "u"))
+        total = quadrature(d.grid, d.k_s) + quadrature(d.grid, d.u)
         assert abs(total - basis.energies[1]) < 1e-6
 
     def test_ep_integral_is_energy_expectation(self, well_basis):
         sp = superposition(well_basis, [0, 1], [0.8, 0.6j])
         d = decompose(sp, 0.4 * PERIOD)
         expect = 0.64 * well_basis.energies[0] + 0.36 * well_basis.energies[1]
-        assert abs(integrate(field(d, "e_p")) - expect) < 1e-6
+        assert abs(quadrature(d.grid, d.e_p) - expect) < 1e-6
 
     def test_density_forms_match_divided_forms(self, two_mode):
         d = decompose(two_mode, 0.22 * PERIOD)

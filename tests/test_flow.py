@@ -23,7 +23,6 @@ from madelung.flow import (
     integrate_streamline,
     loop_seeds_on_axis,
     node_events_to_json,
-    quantile_position,
     save_node_events,
     seed_quantiles,
     streamline_bundle,
@@ -143,14 +142,11 @@ class TestStreamlines:
 
     def test_streamline_matches_quantile_route(self, two_mode):
         q = 0.3
-        x0 = quantile_position(two_mode, q, 0.0)
+        x0 = flow._quantile_curves(two_mode, [q], [0.0])[0][0, 0]
         te = np.linspace(0.0, PERIOD, 17)
         ln = integrate_streamline(two_mode, x0, (0.0, PERIOD), t_eval=te)
-        devs = [
-            abs(quantile_position(two_mode, q, tv) - xv)
-            for tv, xv in zip(ln.t, ln.x)
-        ]
-        assert max(devs) < 1e-3
+        X, _ = flow._quantile_curves(two_mode, [q], ln.t)
+        assert np.abs(X[:, 0] - ln.x).max() < 1e-3
 
     def test_bundle_never_crosses(self, two_mode):
         te = np.linspace(0.0, PERIOD, 33)
@@ -244,12 +240,13 @@ class TestQuantileCurves:
 class TestQuantilePosition:
     def test_symmetric_median_at_center(self, ho_basis):
         s = superposition(ho_basis, [0], [1.0])
-        assert abs(quantile_position(s, 0.5, 0.0)) < 1e-6
+        X, _ = flow._quantile_curves(s, [0.5], [0.0])
+        assert abs(X[0, 0]) < 1e-6
 
     def test_eigenstate_static_quantiles(self, ho_basis):
         s = superposition(ho_basis, [2], [1.0])
-        x0 = quantile_position(s, 0.3, 0.0)
-        assert abs(quantile_position(s, 0.3, 1.7) - x0) < 1e-9
+        X, _ = flow._quantile_curves(s, [0.3], [0.0, 1.7])
+        assert abs(X[1, 0] - X[0, 0]) < 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -261,8 +258,8 @@ class TestQuantilePosition:
             return
         lo, hi = sorted((q1, q2))
         s = superposition(ho_basis, [0, 2], np.array([0.8, 0.6j]))
-        t = 0.37
-        assert quantile_position(s, lo, t) < quantile_position(s, hi, t)
+        X, _ = flow._quantile_curves(s, [lo, hi], [0.37])
+        assert X[0, 0] < X[0, 1]
 
 
 class TestNodeEvents:

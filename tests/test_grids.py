@@ -14,14 +14,13 @@ from madelung.grids import (
     _d1,
     _d2,
     field_to_csv,
-    integrate,
-    integrate_masked,
-    laplacian,
     partials,
+    quadrature,
     read_columns,
     write_columns,
     write_json,
 )
+from madelung.energy import _laplacian
 
 
 def field_from_csv(path):
@@ -44,6 +43,11 @@ def field_from_csv(path):
 
 def make_field(fn, grid):
     return ScalarField(grid, fn(grid.x))
+
+
+def lap(f):
+    """The ledger's Laplacian of one field's values."""
+    return _laplacian(f.grid, f.values[None])[0]
 
 
 class TestGrid:
@@ -90,39 +94,28 @@ class TestIntegrate:
     def test_constant_exact(self):
         # f = 1 on [0,1] integrates to exactly 1 for any rule.
         g = Grid1D(0.0, 1.0, 101)
-        assert integrate(make_field(np.ones_like, g)) == pytest.approx(1.0, abs=1e-15)
+        assert quadrature(g, np.ones(101)) == pytest.approx(1.0, abs=1e-15)
 
     def test_sin_squared(self):
         # Analytic antiderivative: int sin^2(pi x) dx over [0,1] = 1/2.
         g = Grid1D(0.0, 1.0, 101)
-        f = make_field(lambda x: np.sin(np.pi * x) ** 2, g)
-        assert integrate(f) == pytest.approx(0.5, abs=1e-8)
+        assert quadrature(g, np.sin(np.pi * g.x) ** 2) == pytest.approx(0.5, abs=1e-8)
 
     def test_even_point_count_trapezoid(self):
         g = Grid1D(0.0, 1.0, 100)
-        f = make_field(lambda x: x, g)
-        assert integrate(f) == pytest.approx(0.5, abs=1e-12)
+        assert quadrature(g, g.x) == pytest.approx(0.5, abs=1e-12)
 
     def test_normalized_mode(self):
         g = Grid1D(-1.0, 1.0, 2001)
-        f = make_field(lambda x: np.sin(np.pi * (x + 1.0)) ** 2, g)  # |psi_2|^2
-        assert integrate(f) == pytest.approx(1.0, abs=1e-10)
-
-    def test_masked_points_rejected(self):
-        g = Grid1D(0.0, 1.0, 11)
-        mask = np.ones(11, bool)
-        mask[0] = False
-        f = ScalarField(g, np.ones(11), mask)
-        with pytest.raises(ValueError, match="masked"):
-            integrate(f)
-        assert integrate_masked(f) < 1.0
+        rho = np.sin(np.pi * (g.x + 1.0)) ** 2  # |psi_2|^2
+        assert quadrature(g, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_2d_separable(self):
         gx = Grid1D(0.0, 1.0, 101)
         g2 = Grid2D(gx, gx)
         X, Y = g2.mesh()
-        f = ScalarField(g2, np.sin(np.pi * X) ** 2 * np.sin(np.pi * Y) ** 2)
-        assert integrate(f) == pytest.approx(0.25, abs=1e-8)
+        rho = np.sin(np.pi * X) ** 2 * np.sin(np.pi * Y) ** 2
+        assert quadrature(g2, rho) == pytest.approx(0.25, abs=1e-8)
 
 
 class TestGradient:
@@ -168,22 +161,22 @@ class TestGradient:
 class TestLaplacian:
     def test_quadratic_exact(self):
         g = Grid1D(-1.0, 1.0, 201)
-        out = laplacian(make_field(lambda x: x**2, g))
-        assert np.allclose(out.values[1:-1], 2.0, atol=1e-9)
+        out = lap(make_field(lambda x: x**2, g))
+        assert np.allclose(out[1:-1], 2.0, atol=1e-9)
         # edge stencil exact through cubics
-        assert out.values[0] == pytest.approx(2.0, abs=1e-7)
+        assert out[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_constant_zero(self):
         g = Grid1D(0.0, 1.0, 33)
-        out = laplacian(make_field(np.ones_like, g))
-        assert np.allclose(out.values, 0.0, atol=1e-10)
+        out = lap(make_field(np.ones_like, g))
+        assert np.allclose(out, 0.0, atol=1e-10)
 
     def test_convergence_order(self):
         errs = []
         for n in (201, 401):
             g = Grid1D(0.0, 2.0, n)
-            out = laplacian(make_field(lambda x: np.sin(5.0 * x), g))
-            errs.append(np.abs(out.values + 25.0 * np.sin(5.0 * g.x)).max())
+            out = lap(make_field(lambda x: np.sin(5.0 * x), g))
+            errs.append(np.abs(out + 25.0 * np.sin(5.0 * g.x)).max())
         ratio = errs[0] / errs[1]
         assert 3.3 < ratio < 4.7
 
@@ -192,20 +185,9 @@ class TestLaplacian:
         g2 = Grid2D(gx, gx)
         X, Y = g2.mesh()
         f = ScalarField(g2, np.sin(np.pi * X) * np.sin(2.0 * np.pi * Y))
-        out = laplacian(f)
         expect = -5.0 * np.pi**2 * f.values
-        err = np.abs(out.values - expect).max()
+        err = np.abs(lap(f) - expect).max()
         assert err < 5e-3 * np.abs(expect).max()
-
-    def test_mask_edge_span(self):
-        # a masked point near the boundary disables the one-sided stencil
-        g = Grid1D(0.0, 1.0, 21)
-        mask = np.ones(21, bool)
-        mask[3] = False
-        out = laplacian(ScalarField(g, np.zeros(21), mask))
-        assert not out.mask[0]  # 5-point edge stencil touches index 3
-        assert not out.mask[2] and not out.mask[4]
-        assert out.mask[6]
 
 
 class TestPerAxis:
@@ -258,24 +240,15 @@ class TestPerAxis:
 
     def test_laplacian_is_sum_of_1d_second_derivatives(self):
         f = self._field()
-        out = laplacian(f)
-        terms = []
-        for axis in (0, 1):
-            vals = np.zeros(f.grid.shape, complex)
-            mask = np.zeros(f.grid.shape, bool)
+        dxx, dyy = np.zeros((2,) + f.grid.shape, complex)
+        for d, axis in ((dxx, 0), (dyy, 1)):
             for sel, line in self._lines(f, axis):
-                ref = laplacian(line)
-                vals[sel], mask[sel] = ref.values, ref.mask
-            terms.append((vals, mask))
-        (dxx, mx), (dyy, my) = terms
-        mask = mx & my
-        want = np.where(mask, dxx + dyy, 0.0)
-        assert np.array_equal(out.mask, mask)
-        assert not out.mask[:2, 5].any() and out.mask[2, 5]
+                d[sel] = lap(line)
+        want = dxx + dyy
+        out = lap(f)
         inner = (slice(1, -1), slice(1, -1))
-        assert np.array_equal(out.values[inner], want[inner])
-        np.testing.assert_allclose(out.values, want, rtol=1e-13,
-                                   atol=1e-13 * np.abs(want).max())
+        assert np.array_equal(out[inner], want[inner])
+        np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 class TestStackedStencils:
@@ -324,24 +297,24 @@ class TestStackedStencils:
 
 class TestIdentities:
     def test_fundamental_theorem(self):
-        # integrate(partials(f)[0]) = f(b) - f(a) within O(h^2)
+        # the quadrature of partials(f)[0] is f(b) - f(a) within O(h^2)
         for n in (401, 801):
             g = Grid1D(0.0, 1.5, n)
             f = make_field(lambda x: np.exp(x) * np.sin(3.0 * x), g)
-            got = integrate(partials(f)[0])
+            got = quadrature(g, partials(f)[0].values)
             expect = f.values[-1] - f.values[0]
             assert got == pytest.approx(expect, abs=20.0 * g.h**2)
 
     def test_product_rule_residual_order(self):
-        # laplacian(R^2) vs 2 R laplacian(R) + 2 |grad R|^2 converges O(h^2)
+        # lap(R^2) vs 2 R lap(R) + 2 |grad R|^2 converges O(h^2)
         errs = []
         for n in (201, 401):
             g = Grid1D(0.0, 2.0, n)
             R = make_field(lambda x: 1.5 + np.sin(4.0 * x), g)
-            lhs = laplacian(ScalarField(g, R.values**2))
+            lhs = lap(ScalarField(g, R.values**2))
             gr = partials(R)[0]
-            rhs = 2.0 * R.values * laplacian(R).values + 2.0 * gr.values**2
-            errs.append(np.abs(lhs.values - rhs).max())
+            rhs = 2.0 * R.values * lap(R) + 2.0 * gr.values**2
+            errs.append(np.abs(lhs - rhs).max())
         assert errs[0] / errs[1] > 3.0
 
     @given(

@@ -167,6 +167,19 @@ class TestTuner:
         with pytest.raises(ValueError, match="positive"):
             sc.tune_beam_splitter(geo, packet, tol=-1.0)
 
+    @pytest.mark.parametrize("probe_range", [(0.0, 100.0), (-1.0, 100.0), (100.0, 100.0)])
+    def test_rejects_bad_probe_range(self, splitter, monkeypatch, probe_range):
+        # refused before the launch state's eigenbasis is solved; a ladder
+        # doubling from 0 or below would never reach the high end
+        geo, packet, _ = splitter
+
+        def no_launch(*args):
+            raise AssertionError("launch state built")
+
+        monkeypatch.setattr(sc, "_launch_state", no_launch)
+        with pytest.raises(ValueError, match="0 < low < high"):
+            sc.tune_beam_splitter(geo, packet, probe_range=probe_range)
+
 
 def _digest_dir(root):
     out = {}

@@ -14,9 +14,8 @@ import pytest
 
 import madelung
 from madelung import spectral
-from madelung.grids import Grid1D, Grid2D, integrate, quadrature
+from madelung.grids import Grid1D, Grid2D, quadrature
 from madelung.spectral import (
-    EigenBasis,
     Harmonic,
     InfiniteWell,
     ModeTables,
@@ -24,8 +23,6 @@ from madelung.spectral import (
     SymTridiag,
     Tabulated,
     WellWithBarrier,
-    analytic_harmonic,
-    analytic_infinite_well,
     build_hamiltonian,
     eigenbasis,
     load_basis,
@@ -108,42 +105,37 @@ class TestHamiltonian:
 class TestAnalyticBases:
     def test_well_energies(self):
         g = Grid1D(-1.0, 1.0, 2001)
-        e1, psi1 = analytic_infinite_well(1, 1.0, g)
-        e2, _ = analytic_infinite_well(2, 1.0, g)
-        assert e1 == pytest.approx(E1_WELL, rel=1e-14)
-        assert e2 == pytest.approx(4.0 * E1_WELL, rel=1e-14)
-        assert integrate(ScalarField(g, psi1.values**2)) == pytest.approx(1.0, abs=1e-10)
+        basis = eigenbasis(InfiniteWell(1.0), g, 2)
+        assert basis.energies[0] == pytest.approx(E1_WELL, rel=1e-14)
+        assert basis.energies[1] == pytest.approx(4.0 * E1_WELL, rel=1e-14)
+        assert quadrature(g, basis.states[0] ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_well_sign_convention(self):
-        g = Grid1D(-1.0, 1.0, 501)
-        for n in range(1, 5):
-            _, psi = analytic_infinite_well(n, 1.0, g)
-            lead = psi.values[np.abs(psi.values) > 1e-8 * np.abs(psi.values).max()][0]
+        for psi in eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, 501), 4).states:
+            lead = psi[np.abs(psi) > 1e-8 * np.abs(psi).max()][0]
             assert lead > 0
 
     def test_well_wrong_grid(self):
-        with pytest.raises(ValueError):
-            analytic_infinite_well(1, 1.0, Grid1D(-0.9, 1.0, 101))
+        with pytest.raises(ValueError, match="span"):
+            eigenbasis(InfiniteWell(1.0), Grid1D(-0.9, 1.0, 101), 1)
 
     def test_harmonic_energies_and_parity(self):
-        g = Grid1D(-3.0, 3.0, 2001)
-        e0, psi0 = analytic_harmonic(0, 10.0, g)
-        e1, psi1 = analytic_harmonic(1, 10.0, g)
-        assert e0 == pytest.approx(5.0)
-        assert e1 == pytest.approx(15.0)
-        assert np.allclose(psi0.values, psi0.values[::-1], atol=1e-13)
-        assert np.allclose(psi1.values, -psi1.values[::-1], atol=1e-13)
+        basis = eigenbasis(Harmonic(10.0), Grid1D(-3.0, 3.0, 2001), 2)
+        psi0, psi1 = basis.states
+        assert basis.energies[0] == pytest.approx(5.0)
+        assert basis.energies[1] == pytest.approx(15.0)
+        assert np.allclose(psi0, psi0[::-1], atol=1e-13)
+        assert np.allclose(psi1, -psi1[::-1], atol=1e-13)
 
     def test_harmonic_narrow_grid_rejected(self):
         with pytest.raises(ValueError, match="narrow"):
-            analytic_harmonic(0, 10.0, Grid1D(-2.0, 2.0, 801))
+            eigenbasis(Harmonic(10.0), Grid1D(-2.0, 2.0, 801), 1)
 
     def test_harmonic_orthonormal_high_mode(self):
         g = Grid1D(-4.0, 4.0, 4001)
-        _, psi5 = analytic_harmonic(5, 10.0, g)
-        _, psi3 = analytic_harmonic(3, 10.0, g)
-        assert quadrature(g, psi5.values**2) == pytest.approx(1.0, abs=1e-9)
-        assert abs(quadrature(g, psi5.values * psi3.values)) < 1e-9
+        states = eigenbasis(Harmonic(10.0), g, 6).states
+        assert quadrature(g, states[5] ** 2) == pytest.approx(1.0, abs=1e-9)
+        assert abs(quadrature(g, states[5] * states[3])) < 1e-9
 
 
 class TestModeTable:
@@ -600,5 +592,4 @@ class TestProduct2D:
     def test_product_norm(self):
         g1 = Grid1D(0.0, 1.0, 301)
         basis = product_basis_2d([(1, 2)], Grid2D(g1, g1))
-        rho = ScalarField(basis.grid, basis.states[0] ** 2)
-        assert integrate(rho) == pytest.approx(1.0, abs=1e-10)
+        assert quadrature(basis.grid, basis.states[0] ** 2) == pytest.approx(1.0, abs=1e-10)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from madelung.grids import ComplexField, Grid1D, Grid2D, ScalarField, integrate, laplacian, quadrature
+from madelung.energy import _laplacian
+from madelung.grids import Grid1D, Grid2D, quadrature
 from madelung.spectral import (
     Harmonic,
     InfiniteWell,
@@ -18,7 +19,6 @@ from madelung.states import (
     Superposition,
     WavepacketSpec,
     band_limit,
-    calibrate_sigma,
     cap_modes,
     equal_two_mode,
     evaluate,
@@ -28,8 +28,6 @@ from madelung.states import (
     project_field,
     project_gaussian,
     superposition,
-    superposition_from_json,
-    superposition_to_json,
     time_derivative,
 )
 
@@ -92,8 +90,8 @@ class TestEvaluate:
 
     def test_norm_conservation(self, two_mode):
         for t in (0.0, 0.2, 1.1, PERIOD):
-            rho = ScalarField(two_mode.grid, np.abs(evaluate(two_mode, t).values) ** 2)
-            assert integrate(rho) == pytest.approx(1.0, abs=1e-8)
+            rho = np.abs(evaluate(two_mode, t).values) ** 2
+            assert quadrature(two_mode.grid, rho) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestTimeDerivative:
@@ -115,8 +113,8 @@ class TestTimeDerivative:
         for n in (1001, 2001):
             basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, n), 2)
             s = equal_two_mode(basis)
-            psi = evaluate(s, 0.2)
-            res = 1j * time_derivative(s, 0.2).values + 0.5 * laplacian(psi).values
+            psi = evaluate(s, 0.2).values
+            res = 1j * time_derivative(s, 0.2).values + 0.5 * _laplacian(basis.grid, psi[None])[0]
             errs.append(np.abs(res[2:-2]).max())
         assert errs[0] / errs[1] > 3.0
 
@@ -126,12 +124,8 @@ class TestTimeDerivative:
         basis = eigenbasis(WellWithBarrier(1.0, 15.0, 0.2), g, 2)
         s = equal_two_mode(basis)
         u = sample_potential(WellWithBarrier(1.0, 15.0, 0.2), g).values
-        psi = evaluate(s, 0.15)
-        res = (
-            1j * time_derivative(s, 0.15).values
-            + 0.5 * laplacian(psi).values
-            - u * psi.values
-        )
+        psi = evaluate(s, 0.15).values
+        res = 1j * time_derivative(s, 0.15).values + 0.5 * _laplacian(g, psi[None])[0] - u * psi
         assert np.abs(res[2:-2]).max() < 1e-7
 
 
@@ -332,27 +326,33 @@ class TestProjection:
         assert 0.99 < sp.meta["captured_norm"] <= 1.0 + 1e-12
 
 
+def _truncation_indices(basis, center, momentum, widths) -> list:
+    return [project_gaussian(basis, WavepacketSpec(center, momentum, w)).meta["truncation_index"]
+            for w in widths]
+
+
+def _neighbours(sweep, width) -> tuple:
+    # the swept widths on either side of width
+    return sweep[sweep <= width][-1], sweep[sweep >= width][0]
+
+
 class TestCalibration:
+    """The frozen widths sit inside, not at the edge of, the window of
+    widths whose eta cut keeps the stock mode count: on a geometric sweep
+    of widths, the swept widths on either side of each keep that count."""
+
     def test_reflection_window_contains_frozen_sigma(self):
         basis = eigenbasis(InfiniteWell(0.5), Grid1D(-0.5, 0.5, 2001), 40)
-        win = calibrate_sigma(basis, 0.0, 25.0, 18, sigma_lo=0.05, sigma_hi=0.12, steps=60)
-        assert win["sigma_lo"] <= SIGMA_REFLECTION <= win["sigma_hi"]
+        widths = _neighbours(np.geomspace(0.05, 0.12, 60), SIGMA_REFLECTION)
+        assert _truncation_indices(basis, 0.0, 25.0, widths) == [18, 18]
 
     def test_mzi_window_contains_frozen_sigma(self):
         basis = eigenbasis(InfiniteWell(2.0), Grid1D(-2.0, 2.0, 4001), 120)
-        win = calibrate_sigma(basis, -1.0, 60.0, 90, sigma_lo=0.2, sigma_hi=0.32, steps=40)
-        assert win["sigma_lo"] <= SIGMA_MZI <= win["sigma_hi"]
+        widths = _neighbours(np.geomspace(0.2, 0.32, 40), SIGMA_MZI)
+        assert _truncation_indices(basis, -1.0, 60.0, widths) == [90, 90]
 
     def test_mzi_index_89_unreachable(self):
         # wall-tail floor: no width reaches eta-index 89 (see test_mzi_band_limit)
         basis = eigenbasis(InfiniteWell(2.0), Grid1D(-2.0, 2.0, 4001), 120)
-        with pytest.raises(ValueError, match="no width"):
-            calibrate_sigma(basis, -1.0, 60.0, 89, sigma_lo=0.16, sigma_hi=0.32, steps=80)
-
-
-class TestSerialization:
-    def test_round_trip(self, well_basis, two_mode):
-        doc = superposition_to_json(two_mode)
-        back = superposition_from_json(doc, well_basis)
-        assert np.array_equal(back.indices, two_mode.indices)
-        assert np.array_equal(back.coeffs, two_mode.coeffs)
+        indices = _truncation_indices(basis, -1.0, 60.0, np.geomspace(0.16, 0.32, 80))
+        assert min(indices) == 90
