@@ -90,7 +90,6 @@ from .scenarios import (
     SCENARIOS,
     ScenarioBundle,
     ScenarioConfig,
-    SplitterGeometry,
     TuningResult,
     build_scenario,
     default_config,

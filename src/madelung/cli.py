@@ -37,7 +37,7 @@ def _emit_error(kind: str, message: str):
 
 # ScenarioConfig fields that a flag of the same name replaces
 _OVERRIDES = ("grid_n", "frames", "streamlines", "eta", "tol", "barrier_height",
-              "wide_barrier")
+              "barrier_width")
 
 
 def _with_overrides(c: sc.ScenarioConfig, args) -> sc.ScenarioConfig:
@@ -149,7 +149,7 @@ def _cmd_tune(args) -> int:
     c = _with_overrides(sc.default_config(args.scenario), args)
     if c.name != "mzi_1d":
         raise ValueError("tuning applies to the mzi_1d scenario")
-    r = sc.tune_beam_splitter(*sc.splitter_setup(c), tol=c.tol)
+    r = sc.tune_beam_splitter(c)
     print(f"U0* = {r.U0_star:.6g}  T = {r.transmission:.6f}  "
           f"probes = {len(r.history)}  bisections = {r.iterations}")
     if args.out:
@@ -183,13 +183,8 @@ def _cmd_render(args) -> int:
 def _add_common(p, t_flag=False):
     p.add_argument("--name", help="scenario name")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--streamlines", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--barrier-height", dest="barrier_height", type=float)
-    p.add_argument("--wide-barrier", dest="wide_barrier", action="store_true", default=None)
+    for k in _OVERRIDES:
+        p.add_argument("--" + k.replace("_", "-"), dest=k, type=sc.FIELD_TYPES[k])
     if t_flag:
         p.add_argument("--t", type=float, default=0.0, help="evaluation time")
 
@@ -230,7 +225,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="tune the splitter barrier height to 50/50")
     p.add_argument("--scenario", default="mzi_1d")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=sc.FIELD_TYPES["tol"])
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tune)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,6 @@ from .states import (
 
 # stock geometry in natural units (hbar = m = unit length = 1)
 WELL_HALF_WIDTH = 1.0
-BARRIER_HEIGHT = 15.0
-BARRIER_WIDTH = 0.2
 OMEGA = 10.0
 HO_HALF_SPAN = 3.0
 QUARTIC_HALF_SPAN = 1.25
@@ -87,7 +86,6 @@ class ScenarioConfig:
     band_cap: int | None = None
     barrier_height: float | None = None
     barrier_width: float | None = None
-    wide_barrier: bool = False
     write_fields: bool = True
 
     def __post_init__(self):
@@ -111,6 +109,11 @@ def default_config(name: str, **overrides) -> ScenarioConfig:
 # --------------------------------------------------------------- config I/O
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
+_HINTS = typing.get_type_hints(ScenarioConfig)
+# the value type of each ScenarioConfig field (int, float, bool or str), as
+# config files and command-line flags parse it, and the fields that take none
+FIELD_TYPES = {k: (typing.get_args(h) or (h,))[0] for k, h in _HINTS.items()}
+_NULLABLE = {k for k, h in _HINTS.items() if type(None) in typing.get_args(h)}
 
 
 def config_to_text(c: ScenarioConfig) -> str:
@@ -127,6 +130,16 @@ def config_to_text(c: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_value(key: str, val: str):
+    if val.lower() == "none" and key in _NULLABLE:
+        return None
+    kind = FIELD_TYPES[key]
+    try:
+        return _BOOL_WORDS[val.lower()] if kind is bool else kind(val)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {kind.__name__} for {key}: {val!r}") from None
+
+
 def config_from_text(text: str) -> ScenarioConfig:
     pairs = {}
     for raw in text.splitlines():
@@ -139,25 +152,15 @@ def config_from_text(text: str) -> ScenarioConfig:
         pairs[key] = val
     if "name" not in pairs:
         raise ValueError("config missing the scenario name")
-    known = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(pairs) - set(known)
+    # every config.txt written while the wide barrier was an on/off
+    # setting has the line `wide_barrier = false`
+    if _BOOL_WORDS.get(pairs.pop("wide_barrier", "false").lower()) is not False:
+        raise ValueError("wide_barrier is gone: for the full-width/50 barrier "
+                         "set barrier_width = 0.08")
+    unknown = set(pairs) - set(FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, val in pairs.items():
-        if val.lower() == "none":
-            out[key] = None
-        elif key in ("name",):
-            out[key] = val
-        elif key in ("wide_barrier", "write_fields"):
-            if val.lower() not in _BOOL_WORDS:
-                raise ValueError(f"bad boolean for {key}: {val!r}")
-            out[key] = _BOOL_WORDS[val.lower()]
-        elif key in ("grid_n", "modes", "frames", "streamlines", "band_cap"):
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
-    return default_config(**out)
+    return default_config(**{k: _parse_value(k, v) for k, v in pairs.items()})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -206,20 +209,6 @@ def transmission(s: Superposition, x_split: float, t_measure: float) -> float:
 
 
 @dataclass(frozen=True)
-class SplitterGeometry:
-    """Barrier-well layout probed by the tuner."""
-
-    grid: Grid1D
-    modes: int
-    barrier_width: float
-    half_width: float = MZI_HALF_WIDTH
-    x_split: float = 0.0
-    t_measure: float = MEASURE_TIME
-    band_cap: int | None = 89
-    eta: float = 1e-3
-
-
-@dataclass(frozen=True)
 class TuningResult:
     U0_star: float
     transmission: float
@@ -238,30 +227,44 @@ class TuningResult:
             raise ValueError("transmission not finite")
 
 
-def _launch_state(geo: SplitterGeometry, packet: WavepacketSpec) -> Superposition:
-    free = eigenbasis(InfiniteWell(geo.half_width), geo.grid, geo.modes)
-    sp = project_gaussian(free, packet, eta=geo.eta)
-    if geo.band_cap is not None:
-        sp = cap_modes(sp, geo.band_cap)
+def _required(c: ScenarioConfig, *fields) -> list:
+    """The values of the named config fields; a field set to none is refused."""
+    missing = [f for f in fields if getattr(c, f) is None]
+    if missing:
+        raise ValueError(f"{c.name} needs {', '.join(missing)}; the config sets none")
+    return [getattr(c, f) for f in fields]
+
+
+def _packet(c: ScenarioConfig) -> WavepacketSpec:
+    return WavepacketSpec(*_required(c, "packet_center", "packet_momentum", "packet_width"))
+
+
+def _launch_state(c: ScenarioConfig) -> Superposition:
+    """The mzi_1d packet projected on the free well, band-capped."""
+    grid = Grid1D(-MZI_HALF_WIDTH, MZI_HALF_WIDTH, c.grid_n)
+    free = eigenbasis(InfiniteWell(MZI_HALF_WIDTH), grid, c.modes)
+    sp = project_gaussian(free, _packet(c), eta=c.eta)
+    if c.band_cap is not None:
+        sp = cap_modes(sp, c.band_cap)
     return sp
 
 
-def _splitter_state(geo: SplitterGeometry, launch: Superposition,
+def _splitter_state(c: ScenarioConfig, launch: Superposition,
                     u0: float) -> Superposition:
     """The launch projected on the barrier-well basis at height u0."""
-    pot = WellWithBarrier(geo.half_width, float(u0), geo.barrier_width)
-    basis = eigenbasis(pot, geo.grid, geo.modes)
-    return project_field(basis, evaluate(launch, 0.0).values, eta=geo.eta)
+    pot = WellWithBarrier(MZI_HALF_WIDTH, float(u0), *_required(c, "barrier_width"))
+    basis = eigenbasis(pot, launch.grid, c.modes)
+    return project_field(basis, evaluate(launch, 0.0).values, eta=c.eta)
 
 
 # bisection steps the tuner may take after its bracket
 MAX_BISECT = 30
 
 
-def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
-                       tol: float = 0.01,
+def tune_beam_splitter(c: ScenarioConfig,
                        probe_range: tuple = (250.0, 16000.0)) -> TuningResult:
-    """Bisect the barrier height until the packet splits 50/50.
+    """Bisect the barrier height of an mzi_1d config until its packet
+    splits 50/50 to within c.tol.
 
     Each probe re-solves the barrier-well eigenbasis and re-projects the
     packet. A geometric ladder over probe_range (0 < low < high), doubling
@@ -270,12 +273,12 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
     The result carries the packet as `launch` and the last probe's
     projection of it as `state`.
     """
-    if tol <= 0:
+    if c.tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi = probe_range
     if not 0 < lo < hi:
         raise ValueError(f"probe range needs 0 < low < high, got {probe_range}")
-    launch = _launch_state(geometry, packet)
+    launch = _launch_state(c)
     history = []
     last = None
 
@@ -284,8 +287,8 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         # drop the previous probe's basis before the next solve: holding
         # both kept about 5 MB more resident through every later probe
         last = None
-        last = _splitter_state(geometry, launch, u0)
-        t = transmission(last, geometry.x_split, geometry.t_measure)
+        last = _splitter_state(c, launch, u0)
+        t = transmission(last, 0.0, MEASURE_TIME)
         history.append((float(u0), float(t)))
         return t
 
@@ -295,7 +298,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
     pairs = []
     for u0 in ladder:
         t = probe(u0)
-        if abs(t - 0.5) < tol:
+        if abs(t - 0.5) < c.tol:
             return TuningResult(float(u0), t, 0, (float(u0), float(u0)),
                                 tuple(history), last, launch)
         pairs.append((u0, t))
@@ -316,7 +319,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
     for it in range(1, MAX_BISECT + 1):
         mid = 0.5 * (b_lo + b_hi)
         t_mid = probe(mid)
-        if abs(t_mid - 0.5) < tol:
+        if abs(t_mid - 0.5) < c.tol:
             return TuningResult(float(mid), float(t_mid), it,
                                 (float(b_lo), float(b_hi)), tuple(history), last, launch)
         if t_mid > 0.5:
@@ -324,7 +327,7 @@ def tune_beam_splitter(geometry: SplitterGeometry, packet: WavepacketSpec,
         else:
             b_hi = mid
     raise ValueError(
-        f"bisection did not reach |T - 0.5| < {tol} in {MAX_BISECT} steps; "
+        f"bisection did not reach |T - 0.5| < {c.tol} in {MAX_BISECT} steps; "
         f"last bracket ({b_lo}, {b_hi}), last T {t_mid}"
     )
 
@@ -348,35 +351,13 @@ class ScenarioBundle:
     extras: dict
 
 
-def _barrier_width_for(c: ScenarioConfig) -> float:
-    if c.wide_barrier:
-        # alternate reading: one fiftieth of the full well width
-        return MZI_HALF_WIDTH * 2.0 / 50.0
-    if c.barrier_width is not None:
-        return c.barrier_width
-    return MZI_HALF_WIDTH * 2.0 / 4.0 / 50.0
-
-
-def splitter_setup(c: ScenarioConfig) -> tuple:
-    """(SplitterGeometry, WavepacketSpec) of an mzi_1d config: the barrier
-    well the tuner probes and the packet it launches."""
-    grid = Grid1D(-MZI_HALF_WIDTH, MZI_HALF_WIDTH, c.grid_n)
-    geo = SplitterGeometry(grid, c.modes, _barrier_width_for(c), MZI_HALF_WIDTH,
-                           band_cap=c.band_cap, eta=c.eta)
-    return geo, WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
-
-
 def _barrier_record(pot: WellWithBarrier, grid: Grid1D) -> dict:
     return {"height": pot.barrier_height, "width": pot.barrier_width,
             "width_on_grid": snapped_barrier_width(pot, grid)}
 
 
 def _barrier_well(c: ScenarioConfig) -> WellWithBarrier:
-    return WellWithBarrier(
-        WELL_HALF_WIDTH,
-        c.barrier_height if c.barrier_height is not None else BARRIER_HEIGHT,
-        c.barrier_width if c.barrier_width is not None else BARRIER_WIDTH,
-    )
+    return WellWithBarrier(WELL_HALF_WIDTH, *_required(c, "barrier_height", "barrier_width"))
 
 
 def _standing(half_span: float, potential, eigenstates: bool = False):
@@ -418,8 +399,7 @@ def _pulse_bundle(c, basis, state, span, tuning, extras) -> ScenarioBundle:
 def _build_reflection(c: ScenarioConfig) -> ScenarioBundle:
     grid = Grid1D(-REFLECT_HALF_WIDTH, REFLECT_HALF_WIDTH, c.grid_n)
     basis = eigenbasis(InfiniteWell(REFLECT_HALF_WIDTH), grid, c.modes)
-    packet = WavepacketSpec(c.packet_center, c.packet_momentum, c.packet_width)
-    state = project_gaussian(basis, packet, eta=c.eta)
+    state = project_gaussian(basis, _packet(c), eta=c.eta)
     if c.band_cap is not None:
         state = cap_modes(state, c.band_cap)
     band = {
@@ -434,17 +414,15 @@ def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
     """Band-limited launch in the free well, re-projected onto the barrier
     well at the tuned (or given) height; a tuned build takes the tuner's
     launch and last probe, which solved that height already."""
-    geo, packet = splitter_setup(c)
     if c.barrier_height is None:
-        tuning = tune_beam_splitter(geo, packet, tol=c.tol)
+        tuning = tune_beam_splitter(c)
         launch, state = tuning.launch, tuning.state
     else:
-        launch = _launch_state(geo, packet)
-        tuning, state = None, _splitter_state(geo, launch, c.barrier_height)
-    basis, pot = state.basis, state.basis.potential
+        launch = _launch_state(c)
+        tuning, state = None, _splitter_state(c, launch, c.barrier_height)
+    basis = state.basis
     extras = {
-        "barrier": {**_barrier_record(pot, geo.grid),
-                    "width_rule": "full_width/50" if c.wide_barrier else "unit_length/50"},
+        "barrier": _barrier_record(basis.potential, basis.grid),
         "band": {
             "launch_truncation_index": int(launch.meta["truncation_index"]),
             "launch_cap_dropped_norm": launch.meta.get("cap_dropped_norm", 0.0),
@@ -473,8 +451,7 @@ SCENARIO_TABLE = {
         dict(grid_n=2001, modes=4)),
     "well_barrier_superposition": (
         _build_barrier_superposition,
-        dict(grid_n=2001, modes=6, barrier_height=BARRIER_HEIGHT,
-             barrier_width=BARRIER_WIDTH)),
+        dict(grid_n=2001, modes=6, barrier_height=15.0, barrier_width=0.2)),
     "ho_eigenstates": (
         _standing(HO_HALF_SPAN, lambda c: Harmonic(OMEGA), eigenstates=True),
         dict(grid_n=2001, modes=4, frames=2)),
@@ -495,7 +472,9 @@ SCENARIO_TABLE = {
         _build_mzi,
         dict(grid_n=2001, modes=140, packet_center=-1.0, packet_momentum=60.0,
              packet_width=0.23, band_cap=89,
-             barrier_width=MZI_HALF_WIDTH * 2.0 / 4.0 / 50.0)),
+             # one fiftieth of the unit length; the paper's alternate
+             # reading, one fiftieth of the full well width, is 0.08
+             barrier_width=0.02)),
     "vortex_2d": (
         _build_vortex,
         dict(grid_n=161, modes=2, frames=1, streamlines=4)),

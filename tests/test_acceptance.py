@@ -12,7 +12,6 @@ tolerance.
 """
 
 import hashlib
-import json
 import math
 import os
 
@@ -36,11 +35,9 @@ from madelung.flow import (
 )
 from madelung.grids import Grid1D, Grid2D, quadrature
 from madelung.scenarios import (
-    SplitterGeometry,
     build_scenario,
     default_config,
     run_scenario,
-    tune_beam_splitter,
 )
 from madelung.spectral import (
     Harmonic,
@@ -419,9 +416,9 @@ def test_criterion_09_band_limits():
              f"{max(nr_p, nr_q, nm_p, nm_q):.1e} (budget 1e-10)")
 
 
-def test_criterion_10_beam_splitter():
-    geo = SplitterGeometry(Grid1D(-2.0, 2.0, 2001), 140, 0.02)
-    res = tune_beam_splitter(geo, WavepacketSpec(-1.0, 60.0, 0.23), tol=0.01)
+def test_criterion_10_beam_splitter(mzi_build):
+    # the stock tuned build's tuner run, tune_beam_splitter(default_config("mzi_1d"))
+    res = mzi_build[0].tuning
     t_err = abs(res.transmission - 0.5)
     lo, hi = res.bracket
     inside = sorted((u, t) for u, t in res.history if lo <= u <= hi)

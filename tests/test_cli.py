@@ -138,6 +138,26 @@ class TestScenario:
                                           "--frames", "3", "--out", str(tmp_path)])
         assert _config_from_args(args) == default_config("ho_superposition", frames=3)
 
+    def test_barrier_width_flag_is_recorded_as_run(self, capsys, tmp_path):
+        # the paper's alternate barrier, one fiftieth of the full well width
+        out = tmp_path / "m"
+        code, _, err = _run(capsys, ["scenario", "--name", "mzi_1d", "--barrier-height", "2437.5",
+                                     "--barrier-width", "0.08", "--frames", "2",
+                                     "--streamlines", "1", "--out", str(out)])
+        assert code == 0 and err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["barrier_width"] == manifest["derived"]["barrier"]["width"] == 0.08
+        assert "wide_barrier" not in manifest["config"]
+        assert "width_rule" not in manifest["derived"]["barrier"]
+        assert "barrier_width = 0.08\n" in (out / "config.txt").read_text()
+
+    def test_flags_parse_by_the_declared_field_type(self):
+        args = build_parser().parse_args(["scenario", "--name", "mzi_1d", "--grid-n", "501",
+                                          "--barrier-width", "0.08", "--out", "x"])
+        assert _config_from_args(args) == default_config("mzi_1d", grid_n=501,
+                                                         barrier_width=0.08)
+        assert type(args.grid_n) is int and type(args.barrier_width) is float
+
 
 class TestRender:
     def test_shading_selects_mask_pair(self, capsys, well_run):
@@ -319,8 +339,8 @@ class TestTune:
     def test_tol_reaches_the_tuner(self, capsys, monkeypatch, argv, tol):
         seen = []
 
-        def fake_tune(geometry, packet, tol):
-            seen.append(tol)
+        def fake_tune(c):
+            seen.append(c.tol)
             return sc.TuningResult(2437.5, 0.5, 0, (2437.5, 2437.5), ((2437.5, 0.5),))
 
         monkeypatch.setattr(sc, "tune_beam_splitter", fake_tune)
@@ -382,6 +402,20 @@ class TestErrors:
                                      "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         assert "conflicts" in json.loads(err)["message"]
+
+    def test_wide_barrier_flag_is_gone(self, capsys, tmp_path):
+        code, _, err = _run(capsys, ["scenario", "--name", "mzi_1d", "--wide-barrier",
+                                     "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+
+    def test_none_for_a_needed_value_is_json(self, capsys, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("name = reflection_pulse\npacket_width = none\n")
+        code, _, err = _run(capsys, ["scenario", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "packet_width" in doc["message"]
 
     def test_missing_name_and_config(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["fields", "--out", str(tmp_path)])

@@ -219,9 +219,9 @@ def _hermite():
 
 def _barrier():
     # the mzi_1d basis at the stock benchmark height, all 140 modes live
-    geo, _ = sc.splitter_setup(sc.default_config("mzi_1d"))
-    pot = WellWithBarrier(geo.half_width, 2437.5, geo.barrier_width)
-    basis = eigenbasis(pot, geo.grid, geo.modes)
+    c = sc.default_config("mzi_1d")
+    pot = WellWithBarrier(sc.MZI_HALF_WIDTH, 2437.5, c.barrier_width)
+    basis = eigenbasis(pot, Grid1D(-sc.MZI_HALF_WIDTH, sc.MZI_HALF_WIDTH, c.grid_n), c.modes)
     assert basis.k == 140
     return _random_state(basis, np.arange(140), 17)
 

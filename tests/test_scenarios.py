@@ -1,7 +1,6 @@
 """Scenario presets: configs, transmission, splitter tuning, run bundles."""
 
 import hashlib
-import json
 import math
 import os
 import zipfile
@@ -19,8 +18,8 @@ from madelung.energy import (
     read_frame_table,
     write_frame_table,
 )
-from madelung.grids import Grid1D, partials, read_columns
-from madelung.states import WavepacketSpec, evaluate
+from madelung.grids import partials, read_columns
+from madelung.states import evaluate
 
 TWO_TERM = (
     "well_superposition",
@@ -44,15 +43,12 @@ def mzi(mzi_build):
 
 @pytest.fixture(scope="module")
 def splitter():
-    grid = Grid1D(-2.0, 2.0, 2001)
-    geo = sc.SplitterGeometry(grid, 140, 0.02)
-    packet = WavepacketSpec(-1.0, 60.0, 0.23)
-    launch = sc._launch_state(geo, packet)
-    return geo, packet, launch
+    c = sc.default_config("mzi_1d")
+    return c, sc._launch_state(c)
 
 
-def _transmission_at(geo, launch, u0):
-    return sc.transmission(sc._splitter_state(geo, launch, u0), geo.x_split, geo.t_measure)
+def _transmission_at(c, launch, u0):
+    return sc.transmission(sc._splitter_state(c, launch, u0), 0.0, sc.MEASURE_TIME)
 
 
 class TestConfig:
@@ -95,22 +91,45 @@ class TestConfig:
             sc.default_config("well_superposition", eta=0.0)
         with pytest.raises(ValueError, match="positive"):
             sc.default_config("well_superposition", frames=0)
+        with pytest.raises(ValueError, match="bad int for grid_n: '5.5'"):
+            sc.config_from_text("name = well_superposition\ngrid_n = 5.5\n")
+        with pytest.raises(ValueError, match="bad bool for write_fields: 'maybe'"):
+            sc.config_from_text("name = well_superposition\nwrite_fields = maybe\n")
+        # only a field declared `| None` takes none
+        for key, kind in (("grid_n", "int"), ("eta", "float"), ("write_fields", "bool")):
+            with pytest.raises(ValueError, match=f"bad {kind} for {key}: 'none'"):
+                sc.config_from_text(f"name = well_superposition\n{key} = none\n")
+
+    def test_config_written_with_the_wide_barrier_switch_loads(self):
+        # a config.txt of an mzi_1d bundle written while the full-width/50
+        # barrier was an on/off switch, byte for byte
+        old = ("name = mzi_1d\ngrid_n = 2001\nmodes = 140\nframes = 2\n"
+               "streamlines = 1\neta = 0.001\ntol = 0.01\npacket_center = -1.0\n"
+               "packet_momentum = 60.0\npacket_width = 0.23\nband_cap = 89\n"
+               "barrier_height = none\nbarrier_width = 0.02\nwide_barrier = false\n"
+               "write_fields = true\n")
+        c = sc.config_from_text(old)
+        assert c == sc.default_config("mzi_1d", frames=2, streamlines=1)
+        assert sc.config_to_text(c) == old.replace("wide_barrier = false\n", "")
+        with pytest.raises(ValueError, match="set barrier_width = 0.08"):
+            sc.config_from_text(old.replace("wide_barrier = false", "wide_barrier = true"))
+        assert not hasattr(c, "wide_barrier")
 
 
 class TestTransmission:
     def test_opaque_barrier(self, splitter):
-        geo, _, launch = splitter
-        assert _transmission_at(geo, launch, 1e4) < 0.01
+        c, launch = splitter
+        assert _transmission_at(c, launch, 1e4) < 0.01
 
     def test_open_well(self, splitter):
-        geo, _, launch = splitter
-        assert _transmission_at(geo, launch, 0.0) > 0.99
+        c, launch = splitter
+        assert _transmission_at(c, launch, 0.0) > 0.99
 
     def test_not_cleared_error(self, splitter):
-        geo, _, launch = splitter
+        c, launch = splitter
         s = sc.project_field(
-            sc.eigenbasis(sc.WellWithBarrier(2.0, 2437.5, 0.02), geo.grid, geo.modes),
-            evaluate(launch, 0.0).values, eta=geo.eta)
+            sc.eigenbasis(sc.WellWithBarrier(2.0, 2437.5, 0.02), launch.grid, c.modes),
+            evaluate(launch, 0.0).values, eta=c.eta)
         # at one sixtieth the packet is astride the barrier
         with pytest.raises(ValueError, match="probability"):
             sc.transmission(s, 0.0, 1.0 / 60.0)
@@ -151,34 +170,30 @@ class TestTuner:
         ladder = [t for u, t in hist[:5]]
         assert all(a > b for a, b in zip(ladder, ladder[1:]))
 
-    def test_degenerate_tolerance(self, splitter):
-        geo, packet, _ = splitter
-        r = sc.tune_beam_splitter(geo, packet, tol=0.5)
+    def test_degenerate_tolerance(self):
+        r = sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=0.5))
         assert len(r.history) == 1 and r.iterations == 0
 
-    def test_no_bracket_error(self, splitter):
-        geo, packet, _ = splitter
+    def test_no_bracket_error(self):
         with pytest.raises(ValueError, match="bracket") as err:
-            sc.tune_beam_splitter(geo, packet, tol=1e-4, probe_range=(1.0, 2.0))
+            sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=1e-4), probe_range=(1.0, 2.0))
         assert "(1.0," in str(err.value)  # probed pairs are listed
 
-    def test_rejects_bad_tolerance(self, splitter):
-        geo, packet, _ = splitter
+    def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="positive"):
-            sc.tune_beam_splitter(geo, packet, tol=-1.0)
+            sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=-1.0))
 
     @pytest.mark.parametrize("probe_range", [(0.0, 100.0), (-1.0, 100.0), (100.0, 100.0)])
-    def test_rejects_bad_probe_range(self, splitter, monkeypatch, probe_range):
+    def test_rejects_bad_probe_range(self, monkeypatch, probe_range):
         # refused before the launch state's eigenbasis is solved; a ladder
         # doubling from 0 or below would never reach the high end
-        geo, packet, _ = splitter
 
         def no_launch(*args):
             raise AssertionError("launch state built")
 
         monkeypatch.setattr(sc, "_launch_state", no_launch)
         with pytest.raises(ValueError, match="0 < low < high"):
-            sc.tune_beam_splitter(geo, packet, probe_range=probe_range)
+            sc.tune_beam_splitter(sc.default_config("mzi_1d"), probe_range=probe_range)
 
 
 def _digest_dir(root):
@@ -482,7 +497,6 @@ class TestMZI:
         bar = mzi.extras["barrier"]
         assert bar["width"] == pytest.approx(0.02)
         assert bar["width_on_grid"] == pytest.approx(0.02)
-        assert bar["width_rule"] == "unit_length/50"
 
     def test_round_trip_recombines_into_one_port(self, mzi):
         rep = sc._round_trip_report(mzi.states[0], sc.MZI_SPAN)
@@ -497,12 +511,27 @@ class TestMZI:
         fixed = sc.build_scenario(sc.default_config("mzi_1d", barrier_height=2437.5))
         assert "tuning" not in fixed.extras and "round_trip" in fixed.extras
 
-    def test_wide_barrier_flag(self):
-        c = sc.default_config("mzi_1d", wide_barrier=True, barrier_height=2437.5)
-        assert sc._barrier_width_for(c) == pytest.approx(0.08)
+    def test_full_width_fiftieth_barrier(self):
+        # the paper's alternate reading of the barrier width, one fiftieth
+        # of the full well width, is the barrier_width setting 0.08
+        c = sc.default_config("mzi_1d", barrier_width=0.08, barrier_height=2437.5)
         b = sc.build_scenario(c)
-        assert b.extras["barrier"]["width"] == pytest.approx(0.08)
-        assert b.extras["barrier"]["width_rule"] == "full_width/50"
+        assert b.extras["barrier"]["width"] == c.barrier_width == 0.08
+        assert b.basis.potential.barrier_width == 0.08
+
+    @pytest.mark.parametrize("name, field", [
+        ("mzi_1d", "barrier_width"),
+        ("mzi_1d", "packet_momentum"),
+        ("well_barrier_superposition", "barrier_height"),
+        ("well_barrier_superposition", "barrier_width"),
+        ("reflection_pulse", "packet_width"),
+    ])
+    def test_a_needed_value_set_to_none_is_refused(self, name, field):
+        over = {field: None}
+        if name == "mzi_1d":
+            over["barrier_height"] = 2437.5
+        with pytest.raises(ValueError, match=f"{name} needs {field}; the config sets none"):
+            sc.build_scenario(sc.default_config(name, **over))
 
     def test_fixed_height_skips_tuning(self):
         c = sc.default_config("mzi_1d", barrier_height=2437.5)
