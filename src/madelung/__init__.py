@@ -10,10 +10,8 @@ fluid streamlines, nodes, and vortices.
 import types
 
 from .grids import (
-    ComplexField,
     Grid1D,
     Grid2D,
-    ScalarField,
     partials,
 )
 from .spectral import (

@@ -79,9 +79,8 @@ def _cmd_evolve(args) -> int:
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
     for j, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
-        f = evaluate(b.states[si], float(t))
         path = os.path.join(args.out, f"psi_{j:04d}.csv")
-        field_to_csv(f, path)
+        field_to_csv(b.basis.grid, evaluate(b.states[si], float(t)), path)
         _say(path)
     return 0
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    ScalarField,
     _along,
     _d1,
     _d2,
@@ -216,7 +215,7 @@ def _classes(c, E_plus) -> dict:
 def _potential(s: Superposition) -> np.ndarray:
     # the basis potential on the basis grid, zero for bases without one
     pot = s.basis.potential
-    return np.zeros(s.grid.shape) if pot is None else sample_potential(pot, s.grid).values
+    return np.zeros(s.grid.shape) if pot is None else sample_potential(pot, s.grid)
 
 
 def frame_ledger(states, times) -> dict:
@@ -224,8 +223,8 @@ def frame_ledger(states, times) -> dict:
     and one time_derivative per frame, U the basis potential sampled on the
     basis grid and E_plus each state's band limit."""
     frames = list(zip(states, times, strict=True))
-    psi = _stack([evaluate(s, float(t)).values for s, t in frames])
-    dpsidt = _stack([time_derivative(s, float(t)).values for s, t in frames])
+    psi = _stack([evaluate(s, float(t)) for s, t in frames])
+    dpsidt = _stack([time_derivative(s, float(t)) for s, t in frames])
     return ledger(states[0].grid, psi, dpsidt, _potential(states[0]),
                   [band_limit(s) for s in states])
 
@@ -255,29 +254,31 @@ def classify_superoscillation(d: EnergyDecomposition) -> SuperoscillationMask:
     return SuperoscillationMask(d.grid, valid=d.valid, **_classes(vars(d), d.E_plus))
 
 
-def hj_residual(d: EnergyDecomposition) -> ScalarField:
-    """Hamilton-Jacobi balance K_a + Q + U - E_p; zero in the continuum."""
+def hj_residual(d: EnergyDecomposition) -> tuple:
+    """Hamilton-Jacobi balance K_a + Q + U - E_p, zero in the continuum:
+    (values, mask), the mask d.valid and the values zero outside it."""
     vals = np.where(d.valid, d.K_a + d.Q + d.U - d.E_p, 0.0)
-    return ScalarField(d.grid, vals, d.valid)
+    return vals, d.valid
 
 
-def continuity_residual(s: Superposition, t: float, dt: float) -> ScalarField:
-    """Mass balance d(rho)/dt + div(rho v_a) at time t.
+def continuity_residual(s: Superposition, t: float, dt: float) -> tuple:
+    """Mass balance d(rho)/dt + div(rho v_a) at time t: (values, mask), the
+    values zero where the mask is false.
 
     The time derivative is a centered difference over dt; the divergence
     uses the grid stencils, so the residual carries O(dt^2) + O(h^2).
     """
-    rho, mask, _, v_a = _polar(s.grid, evaluate(s, t).values[None])
-    rho_p = np.abs(evaluate(s, t + dt).values) ** 2
-    rho_m = np.abs(evaluate(s, t - dt).values) ** 2
+    rho, mask, _, v_a = _polar(s.grid, evaluate(s, t)[None])
+    rho_p = np.abs(evaluate(s, t + dt)) ** 2
+    rho_m = np.abs(evaluate(s, t - dt)) ** 2
     drho = (rho_p - rho_m) / (2.0 * dt)
 
     # add d(rho v_a)/dx_a along each axis
     total, ok = drho, True
     for axis, v in enumerate(v_a):
-        d = partials(ScalarField(s.grid, rho[0] * v[0], mask[0]))[axis]
-        total, ok = total + d.values, ok & d.mask
-    return ScalarField(s.grid, np.where(ok, total, 0.0), ok)
+        d, d_ok = partials(s.grid, rho[0] * v[0], mask[0])[axis]
+        total, ok = total + d, ok & d_ok
+    return np.where(ok, total, 0.0), ok
 
 
 def mask_area(grid, flags: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EPS_NODE, EnergyDecomposition
-from .grids import Grid1D, ScalarField, write_columns, write_json
+from .grids import Grid1D, write_columns, write_json
 from .states import Superposition, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
@@ -147,15 +147,15 @@ def _quantile_curves(s: Superposition, qs, ts):
     return np.concatenate(X), np.concatenate(R)
 
 
-def seed_quantiles(rho0: ScalarField, m: int) -> np.ndarray:
-    """Positions x_i with CDF(x_i) = i/(m+1), i = 1..m, splitting the
-    fluid into m+1 equal-probability parcels."""
+def seed_quantiles(grid, rho: np.ndarray, m: int) -> np.ndarray:
+    """Positions x_i with CDF(x_i) = i/(m+1), i = 1..m, of the density rho
+    on the grid, splitting the fluid into m+1 equal-probability parcels."""
     if m < 1:
         raise ValueError("streamline count must be at least 1")
-    if rho0.grid.ndim != 1:
+    if grid.ndim != 1:
         raise ValueError("seeding is defined on 1D densities")
-    cdf, _ = _cdf(rho0.values, rho0.grid.x)
-    return np.interp(np.arange(1, m + 1) / (m + 1.0), cdf, rho0.grid.x)
+    cdf, _ = _cdf(rho, grid.x)
+    return np.interp(np.arange(1, m + 1) / (m + 1.0), cdf, grid.x)
 
 
 def cumulative_probability(s: Superposition, x: float, t: float) -> float:
@@ -490,7 +490,7 @@ def loop_seeds_on_axis(s: Superposition, m: int, axis_x: float) -> np.ndarray:
     (_, _, rho), = _grid_rho(s, [0.0])
     i = int(round((axis_x - gx.x_min) / gx.h))
     i = min(max(i, 0), gx.n - 1)
-    return seed_quantiles(ScalarField(gy, rho[0, i]), m)
+    return seed_quantiles(gy, rho[0, i], m)
 
 
 # ------------------------------------------------------------- node events

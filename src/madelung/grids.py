@@ -1,15 +1,16 @@
 """Uniform grids, quadrature, and discrete differential operators.
 
 Everything downstream (eigensolves, energy ledgers, streamlines) works on
-the field types defined here.  Natural units hbar = m = 1 throughout;
-energies are reported in units of hbar^2/(m L^2) with L the unit length.
+plain arrays sampled on the grids defined here.  Natural units hbar = m = 1
+throughout; energies are reported in units of hbar^2/(m L^2) with L the
+unit length.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,49 +76,6 @@ class Grid2D:
         return 2
 
 
-def _check_values(grid, values: np.ndarray, mask: np.ndarray):
-    shape = grid.shape
-    if values.shape != shape:
-        raise ValueError(f"values shape {values.shape} does not match grid {shape}")
-    if mask.shape != shape:
-        raise ValueError("mask shape does not match grid")
-    if not np.isfinite(values[mask]).all():
-        bad = np.argwhere(~np.isfinite(np.where(mask, values, 0.0)))
-        raise ValueError(f"non-finite value at unmasked index {tuple(bad[0])}")
-
-
-@dataclass
-class ScalarField:
-    """Real values sampled on a grid with a per-point validity mask."""
-
-    grid: object
-    values: np.ndarray
-    mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.mask is None:
-            self.mask = np.ones(self.values.shape, dtype=bool)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        _check_values(self.grid, self.values, self.mask)
-
-
-@dataclass
-class ComplexField:
-    """Complex values sampled on a grid with a per-point validity mask."""
-
-    grid: object
-    values: np.ndarray
-    mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.mask is None:
-            self.mask = np.ones(self.values.shape, dtype=bool)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        _check_values(self.grid, self.values, self.mask)
-
-
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
     """Composite trapezoid weights on n uniform points of spacing h; all
     zero below two points, where the rule spans no interval."""
@@ -155,11 +113,6 @@ _GRAD_EDGE = np.array([-1.5, 2.0, -0.5])
 # a second-order edge leaves an O(h^3) boundary artifact an order of
 # magnitude larger for hard-wall states.
 _LAP_EDGE = np.array([35.0 / 12.0, -26.0 / 3.0, 19.0 / 2.0, -14.0 / 3.0, 11.0 / 12.0])
-
-
-def _same_kind(f, values, mask):
-    cls = ComplexField if np.iscomplexobj(f.values) else ScalarField
-    return cls(f.grid, values, mask)
 
 
 # The stencils act along axis 0 of arrays of any rank; _along moves the
@@ -204,18 +157,22 @@ def _along(v: np.ndarray, axis: int, stencil, h: float) -> np.ndarray:
     return np.moveaxis(stencil(np.moveaxis(v, axis, 0), h), 0, axis)
 
 
-def partials(f) -> tuple:
-    """First derivatives of f along each grid axis, one field per axis:
-    central interior, one-sided second-order edges.
+def partials(grid, values: np.ndarray, mask: np.ndarray = None) -> tuple:
+    """First derivatives of values on the grid along each axis, one
+    (values, mask) pair per axis: central interior, one-sided second-order
+    edges.  mask (all true by default) marks the valid points.
 
-    Masked points poison every output point whose stencil touches them.
+    Masked points poison every output point whose stencil touches them;
+    the derivative is zero there.
     """
+    if mask is None:
+        mask = np.ones(values.shape, dtype=bool)
     out = []
-    for axis, g in enumerate(f.grid.axes):
-        vals = _along(f.values, axis, _d1, g.h)
-        mask = np.moveaxis(_stencil_mask(np.moveaxis(f.mask, axis, 0)), 0, axis)
-        vals[~mask] = 0.0
-        out.append(_same_kind(f, vals, mask))
+    for axis, g in enumerate(grid.axes):
+        vals = _along(values, axis, _d1, g.h)
+        ok = np.moveaxis(_stencil_mask(np.moveaxis(mask, axis, 0)), 0, axis)
+        vals[~ok] = 0.0
+        out.append((vals, ok))
     return tuple(out)
 
 
@@ -278,10 +235,11 @@ def coordinate_columns(grid) -> tuple:
     return ("x", "y")[:len(axes)], tuple(np.meshgrid(*(g.x for g in axes), indexing="ij"))
 
 
-def field_to_csv(f, path: str):
-    """Write a field as CSV with columns x[,y],re[,im],mask."""
-    names, coords = coordinate_columns(f.grid)
-    names, cols = names + ("re",), coords + (f.values.real,)
-    if np.iscomplexobj(f.values):
-        names, cols = names + ("im",), cols + (f.values.imag,)
-    write_columns(path, names + ("mask",), cols + (f.mask,))
+def field_to_csv(grid, values: np.ndarray, path: str):
+    """Write values on the grid as CSV with columns x[,y],re[,im],mask, the
+    mask all true."""
+    names, coords = coordinate_columns(grid)
+    names, cols = names + ("re",), coords + (values.real,)
+    if np.iscomplexobj(values):
+        names, cols = names + ("im",), cols + (values.imag,)
+    write_columns(path, names + ("mask",), cols + (np.ones(values.shape, dtype=bool),))

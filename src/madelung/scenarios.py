@@ -149,6 +149,8 @@ def config_from_text(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ValueError(f"bad config line (want key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ValueError(f"config key {key!r} given twice")
         pairs[key] = val
     if "name" not in pairs:
         raise ValueError("config missing the scenario name")
@@ -189,7 +191,7 @@ def transmission(s: Superposition, x_split: float, t_measure: float) -> float:
     g = s.grid
     if g.ndim != 1:
         raise ValueError("transmission is a 1D measurement")
-    rho = np.abs(evaluate(s, float(t_measure)).values) ** 2
+    rho = np.abs(evaluate(s, float(t_measure))) ** 2
     total = _trapezoid(rho, g.h)
     pot = s.basis.potential
     if isinstance(pot, WellWithBarrier):
@@ -254,7 +256,7 @@ def _splitter_state(c: ScenarioConfig, launch: Superposition,
     """The launch projected on the barrier-well basis at height u0."""
     pot = WellWithBarrier(MZI_HALF_WIDTH, float(u0), *_required(c, "barrier_width"))
     basis = eigenbasis(pot, launch.grid, c.modes)
-    return project_field(basis, evaluate(launch, 0.0).values, eta=c.eta)
+    return project_field(basis, evaluate(launch, 0.0), eta=c.eta)
 
 
 # bisection steps the tuner may take after its bracket
@@ -360,12 +362,22 @@ def _barrier_well(c: ScenarioConfig) -> WellWithBarrier:
     return WellWithBarrier(WELL_HALF_WIDTH, *_required(c, "barrier_height", "barrier_width"))
 
 
+def _fixed_frames(c: ScenarioConfig, n: int):
+    """Refuse a frames setting other than n, the count the scenario always
+    builds, so the config a run records is the one it ran."""
+    if c.frames != n:
+        raise ValueError(f"{c.name} always builds {n} frame(s); the config "
+                         f"sets frames = {c.frames}")
+
+
 def _standing(half_span: float, potential, eigenstates: bool = False):
     """Builder of a standing-wave scenario on [-half_span, half_span]: the
     two lowest modes of potential(config), either as two stationary states
     or as their equal superposition sampled over one beat period."""
 
     def build(c: ScenarioConfig) -> ScenarioBundle:
+        if eigenstates:
+            _fixed_frames(c, 2)
         grid = Grid1D(-half_span, half_span, c.grid_n)
         basis = eigenbasis(potential(c), grid, c.modes)
         period = 2.0 * math.pi / (basis.energies[1] - basis.energies[0])
@@ -437,6 +449,7 @@ def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
 
 
 def _build_vortex(c: ScenarioConfig) -> ScenarioBundle:
+    _fixed_frames(c, 1)
     axis = Grid1D(0.0, 1.0, c.grid_n)
     basis = product_basis_2d(list(VORTEX_PAIRS), Grid2D(axis, axis))
     state = superposition(basis, [0, 1], np.array([1.0, 1.0j]) / math.sqrt(2.0))
@@ -531,7 +544,7 @@ def _round_trip_report(state: Superposition, t_end: float) -> dict:
     # launch-port amplitude t^2 + r^2 vanishes), so the fraction is
     # reported per port rather than asserted for a particular side
     g = state.grid
-    rho = np.abs(evaluate(state, t_end).values) ** 2
+    rho = np.abs(evaluate(state, t_end)) ** 2
     launch = g.x <= 0.0
     p_launch = _trapezoid(rho[launch], g.h) / _trapezoid(rho, g.h)
     return {

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Grid1D, Grid2D, ScalarField, _grid_weights, trapezoid_weights, write_json
+from .grids import Grid1D, Grid2D, _grid_weights, trapezoid_weights, write_json
 
 _SIGN_TOL = 1e-8  # relative threshold for the leading-lobe sign convention
 # leads every cache key: bump it when the entry format or a solver's output
@@ -58,10 +58,15 @@ class QuarticDoubleWell:
 
 @dataclass(frozen=True)
 class Tabulated:
-    field: ScalarField
+    """U sampled on a grid: values of the grid's shape."""
 
-    def __hash__(self):
-        return hash(self.field.values.tobytes())
+    grid: Grid1D
+    values: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.values) != self.grid.shape:
+            raise ValueError(f"values shape {np.shape(self.values)} does not match "
+                             f"grid {self.grid.shape}")
 
 
 def _barrier_span(potential: WellWithBarrier, grid: Grid1D) -> tuple:
@@ -72,7 +77,7 @@ def _barrier_span(potential: WellWithBarrier, grid: Grid1D) -> tuple:
             int(round((half - grid.x_min) / grid.h)))
 
 
-def sample_potential(potential, grid: Grid1D) -> ScalarField:
+def sample_potential(potential, grid: Grid1D) -> np.ndarray:
     """Sample U(x) on the grid; barrier edges snap to grid points."""
     x = grid.x
     if isinstance(potential, InfiniteWell):
@@ -86,14 +91,14 @@ def sample_potential(potential, grid: Grid1D) -> ScalarField:
     elif isinstance(potential, QuarticDoubleWell):
         u = 240.0 * x**4 - 120.0 * x**2 + 15.0
     elif isinstance(potential, Tabulated):
-        if potential.field.grid != grid:
+        if potential.grid != grid:
             raise ValueError("tabulated potential grid does not match")
-        u = potential.field.values.copy()
+        u = np.array(potential.values, dtype=float)
     else:
         raise TypeError(f"unknown potential {type(potential).__name__}")
     if not np.isfinite(u).all():
         raise ValueError("potential must be finite on the interior")
-    return ScalarField(grid, u)
+    return u
 
 
 def snapped_barrier_width(potential: WellWithBarrier, grid: Grid1D) -> float:
@@ -120,7 +125,7 @@ def build_hamiltonian(potential, grid: Grid1D) -> SymTridiag:
     Rows cover the n-2 interior points only; the boundary values are
     identically zero.
     """
-    u = sample_potential(potential, grid).values
+    u = sample_potential(potential, grid)
     h = grid.h
     d = 1.0 / h**2 + u[1:-1]
     e = np.full(grid.n - 3, -0.5 / h**2)

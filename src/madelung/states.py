@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import ComplexField, Grid1D, quadrature
+from .grids import Grid1D, quadrature
 from .spectral import EigenBasis, ModeTables
 
 CLAMP = 1e-14  # raw projection coefficients below this are exact zeros
@@ -110,18 +110,17 @@ def _phases(p: EvaluationPlan, t):
     return np.exp(-1j * np.multiply(np.asarray(t, dtype=float)[..., None], p.energies))
 
 
-def evaluate(s: Superposition, t: float) -> ComplexField:
-    """Psi(x, t) = sum c_n psi_n(x) e^{-i E_n t} on the basis grid."""
+def evaluate(s: Superposition, t: float) -> np.ndarray:
+    """Psi(x, t) = sum c_n psi_n(x) e^{-i E_n t} on the basis grid, an
+    array of the grid's shape."""
     p = s.plan
-    vals = np.tensordot(p.coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
-    return ComplexField(s.grid, vals)
+    return np.tensordot(p.coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
 
 
-def time_derivative(s: Superposition, t: float) -> ComplexField:
-    """dPsi/dt, analytic in t (no finite differencing)."""
+def time_derivative(s: Superposition, t: float) -> np.ndarray:
+    """dPsi/dt on the basis grid, analytic in t (no finite differencing)."""
     p = s.plan
-    vals = np.tensordot(p.dt_coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
-    return ComplexField(s.grid, vals)
+    return np.tensordot(p.dt_coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
 
 
 def band_limit(s: Superposition) -> float:

@@ -281,7 +281,8 @@ class TestExports:
         assert [b.labels[si] for si in b.frame_states] == ["mode_0", "mode_1"]
         for j, si in enumerate(b.frame_states):
             ref = tmp_path / f"ref_{j}.csv"
-            field_to_csv(evaluate(b.states[si], float(b.frame_times[j])), ref)
+            psi = evaluate(b.states[si], float(b.frame_times[j]))
+            field_to_csv(b.basis.grid, psi, ref)
             assert (tmp_path / f"psi_{j:04d}.csv").read_bytes() == ref.read_bytes()
         assert (tmp_path / "psi_0000.csv").read_bytes() != (tmp_path / "psi_0001.csv").read_bytes()
 

@@ -23,7 +23,7 @@ from madelung.energy import (
     mask_area,
     masks_to_csv,
 )
-from madelung.grids import ComplexField, Grid1D, Grid2D, ScalarField, quadrature
+from madelung.grids import Grid1D, Grid2D, quadrature
 from madelung.spectral import Harmonic, InfiniteWell, eigenbasis, product_basis_2d, sample_potential
 from madelung.states import (
     Superposition,
@@ -233,8 +233,8 @@ class TestResiduals:
         for n in (1001, 2001):
             basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, n), 3)
             d = decompose(superposition(basis, [0], [1.0]), 0.0)
-            r = hj_residual(d)
-            errs.append(np.abs(r.values[r.mask]).max())
+            r, ok = hj_residual(d)
+            errs.append(np.abs(r[ok]).max())
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.5)
 
@@ -243,21 +243,21 @@ class TestResiduals:
         for n in (1001, 2001):
             basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, n), 4)
             d = decompose(equal_two_mode(basis, 0, 1), PERIOD / 8.0)
-            r = hj_residual(d)
-            errs.append(np.abs(r.values[r.mask]).max())
+            r, ok = hj_residual(d)
+            errs.append(np.abs(r[ok]).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.5)
 
     def test_continuity_eigenstate_machine_level(self, well_basis):
         sp = superposition(well_basis, [2], [1.0])
-        r = continuity_residual(sp, 0.2, 1e-3)
-        assert np.abs(r.values[r.mask]).max() < 1e-10
+        r, ok = continuity_residual(sp, 0.2, 1e-3)
+        assert np.abs(r[ok]).max() < 1e-10
 
     def test_continuity_two_mode_joint_refinement(self):
         errs = []
         for n, dt in ((1001, 2e-3 * PERIOD), (2001, 1e-3 * PERIOD)):
             basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, n), 4)
-            r = continuity_residual(equal_two_mode(basis, 0, 1), 0.29 * PERIOD, dt)
-            errs.append(np.abs(r.values[r.mask]).max())
+            r, ok = continuity_residual(equal_two_mode(basis, 0, 1), 0.29 * PERIOD, dt)
+            errs.append(np.abs(r[ok]).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.8)
 
 
@@ -274,17 +274,17 @@ class TestVortex2D:
         errs = []
         for n in (61, 121):
             d = decompose(vortex_on(n), 0.0)
-            r = hj_residual(d)
-            X, Y = r.grid.mesh()
-            away = r.mask & ((X - 0.5) ** 2 + (Y - 0.5) ** 2 > 0.1**2)
-            errs.append(np.abs(r.values[away]).max())
+            r, ok = hj_residual(d)
+            X, Y = d.grid.mesh()
+            away = ok & ((X - 0.5) ** 2 + (Y - 0.5) ** 2 > 0.1**2)
+            errs.append(np.abs(r[away]).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.8)
 
     def test_continuity_stationary_2d(self):
         errs = []
         for n in (61, 121):
-            r = continuity_residual(vortex_on(n), 0.05, 1e-3)
-            errs.append(np.abs(r.values[r.mask]).max())
+            r, ok = continuity_residual(vortex_on(n), 0.05, 1e-3)
+            errs.append(np.abs(r[ok]).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.8)
 
     def test_q_split_2d(self, vortex_state):
@@ -415,7 +415,28 @@ class TestExports:
 # classify_superoscillation on ScalarFields, with the grid stencils whose
 # edge rows were BLAS dots.  The one array pass must give the same bits
 # on valid, the same masks, and may differ elsewhere only in the edge rows
-# of the columns built from stencils on the whole grid.
+# of the columns built from stencils on the whole grid.  ScalarField and
+# ComplexField are minimal copies of the field classes it was written on.
+
+
+@dataclass
+class ScalarField:
+    """Real values on a grid with a validity mask, all true by default."""
+
+    grid: object
+    values: np.ndarray
+    mask: np.ndarray = None
+    kind = float
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=self.kind)
+        if self.mask is None:
+            self.mask = np.ones(self.values.shape, dtype=bool)
+
+
+class ComplexField(ScalarField):
+    kind = complex
+
 
 _ORACLE_GRAD_EDGE = np.array([-1.5, 2.0, -0.5])
 _ORACLE_LAP_EDGE = np.array([35.0 / 12.0, -26.0 / 3.0, 19.0 / 2.0, -14.0 / 3.0, 11.0 / 12.0])
@@ -632,8 +653,9 @@ def oracle_decompose(s, t):
     if pot is None:
         U = ScalarField(s.grid, np.zeros(s.grid.shape))
     else:
-        U = sample_potential(pot, s.grid)
-    f = oracle_polar_fields(evaluate(s, t), time_derivative(s, t))
+        U = ScalarField(s.grid, sample_potential(pot, s.grid))
+    f = oracle_polar_fields(ComplexField(s.grid, evaluate(s, t)),
+                            ComplexField(s.grid, time_derivative(s, t)))
     return oracle_energy_decomposition(f, U, band_limit(s))
 
 
@@ -645,7 +667,9 @@ STENCIL_COLS = ("q", "q_r", "k_s", "k_c")
 class TestLedgerOracle:
     @pytest.mark.parametrize("name", sc.SCENARIOS)
     def test_stock_frames_match_the_per_frame_ledger(self, name):
-        over = {"frames": 4} if name != "vortex_2d" else {}
+        # vortex_2d builds one frame and the eigenstate scenarios two
+        fixed = ("vortex_2d", "ho_eigenstates", "quartic_eigenstates")
+        over = {} if name in fixed else {"frames": 4}
         if name == "mzi_1d":
             over["barrier_height"] = 2437.5  # the tuned height, without tuning
         b = sc.build_scenario(sc.default_config(name, **over))

@@ -31,7 +31,7 @@ from madelung.flow import (
     vortex_profile_to_csv,
 )
 from madelung.energy import decompose
-from madelung.grids import Grid1D, Grid2D, ScalarField
+from madelung.grids import Grid1D, Grid2D
 from madelung.spectral import (
     Harmonic,
     InfiniteWell,
@@ -84,20 +84,20 @@ def vortex_ledger(vortex_state):
 class TestSeeding:
     def test_uniform_density(self):
         g = Grid1D(0.0, 1.0, 2001)
-        seeds = seed_quantiles(ScalarField(g, np.ones(g.n)), 3)
+        seeds = seed_quantiles(g, np.ones(g.n), 3)
         assert np.allclose(seeds, [0.25, 0.5, 0.75], atol=1e-6)
 
     def test_symmetric_middle_seed(self, ho_basis):
         s = superposition(ho_basis, [0], [1.0])
-        rho = ScalarField(ho_basis.grid, np.abs(evaluate(s, 0.0).values) ** 2)
-        seeds = seed_quantiles(rho, 5)
+        rho = np.abs(evaluate(s, 0.0)) ** 2
+        seeds = seed_quantiles(ho_basis.grid, rho, 5)
         assert abs(seeds[2]) < ho_basis.grid.h
 
     def test_gaussian_seeds_match_cdf_inversion(self, ho_basis):
         # ground-state density is a normal law; invert its CDF directly
         s = superposition(ho_basis, [0], [1.0])
-        rho = ScalarField(ho_basis.grid, np.abs(evaluate(s, 0.0).values) ** 2)
-        seeds = seed_quantiles(rho, 2)
+        rho = np.abs(evaluate(s, 0.0)) ** 2
+        seeds = seed_quantiles(ho_basis.grid, rho, 2)
         sigma = math.sqrt(1.0 / (2.0 * OMEGA))
         oracle = norm.ppf([1.0 / 3.0, 2.0 / 3.0], scale=sigma)
         assert np.abs(seeds - oracle).max() < 1e-5
@@ -106,7 +106,7 @@ class TestSeeding:
         g = well_basis.grid
         ts = np.linspace(0.0, 1.0, 37)
         s = equal_two_mode(well_basis, 0, 1)
-        rho = np.stack([np.abs(evaluate(s, t).values) ** 2 for t in ts])
+        rho = np.stack([np.abs(evaluate(s, t)) ** 2 for t in ts])
         for values in (rho, rho[5]):
             cdf, total = flow._cdf(values, g.x)
             ref = cumulative_trapezoid(values, g.x, axis=-1, initial=0.0)
@@ -115,9 +115,9 @@ class TestSeeding:
 
     def test_count_must_be_positive(self, ho_basis):
         s = superposition(ho_basis, [0], [1.0])
-        rho = ScalarField(ho_basis.grid, np.abs(evaluate(s, 0.0).values) ** 2)
+        rho = np.abs(evaluate(s, 0.0)) ** 2
         with pytest.raises(ValueError, match="at least 1"):
-            seed_quantiles(rho, 0)
+            seed_quantiles(ho_basis.grid, rho, 0)
 
 
 class TestStreamlines:
@@ -288,7 +288,7 @@ class TestNodeEvents:
 
     def test_refined_events_meet_amplitude_floor(self, two_mode):
         events = find_nodes(two_mode, (PERIOD / 8.0, PERIOD * 9.0 / 8.0))
-        amp_scale = np.abs(evaluate(two_mode, 0.0).values).max()
+        amp_scale = np.abs(evaluate(two_mode, 0.0)).max()
         for e in events:
             assert abs(evaluate_at(two_mode, e.x_star, e.t_star)[0]) < 1e-8 * amp_scale
 
@@ -505,7 +505,7 @@ class TestGridRho:
         assert np.array_equal(np.concatenate([tc for _, tc, _ in chunks]), ts)
         rho = np.concatenate([r for _, _, r in chunks])
         for t, row in zip(ts, rho):
-            want = np.abs(evaluate(s, t).values) ** 2
+            want = np.abs(evaluate(s, t)) ** 2
             assert np.abs(row - want).max() <= 1e-14 * want.max()
 
 
@@ -636,7 +636,7 @@ def stock_loops():
 def _reference_loop(s, p0, tol):
     """scipy RK45 on the same clipped, rho-floored velocity field."""
     gx, gy = s.grid.axes
-    floor = flow.NODE_PAUSE_FACTOR * flow.EPS_NODE * (np.abs(evaluate(s, 0.0).values) ** 2).max()
+    floor = flow.NODE_PAUSE_FACTOR * flow.EPS_NODE * (np.abs(evaluate(s, 0.0)) ** 2).max()
 
     def rhs(t, p):
         x = min(max(p[0], gx.x_min), gx.x_max)

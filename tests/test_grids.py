@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from madelung.grids import (
-    ComplexField,
     Grid1D,
     Grid2D,
-    ScalarField,
     _along,
     _d1,
     _d2,
@@ -24,7 +22,8 @@ from madelung.energy import _laplacian
 
 
 def field_from_csv(path):
-    """Read a field written by field_to_csv, rebuilding its grid."""
+    """Read (grid, values, mask) written by field_to_csv, rebuilding the
+    grid."""
     cols = read_columns(path)
     if "y" not in cols:
         x = cols["x"]
@@ -37,17 +36,13 @@ def field_from_csv(path):
     values = cols["re"].reshape(shape)
     mask = (cols["mask"] == 1.0).reshape(shape)
     if "im" in cols:
-        return ComplexField(grid, values + 1j * cols["im"].reshape(shape), mask)
-    return ScalarField(grid, values, mask)
+        values = values + 1j * cols["im"].reshape(shape)
+    return grid, values, mask
 
 
-def make_field(fn, grid):
-    return ScalarField(grid, fn(grid.x))
-
-
-def lap(f):
-    """The ledger's Laplacian of one field's values."""
-    return _laplacian(f.grid, f.values[None])[0]
+def lap(grid, values):
+    """The ledger's Laplacian of one array of values on the grid."""
+    return _laplacian(grid, values[None])[0]
 
 
 class TestGrid:
@@ -74,20 +69,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(1.0, 0.0, 11)
 
-    def test_nonfinite_unmasked_rejected(self):
-        g = Grid1D(0.0, 1.0, 11)
-        vals = np.zeros(11)
-        vals[4] = np.nan
-        with pytest.raises(ValueError, match="index"):
-            ScalarField(g, vals)
-
-    def test_nonfinite_masked_allowed(self):
-        g = Grid1D(0.0, 1.0, 11)
-        vals = np.zeros(11)
-        vals[4] = np.inf
-        mask = np.ones(11, bool)
-        mask[4] = False
-        ScalarField(g, vals, mask)  # no raise
 
 
 class TestIntegrate:
@@ -121,61 +102,67 @@ class TestIntegrate:
 class TestGradient:
     def test_quadratic_exact_interior(self):
         g = Grid1D(-1.0, 1.0, 201)
-        out = partials(make_field(lambda x: x**2, g))[0]
-        assert np.allclose(out.values[1:-1], 2.0 * g.x[1:-1], atol=1e-12)
+        out, _ = partials(g, g.x**2)[0]
+        assert np.allclose(out[1:-1], 2.0 * g.x[1:-1], atol=1e-12)
         # one-sided edges are exact for quadratics too
-        assert out.values[0] == pytest.approx(-2.0, abs=1e-10)
-        assert out.values[-1] == pytest.approx(2.0, abs=1e-10)
+        assert out[0] == pytest.approx(-2.0, abs=1e-10)
+        assert out[-1] == pytest.approx(2.0, abs=1e-10)
 
     def test_constant_zero(self):
         g = Grid1D(0.0, 2.0, 51)
-        out = partials(make_field(np.ones_like, g))[0]
-        assert np.allclose(out.values, 0.0, atol=1e-13)
+        out, _ = partials(g, np.ones_like(g.x))[0]
+        assert np.allclose(out, 0.0, atol=1e-13)
 
     def test_convergence_order(self):
         # halving h must quarter the max error for sin(5x)
         errs = []
         for n in (201, 401):
             g = Grid1D(0.0, 2.0, n)
-            out = partials(make_field(lambda x: np.sin(5.0 * x), g))[0]
-            errs.append(np.abs(out.values - 5.0 * np.cos(5.0 * g.x)).max())
+            out, _ = partials(g, np.sin(5.0 * g.x))[0]
+            errs.append(np.abs(out - 5.0 * np.cos(5.0 * g.x)).max())
         ratio = errs[0] / errs[1]
         assert 3.3 < ratio < 4.7
 
     def test_complex_field(self):
         g = Grid1D(0.0, 1.0, 801)
         k = 7.0
-        f = ComplexField(g, np.exp(1j * k * g.x))
-        out = partials(f)[0]
-        assert np.allclose(out.values, 1j * k * f.values, atol=3e-4)
+        f = np.exp(1j * k * g.x)
+        out, _ = partials(g, f)[0]
+        assert np.allclose(out, 1j * k * f, atol=3e-4)
 
     def test_mask_propagates_to_neighbors(self):
         g = Grid1D(0.0, 1.0, 21)
         mask = np.ones(21, bool)
         mask[10] = False
-        out = partials(ScalarField(g, np.zeros(21), mask))[0]
-        assert not out.mask[9] and not out.mask[10] and not out.mask[11]
-        assert out.mask[8] and out.mask[12]
+        vals = np.ones(21)
+        vals[10] = np.nan
+        out, ok = partials(g, vals, mask)[0]
+        assert not ok[9] and not ok[10] and not ok[11]
+        assert ok[8] and ok[12] and ok.sum() == 18
+        # the derivative is zero where the mask is false, and no masked
+        # value reaches a valid point
+        assert np.array_equal(out[~ok], np.zeros(3)) and np.isfinite(out).all()
+        assert partials(g, vals)[0][1].all()  # no mask: every point valid
 
 
 class TestLaplacian:
     def test_quadratic_exact(self):
         g = Grid1D(-1.0, 1.0, 201)
-        out = lap(make_field(lambda x: x**2, g))
+        out = lap(g, g.x**2)
         assert np.allclose(out[1:-1], 2.0, atol=1e-9)
         # edge stencil exact through cubics
         assert out[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_constant_zero(self):
         g = Grid1D(0.0, 1.0, 33)
-        out = lap(make_field(np.ones_like, g))
+        out = lap(g, np.ones_like(g.x))
         assert np.allclose(out, 0.0, atol=1e-10)
 
     def test_convergence_order(self):
         errs = []
         for n in (201, 401):
             g = Grid1D(0.0, 2.0, n)
-            out = lap(make_field(lambda x: np.sin(5.0 * x), g))
+            out = lap(g, np.sin(5.0 * g.x))
             errs.append(np.abs(out + 25.0 * np.sin(5.0 * g.x)).max())
         ratio = errs[0] / errs[1]
         assert 3.3 < ratio < 4.7
@@ -184,9 +171,9 @@ class TestLaplacian:
         gx = Grid1D(0.0, 1.0, 201)
         g2 = Grid2D(gx, gx)
         X, Y = g2.mesh()
-        f = ScalarField(g2, np.sin(np.pi * X) * np.sin(2.0 * np.pi * Y))
-        expect = -5.0 * np.pi**2 * f.values
-        err = np.abs(lap(f) - expect).max()
+        f = np.sin(np.pi * X) * np.sin(2.0 * np.pi * Y)
+        expect = -5.0 * np.pi**2 * f
+        err = np.abs(lap(g2, f) - expect).max()
         assert err < 5e-3 * np.abs(expect).max()
 
 
@@ -203,14 +190,15 @@ class TestPerAxis:
         mask = np.ones(g2.shape, bool)
         mask[6, 8] = False
         mask[0, 5] = False
-        return ComplexField(g2, vals, mask)
+        return g2, vals, mask
 
-    def _lines(self, f, axis):
-        """1D fields along the given axis, with the index of each line."""
-        g = f.grid.axes[axis]
-        for k in range(f.grid.shape[1 - axis]):
+    def _lines(self, grid, vals, mask, axis):
+        """(grid, values, mask) of the 1D lines along the given axis, with
+        the index of each line."""
+        g = grid.axes[axis]
+        for k in range(grid.shape[1 - axis]):
             sel = (slice(None), k) if axis == 0 else (k, slice(None))
-            yield sel, ComplexField(g, f.values[sel], f.mask[sel])
+            yield sel, (g, vals[sel], mask[sel])
 
     def _assert_same(self, got, want, mask_got, mask_want):
         # interior exactly, the two one-sided edge points to rounding
@@ -222,30 +210,32 @@ class TestPerAxis:
     def test_grid_axes(self):
         g = Grid1D(0.0, 1.0, 11)
         assert g.shape == (11,) and g.axes == (g,)
-        g2 = self._field().grid
+        g2 = self._field()[0]
         assert g2.axes == (g2.grid_x, g2.grid_y)
 
     def test_partials_2d_are_1d_partials_per_line(self):
         f = self._field()
-        parts = partials(f)
+        parts = partials(*f)
         for axis in (0, 1):
-            for sel, line in self._lines(f, axis):
-                (ref,) = partials(line)
-                got = parts[axis]
-                self._assert_same(got.values[sel], ref.values, got.mask[sel], ref.mask)
+            got, got_ok = parts[axis]
+            for sel, line in self._lines(*f, axis):
+                ((ref, ref_ok),) = partials(*line)
+                self._assert_same(got[sel], ref, got_ok[sel], ref_ok)
         # the masked points poison their stencil neighbours along each axis
-        assert not parts[0].mask[5, 8] and not parts[0].mask[7, 8] and parts[0].mask[6, 7]
-        assert not parts[1].mask[6, 7] and not parts[1].mask[6, 9] and parts[1].mask[5, 8]
-        assert not parts[0].mask[:2, 5].any() and parts[0].mask[2, 5]
+        (_, ok_x), (_, ok_y) = parts
+        assert not ok_x[5, 8] and not ok_x[7, 8] and ok_x[6, 7]
+        assert not ok_y[6, 7] and not ok_y[6, 9] and ok_y[5, 8]
+        assert not ok_x[:2, 5].any() and ok_x[2, 5]
 
     def test_laplacian_is_sum_of_1d_second_derivatives(self):
         f = self._field()
-        dxx, dyy = np.zeros((2,) + f.grid.shape, complex)
+        g2, vals, _ = f
+        dxx, dyy = np.zeros((2,) + g2.shape, complex)
         for d, axis in ((dxx, 0), (dyy, 1)):
-            for sel, line in self._lines(f, axis):
-                d[sel] = lap(line)
+            for sel, (g, line, _) in self._lines(*f, axis):
+                d[sel] = lap(g, line)
         want = dxx + dyy
-        out = lap(f)
+        out = lap(g2, vals)
         inner = (slice(1, -1), slice(1, -1))
         assert np.array_equal(out[inner], want[inner])
         np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
@@ -300,9 +290,9 @@ class TestIdentities:
         # the quadrature of partials(f)[0] is f(b) - f(a) within O(h^2)
         for n in (401, 801):
             g = Grid1D(0.0, 1.5, n)
-            f = make_field(lambda x: np.exp(x) * np.sin(3.0 * x), g)
-            got = quadrature(g, partials(f)[0].values)
-            expect = f.values[-1] - f.values[0]
+            f = np.exp(g.x) * np.sin(3.0 * g.x)
+            got = quadrature(g, partials(g, f)[0][0])
+            expect = f[-1] - f[0]
             assert got == pytest.approx(expect, abs=20.0 * g.h**2)
 
     def test_product_rule_residual_order(self):
@@ -310,10 +300,10 @@ class TestIdentities:
         errs = []
         for n in (201, 401):
             g = Grid1D(0.0, 2.0, n)
-            R = make_field(lambda x: 1.5 + np.sin(4.0 * x), g)
-            lhs = lap(ScalarField(g, R.values**2))
-            gr = partials(R)[0]
-            rhs = 2.0 * R.values * lap(R) + 2.0 * gr.values**2
+            R = 1.5 + np.sin(4.0 * g.x)
+            lhs = lap(g, R**2)
+            gr, _ = partials(g, R)[0]
+            rhs = 2.0 * R * lap(g, R) + 2.0 * gr**2
             errs.append(np.abs(lhs - rhs).max())
         assert errs[0] / errs[1] > 3.0
 
@@ -325,11 +315,10 @@ class TestIdentities:
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, a, b, k):
         g = Grid1D(0.0, 1.0, 101)
-        f1 = make_field(lambda x: np.sin(k * x), g)
-        f2 = make_field(lambda x: np.cos(2.0 * x), g)
-        combo = ScalarField(g, a * f1.values + b * f2.values)
-        direct = partials(combo)[0].values
-        parts = a * partials(f1)[0].values + b * partials(f2)[0].values
+        f1 = np.sin(k * g.x)
+        f2 = np.cos(2.0 * g.x)
+        direct = partials(g, a * f1 + b * f2)[0][0]
+        parts = a * partials(g, f1)[0][0] + b * partials(g, f2)[0][0]
         assert np.allclose(direct, parts, atol=1e-9 * (1 + abs(a) + abs(b)))
 
 
@@ -381,22 +370,21 @@ class TestCsvRoundTrip:
 
     def test_1d_complex(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 51)
-        mask = np.ones(51, bool)
-        mask[7] = False
-        f = ComplexField(g, np.exp(1j * 3.0 * g.x), mask)
+        f = np.exp(1j * 3.0 * g.x)
         p = tmp_path / "f.csv"
-        field_to_csv(f, str(p))
-        back = field_from_csv(str(p))
-        assert np.array_equal(back.mask, f.mask)
-        assert np.allclose(back.values, f.values, atol=0, rtol=0)
-        assert back.grid.n == 51
+        field_to_csv(g, f, str(p))
+        grid, values, mask = field_from_csv(str(p))
+        assert mask.all()
+        assert np.allclose(values, f, atol=0, rtol=0)
+        assert grid.n == 51
 
     def test_2d_real(self, tmp_path):
         g2 = Grid2D(Grid1D(0.0, 1.0, 11), Grid1D(0.0, 2.0, 13))
         X, Y = g2.mesh()
-        f = ScalarField(g2, X + 2.0 * Y)
+        f = X + 2.0 * Y
         p = tmp_path / "f2.csv"
-        field_to_csv(f, str(p))
-        back = field_from_csv(str(p))
-        assert back.grid.shape == (11, 13)
-        assert np.allclose(back.values, f.values, atol=0, rtol=0)
+        field_to_csv(g2, f, str(p))
+        grid, values, mask = field_from_csv(str(p))
+        assert grid.shape == (11, 13) and mask.all()
+        assert np.allclose(values, f, atol=0, rtol=0)
+        assert p.read_text().splitlines()[0] == "x,y,re,mask"

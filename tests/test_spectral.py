@@ -32,7 +32,6 @@ from madelung.spectral import (
     snapped_barrier_width,
     solve_eigen,
 )
-from madelung.grids import ScalarField
 from madelung.states import equal_two_mode, evaluate_at
 
 E1_WELL = math.pi**2 / 8.0  # ground state of the half-width-1 hard well
@@ -47,15 +46,15 @@ class TestPotentials:
     def test_well_zero_inside(self):
         g = Grid1D(-1.0, 1.0, 201)
         u = sample_potential(InfiniteWell(1.0), g)
-        assert np.all(u.values == 0.0)
+        assert np.all(u == 0.0)
 
     def test_barrier_heights(self):
         g = Grid1D(-1.0, 1.0, 2001)
         u = sample_potential(WellWithBarrier(1.0, 15.0, 0.2), g)
         inside = np.abs(g.x) < 0.1 - 1e-12
         outside = np.abs(g.x) > 0.1 + 1e-12
-        assert np.all(u.values[inside] == 15.0)
-        assert np.all(u.values[outside] == 0.0)
+        assert np.all(u[inside] == 15.0)
+        assert np.all(u[outside] == 0.0)
 
     def test_barrier_snap_width(self):
         g = Grid1D(-1.0, 1.0, 2001)
@@ -68,17 +67,31 @@ class TestPotentials:
         g = Grid1D(-1.25, 1.25, 501)
         u = sample_potential(QuarticDoubleWell(), g)
         x = g.x
-        assert u.values[np.argmin(np.abs(x))] == pytest.approx(15.0)
-        assert u.values[np.argmin(np.abs(x - 0.5))] == pytest.approx(0.0, abs=1e-12)
-        assert u.values[np.argmin(np.abs(x + 0.5))] == pytest.approx(0.0, abs=1e-12)
+        assert u[np.argmin(np.abs(x))] == pytest.approx(15.0)
+        assert u[np.argmin(np.abs(x - 0.5))] == pytest.approx(0.0, abs=1e-12)
+        assert u[np.argmin(np.abs(x + 0.5))] == pytest.approx(0.0, abs=1e-12)
 
     def test_tabulated_gauge_shift(self):
         # constant potential shifts all eigenvalues by the constant
         g = Grid1D(-1.0, 1.0, 801)
         base = solve_eigen(build_hamiltonian(InfiniteWell(1.0), g), 3, g)
-        shifted_pot = Tabulated(ScalarField(g, np.full(g.n, 2.5)))
+        shifted_pot = Tabulated(g, np.full(g.n, 2.5))
         shifted = solve_eigen(build_hamiltonian(shifted_pot, g), 3, g)
         assert np.allclose(shifted.energies - base.energies, 2.5, atol=1e-9)
+
+    def test_tabulated_wrong_shape_refused(self):
+        g = Grid1D(-1.0, 1.0, 11)
+        for values in (np.zeros(10), np.zeros((11, 1)), 2.5):
+            with pytest.raises(ValueError, match="does not match grid"):
+                Tabulated(g, values)
+
+    def test_tabulated_nonfinite_refused(self):
+        g = Grid1D(-1.0, 1.0, 11)
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros(g.n)
+            values[4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                sample_potential(Tabulated(g, values), g)
 
 
 class TestHamiltonian:

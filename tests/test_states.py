@@ -70,19 +70,19 @@ class TestConstruction:
 class TestEvaluate:
     def test_stationary_density(self, well_basis):
         s = superposition(well_basis, [2], [1.0])
-        rho0 = np.abs(evaluate(s, 0.0).values) ** 2
-        rho1 = np.abs(evaluate(s, 0.37).values) ** 2
+        rho0 = np.abs(evaluate(s, 0.0)) ** 2
+        rho1 = np.abs(evaluate(s, 0.37)) ** 2
         assert np.allclose(rho0, rho1, atol=1e-14)
 
     def test_center_value_t0(self, two_mode):
         # cos-like ground state at x=0 contributes 1/sqrt(2), sin term vanishes
         psi = evaluate(two_mode, 0.0)
-        mid = psi.values[two_mode.grid.n // 2]
+        mid = psi[two_mode.grid.n // 2]
         assert mid == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_periodicity_global_phase(self, two_mode):
-        a = evaluate(two_mode, 0.0).values
-        b = evaluate(two_mode, PERIOD).values
+        a = evaluate(two_mode, 0.0)
+        b = evaluate(two_mode, PERIOD)
         phase = np.exp(-1j * E1 * PERIOD)
         assert np.allclose(b, phase * a, atol=1e-10)
         rho_a, rho_b = np.abs(a) ** 2, np.abs(b) ** 2
@@ -90,21 +90,21 @@ class TestEvaluate:
 
     def test_norm_conservation(self, two_mode):
         for t in (0.0, 0.2, 1.1, PERIOD):
-            rho = np.abs(evaluate(two_mode, t).values) ** 2
+            rho = np.abs(evaluate(two_mode, t)) ** 2
             assert quadrature(two_mode.grid, rho) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestTimeDerivative:
     def test_eigenstate_relation(self, well_basis):
         s = superposition(well_basis, [1], [1.0])
-        psi = evaluate(s, 0.4).values
-        dpsi = time_derivative(s, 0.4).values
+        psi = evaluate(s, 0.4)
+        dpsi = time_derivative(s, 0.4)
         assert np.allclose(dpsi, -1j * well_basis.energies[1] * psi, atol=1e-13)
 
     def test_finite_difference_oracle(self, two_mode):
         t, d = 0.3, 1e-5
-        fd = (evaluate(two_mode, t + d).values - evaluate(two_mode, t - d).values) / (2 * d)
-        an = time_derivative(two_mode, t).values
+        fd = (evaluate(two_mode, t + d) - evaluate(two_mode, t - d)) / (2 * d)
+        an = time_derivative(two_mode, t)
         assert np.abs(fd - an).max() < 1e-8
 
     def test_schrodinger_residual_analytic_basis(self, two_mode):
@@ -113,8 +113,8 @@ class TestTimeDerivative:
         for n in (1001, 2001):
             basis = eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, n), 2)
             s = equal_two_mode(basis)
-            psi = evaluate(s, 0.2).values
-            res = 1j * time_derivative(s, 0.2).values + 0.5 * _laplacian(basis.grid, psi[None])[0]
+            psi = evaluate(s, 0.2)
+            res = 1j * time_derivative(s, 0.2) + 0.5 * _laplacian(basis.grid, psi[None])[0]
             errs.append(np.abs(res[2:-2]).max())
         assert errs[0] / errs[1] > 3.0
 
@@ -123,9 +123,9 @@ class TestTimeDerivative:
         g = Grid1D(-1.0, 1.0, 1201)
         basis = eigenbasis(WellWithBarrier(1.0, 15.0, 0.2), g, 2)
         s = equal_two_mode(basis)
-        u = sample_potential(WellWithBarrier(1.0, 15.0, 0.2), g).values
-        psi = evaluate(s, 0.15).values
-        res = 1j * time_derivative(s, 0.15).values + 0.5 * _laplacian(g, psi[None])[0] - u * psi
+        u = sample_potential(WellWithBarrier(1.0, 15.0, 0.2), g)
+        psi = evaluate(s, 0.15)
+        res = 1j * time_derivative(s, 0.15) + 0.5 * _laplacian(g, psi[None])[0] - u * psi
         assert np.abs(res[2:-2]).max() < 1e-7
 
 
@@ -159,14 +159,14 @@ class TestEvaluateAt:
     def test_matches_grid_well(self, two_mode):
         g = two_mode.grid
         sub = g.x[::97]
-        direct = evaluate(two_mode, 0.7).values[::97]
+        direct = evaluate(two_mode, 0.7)[::97]
         offgrid = evaluate_at(two_mode, sub, 0.7)[0]
         assert np.allclose(offgrid, direct, atol=1e-12)
 
     def test_matches_grid_hermite(self):
         basis = eigenbasis(Harmonic(10.0), Grid1D(-3.0, 3.0, 1501), 3)
         s = superposition(basis, [0, 2], [0.6, 0.8])
-        direct = evaluate(s, 0.3).values[::55]
+        direct = evaluate(s, 0.3)[::55]
         offgrid = evaluate_at(s, basis.grid.x[::55], 0.3)[0]
         assert np.allclose(offgrid, direct, atol=1e-12)
 
@@ -180,7 +180,7 @@ class TestEvaluateAt:
         near = evaluate_at(s, np.round((xq - g.x_min) / g.h) * g.h + g.x_min, 0.2)[0]
         assert np.abs(got - near).max() < 5e-3
         on_grid = evaluate_at(s, g.x[::211], 0.2)[0]
-        assert np.allclose(on_grid, evaluate(s, 0.2).values[::211], atol=1e-9)
+        assert np.allclose(on_grid, evaluate(s, 0.2)[::211], atol=1e-9)
 
     def test_dx_against_fd(self, two_mode):
         x = np.array([-0.4, 0.1, 0.33])
@@ -193,8 +193,8 @@ class TestEvaluateAt:
         s = offgrid_state
         x = s.grid.x[1:-1:37]
         psi, _, dpsi_dt = evaluate_at(s, x, 0.37)
-        want_psi = evaluate(s, 0.37).values[1:-1:37]
-        want_dt = time_derivative(s, 0.37).values[1:-1:37]
+        want_psi = evaluate(s, 0.37)[1:-1:37]
+        want_dt = time_derivative(s, 0.37)[1:-1:37]
         assert np.abs(psi - want_psi).max() < 1e-12 * np.abs(want_psi).max()
         assert np.abs(dpsi_dt - want_dt).max() < 1e-12 * np.abs(want_dt).max()
 
@@ -242,7 +242,7 @@ class TestEvaluateAt:
         _, gx, gy = evaluate_at_2d(s, 0.5, 0.5, 0.0)
         assert abs(gx) > 1.0 and abs(gy) > 1.0
         # off-node value matches the grid evaluation
-        direct = evaluate(s, 0.0).values[50, 120]
+        direct = evaluate(s, 0.0)[50, 120]
         assert evaluate_at_2d(s, g1.x[50], g1.x[120], 0.0)[0] == pytest.approx(direct, abs=1e-12)
 
     def test_evaluators_refuse_the_other_dimension(self, two_mode):
@@ -305,7 +305,7 @@ class TestProjection:
         # projecting a superposition's own grid values recovers its coefficients
         basis = eigenbasis(InfiniteWell(0.5), Grid1D(-0.5, 0.5, 2001), 40)
         sp = project_gaussian(basis, WavepacketSpec(0.0, 25.0, SIGMA_REFLECTION))
-        back = project_field(basis, evaluate(sp, 0.0).values, eta=1e-3)
+        back = project_field(basis, evaluate(sp, 0.0), eta=1e-3)
         assert np.array_equal(back.indices, sp.indices)
         np.testing.assert_allclose(back.coeffs, sp.coeffs, atol=1e-9)
 
