@@ -217,12 +217,11 @@ class TuningResult:
     iterations: int
     bracket: tuple
     history: tuple
-    # the launch, and the launch projected on the basis of the last probe,
-    # which is always the one at U0_star; neither is part of tuning_record
-    state: Superposition | None = dataclasses.field(default=None, repr=False,
-                                                    compare=False)
+    # the launch the probes projected, and each probe's solved index window
+    # (first, last, fell_back); neither is part of tuning_record
     launch: Superposition | None = dataclasses.field(default=None, repr=False,
                                                      compare=False)
+    probe_windows: tuple = dataclasses.field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.transmission):
@@ -251,12 +250,39 @@ def _launch_state(c: ScenarioConfig) -> Superposition:
     return sp
 
 
-def _splitter_state(c: ScenarioConfig, launch: Superposition,
-                    u0: float) -> Superposition:
-    """The launch projected on the barrier-well basis at height u0."""
+def _splitter_state(c: ScenarioConfig, launch: Superposition, u0: float,
+                    window: tuple | None = None) -> Superposition:
+    """The launch projected on the barrier-well basis at height u0: on all
+    c.modes states, or on the states first..last of window."""
+    first, last = window or (0, c.modes - 1)
     pot = WellWithBarrier(MZI_HALF_WIDTH, float(u0), *_required(c, "barrier_width"))
-    basis = eigenbasis(pot, launch.grid, c.modes)
+    basis = eigenbasis(pot, launch.grid, last + 1, first=first)
     return project_field(basis, evaluate(launch, 0.0), eta=c.eta)
+
+
+# A tuner probe solves the barrier basis only from PROBE_MARGIN states
+# below the launch's lowest mode to PROBE_MARGIN above its highest, and
+# keeps that window only if its projection leaves the PROBE_EDGE_CLEAR
+# states inside each cut edge unkept; otherwise it solves in full.
+PROBE_MARGIN = 24
+PROBE_EDGE_CLEAR = 6
+
+
+def _probe_state(c: ScenarioConfig, launch: Superposition, u0: float) -> tuple:
+    """The launch projected on the barrier-well states near its own modes
+    at height u0, for a transmission probe, and the window solved as
+    (first, last, fell_back).  The kept modes and captured norm are those
+    of the full projection (_splitter_state), and T agrees with it to
+    rounding."""
+    first = max(int(launch.indices.min()) - PROBE_MARGIN, 0)
+    last = min(int(launch.indices.max()) + PROBE_MARGIN, c.modes - 1)
+    state = _splitter_state(c, launch, u0, (first, last))
+    kept = state.indices
+    if ((first == 0 or kept.min() >= PROBE_EDGE_CLEAR)
+            and (last == c.modes - 1 or kept.max() < state.basis.k - PROBE_EDGE_CLEAR)):
+        return state, (first, last, False)
+    del state  # its basis is freed before the full solve
+    return _splitter_state(c, launch, u0), (0, c.modes - 1, True)
 
 
 # bisection steps the tuner may take after its bracket
@@ -268,12 +294,13 @@ def tune_beam_splitter(c: ScenarioConfig,
     """Bisect the barrier height of an mzi_1d config until its packet
     splits 50/50 to within c.tol.
 
-    Each probe re-solves the barrier-well eigenbasis and re-projects the
-    packet. A geometric ladder over probe_range (0 < low < high), doubling
-    from low, first verifies a bracket with T(low) > 0.5 > T(high) and that
-    T is decreasing across the probes.
-    The result carries the packet as `launch` and the last probe's
-    projection of it as `state`.
+    Each probe solves the barrier-well states the packet can reach (an
+    index window, see _probe_state) and re-projects the packet. A geometric
+    ladder over probe_range (0 < low < high), doubling from low, first
+    verifies a bracket with T(low) > 0.5 > T(high) and that T is decreasing
+    across the probes.
+    The result carries the packet as `launch` and each probe's window as
+    `probe_windows`.
     """
     if c.tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -282,17 +309,18 @@ def tune_beam_splitter(c: ScenarioConfig,
         raise ValueError(f"probe range needs 0 < low < high, got {probe_range}")
     launch = _launch_state(c)
     history = []
-    last = None
+    windows = []
 
     def probe(u0: float) -> float:
-        nonlocal last
-        # drop the previous probe's basis before the next solve: holding
-        # both kept about 5 MB more resident through every later probe
-        last = None
-        last = _splitter_state(c, launch, u0)
-        t = transmission(last, 0.0, MEASURE_TIME)
+        state, window = _probe_state(c, launch, u0)
+        t = transmission(state, 0.0, MEASURE_TIME)
         history.append((float(u0), float(t)))
+        windows.append(window)
         return t
+
+    def result(u0, t, iterations, bracket) -> TuningResult:
+        return TuningResult(float(u0), float(t), iterations, bracket, tuple(history),
+                            launch, tuple(windows))
 
     ladder = [lo]
     while ladder[-1] < hi:
@@ -301,8 +329,7 @@ def tune_beam_splitter(c: ScenarioConfig,
     for u0 in ladder:
         t = probe(u0)
         if abs(t - 0.5) < c.tol:
-            return TuningResult(float(u0), t, 0, (float(u0), float(u0)),
-                                tuple(history), last, launch)
+            return result(u0, t, 0, (float(u0), float(u0)))
         pairs.append((u0, t))
         if len(pairs) >= 2 and pairs[-1][1] > pairs[-2][1] + 1e-3:
             raise ValueError(
@@ -322,8 +349,7 @@ def tune_beam_splitter(c: ScenarioConfig,
         mid = 0.5 * (b_lo + b_hi)
         t_mid = probe(mid)
         if abs(t_mid - 0.5) < c.tol:
-            return TuningResult(float(mid), float(t_mid), it,
-                                (float(b_lo), float(b_hi)), tuple(history), last, launch)
+            return result(mid, t_mid, it, (float(b_lo), float(b_hi)))
         if t_mid > 0.5:
             b_lo = mid
         else:
@@ -423,15 +449,16 @@ def _build_reflection(c: ScenarioConfig) -> ScenarioBundle:
 
 
 def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
-    """Band-limited launch in the free well, re-projected onto the barrier
-    well at the tuned (or given) height; a tuned build takes the tuner's
-    launch and last probe, which solved that height already."""
+    """Band-limited launch in the free well, re-projected onto the full
+    barrier-well basis at the tuned (or given) height; a tuned build takes
+    the tuner's launch, and solves U0* in full once more, since its probes
+    solved index windows."""
     if c.barrier_height is None:
         tuning = tune_beam_splitter(c)
-        launch, state = tuning.launch, tuning.state
+        launch, u0 = tuning.launch, tuning.U0_star
     else:
-        launch = _launch_state(c)
-        tuning, state = None, _splitter_state(c, launch, c.barrier_height)
+        tuning, launch, u0 = None, _launch_state(c), c.barrier_height
+    state = _splitter_state(c, launch, u0)
     basis = state.basis
     extras = {
         "barrier": _barrier_record(basis.potential, basis.grid),
@@ -625,6 +652,8 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     save_node_events(events, os.path.join(out_dir, "nodes.json"))
     files["nodes"] = "nodes.json"
     derived["node_events"] = node_events_to_json(events)
+    if b.tuning is not None:
+        diagnostics["tuning"] = {"probe_windows": [list(w) for w in b.tuning.probe_windows]}
     derived["diagnostics"] = diagnostics
 
     manifest = {"name": c.name, "config": dataclasses.asdict(c),

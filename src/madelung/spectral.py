@@ -56,9 +56,10 @@ class QuarticDoubleWell:
     """Fixed double well 240 x^4 - 120 x^2 + 15: minima 0 at +-1/2, hump 15 at 0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated:
-    """U sampled on a grid: values of the grid's shape."""
+    """U sampled on a grid: values of the grid's shape.  Equality and the
+    hash are those of the object, since an array field has neither."""
 
     grid: Grid1D
     values: np.ndarray
@@ -146,6 +147,12 @@ class EigenBasis:
     @property
     def k(self) -> int:
         return len(self.energies)
+
+    @property
+    def first(self) -> int:
+        """Index of the first pair held: a basis solved over an index
+        window holds pairs first..first+k-1, every other basis from 0."""
+        return self.meta.get("first", 0)
 
     @functools.cached_property
     def _sines(self):
@@ -271,8 +278,10 @@ def _polish_pairs(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarr
     return lam.astype(float), W.astype(float), HW.astype(float)
 
 
-def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBasis:
-    """Lowest k eigenpairs of the discrete Hamiltonian.
+def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
+                first: int = 0) -> EigenBasis:
+    """Eigenpairs first..k-1 (0-based, ascending) of the discrete
+    Hamiltonian: the lowest k with first = 0, an index window otherwise.
 
     LAPACK bisection + inverse iteration on the symmetric tridiagonal
     matrix, then an extended-precision polish so every returned pair
@@ -283,13 +292,15 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
         raise ValueError(f"k={k} must be below interior dimension {dim}")
     if k < 1:
         raise ValueError("k must be positive")
+    if not 0 <= first < k:
+        raise ValueError(f"first={first} must lie in [0, k={k})")
     # imported here: scipy.linalg adds about 0.25 s to import, and runs on
     # analytic bases never solve
     from scipy.linalg import eigh_tridiagonal
 
     try:
         vals, vecs = eigh_tridiagonal(
-            H.diagonal, H.offdiag, select="i", select_range=(0, k - 1)
+            H.diagonal, H.offdiag, select="i", select_range=(first, k - 1)
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"eigensolve failed to converge: {exc}")
@@ -299,14 +310,15 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None) -> EigenBas
     bad = np.flatnonzero(r > 1e-8 * np.abs(V).max(axis=0))
     if bad.size:
         j = bad[0]
-        raise RuntimeError(f"eigenpair {j} residual {r[j]:.2e} exceeds tolerance")
+        raise RuntimeError(f"eigenpair {first + j} residual {r[j]:.2e} exceeds tolerance")
     order = np.argsort(lam)
     lam = lam[order]
-    full = np.zeros((k, grid.n))
+    full = np.zeros((k - first, grid.n))
     full[:, 1:-1] = V[:, order].T
     nrm = np.sum(trapezoid_weights(grid.n, grid.h) * full**2, axis=1)
     states = _fix_sign(full / np.sqrt(nrm)[:, None])
-    basis = EigenBasis(grid, lam, states, potential, {"method": "fd_tridiag"})
+    basis = EigenBasis(grid, lam, states, potential,
+                       {"method": "fd_tridiag", "first": first})
     basis.validate()
     return basis
 
@@ -483,32 +495,44 @@ def _analytic_states(potential, grid: Grid1D, modes: np.ndarray):
 _ANALYTIC = {InfiniteWell: ("analytic_well", 1), Harmonic: ("analytic_hermite", 0)}
 
 
-def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None) -> EigenBasis:
+def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None,
+               first: int = 0) -> EigenBasis:
     """Eigenbasis of the lowest k states: analytic when exact forms exist
     (hard-wall well, harmonic oscillator), finite-difference otherwise.
+    first > 0 keeps only the states first..k-1 (see solve_eigen), which
+    only a finite-difference solve offers.
 
     cache_dir (or env MADELUNG_CACHE_DIR) enables the on-disk cache: one
     entry directory per key, holding basis.json and states.npy.  A miss
     writes the entry in a temporary directory and renames it into place,
-    so a reader sees a complete entry or none; a hit is validated on load
-    and a bad entry raises.
+    so a reader sees a complete entry or none; a hit is validated on load,
+    and a bad entry, or one whose grid or index range is not the one
+    asked for, raises.
     """
+    if first and type(potential) in _ANALYTIC:
+        raise ValueError(f"an index window (first={first}) needs a finite-difference "
+                         f"basis, not {type(potential).__name__}")
     cache_dir = cache_dir or os.environ.get("MADELUNG_CACHE_DIR")
     entry = None
     if cache_dir and not isinstance(potential, Tabulated):
-        entry = os.path.join(cache_dir, _cache_key(potential, grid, k))
+        entry = os.path.join(cache_dir, _cache_key(potential, grid, k, first))
         if os.path.isdir(entry):
-            return load_basis(entry, potential)
+            basis = load_basis(entry, potential)
+            held = (basis.grid, basis.first, basis.first + basis.k)
+            if held != (grid, first, k):
+                raise ValueError(f"eigenbasis entry {entry} holds states {held[1]}..{held[2] - 1}"
+                                 f" on {held[0]}, not {first}..{k - 1} on {grid}")
+            return basis
     if type(potential) in _ANALYTIC:
-        method, first = _ANALYTIC[type(potential)]
-        energies, V = _analytic_states(potential, grid, np.arange(first, first + k))
+        method, n0 = _ANALYTIC[type(potential)]
+        energies, V = _analytic_states(potential, grid, np.arange(n0, n0 + k))
         basis = EigenBasis(grid, energies, V, potential, {"method": method})
         if isinstance(potential, Harmonic):
             # the off-grid Hermite modes need omega, also in a basis loaded
             # without its potential
             basis.meta["omega"] = potential.omega
     else:
-        basis = solve_eigen(build_hamiltonian(potential, grid), k, grid, potential)
+        basis = solve_eigen(build_hamiltonian(potential, grid), k, grid, potential, first)
         if isinstance(potential, WellWithBarrier):
             basis.meta["snapped_barrier_width"] = snapped_barrier_width(potential, grid)
     if entry is not None:
@@ -570,9 +594,13 @@ def _canon(potential) -> str:
     raise TypeError("potential not cacheable")
 
 
-def _cache_key(potential, grid: Grid1D, k: int) -> str:
+def _cache_key(potential, grid: Grid1D, k: int, first: int = 0) -> str:
+    # a full basis (first = 0) keeps the key it has always had, so the
+    # entries written before index windows stay readable
     tag = (f"{_CACHE_VERSION}|{_canon(potential)}"
            f"|{grid.x_min!r},{grid.x_max!r},{grid.n}|k={k}")
+    if first:
+        tag += f"|first={first}"
     return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 

@@ -223,7 +223,8 @@ def project_field(basis: EigenBasis, values: np.ndarray, eta: float = 1e-3) -> S
     threshold eta on the coefficient magnitudes, and renormalize.
 
     The recorded truncation_index is the largest retained mode number
-    (1-based); captured_norm is the probability held by the retained
+    (1-based, counted from the lowest state also on a basis that holds an
+    index window); captured_norm is the probability held by the retained
     coefficients before renormalization.
     """
     g = basis.grid
@@ -238,7 +239,7 @@ def project_field(basis: EigenBasis, values: np.ndarray, eta: float = 1e-3) -> S
     captured = float(np.sum(np.abs(c) ** 2))
     c = c / math.sqrt(captured)
     meta = {
-        "truncation_index": int(idx.max()) + 1,
+        "truncation_index": basis.first + int(idx.max()) + 1,
         "eta": eta,
         "captured_norm": captured,
     }
@@ -277,7 +278,8 @@ def cap_modes(sp: Superposition, max_index: int) -> Superposition:
     Pins a projected pulse to an exact mode budget; the dropped probability
     is recorded so the caller can verify it was marginal.
     """
-    keep = sp.indices < max_index
+    first = sp.basis.first
+    keep = first + sp.indices < max_index
     if not keep.any():
         raise ValueError(f"no modes at or below index {max_index}")
     idx = sp.indices[keep]
@@ -286,5 +288,5 @@ def cap_modes(sp: Superposition, max_index: int) -> Superposition:
     meta = dict(sp.meta)
     meta["mode_cap"] = max_index
     meta["cap_dropped_norm"] = 1.0 - kept
-    meta["truncation_index"] = int(idx.max()) + 1
+    meta["truncation_index"] = first + int(idx.max()) + 1
     return Superposition(sp.basis, c / math.sqrt(kept), idx, meta)

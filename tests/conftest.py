@@ -11,9 +11,10 @@ from madelung import spectral
 @pytest.fixture(scope="session")
 def mzi_build():
     """The stock tuned mzi_1d bundle, built once per session without a
-    cache, and how often the build made a finite-difference eigensolve and
-    a launch state."""
+    cache, how often the build made a launch state, and the index range
+    (first, last) of each finite-difference eigensolve it made."""
     calls = Counter()
+    solves = []
 
     def counting(fn):
         def counted(*args, **kwargs):
@@ -21,9 +22,15 @@ def mzi_build():
             return fn(*args, **kwargs)
         return counted
 
+    solve = spectral.solve_eigen
+
+    def solve_recorded(H, k, grid, potential=None, first=0):
+        solves.append((first, k - 1))
+        return solve(H, k, grid, potential, first)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("MADELUNG_CACHE_DIR", raising=False)
-        mp.setattr(spectral, "solve_eigen", counting(spectral.solve_eigen))
+        mp.setattr(spectral, "solve_eigen", solve_recorded)
         mp.setattr(sc, "_launch_state", counting(sc._launch_state))
         bundle = sc.build_scenario(sc.default_config("mzi_1d"))
-    return bundle, calls
+    return bundle, calls, solves

@@ -163,22 +163,60 @@ class TestTuner:
         assert r.bracket[0] < r.U0_star <= r.bracket[1]
         assert abs(r.U0_star - 2437.5) < 50.0
 
-    def test_build_solves_each_height_once(self, mzi_build):
-        # the bundle takes the last probe's basis and state, so the ten
-        # probed heights are the only solves
-        bundle, calls = mzi_build
-        assert len(bundle.tuning.history) == 10
-        assert calls["solve_eigen"] == 10
-        assert bundle.basis is bundle.tuning.state.basis
+    def test_build_solves_probe_windows_then_u0_star_in_full(self, mzi_build):
+        # the ten probes solve index windows; the bundle's state is U0*
+        # solved once more in full, the state a build at that height gets
+        bundle, _, solves = mzi_build
+        r = bundle.tuning
+        assert len(r.history) == 10
+        assert solves == [(38, 112)] * 10 + [(0, 139)]
+        assert r.probe_windows == ((38, 112, False),) * 10
+        want = sc._splitter_state(bundle.config, r.launch, r.U0_star)
+        got = bundle.states[0]
+        assert bundle.basis is got.basis and got.basis.first == 0
+        assert np.array_equal(got.basis.energies, want.basis.energies)
+        assert np.array_equal(got.basis.states, want.basis.states)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.meta == want.meta
 
     def test_build_makes_the_launch_once(self, mzi_build):
         # the tuner's launch is the one the bundle reports
-        bundle, calls = mzi_build
+        bundle, calls, _ = mzi_build
         assert calls["_launch_state"] == 1
         launch = bundle.tuning.launch
         band = bundle.extras["band"]
         assert band["launch_truncation_index"] == launch.meta["truncation_index"]
         assert "launch" not in sc.tuning_record(bundle.tuning)
+
+    @pytest.mark.parametrize("u0", [250.0, 2437.5, 4000.0, 16000.0])
+    def test_window_probe_matches_full_probe(self, splitter, u0):
+        c, launch = splitter
+        window, (first, last, fell_back) = sc._probe_state(c, launch, u0)
+        full = sc._splitter_state(c, launch, u0)
+        assert (first, last, fell_back) == (38, 112, False)
+        assert window.basis.first == first and window.basis.k == last - first + 1
+        assert np.array_equal(window.indices + first, full.indices)
+        assert window.meta["truncation_index"] == full.meta["truncation_index"]
+        assert window.meta["captured_norm"] == pytest.approx(
+            full.meta["captured_norm"], rel=1e-12, abs=0.0)
+        t_window = sc.transmission(window, 0.0, sc.MEASURE_TIME)
+        t_full = sc.transmission(full, 0.0, sc.MEASURE_TIME)
+        assert t_window == pytest.approx(t_full, rel=1e-12, abs=0.0)
+
+    def test_probe_falls_back_to_the_full_solve(self, splitter, monkeypatch):
+        # with no margin the launch's own edge modes sit on the window
+        # edges, so the probe solves in full: the full probe's bits
+        c, launch = splitter
+        monkeypatch.setattr(sc, "PROBE_MARGIN", 0)
+        state, window = sc._probe_state(c, launch, 2437.5)
+        assert window == (0, c.modes - 1, True)
+        full = sc._splitter_state(c, launch, 2437.5)
+        assert state.basis.first == 0
+        assert np.array_equal(state.basis.states, full.basis.states)
+        assert np.array_equal(state.basis.energies, full.basis.energies)
+        assert np.array_equal(state.indices, full.indices)
+        assert np.array_equal(state.coeffs, full.coeffs)
 
     def test_ladder_monotone(self, mzi):
         hist = mzi.tuning.history
@@ -286,6 +324,27 @@ class TestRunBundle:
         loops = (tmp_path / "v" / "loops.csv").read_text().splitlines()
         assert loops[0] == "seed_q,t,x,y"
         assert len({ln.split(",")[0] for ln in loops[1:]}) == 4
+
+    def test_tuned_run_records_probe_windows(self, tmp_path, monkeypatch):
+        # derived.diagnostics.tuning holds [first, last, fell_back] per
+        # probe; tuning.json's record (derived.tuning) keeps its keys
+        c = sc.default_config("mzi_1d", frames=2, streamlines=1)
+        windows = ((38, 112, False), (0, 139, True))
+
+        def tuned(c):
+            return sc.TuningResult(2437.5, 0.5, 1, (2000.0, 4000.0),
+                                   ((4000.0, 0.2), (2437.5, 0.5)), sc._launch_state(c),
+                                   windows)
+
+        monkeypatch.setattr(sc, "tune_beam_splitter", tuned)
+        m = sc.run_scenario(c, tmp_path / "t")
+        assert m["derived"]["diagnostics"]["tuning"] == {
+            "probe_windows": [[38, 112, False], [0, 139, True]]}
+        assert set(m["derived"]["tuning"]) == {"U0_star", "transmission", "iterations",
+                                               "bracket", "history"}
+        fixed = sc.run_scenario(sc.default_config("mzi_1d", frames=2, streamlines=1,
+                                                  barrier_height=2437.5), tmp_path / "f")
+        assert "tuning" not in fixed["derived"]["diagnostics"]
 
     def test_vortex_record_is_the_same_without_fields(self, tmp_path):
         # with fields the record averages frame 0 of the frame ledger,

@@ -32,7 +32,7 @@ from madelung.spectral import (
     snapped_barrier_width,
     solve_eigen,
 )
-from madelung.states import equal_two_mode, evaluate_at
+from madelung.states import cap_modes, equal_two_mode, evaluate_at, project_field
 
 E1_WELL = math.pi**2 / 8.0  # ground state of the half-width-1 hard well
 
@@ -84,6 +84,13 @@ class TestPotentials:
         for values in (np.zeros(10), np.zeros((11, 1)), 2.5):
             with pytest.raises(ValueError, match="does not match grid"):
                 Tabulated(g, values)
+
+    def test_tabulated_compares_and_hashes_by_identity(self):
+        g = Grid1D(-1.0, 1.0, 11)
+        a, b = Tabulated(g, np.zeros(g.n)), Tabulated(g, np.zeros(g.n))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
 
     def test_tabulated_nonfinite_refused(self):
         g = Grid1D(-1.0, 1.0, 11)
@@ -491,6 +498,46 @@ def _unversioned_key() -> str:
 
 
 class TestCache:
+    def test_full_key_unchanged_and_window_key_differs(self):
+        # a full entry keeps the name it had before index windows
+        full = spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K)
+        assert full == spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K, 0)
+        assert full == "04c0f4aab8dba93e"
+        windows = {spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K, f) for f in (1, 2)}
+        assert len(windows) == 2 and full not in windows
+
+    def test_window_entry_round_trip(self, tmp_path):
+        fresh = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=1)
+        cached = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=1)
+        assert len(os.listdir(tmp_path)) == 1
+        assert cached.first == 1 and cached.k == CACHE_K - 1
+        assert np.array_equal(fresh.states, cached.states)
+
+    @staticmethod
+    def _move(cache_dir, key) -> str:
+        """Rename the one entry in cache_dir to key; returns its new path."""
+        (name,) = os.listdir(cache_dir)
+        entry = os.path.join(str(cache_dir), key)
+        os.rename(os.path.join(str(cache_dir), name), entry)
+        return entry
+
+    @pytest.mark.parametrize("grid, k", [(CACHE_GRID, CACHE_K - 1),
+                                         (Grid1D(-1.0, 1.0, 401), CACHE_K)])
+    def test_entry_of_another_basis_refused(self, tmp_path, grid, k):
+        # a hit is the basis asked for, or an error naming the entry: a
+        # smaller basis copied under this key is not returned
+        eigenbasis(CACHE_POT, grid, k, cache_dir=str(tmp_path))
+        entry = self._move(tmp_path, spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K))
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("stored, asked", [(1, 0), (0, 1), (1, 2)])
+    def test_window_entry_never_read_as_another(self, tmp_path, stored, asked):
+        eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=stored)
+        entry = self._move(tmp_path, spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K, asked))
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=asked)
+
     def test_key_differs_from_unversioned_scheme(self):
         assert spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K) != _unversioned_key()
 
@@ -593,6 +640,52 @@ class TestCache:
         assert os.listdir(cache_dir) == [os.path.basename(_entry(cache_dir))]
         cached = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(cache_dir))
         assert np.array_equal(cached.states, fresh)
+
+
+MZI_POT = WellWithBarrier(2.0, 2437.5, 0.02)
+MZI_GRID = Grid1D(-2.0, 2.0, 2001)
+
+
+class TestIndexWindow:
+    @pytest.fixture(scope="class")
+    def full(self):
+        return solve_eigen(build_hamiltonian(MZI_POT, MZI_GRID), 120, MZI_GRID, MZI_POT)
+
+    def test_window_matches_the_full_slice(self, full):
+        H = build_hamiltonian(MZI_POT, MZI_GRID)
+        window = solve_eigen(H, 120, MZI_GRID, MZI_POT, first=40)
+        assert window.k == 80 and window.first == 40 and window.meta["first"] == 40
+        assert full.first == 0
+        assert np.allclose(window.energies, full.energies[40:], rtol=1e-10, atol=0.0)
+        # each pair meets the solver's residual bound, |H psi - E psi| <=
+        # 1e-8 |psi| in the max norm, on the interior rows
+        V = window.states
+        HV = H.diagonal * V[:, 1:-1] + H.offdiag[0] * (V[:, :-2] + V[:, 2:])
+        r = np.abs(HV - window.energies[:, None] * V[:, 1:-1]).max(axis=1)
+        assert (r <= 1e-8 * np.abs(V).max(axis=1)).all()
+        # the same modes, up to rounding
+        overlap = np.abs(np.sum(window.states * full.states[40:], axis=1) * MZI_GRID.h)
+        assert np.allclose(overlap, 1.0, atol=1e-8)
+
+    def test_projection_reports_absolute_indices(self, full):
+        window = eigenbasis(MZI_POT, MZI_GRID, 120, first=40)
+        values = np.exp(1j * 60.0 * MZI_GRID.x - (MZI_GRID.x + 1.0) ** 2 / (4 * 0.23**2))
+        a, b = project_field(window, values), project_field(full, values)
+        assert np.array_equal(a.indices + 40, b.indices)
+        assert a.meta["truncation_index"] == b.meta["truncation_index"]
+        assert a.meta["captured_norm"] == pytest.approx(b.meta["captured_norm"], rel=1e-12)
+        capped = cap_modes(a, 80)
+        assert capped.indices.max() + 40 < 80
+        assert capped.meta["truncation_index"] == cap_modes(b, 80).meta["truncation_index"]
+
+    @pytest.mark.parametrize("first", [-1, 120, 121])
+    def test_window_outside_the_range_refused(self, first):
+        with pytest.raises(ValueError, match="first="):
+            solve_eigen(build_hamiltonian(MZI_POT, MZI_GRID), 120, MZI_GRID, first=first)
+
+    def test_analytic_basis_refuses_a_window(self):
+        with pytest.raises(ValueError, match="finite-difference"):
+            eigenbasis(InfiniteWell(1.0), Grid1D(-1.0, 1.0, 101), 4, first=1)
 
 
 class TestProduct2D:
