@@ -49,8 +49,6 @@ from .states import (
 )
 from .energy import (
     EnergyDecomposition,
-    SuperoscillationMask,
-    classify_superoscillation,
     continuity_residual,
     decompose,
     decomposition_to_csv,

@@ -15,7 +15,7 @@ import sys
 
 from . import render as rd
 from . import scenarios as sc
-from .energy import classify_superoscillation, decompose, decomposition_to_csv, mask_area, masks_to_csv
+from .energy import decompose, decomposition_to_csv, mask_area, masks_to_csv
 from .flow import streamline_bundle, streamlines_to_csv, vortex_profile_to_csv
 from .grids import field_to_csv, write_json
 from .spectral import save_basis
@@ -94,7 +94,7 @@ def _cmd_fields(args) -> int:
     decomposition_to_csv(d, p1)
     _say(p1)
     p2 = os.path.join(args.out, "masks.csv")
-    masks_to_csv(classify_superoscillation(d), p2)
+    masks_to_csv(d, p2)
     _say(p2)
     return 0
 
@@ -115,14 +115,13 @@ def _cmd_classify(args) -> int:
     b = sc.build_scenario(c)
     os.makedirs(args.out, exist_ok=True)
     d = decompose(b.states[0], args.t)
-    m = classify_superoscillation(d)
     path = os.path.join(args.out, "masks.csv")
-    masks_to_csv(m, path)
+    masks_to_csv(d, path)
     _say(path)
-    print(f"area soft_qka = {mask_area(d.grid, m.soft_qka):.6g}  "
-          f"soft_qrkc = {mask_area(d.grid, m.soft_qrkc):.6g}  "
-          f"hard_qka = {mask_area(d.grid, m.hard_qka):.6g}  "
-          f"hard_qrkc = {mask_area(d.grid, m.hard_qrkc):.6g}")
+    print(f"area soft_qka = {mask_area(d.grid, d.soft_qka):.6g}  "
+          f"soft_qrkc = {mask_area(d.grid, d.soft_qrkc):.6g}  "
+          f"hard_qka = {mask_area(d.grid, d.hard_qka):.6g}  "
+          f"hard_qrkc = {mask_area(d.grid, d.hard_qrkc):.6g}")
     return 0
 
 
@@ -145,10 +144,7 @@ def _cmd_vortex(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    c = _with_overrides(sc.default_config(args.scenario), args)
-    if c.name != "mzi_1d":
-        raise ValueError("tuning applies to the mzi_1d scenario")
-    r = sc.tune_beam_splitter(c)
+    r = sc.tune_beam_splitter(_with_overrides(sc.default_config("mzi_1d"), args))
     print(f"U0* = {r.U0_star:.6g}  T = {r.transmission:.6f}  "
           f"probes = {len(r.history)}  bisections = {r.iterations}")
     if args.out:
@@ -222,8 +218,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_vortex)
 
-    p = sub.add_parser("tune", help="tune the splitter barrier height to 50/50")
-    p.add_argument("--scenario", default="mzi_1d")
+    p = sub.add_parser("tune", help="tune the mzi_1d splitter barrier height to 50/50")
     p.add_argument("--tol", type=sc.FIELD_TYPES["tol"])
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tune)

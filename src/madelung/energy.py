@@ -47,8 +47,9 @@ _DERIVED_COLS = tuple(c for c in _DECOMP_COLS if c not in _STORED_COLS + ("U",))
 @dataclass
 class EnergyDecomposition:
     """One frame of the ledger: each column an array on the grid, the band
-    limit E_plus, and valid, the points where the per-particle forms are
-    defined (away from nodes and the grid edges).  See ledger."""
+    limit E_plus, the six superoscillation classes and valid, the points
+    where the per-particle forms are defined (away from nodes and the grid
+    edges).  A class never flags a point outside valid.  See ledger."""
 
     grid: object
     E_plus: float
@@ -68,19 +69,6 @@ class EnergyDecomposition:
     e_p: np.ndarray
     u: np.ndarray
     rho: np.ndarray
-    valid: np.ndarray
-
-
-@dataclass
-class SuperoscillationMask:
-    """Six boolean classifications on the grid.
-
-    soft/hard in the (Q, K_a) picture, soft/hard in the (q_r, k_c) density
-    picture, and the two classically forbidden indicators.  Points outside
-    valid are never flagged.
-    """
-
-    grid: object
     soft_qka: np.ndarray
     hard_qka: np.ndarray
     soft_qrkc: np.ndarray
@@ -128,7 +116,7 @@ def ledger(grid, psi, dpsidt, U, E_plus) -> dict:
       K_cl = E_p - U, U,
 
     their density forms q, k_a, k_s, q_r, k_c, e_p, u and rho, the six
-    classes of classify_superoscillation and valid, and E_plus as a
+    superoscillation classes (_classes) and valid, and E_plus as a
     (frames,) array.  Where an undivided form exists (q = -R lap(R)/2,
     k_s, k_c, q_r = -lap(rho)/4, e_p from the raw phase-derivative
     numerator, u = rho U) the density is built from it on the whole grid,
@@ -238,7 +226,7 @@ def frame_decomposition(grid, c: dict, i: int) -> EnergyDecomposition:
     """Frame i of the ledger columns c (see ledger) as an
     EnergyDecomposition, its fields views of the columns."""
     return EnergyDecomposition(grid, float(c["E_plus"][i]),
-                               **{k: c[k][i] for k in _DECOMP_COLS + ("valid",)})
+                               **{k: c[k][i] for k in _DECOMP_COLS + _MASK_COLS + ("valid",)})
 
 
 def decompose(s: Superposition, t: float) -> EnergyDecomposition:
@@ -246,12 +234,6 @@ def decompose(s: Superposition, t: float) -> EnergyDecomposition:
     so U is the basis potential (zero for bases without one) and E_plus the
     state's band limit; ledger takes any other U and E_plus."""
     return frame_decomposition(s.grid, frame_ledger([s], [t]), 0)
-
-
-def classify_superoscillation(d: EnergyDecomposition) -> SuperoscillationMask:
-    """The six superoscillation classes of one ledger frame, as ledger
-    computes them."""
-    return SuperoscillationMask(d.grid, valid=d.valid, **_classes(vars(d), d.E_plus))
 
 
 def hj_residual(d: EnergyDecomposition) -> tuple:
@@ -310,18 +292,20 @@ def ledger_integrals(d: EnergyDecomposition) -> dict:
     return out
 
 
+def _frame_to_csv(d: EnergyDecomposition, cols: tuple, path: str):
+    # one row per grid point: the coordinates, then the named fields of d
+    names, coords = coordinate_columns(d.grid)
+    write_columns(path, names + cols, coords + tuple(getattr(d, c) for c in cols))
+
+
 def decomposition_to_csv(d: EnergyDecomposition, path: str):
     """One row per grid point: coordinates, every ledger field, valid flag."""
-    names, coords = coordinate_columns(d.grid)
-    fields = tuple(getattr(d, c) for c in _DECOMP_COLS)
-    write_columns(path, names + _DECOMP_COLS + ("valid",), coords + fields + (d.valid,))
+    _frame_to_csv(d, _DECOMP_COLS + ("valid",), path)
 
 
-def masks_to_csv(m: SuperoscillationMask, path: str):
-    """One row per grid point: coordinates, six 0/1 flags, valid flag."""
-    names, coords = coordinate_columns(m.grid)
-    flags = tuple(getattr(m, c) for c in _MASK_COLS)
-    write_columns(path, names + _MASK_COLS + ("valid",), coords + flags + (m.valid,))
+def masks_to_csv(d: EnergyDecomposition, path: str):
+    """One row per grid point: coordinates, the six 0/1 classes, valid flag."""
+    _frame_to_csv(d, _MASK_COLS + ("valid",), path)
 
 
 # fixed zip entry timestamp: the archive bytes depend only on the arrays

@@ -243,8 +243,9 @@ def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
 
 
 # every figure: its renderer, the run files it reads (keys of the
-# manifest's files) and its refusal of a run that does not list them; a run
-# without the frame archive gets the same refusal from every kind
+# manifest's files) and its refusal of a run that does not list them; a
+# bundle without the frame archive (written before it existed) gets the
+# same refusal from every kind
 _FIGURES = {
     "streamlines": (_render_streamlines, ("streamlines", "frame_table"),
                     "run has no streamline table; this kind needs a 1D run"),
@@ -267,8 +268,7 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
     for key in needs:
         if key not in manifest["files"]:
             raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
-                             "scenario (with write_fields = true) to write one"
-                             if key == "frame_table" else refusal)
+                             "scenario to write one" if key == "frame_table" else refusal)
     text = draw(run_dir, manifest, spec)
     with open(out_path, "w") as fh:
         fh.write(text)
@@ -276,9 +276,8 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
 
 
 def default_figures(run_dir, shading: str = "qka") -> list:
-    """The stock figure set for a run: written next to the manifest.  The
-    1D figures need the frame archive, so a run written with
-    write_fields = false gets only the figures that do without it."""
+    """The stock figure set for a run, written next to the manifest: every
+    kind whose files the run lists."""
     files = _load_manifest(run_dir)["files"]
     outs = []
     for kind, (_, needs, _) in _FIGURES.items():

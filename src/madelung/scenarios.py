@@ -14,7 +14,6 @@ import numpy as np
 
 from .energy import (
     EnergyDecomposition,
-    decompose,
     frame_decomposition,
     frame_ledger,
     write_frame_table,
@@ -86,7 +85,6 @@ class ScenarioConfig:
     band_cap: int | None = None
     barrier_height: float | None = None
     barrier_width: float | None = None
-    write_fields: bool = True
 
     def __post_init__(self):
         if self.name not in SCENARIOS:
@@ -108,9 +106,8 @@ def default_config(name: str, **overrides) -> ScenarioConfig:
 
 # --------------------------------------------------------------- config I/O
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
 _HINTS = typing.get_type_hints(ScenarioConfig)
-# the value type of each ScenarioConfig field (int, float, bool or str), as
+# the value type of each ScenarioConfig field (int, float or str), as
 # config files and command-line flags parse it, and the fields that take none
 FIELD_TYPES = {k: (typing.get_args(h) or (h,))[0] for k, h in _HINTS.items()}
 _NULLABLE = {k for k, h in _HINTS.items() if type(None) in typing.get_args(h)}
@@ -122,8 +119,6 @@ def config_to_text(c: ScenarioConfig) -> str:
         v = getattr(c, f.name)
         if v is None:
             v = "none"
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
         elif isinstance(v, float):
             v = f"{v!r}"
         lines.append(f"{f.name} = {v}")
@@ -135,9 +130,18 @@ def _parse_value(key: str, val: str):
         return None
     kind = FIELD_TYPES[key]
     try:
-        return _BOOL_WORDS[val.lower()] if kind is bool else kind(val)
-    except (KeyError, ValueError):
+        return kind(val)
+    except ValueError:
         raise ValueError(f"bad {kind.__name__} for {key}: {val!r}") from None
+
+
+# keys that config.txt files of earlier runs carry: the one value still
+# accepted (what every run now does, so the key is dropped) and the
+# refusal of any other
+_RETIRED_KEYS = {
+    "wide_barrier": ("false", "for the full-width/50 barrier set barrier_width = 0.08"),
+    "write_fields": ("true", "every run writes its frame archive frames.npz"),
+}
 
 
 def config_from_text(text: str) -> ScenarioConfig:
@@ -154,11 +158,9 @@ def config_from_text(text: str) -> ScenarioConfig:
         pairs[key] = val
     if "name" not in pairs:
         raise ValueError("config missing the scenario name")
-    # every config.txt written while the wide barrier was an on/off
-    # setting has the line `wide_barrier = false`
-    if _BOOL_WORDS.get(pairs.pop("wide_barrier", "false").lower()) is not False:
-        raise ValueError("wide_barrier is gone: for the full-width/50 barrier "
-                         "set barrier_width = 0.08")
+    for key, (kept, refusal) in _RETIRED_KEYS.items():
+        if pairs.pop(key, kept).lower() != kept:
+            raise ValueError(f"{key} is gone: {refusal}")
     unknown = set(pairs) - set(FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -591,22 +593,21 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     b = build_scenario(c)
     os.makedirs(out_dir, exist_ok=True)
 
-    files: dict = {"config": "config.txt", "frames": []}
     save_config(c, os.path.join(out_dir, "config.txt"))
-
+    table = frame_ledger([b.states[si] for si in b.frame_states], b.frame_times)
+    write_frame_table(os.path.join(out_dir, "frames.npz"), b.frame_times, b.basis.grid, table)
+    files: dict = {
+        "config": "config.txt",
+        "frame_table": "frames.npz",
+        "frames": [{"index": i, "t": float(t), "state": b.labels[si]}
+                   for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states))],
+    }
     state = b.states[0]
-    vortex = None  # (VortexProfile, derived.vortex) of a 2D run
-    if c.write_fields:
-        table = frame_ledger([b.states[si] for si in b.frame_states], b.frame_times)
-        write_frame_table(os.path.join(out_dir, "frames.npz"), b.frame_times, b.basis.grid, table)
-        files["frame_table"] = "frames.npz"
-        files["frames"] = [{"index": i, "t": float(t), "state": b.labels[si]}
-                           for i, (t, si) in enumerate(zip(b.frame_times, b.frame_states))]
-        if state.grid.ndim == 2 and b.frame_states[0] == 0 and b.frame_times[0] == 0.0:
-            # frame 0 is (state, t = 0), and a frame's ledger has the same
-            # bits alone or in a stack
-            vortex = vortex_record(state, frame_decomposition(b.basis.grid, table, 0))
-        del table
+    if state.grid.ndim == 2:
+        # _build_vortex's one frame is (state, t = 0), and a frame's ledger
+        # has the same bits alone or in a stack
+        vortex = vortex_record(state, frame_decomposition(b.basis.grid, table, 0))
+    del table
 
     derived: dict = {
         "energies": [float(e) for e in b.basis.energies[: min(b.basis.k, 12)]],
@@ -628,8 +629,6 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
                                   seed_quantiles=qs, diagnostics=diagnostics["loops"])
         loops_to_csv(loops, os.path.join(out_dir, "loops.csv"))
         files["loops"] = "loops.csv"
-        if vortex is None:
-            vortex = vortex_record(state, decompose(state, 0.0))
         profile, derived["vortex"] = vortex
         vortex_profile_to_csv(profile, os.path.join(out_dir, "vortex_profile.csv"))
         files["vortex_profile"] = "vortex_profile.csv"

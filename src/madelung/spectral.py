@@ -45,6 +45,13 @@ class WellWithBarrier:
     barrier_height: float
     barrier_width: float
 
+    def __post_init__(self):
+        # a width <= 0 samples no barrier, and one as wide as the well
+        # wraps its first index to the far edge
+        if not 0 < self.barrier_width < 2 * self.half_width:
+            raise ValueError(f"barrier width {self.barrier_width!r} must lie in "
+                             f"(0, {2 * self.half_width!r}), the well's width")
+
 
 @dataclass(frozen=True)
 class Harmonic:

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from madelung.energy import (
-    classify_superoscillation,
     continuity_residual,
     decompose,
     hj_residual,
@@ -262,10 +261,9 @@ def test_criterion_05_set_relations(bundles):
         b = bundles[name]
         for t, si in zip(b.frame_times, b.frame_states):
             d = decompose(b.states[si], float(t))
-            m = classify_superoscillation(d)
-            viol_global += int((m.forbidden_global & ~m.hard_qka).sum())
-            viol_local += int((m.forbidden_local & ~m.soft_qka).sum())
-            if mask_area(d.grid, m.soft_qrkc) < mask_area(d.grid, m.soft_qka):
+            viol_global += int((d.forbidden_global & ~d.hard_qka).sum())
+            viol_local += int((d.forbidden_local & ~d.soft_qka).sum())
+            if mask_area(d.grid, d.soft_qrkc) < mask_area(d.grid, d.soft_qka):
                 area_bad += 1
             frames += 1
     ok = viol_global == 0 and viol_local == 0 and area_bad == 0

@@ -115,21 +115,19 @@ class TestScenario:
         assert any(ln.endswith("manifest.json") for ln in lines)
         assert any(ln.endswith(".svg") for ln in lines)
 
-    def test_run_without_fields_exits_zero_without_1d_figures(self, capsys, tmp_path):
+    def test_config_without_the_frame_archive_is_refused(self, capsys, tmp_path):
+        # every run writes frames.npz; a config that asks for a run without
+        # it is refused by the key's name before anything is written
         cfg = tmp_path / "nf.cfg"
-        save_config(default_config("well_superposition", frames=2, streamlines=2,
-                                   write_fields=False), cfg)
+        save_config(default_config("well_superposition", frames=2, streamlines=2), cfg)
+        cfg.write_text(cfg.read_text() + "write_fields = false\n")
         out = tmp_path / "nf"
         code, stdout, err = _run(capsys, ["scenario", "--config", str(cfg),
                                           "--out", str(out)])
-        assert code == 0 and err == ""
-        for name in ("manifest.json", "config.txt", "streamlines.csv", "nodes.json"):
-            assert (out / name).exists(), name
-        assert not list(out.glob("*.svg")) and ".svg" not in stdout
-        code, _, err = _run(capsys, ["render", "--run", str(out), "--kind", "streamlines"])
-        assert code == 1
+        assert code == 1 and stdout == ""
         doc = json.loads(err)
-        assert doc["error"] == "ValueError" and "frames.npz" in doc["message"]
+        assert doc["error"] == "ValueError" and doc["message"].startswith("write_fields")
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "ho.cfg"
@@ -187,9 +185,14 @@ class TestRender:
 
 class TestRenderFrameTable:
     def test_run_without_table_is_value_error(self, capsys, tmp_path):
+        # a whole bundle written before the frame archive existed: a run
+        # with frames.npz and its manifest entry taken out
         out = tmp_path / "nf"
-        run_scenario(default_config("well_superposition", frames=2, streamlines=2,
-                                    write_fields=False), out)
+        run_scenario(default_config("well_superposition", frames=2, streamlines=2), out)
+        (out / "frames.npz").unlink()
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["files"]["frame_table"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
         for kind in ("streamlines", "densities", "potential_landscape"):
             with pytest.raises(ValueError, match="frames.npz"):
                 rd.render_run(out, rd.RenderSpec(kind=kind), tmp_path / "f.svg")
@@ -313,6 +316,16 @@ class TestExports:
         assert head == "r,Q,K_a,speed"
         assert "fit_exponent" in out and "circulation" in out
 
+    def test_vortex_profile_is_the_bundle_profile(self, capsys, tmp_path):
+        # the export takes the ledger of one decompose, the bundle frame 0
+        # of its frame ledger: a frame's ledger has the same bits alone or
+        # in a stack
+        assert _run(capsys, ["vortex", "--out", str(tmp_path / "cli")])[0] == 0
+        assert _run(capsys, ["scenario", "--name", "vortex_2d",
+                             "--out", str(tmp_path / "run")])[0] == 0
+        cli = (tmp_path / "cli" / "vortex_profile.csv").read_bytes()
+        assert cli == (tmp_path / "run" / "vortex_profile.csv").read_bytes()
+
     def test_vortex_without_name_applies_flags(self, capsys, monkeypatch, tmp_path):
         seen = []
 
@@ -327,8 +340,7 @@ class TestExports:
 
 class TestTune:
     def test_prints_height_and_half(self, capsys, tmp_path):
-        code, out, _ = _run(capsys, ["tune", "--scenario", "mzi_1d",
-                                     "--tol", "0.01", "--out", str(tmp_path)])
+        code, out, _ = _run(capsys, ["tune", "--tol", "0.01", "--out", str(tmp_path)])
         assert code == 0
         assert "U0* = " in out and "T = " in out
         t_val = float(out.split("T = ")[1].split()[0])
@@ -359,10 +371,11 @@ class TestTune:
         assert doc["error"] == "ValueError"
         assert "tolerance must be positive" in doc["message"]
 
-    def test_rejects_other_scenarios(self, capsys):
-        code, _, err = _run(capsys, ["tune", "--scenario", "ho_superposition"])
-        assert code == 1
-        assert json.loads(err)["error"] == "ValueError"
+    def test_scenario_flag_is_gone(self, capsys):
+        # the tuner tunes mzi_1d, the only scenario with a beam splitter
+        code, _, err = _run(capsys, ["tune", "--scenario", "mzi_1d"])
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
 
 
 class TestErrors:

@@ -13,7 +13,6 @@ from madelung import scenarios as sc
 from madelung.energy import (
     EPS_NODE,
     EQ_TOL,
-    classify_superoscillation,
     continuity_residual,
     decompose,
     decomposition_to_csv,
@@ -298,32 +297,29 @@ class TestClassification:
     def test_real_eigenstate_sets_coincide(self, ho_basis):
         sp = superposition(ho_basis, [2], [1.0])
         d = decompose(sp, 0.0)
-        sm = classify_superoscillation(d)
         head = d.E_plus - d.U
         # zero flow: the hard set is exactly the classically forbidden set
-        assert np.array_equal(sm.hard_qka, sm.forbidden_global)
-        assert sm.forbidden_global.any()
+        assert np.array_equal(d.hard_qka, d.forbidden_global)
+        assert d.forbidden_global.any()
         # away from turning points (stencil error in Q) and interior nodes
         # (|psi| kinks, so discrete Q dives there) the soft set matches too
-        clear = (sm.valid & (np.abs(head) > 0.05)
+        clear = (d.valid & (np.abs(head) > 0.05)
                  & (d.rho > 1e-3 * d.rho.max()))
-        assert np.array_equal(sm.soft_qka[clear], sm.forbidden_global[clear])
+        assert np.array_equal(d.soft_qka[clear], d.forbidden_global[clear])
 
     def test_two_mode_hard_near_node_time(self, well_basis):
         sp = equal_two_mode(well_basis, 0, 1)
         d = decompose(sp, PERIOD / 3.0 - 0.002 * PERIOD)
-        sm = classify_superoscillation(d)
-        assert sm.hard_qka.any()
-        assert not sm.forbidden_global.any()
-        assert mask_area(d.grid, sm.soft_qka) > 0.0
+        assert d.hard_qka.any()
+        assert not d.forbidden_global.any()
+        assert mask_area(d.grid, d.soft_qka) > 0.0
 
     def test_forbidden_subsets(self, ho_basis):
         for t in (0.0, 0.013, 0.05):
             sp = superposition(ho_basis, [0, 3], [0.6, 0.8])
             d = decompose(sp, t)
-            sm = classify_superoscillation(d)
-            assert not (sm.forbidden_global & ~sm.hard_qka).any()
-            assert not (sm.forbidden_local & ~sm.soft_qka).any()
+            assert not (d.forbidden_global & ~d.hard_qka).any()
+            assert not (d.forbidden_local & ~d.soft_qka).any()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -335,9 +331,8 @@ class TestClassification:
         b = math.sqrt(1.0 - a * a)
         sp = superposition(ho_small, [0, 2], [a, b * np.exp(1j * phase)])
         d = decompose(sp, t)
-        sm = classify_superoscillation(d)
-        assert not (sm.forbidden_global & ~sm.hard_qka).any()
-        assert not (sm.forbidden_local & ~sm.soft_qka).any()
+        assert not (d.forbidden_global & ~d.hard_qka).any()
+        assert not (d.forbidden_local & ~d.soft_qka).any()
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: near a turning point the O(h^2) Hamilton-Jacobi "
@@ -348,9 +343,9 @@ class TestClassification:
         # replayed on every machine
         a, phase, t = 0.1764174303279145, 0.7578125, 0.5032186479225094
         sp = superposition(ho_small, [0, 2], [a, math.sqrt(1.0 - a * a) * np.exp(1j * phase)])
-        sm = classify_superoscillation(decompose(sp, t))
-        assert not (sm.forbidden_global & ~sm.hard_qka).any()
-        assert not (sm.forbidden_local & ~sm.soft_qka).any()
+        d = decompose(sp, t)
+        assert not (d.forbidden_global & ~d.hard_qka).any()
+        assert not (d.forbidden_local & ~d.soft_qka).any()
 
 
 class TestExports:
@@ -365,13 +360,12 @@ class TestExports:
 
     def test_masks_csv(self, well_basis, two_mode, tmp_path):
         d = decompose(two_mode, PERIOD / 3.0 - 0.002 * PERIOD)
-        sm = classify_superoscillation(d)
         p = tmp_path / "masks.csv"
-        masks_to_csv(sm, str(p))
+        masks_to_csv(d, str(p))
         rows = p.read_text().strip().splitlines()
         assert rows[0].split(",")[1] == "soft_qka"
         flagged = sum(int(r.split(",")[2]) for r in rows[1:])
-        assert flagged == int(sm.hard_qka.sum())
+        assert flagged == int(d.hard_qka.sum())
 
     def test_tables_match_row_loop_writer(self, two_mode, vortex_state, tmp_path):
         # the csv.writer row loops the column writer replaced, LF-terminated
@@ -383,7 +377,6 @@ class TestExports:
                     w.writerow([f"{c[i]:.17g}" for c in cols] + [int(f[i]) for f in flags])
 
         for d in (decompose(two_mode, 0.1 * PERIOD), decompose(vortex_state, 0.0)):
-            sm = classify_superoscillation(d)
             if d.grid.ndim == 1:
                 coords = ["x"], [d.grid.x]
             else:
@@ -396,17 +389,16 @@ class TestExports:
                      coords[1] + [getattr(d, n).ravel() for n in fields],
                      [d.valid.ravel()])
             row_loop(tmp_path / "m_ref.csv", coords[0] + flags + ["valid"], coords[1],
-                     [getattr(sm, n).ravel() for n in flags + ["valid"]])
+                     [getattr(d, n).ravel() for n in flags + ["valid"]])
             decomposition_to_csv(d, str(tmp_path / "d.csv"))
-            masks_to_csv(sm, str(tmp_path / "m.csv"))
+            masks_to_csv(d, str(tmp_path / "m.csv"))
             for name in ("d", "m"):
                 want = (tmp_path / f"{name}_ref.csv").read_bytes()
                 assert (tmp_path / f"{name}.csv").read_bytes() == want
 
     def test_mask_area_2d(self, vortex_state):
         d = decompose(vortex_state, 0.0)
-        sm = classify_superoscillation(d)
-        a = mask_area(d.grid, sm.valid)
+        a = mask_area(d.grid, d.valid)
         assert 0.0 < a < 1.0
 
 

@@ -3,9 +3,10 @@
 The drawing code as it stood before the single points writer, band writer
 and input table is kept below verbatim as a frozen oracle (its entry point
 renamed ``oracle_render_run``; its end bands since clipped to the time
-axis, as the renderer's are).  Every figure kind in both shadings must
-give the same SVG text, or the same exception type and message, on runs
-whose frames advance and on the 2D run.  Only the streamlines figure of a
+axis, as the renderer's are, and its refusal of a run without the frame
+archive worded as the renderer's is).  Every figure kind in both shadings
+must give the same SVG text, or the same exception type and message, on
+runs whose frames advance and on the 2D run.  Only the streamlines figure of a
 run whose frames do not advance may differ; it is checked on its own.
 """
 
@@ -131,7 +132,7 @@ def _frame_table(run_dir, manifest, keys) -> dict:
     name = manifest["files"].get("frame_table")
     if name is None:
         raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
-                         "scenario (with write_fields = true) to write one")
+                         "scenario to write one")
     return read_frame_table(os.path.join(run_dir, name), keys)
 
 
@@ -277,8 +278,9 @@ def oracle_render_run(run_dir, spec: RenderSpec, out_path) -> str:
 
 # ----------------------------------------------------------------- tests
 
-# (name, config overrides): runs whose frames advance, the 2D run and a run
-# without the frame archive
+# (name, config overrides): runs whose frames advance, the 2D run and, last,
+# a bundle written before the frame archive existed (a run with frames.npz
+# and its manifest entry taken out)
 RUNS = (
     ("well_superposition", {"frames": 16}),
     ("reflection_pulse", {"frames": 8}),
@@ -287,8 +289,9 @@ RUNS = (
     ("well_barrier_superposition", {}),
     ("mzi_1d", {"barrier_height": 2437.5, "frames": 4, "streamlines": 3}),
     ("vortex_2d", {}),
-    ("well_superposition", {"frames": 2, "streamlines": 2, "write_fields": False}),
+    ("well_superposition", {"frames": 2, "streamlines": 2}),
 )
+WITHOUT_TABLE = len(RUNS) - 1
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +301,10 @@ def runs(tmp_path_factory):
     for i, (name, kw) in enumerate(RUNS):
         out[i] = root / f"{i}_{name}"
         run_scenario(default_config(name, **kw), out[i])
+    manifest = _load_manifest(out[WITHOUT_TABLE])
+    os.remove(os.path.join(out[WITHOUT_TABLE], manifest["files"].pop("frame_table")))
+    with open(os.path.join(out[WITHOUT_TABLE], "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
     return out
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from madelung import scenarios as sc
 from madelung.energy import (
-    classify_superoscillation,
     continuity_residual,
     decompose,
     frame_ledger,
@@ -93,10 +92,8 @@ class TestConfig:
             sc.default_config("well_superposition", frames=0)
         with pytest.raises(ValueError, match="bad int for grid_n: '5.5'"):
             sc.config_from_text("name = well_superposition\ngrid_n = 5.5\n")
-        with pytest.raises(ValueError, match="bad bool for write_fields: 'maybe'"):
-            sc.config_from_text("name = well_superposition\nwrite_fields = maybe\n")
         # only a field declared `| None` takes none
-        for key, kind in (("grid_n", "int"), ("eta", "float"), ("write_fields", "bool")):
+        for key, kind in (("grid_n", "int"), ("eta", "float")):
             with pytest.raises(ValueError, match=f"bad {kind} for {key}: 'none'"):
                 sc.config_from_text(f"name = well_superposition\n{key} = none\n")
 
@@ -125,10 +122,19 @@ class TestConfig:
                "write_fields = true\n")
         c = sc.config_from_text(old)
         assert c == sc.default_config("mzi_1d", frames=2, streamlines=1)
-        assert sc.config_to_text(c) == old.replace("wide_barrier = false\n", "")
+        assert sc.config_to_text(c) == (old.replace("wide_barrier = false\n", "")
+                                        .replace("write_fields = true\n", ""))
+        # each retired key keeps the one value every run now has, and any
+        # other value is refused by name
+        for line, refused in (("wide_barrier = false", ("true", "no")),
+                              ("write_fields = true", ("false", "maybe"))):
+            key = line.split(" = ")[0]
+            for value in refused:
+                with pytest.raises(ValueError, match=f"^{key} is gone: "):
+                    sc.config_from_text(old.replace(line, f"{key} = {value}"))
+            assert not hasattr(c, key)
         with pytest.raises(ValueError, match="set barrier_width = 0.08"):
             sc.config_from_text(old.replace("wide_barrier = false", "wide_barrier = true"))
-        assert not hasattr(c, "wide_barrier")
 
 
 class TestTransmission:
@@ -346,17 +352,6 @@ class TestRunBundle:
                                                   barrier_height=2437.5), tmp_path / "f")
         assert "tuning" not in fixed["derived"]["diagnostics"]
 
-    def test_vortex_record_is_the_same_without_fields(self, tmp_path):
-        # with fields the record averages frame 0 of the frame ledger,
-        # without them a t = 0 ledger of its own: the same bits
-        full = sc.run_scenario(sc.default_config("vortex_2d"), tmp_path / "a")
-        bare = sc.run_scenario(sc.default_config("vortex_2d", write_fields=False),
-                               tmp_path / "b")
-        assert "frame_table" not in bare["files"]
-        assert bare["derived"]["vortex"] == full["derived"]["vortex"]
-        assert ((tmp_path / "a" / "vortex_profile.csv").read_bytes()
-                == (tmp_path / "b" / "vortex_profile.csv").read_bytes())
-
 
 LEDGER_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",
                "q", "k_a", "k_s", "q_r", "k_c", "e_p", "u", "rho")
@@ -438,7 +433,6 @@ class TestFrameTable:
             assert m["files"]["frames"][i] == {"index": i, "t": float(t),
                                                "state": b.labels[si]}
             d = decompose(b.states[si], float(t))
-            mk = classify_superoscillation(d)
             assert table["E_plus"][i] == d.E_plus
             for col in LEDGER_COLS:
                 want = getattr(d, col)
@@ -446,9 +440,8 @@ class TestFrameTable:
                 assert _bits(table[col][i]) == _bits(want), (i, col)
             for col in MASK_COLS:
                 assert table[col].dtype == bool, col
-                assert _bits(table[col][i]) == _bits(getattr(mk, col)), (i, col)
+                assert _bits(table[col][i]) == _bits(getattr(d, col)), (i, col)
             assert _bits(table["valid"][i]) == _bits(d.valid)
-            assert _bits(table["valid"][i]) == _bits(mk.valid)
 
     @pytest.mark.parametrize("name", sc.SCENARIOS)
     def test_archive_reads_back_the_full_layout(self, tmp_path, name):
@@ -502,13 +495,6 @@ class TestFrameTable:
         assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
         assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
 
-    def test_no_table_without_fields(self, tmp_path):
-        c = sc.default_config("well_superposition", frames=2, streamlines=2,
-                              write_fields=False)
-        m = sc.run_scenario(c, tmp_path / "r")
-        assert "frame_table" not in m["files"] and m["files"]["frames"] == []
-        assert not (tmp_path / "r" / "frames.npz").exists()
-
 
 class TestPhysicsAcrossScenarios:
     def test_quarter_period_density_symmetric(self, bundles):
@@ -523,8 +509,7 @@ class TestPhysicsAcrossScenarios:
         s = b.states[0]
         g = s.grid
         d = decompose(s, b.period / 4.0)
-        masks = classify_superoscillation(d)
-        idx = np.where(masks.soft_qka)[0]
+        idx = np.where(d.soft_qka)[0]
         runs = np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
         central = [r for r in runs if g.x[r[0]] < 0.0 < g.x[r[-1]]]
         assert len(central) == 1  # one contiguous band straddles the barrier

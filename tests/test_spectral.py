@@ -63,6 +63,23 @@ class TestPotentials:
         w = snapped_barrier_width(WellWithBarrier(1.0, 15.0, 0.0013), g)
         assert w == pytest.approx(0.002, abs=1e-12)
 
+    @pytest.mark.parametrize("width", [-0.02, 0.0])
+    def test_barrier_width_not_positive_refused(self, width):
+        # on the stock mzi_1d grid, -0.02 sampled no barrier at all while
+        # snapped_barrier_width reported -0.02
+        with pytest.raises(ValueError, match=f"barrier width {width!r} must lie in"):
+            WellWithBarrier(2.0, 2437.5, width)
+
+    @pytest.mark.parametrize("width", [4.0, 5.0])
+    def test_barrier_as_wide_as_the_well_refused(self, width):
+        # on the stock mzi_1d grid, 5.0 wrapped its first index and set only
+        # the points 1751-2000 at the right edge
+        with pytest.raises(ValueError, match=f"barrier width {width!r} must lie in"):
+            WellWithBarrier(2.0, 2437.5, width)
+        # just narrower than the well it covers all but a few points at each wall
+        u = sample_potential(WellWithBarrier(2.0, 2437.5, 3.99), Grid1D(-2.0, 2.0, 2001))
+        assert (u[3:-3] == 2437.5).all()
+
     def test_quartic_shape(self):
         g = Grid1D(-1.25, 1.25, 501)
         u = sample_potential(QuarticDoubleWell(), g)
