@@ -46,12 +46,12 @@ def _with_overrides(c: sc.ScenarioConfig, args) -> sc.ScenarioConfig:
 
 
 def _config_from_args(args) -> sc.ScenarioConfig:
-    if getattr(args, "config", None):
+    if args.config:
         c = sc.load_config(args.config)
-        if getattr(args, "name", None) and args.name != c.name:
+        if args.name and args.name != c.name:
             raise ValueError(f"--name {args.name} conflicts with config name {c.name}")
     else:
-        if not getattr(args, "name", None):
+        if not args.name:
             raise ValueError("need --name or --config")
         c = sc.default_config(args.name)
     return _with_overrides(c, args)
@@ -61,9 +61,26 @@ def _say(path):
     print(f"wrote {path}")
 
 
-def _cmd_eigen(args) -> int:
+def _build(args, needs: str | None = None):
+    """The scenario the flags give, built (it must be `needs`, when
+    given); --out is made only once the build succeeds."""
     c = _config_from_args(args)
+    if needs and c.name != needs:
+        raise ValueError(f"{args.command} analysis needs the {needs} scenario")
     b = sc.build_scenario(c)
+    os.makedirs(args.out, exist_ok=True)
+    return b
+
+
+def _write(args, name: str, write):
+    """Write the file name under --out with write(path) and say so."""
+    path = os.path.join(args.out, name)
+    write(path)
+    _say(path)
+
+
+def _cmd_eigen(args) -> int:
+    b = sc.build_scenario(_config_from_args(args))
     if b.basis.grid.ndim != 1:
         raise ValueError("eigen export covers 1D scenarios")
     save_basis(b.basis, args.out)
@@ -75,49 +92,33 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    c = _config_from_args(args)
-    b = sc.build_scenario(c)
-    os.makedirs(args.out, exist_ok=True)
+    b = _build(args)
     for j, (t, si) in enumerate(zip(b.frame_times, b.frame_states)):
-        path = os.path.join(args.out, f"psi_{j:04d}.csv")
-        field_to_csv(b.basis.grid, evaluate(b.states[si], float(t)), path)
-        _say(path)
+        psi = evaluate(b.states[si], float(t))
+        _write(args, f"psi_{j:04d}.csv", lambda p: field_to_csv(b.basis.grid, psi, p))
     return 0
 
 
 def _cmd_fields(args) -> int:
-    c = _config_from_args(args)
-    b = sc.build_scenario(c)
-    os.makedirs(args.out, exist_ok=True)
+    b = _build(args)
     d = decompose(b.states[0], args.t)
-    p1 = os.path.join(args.out, "decomposition.csv")
-    decomposition_to_csv(d, p1)
-    _say(p1)
-    p2 = os.path.join(args.out, "masks.csv")
-    masks_to_csv(d, p2)
-    _say(p2)
+    _write(args, "decomposition.csv", lambda p: decomposition_to_csv(d, p))
+    _write(args, "masks.csv", lambda p: masks_to_csv(d, p))
     return 0
 
 
 def _cmd_streamlines(args) -> int:
-    c = _config_from_args(args)
-    b = sc.build_scenario(c)
-    os.makedirs(args.out, exist_ok=True)
-    lines = streamline_bundle(b.states[0], c.streamlines, b.span, t_eval=sc.streamline_times(b))
-    path = os.path.join(args.out, "streamlines.csv")
-    streamlines_to_csv(lines, path)
-    _say(path)
+    b = _build(args)
+    lines = streamline_bundle(b.states[0], b.config.streamlines, b.span,
+                              t_eval=sc.streamline_times(b))
+    _write(args, "streamlines.csv", lambda p: streamlines_to_csv(lines, p))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    c = _config_from_args(args)
-    b = sc.build_scenario(c)
-    os.makedirs(args.out, exist_ok=True)
+    b = _build(args)
     d = decompose(b.states[0], args.t)
-    path = os.path.join(args.out, "masks.csv")
-    masks_to_csv(d, path)
-    _say(path)
+    _write(args, "masks.csv", lambda p: masks_to_csv(d, p))
     print(f"area soft_qka = {mask_area(d.grid, d.soft_qka):.6g}  "
           f"soft_qrkc = {mask_area(d.grid, d.soft_qrkc):.6g}  "
           f"hard_qka = {mask_area(d.grid, d.hard_qka):.6g}  "
@@ -126,18 +127,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_vortex(args) -> int:
-    if args.name or args.config:
-        c = _config_from_args(args)
-    else:
-        c = _with_overrides(sc.default_config("vortex_2d"), args)
-    if c.name != "vortex_2d":
-        raise ValueError("vortex analysis needs the vortex_2d scenario")
-    b = sc.build_scenario(c)
-    os.makedirs(args.out, exist_ok=True)
+    b = _build(args, needs="vortex_2d")
     prof, v = sc.vortex_record(b.states[0], decompose(b.states[0], 0.0))
-    path = os.path.join(args.out, "vortex_profile.csv")
-    vortex_profile_to_csv(prof, path)
-    _say(path)
+    _write(args, "vortex_profile.csv", lambda p: vortex_profile_to_csv(prof, p))
     print(f"fit_exponent = {v['fit_exponent']:.4f}  fit_Z = {v['fit_Z']:.4f}  "
           f"circulation = {v['circulation_along_swirl']:.6f}")
     return 0
@@ -149,93 +141,74 @@ def _cmd_tune(args) -> int:
           f"probes = {len(r.history)}  bisections = {r.iterations}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "tuning.json")
-        write_json(path, sc.tuning_record(r))
-        _say(path)
+        _write(args, "tuning.json", lambda p: write_json(p, sc.tuning_record(r)))
     return 0
 
 
 def _cmd_scenario(args) -> int:
-    c = _config_from_args(args)
-    manifest = sc.run_scenario(c, args.out)
+    manifest = sc.run_scenario(_config_from_args(args), args.out)
     _say(os.path.join(args.out, "manifest.json"))
     for key in ("frame_table", "streamlines", "loops", "nodes", "vortex_profile"):
         if key in manifest["files"]:
             _say(os.path.join(args.out, manifest["files"][key]))
-    for fig in rd.default_figures(args.out, shading=args.shading or "qka"):
+    for fig in rd.default_figures(args.out, shading=args.shading):
         _say(fig)
     return 0
 
 
 def _cmd_render(args) -> int:
-    spec = rd.RenderSpec(kind=args.kind, shading=args.shading or "qka")
+    spec = rd.RenderSpec(kind=args.kind, shading=args.shading)
     out = args.out or os.path.join(args.run, f"{args.kind}_{spec.shading}.svg")
     rd.render_run(args.run, spec, out)
     _say(out)
     return 0
 
 
-def _add_common(p, t_flag=False):
-    p.add_argument("--name", help="scenario name")
-    p.add_argument("--config", help="key = value config file")
-    for k in _OVERRIDES:
-        p.add_argument("--" + k.replace("_", "-"), dest=k, type=sc.FIELD_TYPES[k])
-    if t_flag:
-        p.add_argument("--t", type=float, default=0.0, help="evaluation time")
+def _scenario_flags(name=None) -> tuple:
+    """The flags that pick a scenario config: --name (defaulting to name),
+    --config and one flag per override."""
+    return (("--name", dict(default=name, help="scenario name")),
+            ("--config", dict(help="key = value config file")),
+            *(("--" + k.replace("_", "-"), dict(type=sc.FIELD_TYPES[k])) for k in _OVERRIDES))
+
+
+_T = ("--t", dict(type=float, default=0.0, help="evaluation time"))
+_OUT = ("--out", dict(required=True))
+_SHADING = ("--shading", dict(choices=rd.SHADINGS, default="qka"))
+
+# one row per subcommand: its handler, its help line and its flags in order,
+# each flag an add_argument call
+_COMMANDS = {
+    "eigen": (_cmd_eigen, "solve and export an eigenbasis", (*_scenario_flags(), _OUT)),
+    "evolve": (_cmd_evolve, "wavefunction frames over the scenario span",
+               (*_scenario_flags(), _OUT)),
+    "fields": (_cmd_fields, "energy ledger and masks at one time",
+               (*_scenario_flags(), _T, _OUT)),
+    "streamlines": (_cmd_streamlines, "fluid streamlines over the scenario span",
+                    (*_scenario_flags(), _OUT)),
+    "classify": (_cmd_classify, "superoscillation masks and areas at one time",
+                 (*_scenario_flags(), _T, _OUT)),
+    "vortex": (_cmd_vortex, "vortex profile and circulation",
+               (*_scenario_flags("vortex_2d"), _OUT)),
+    "tune": (_cmd_tune, "tune the mzi_1d splitter barrier height to 50/50",
+             (("--tol", dict(type=sc.FIELD_TYPES["tol"])), ("--out", {}))),
+    "scenario": (_cmd_scenario, "full deterministic run bundle plus figures",
+                 (*_scenario_flags(), _OUT, _SHADING)),
+    "render": (_cmd_render, "draw one SVG figure from a run directory",
+               (("--run", dict(required=True, help="completed run directory")),
+                ("--kind", dict(required=True, choices=rd.RENDER_KINDS)),
+                _SHADING, ("--out", {}))),
+}
 
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="madelung", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eigen", help="solve and export an eigenbasis")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_eigen)
-
-    p = sub.add_parser("evolve", help="wavefunction frames over the scenario span")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_evolve)
-
-    p = sub.add_parser("fields", help="energy ledger and masks at one time")
-    _add_common(p, t_flag=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_fields)
-
-    p = sub.add_parser("streamlines", help="fluid streamlines over the scenario span")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_streamlines)
-
-    p = sub.add_parser("classify", help="superoscillation masks and areas at one time")
-    _add_common(p, t_flag=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("vortex", help="vortex profile and circulation")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_vortex)
-
-    p = sub.add_parser("tune", help="tune the mzi_1d splitter barrier height to 50/50")
-    p.add_argument("--tol", type=sc.FIELD_TYPES["tol"])
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_tune)
-
-    p = sub.add_parser("scenario", help="full deterministic run bundle plus figures")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--shading", choices=rd.SHADINGS)
-    p.set_defaults(fn=_cmd_scenario)
-
-    p = sub.add_parser("render", help="draw one SVG figure from a run directory")
-    p.add_argument("--run", required=True, help="completed run directory")
-    p.add_argument("--kind", required=True, choices=rd.RENDER_KINDS)
-    p.add_argument("--shading", choices=rd.SHADINGS)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_render)
-
+    for command, (fn, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 

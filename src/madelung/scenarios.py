@@ -390,22 +390,12 @@ def _barrier_well(c: ScenarioConfig) -> WellWithBarrier:
     return WellWithBarrier(WELL_HALF_WIDTH, *_required(c, "barrier_height", "barrier_width"))
 
 
-def _fixed_frames(c: ScenarioConfig, n: int):
-    """Refuse a frames setting other than n, the count the scenario always
-    builds, so the config a run records is the one it ran."""
-    if c.frames != n:
-        raise ValueError(f"{c.name} always builds {n} frame(s); the config "
-                         f"sets frames = {c.frames}")
-
-
 def _standing(half_span: float, potential, eigenstates: bool = False):
     """Builder of a standing-wave scenario on [-half_span, half_span]: the
     two lowest modes of potential(config), either as two stationary states
     or as their equal superposition sampled over one beat period."""
 
     def build(c: ScenarioConfig) -> ScenarioBundle:
-        if eigenstates:
-            _fixed_frames(c, 2)
         grid = Grid1D(-half_span, half_span, c.grid_n)
         basis = eigenbasis(potential(c), grid, c.modes)
         period = 2.0 * math.pi / (basis.energies[1] - basis.energies[0])
@@ -478,7 +468,6 @@ def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:
 
 
 def _build_vortex(c: ScenarioConfig) -> ScenarioBundle:
-    _fixed_frames(c, 1)
     axis = Grid1D(0.0, 1.0, c.grid_n)
     basis = product_basis_2d(list(VORTEX_PAIRS), Grid2D(axis, axis))
     state = superposition(basis, [0, 1], np.array([1.0, 1.0j]) / math.sqrt(2.0))
@@ -486,48 +475,65 @@ def _build_vortex(c: ScenarioConfig) -> ScenarioBundle:
                           (0.0, 0.05), None, None, {})
 
 
-# name -> (builder, stock config values); a scenario is one row
+# name -> (builder, stock config values, fixed settings); a scenario is one
+# row.  A scenario reads grid_n, modes, frames, streamlines and its stock
+# settings; a fixed setting is one it always builds at its stock value.
 SCENARIO_TABLE = {
     "well_superposition": (
         _standing(WELL_HALF_WIDTH, lambda c: InfiniteWell(WELL_HALF_WIDTH)),
-        dict(grid_n=2001, modes=4)),
+        dict(grid_n=2001, modes=4), ()),
     "well_barrier_superposition": (
         _build_barrier_superposition,
-        dict(grid_n=2001, modes=6, barrier_height=15.0, barrier_width=0.2)),
+        dict(grid_n=2001, modes=6, barrier_height=15.0, barrier_width=0.2), ()),
     "ho_eigenstates": (
         _standing(HO_HALF_SPAN, lambda c: Harmonic(OMEGA), eigenstates=True),
-        dict(grid_n=2001, modes=4, frames=2)),
+        dict(grid_n=2001, modes=4, frames=2), ("frames",)),
     "ho_superposition": (
         _standing(HO_HALF_SPAN, lambda c: Harmonic(OMEGA)),
-        dict(grid_n=2001, modes=4)),
+        dict(grid_n=2001, modes=4), ()),
     "quartic_eigenstates": (
         _standing(QUARTIC_HALF_SPAN, lambda c: QuarticDoubleWell(), eigenstates=True),
-        dict(grid_n=2001, modes=6, frames=2)),
+        dict(grid_n=2001, modes=6, frames=2), ("frames",)),
     "quartic_superposition": (
         _standing(QUARTIC_HALF_SPAN, lambda c: QuarticDoubleWell()),
-        dict(grid_n=2001, modes=6)),
+        dict(grid_n=2001, modes=6), ()),
     "reflection_pulse": (
         _build_reflection,
-        dict(grid_n=2001, modes=40, packet_center=0.0, packet_momentum=25.0,
-             packet_width=0.08, band_cap=18)),
+        dict(grid_n=2001, modes=40, eta=1e-3, packet_center=0.0, packet_momentum=25.0,
+             packet_width=0.08, band_cap=18), ()),
     "mzi_1d": (
         _build_mzi,
-        dict(grid_n=2001, modes=140, packet_center=-1.0, packet_momentum=60.0,
-             packet_width=0.23, band_cap=89,
+        dict(grid_n=2001, modes=140, eta=1e-3, tol=0.01, packet_center=-1.0,
+             packet_momentum=60.0, packet_width=0.23, band_cap=89,
+             barrier_height=None,  # none: tune it
              # one fiftieth of the unit length; the paper's alternate
              # reading, one fiftieth of the full well width, is 0.08
-             barrier_width=0.02)),
+             barrier_width=0.02), ()),
     "vortex_2d": (
         _build_vortex,
-        dict(grid_n=161, modes=2, frames=1, streamlines=4)),
+        dict(grid_n=161, modes=2, frames=1, streamlines=4), ("frames", "modes")),
 }
 SCENARIOS = tuple(SCENARIO_TABLE)
+_READ_BY_ALL = {"name", "grid_n", "modes", "frames", "streamlines"}
 
 
 def build_scenario(c: ScenarioConfig) -> ScenarioBundle:
     """Construct the basis and state(s) for a config, tuning the splitter
-    height when an mzi_1d config leaves it open."""
-    return SCENARIO_TABLE[c.name][0](c)
+    height when an mzi_1d config leaves it open.  A fixed setting at another
+    value, or a setting the scenario does not read away from its
+    ScenarioConfig default, is refused first, so the config a run records
+    is the one it ran."""
+    builder, stock, fixed = SCENARIO_TABLE[c.name]
+    for f in fixed:
+        if getattr(c, f) != stock[f]:
+            raise ValueError(f"{c.name} always builds {stock[f]} {f[:-1]}(s); the config "
+                             f"sets {f} = {getattr(c, f)}")
+    unread = [f.name for f in dataclasses.fields(c)
+              if f.name not in _READ_BY_ALL | set(stock) and getattr(c, f.name) != f.default]
+    if unread:
+        raise ValueError(f"{c.name} does not read {', '.join(unread)}; the config sets "
+                         + ", ".join(f"{k} = {getattr(c, k)!r}" for k in unread))
+    return builder(c)
 
 
 # -------------------------------------------------------------- run bundle

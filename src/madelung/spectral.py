@@ -10,7 +10,6 @@ and validated when read.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -79,10 +78,15 @@ class Tabulated:
 
 def _barrier_span(potential: WellWithBarrier, grid: Grid1D) -> tuple:
     """First and last grid index of the barrier, its edges snapped to grid
-    points."""
+    points.  A barrier both of whose edges snap to one point is refused:
+    its snapped width would read 0."""
     half = 0.5 * potential.barrier_width
-    return (int(round((-half - grid.x_min) / grid.h)),
-            int(round((half - grid.x_min) / grid.h)))
+    i_lo = int(round((-half - grid.x_min) / grid.h))
+    i_hi = int(round((half - grid.x_min) / grid.h))
+    if i_lo == i_hi:
+        raise ValueError(f"barrier width {potential.barrier_width!r} covers one grid "
+                         f"point at h = {grid.h!r}; widen it or refine the grid")
+    return i_lo, i_hi
 
 
 def sample_potential(potential, grid: Grid1D) -> np.ndarray:
@@ -160,20 +164,6 @@ class EigenBasis:
         """Index of the first pair held: a basis solved over an index
         window holds pairs first..first+k-1, every other basis from 0."""
         return self.meta.get("first", 0)
-
-    @functools.cached_property
-    def _sines(self):
-        """The _SineModes of the hard well and the 2D box over all k modes,
-        built at the first off-grid evaluation; None for other bases."""
-        method = self.meta.get("method")
-        if method == "analytic_box2d":
-            numbers = np.array(self.meta["pairs"]).T
-        elif method == "analytic_well":
-            numbers = np.arange(1, self.k + 1)[None]
-        else:
-            return None
-        axes = self.grid.axes
-        return _SineModes(numbers, [g.x_min for g in axes], [g.x_max - g.x_min for g in axes])
 
     def validate(self, strict_ascending: bool = True):
         shape = (self.k,) + self.grid.shape
@@ -337,23 +327,16 @@ class _SineModes:
     """Hard-wall modes sqrt(2/w) sin(n pi (x - lo) / w) and their
     x-derivatives along D axes, for the (D, k) mode numbers n.  The
     per-mode constants n pi, sqrt(2/w) and sqrt(2/w) n pi / w are computed
-    once; take picks out the modes of one ModeTables."""
+    once, when it is built."""
 
     def __init__(self, numbers, lo, width):
-        npi = np.asarray(numbers)[:, :, None] * math.pi  # (D, k, 1)
+        npi = np.ascontiguousarray(numbers)[:, :, None] * math.pi  # (D, k, 1)
         D = len(npi)
         self.lo = np.reshape(lo, (D, 1, 1)).astype(float)
         self.width = np.reshape(width, (D, 1, 1)).astype(float)
         self.npi = npi
         amp = np.sqrt(2.0 / self.width)
         self.scale = np.stack([np.broadcast_to(amp, npi.shape), amp * (npi / self.width)])
-
-    def take(self, idx) -> "_SineModes":
-        """The modes idx alone, their constants copied out once."""
-        sel = object.__new__(_SineModes)
-        sel.lo, sel.width = self.lo, self.width
-        sel.npi, sel.scale = self.npi.take(idx, axis=1), self.scale.take(idx, axis=2)
-        return sel
 
     def __call__(self, pts):
         """Every mode at the points pts, a (D, *shape) array with one row
@@ -434,15 +417,23 @@ class ModeTables:
     """Modes idx of a basis at arbitrary points: closed forms for the hard
     well, the harmonic oscillator and the 2D box, cubic interpolation of
     the sampled modes otherwise.  Built once for repeated calls: the sine
-    bases' constants of the selected modes are taken here, and nothing
+    bases' constants of the selected modes are computed here, and nothing
     grid-sized is copied."""
 
     def __init__(self, basis: EigenBasis, idx):
         self.basis = basis
         self.idx = np.asarray(idx, dtype=int)
         self.method = basis.meta.get("method")
-        sines = basis._sines
-        self.sines = None if sines is None else sines.take(self.idx)
+        self.sines = None
+        if self.method == "analytic_well":
+            numbers = (self.idx + 1)[None]
+        elif self.method == "analytic_box2d":
+            numbers = np.array(basis.meta["pairs"])[self.idx].T
+        else:
+            return
+        axes = basis.grid.axes
+        self.sines = _SineModes(numbers, [g.x_min for g in axes],
+                                [g.x_max - g.x_min for g in axes])
 
     def __call__(self, *coords, out=None):
         """The tables at the points, one coordinate array per grid axis: a

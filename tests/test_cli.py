@@ -378,6 +378,32 @@ class TestTune:
         assert json.loads(err)["error"] == "usage"
 
 
+_SCENARIO_FLAGS = {"--name", "--config", "--grid-n", "--frames", "--streamlines", "--eta",
+                   "--tol", "--barrier-height", "--barrier-width", "--out"}
+# each subcommand's option strings and the required ones among them
+_SURFACE = {
+    "eigen": (_SCENARIO_FLAGS, {"--out"}),
+    "evolve": (_SCENARIO_FLAGS, {"--out"}),
+    "fields": (_SCENARIO_FLAGS | {"--t"}, {"--out"}),
+    "streamlines": (_SCENARIO_FLAGS, {"--out"}),
+    "classify": (_SCENARIO_FLAGS | {"--t"}, {"--out"}),
+    "vortex": (_SCENARIO_FLAGS, {"--out"}),
+    "tune": ({"--tol", "--out"}, set()),
+    "scenario": (_SCENARIO_FLAGS | {"--shading"}, {"--out"}),
+    "render": ({"--run", "--kind", "--shading", "--out"}, {"--run", "--kind"}),
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    surface = {}
+    for name, p in sub.choices.items():
+        flags = [(s, a.required) for a in p._actions if a.dest != "help"
+                 for s in a.option_strings]
+        surface[name] = ({s for s, _ in flags}, {s for s, req in flags if req})
+    assert surface == _SURFACE
+
+
 class TestErrors:
     def test_unknown_scenario_is_json(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["scenario", "--name", "nope",
@@ -430,6 +456,17 @@ class TestErrors:
         assert code == 1
         doc = json.loads(err)
         assert doc["error"] == "ValueError" and "packet_width" in doc["message"]
+
+    def test_unread_setting_is_json_and_writes_nothing(self, capsys, tmp_path):
+        # well_superposition has no barrier: the flag would be recorded but
+        # never run, so it is refused before --out is made
+        out = tmp_path / "d"
+        code, stdout, err = _run(capsys, ["fields", "--name", "well_superposition",
+                                          "--barrier-height", "15", "--out", str(out)])
+        assert code == 1 and stdout == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "barrier_height" in doc["message"]
+        assert not out.exists()
 
     def test_missing_name_and_config(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["fields", "--out", str(tmp_path)])

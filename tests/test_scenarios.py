@@ -112,6 +112,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"always builds {built} frame.*frames = {asked}"):
             sc.build_scenario(sc.default_config(name, frames=asked))
 
+    @pytest.mark.parametrize("name, settings", [
+        ("well_superposition", dict(barrier_height=15.0, barrier_width=0.3)),
+        ("ho_superposition", dict(eta=2e-3, tol=0.1, packet_center=0.5, band_cap=3)),
+    ], ids=["well_barrier", "ho_packet"])
+    def test_settings_a_scenario_does_not_read_refused(self, monkeypatch, name, settings):
+        # each of these built the stock basis and states bit for bit while
+        # its config.txt recorded the settings; refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved despite an unread setting")
+
+        monkeypatch.setattr(sc, "eigenbasis", no_solve)
+        for field, value in settings.items():
+            with pytest.raises(ValueError, match=f"{name} does not read {field}; "
+                                                 f"the config sets {field} = {value!r}"):
+                sc.build_scenario(sc.default_config(name, **{field: value}))
+        with pytest.raises(ValueError, match=f"{name} does not read {', '.join(settings)};"):
+            sc.build_scenario(sc.default_config(name, **settings))
+
+    def test_vortex_modes_refused(self):
+        # _build_vortex always builds its two VORTEX_PAIRS modes
+        with pytest.raises(ValueError, match="vortex_2d always builds 2 mode.*modes = 7"):
+            sc.build_scenario(sc.default_config("vortex_2d", modes=7))
+
     def test_config_written_with_the_wide_barrier_switch_loads(self):
         # a config.txt of an mzi_1d bundle written while the full-width/50
         # barrier was an on/off switch, byte for byte

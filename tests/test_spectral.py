@@ -80,6 +80,19 @@ class TestPotentials:
         u = sample_potential(WellWithBarrier(2.0, 2437.5, 3.99), Grid1D(-2.0, 2.0, 2001))
         assert (u[3:-3] == 2437.5).all()
 
+    @pytest.mark.parametrize("width", [0.0009, 0.0013, 0.002])
+    def test_barrier_on_one_grid_point_refused(self, width):
+        # on the stock mzi_1d grid (h = 0.002) these widths set only x = 0,
+        # and snapped_barrier_width read 0.0
+        g = Grid1D(-2.0, 2.0, 2001)
+        pot = WellWithBarrier(2.0, 2437.5, width)
+        for fn in (sample_potential, snapped_barrier_width):
+            with pytest.raises(ValueError, match=f"barrier width {width!r} covers one "
+                                                 f"grid point at h = {g.h!r}"):
+                fn(pot, g)
+        # the next wider barrier covers three points
+        assert (sample_potential(WellWithBarrier(2.0, 2437.5, 0.0021), g) > 0).sum() == 3
+
     def test_quartic_shape(self):
         g = Grid1D(-1.25, 1.25, 501)
         u = sample_potential(QuarticDoubleWell(), g)
