@@ -11,7 +11,7 @@ import numpy as np
 
 from .energy import EPS_NODE, EnergyDecomposition
 from .grids import Grid1D, write_columns, write_json
-from .states import Superposition, evaluate_at, evaluate_at_2d
+from .states import Superposition, _phases, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
 NODE_PAUSE_FACTOR = 10.0
@@ -97,12 +97,11 @@ def _grid_rho(s: Superposition, ts):
     stack holds at most _STACK_VALUES values: rho = |Psi|^2 on the grid, one
     grid-shaped row per time.  Every |Psi|^2 lattice of this module comes from here."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    p = s.plan
     V = s.basis.states[s.indices].reshape(s.indices.size, -1)  # real modes
     chunk = max(1, _STACK_VALUES // (2 * V.shape[1]))
     for k in range(0, ts.size, chunk):
         tc = ts[k:k + chunk]
-        w = p.coeffs * np.exp(-1j * np.multiply.outer(tc, p.energies))
+        w = s.coeffs * _phases(s, tc)
         # Re and Im stacked into one real matmul: on NumPy 2.4 a complex
         # product with the real modes runs 100x slower at one to four rows
         parts = np.concatenate([w.real, w.imag]) @ V
@@ -696,20 +695,27 @@ def find_nodes(s: Superposition, t_window, nt: int = 257,
 CIRCULATION_SAMPLES = 720
 
 
+def _circle_in_box(g2, center, radius: float):
+    """center as floats, once the circle is known to lie inside the 2D
+    box: past its walls the sine modes continue into image vortices."""
+    if g2.ndim != 2:
+        raise ValueError("vortex circles are 2D")
+    gx, gy = g2.axes
+    cx, cy = float(center[0]), float(center[1])
+    wall = min(cx - gx.x_min, gx.x_max - cx, cy - gy.x_min, gy.x_max - cy)
+    if not 0 < radius <= wall:
+        raise ValueError(f"radius {radius!r} must lie in (0, {wall!r}], inside the domain boundary")
+    return cx, cy
+
+
 def vortex_profile(d: EnergyDecomposition, center, r_max: float,
                    n_bins: int) -> VortexProfile:
     """Angular averages of the 2D ledger d's Q, K_a and |v_a| on radial bins
     in [2h, r_max] around a vortex core, with a least-squares power-law fit
     of K_a."""
     g2 = d.grid
-    if g2.ndim != 2:
-        raise ValueError("vortex profiles are 2D")
-    gx, gy = g2.grid_x, g2.grid_y
-    cx, cy = float(center[0]), float(center[1])
-    wall = min(cx - gx.x_min, gx.x_max - cx, cy - gy.x_min, gy.x_max - cy)
-    if r_max > wall:
-        raise ValueError("profile radius reaches past the domain boundary")
-    h = max(gx.h, gy.h)
+    cx, cy = _circle_in_box(g2, center, r_max)
+    h = max(g.h for g in g2.axes)
     if n_bins < 2 or r_max <= 2 * h:
         raise ValueError("profile needs r_max > 2h and at least 2 bins")
 
@@ -743,8 +749,8 @@ def circulation(s: Superposition, center, radius: float, t: float = 0.0,
                 orientation: int = 1) -> float:
     """Line integral of v_a = grad S around a circle: the summed wrapped
     phase increments along the loop at CIRCULATION_SAMPLES even angles.
-    orientation +1 is counterclockwise."""
-    cx, cy = float(center[0]), float(center[1])
+    orientation +1 is counterclockwise; the circle must lie inside the box."""
+    cx, cy = _circle_in_box(s.grid, center, radius)
     ang = orientation * np.linspace(0.0, 2 * np.pi, CIRCULATION_SAMPLES, endpoint=False)
     xs = cx + radius * np.cos(ang)
     ys = cy + radius * np.sin(ang)

@@ -76,6 +76,13 @@ class Tabulated:
                              f"grid {self.grid.shape}")
 
 
+def _check_walls(potential, grid: Grid1D):
+    """Refuse a hard-wall well whose walls +-a are not the grid's ends."""
+    a = potential.half_width
+    if abs(grid.x_min + a) > 1e-12 or abs(grid.x_max - a) > 1e-12:
+        raise ValueError("grid must span [-a, a] exactly")
+
+
 def _barrier_span(potential: WellWithBarrier, grid: Grid1D) -> tuple:
     """First and last grid index of the barrier, its edges snapped to grid
     points.  A barrier both of whose edges snap to one point is refused:
@@ -92,12 +99,12 @@ def _barrier_span(potential: WellWithBarrier, grid: Grid1D) -> tuple:
 def sample_potential(potential, grid: Grid1D) -> np.ndarray:
     """Sample U(x) on the grid; barrier edges snap to grid points."""
     x = grid.x
-    if isinstance(potential, InfiniteWell):
+    if isinstance(potential, (InfiniteWell, WellWithBarrier)):
+        _check_walls(potential, grid)
         u = np.zeros(grid.n)
-    elif isinstance(potential, WellWithBarrier):
-        u = np.zeros(grid.n)
-        i_lo, i_hi = _barrier_span(potential, grid)
-        u[i_lo : i_hi + 1] = potential.barrier_height
+        if isinstance(potential, WellWithBarrier):
+            i_lo, i_hi = _barrier_span(potential, grid)
+            u[i_lo : i_hi + 1] = potential.barrier_height
     elif isinstance(potential, Harmonic):
         u = 0.5 * potential.omega**2 * x**2
     elif isinstance(potential, QuarticDoubleWell):
@@ -115,6 +122,7 @@ def sample_potential(potential, grid: Grid1D) -> np.ndarray:
 
 def snapped_barrier_width(potential: WellWithBarrier, grid: Grid1D) -> float:
     """Actual barrier width after snapping edges to grid points."""
+    _check_walls(potential, grid)
     i_lo, i_hi = _barrier_span(potential, grid)
     return (i_hi - i_lo) * grid.h
 
@@ -188,14 +196,6 @@ class EigenBasis:
         if np.abs(off).max() > 1e-6:
             raise ValueError(f"states not orthogonal: max overlap {np.abs(off).max():.2e}")
         return self
-
-
-def _fix_sign(V: np.ndarray) -> np.ndarray:
-    # first lobe (scanning from x_min) of each mode along the last axis is
-    # positive
-    big = np.abs(V) > _SIGN_TOL * np.abs(V).max(axis=-1, keepdims=True)
-    lead = np.take_along_axis(V, np.argmax(big, axis=-1)[..., None], axis=-1)
-    return np.where(lead < 0, -V, V)
 
 
 def _apply_h(dl: np.ndarray, el: np.ndarray, W: np.ndarray, HW: np.ndarray,
@@ -313,7 +313,11 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
     full = np.zeros((k - first, grid.n))
     full[:, 1:-1] = V[:, order].T
     nrm = np.sum(trapezoid_weights(grid.n, grid.h) * full**2, axis=1)
-    states = _fix_sign(full / np.sqrt(nrm)[:, None])
+    V = full / np.sqrt(nrm)[:, None]
+    # the first lobe of each mode, scanning from x_min, is positive
+    big = np.abs(V) > _SIGN_TOL * np.abs(V).max(axis=-1, keepdims=True)
+    lead = np.take_along_axis(V, np.argmax(big, axis=-1)[..., None], axis=-1)
+    states = np.where(lead < 0, -V, V)
     basis = EigenBasis(grid, lam, states, potential,
                        {"method": "fd_tridiag", "first": first})
     basis.validate()
@@ -350,7 +354,7 @@ class _SineModes:
         return table.reshape(table.shape[:3] + pts.shape[1:])
 
 
-def _hermite_modes(omega: float, idx: np.ndarray, x, out=None):
+def _hermite_modes(omega: float, idx: np.ndarray, x, out: np.ndarray):
     """Hermite functions n = idx of U = omega^2 x^2 / 2, by the stable
     normalized recurrence, signed so the first lobe from the left is
     positive: out[0] the values, out[1] the x-derivatives, a mode axis
@@ -364,8 +368,6 @@ def _hermite_modes(omega: float, idx: np.ndarray, x, out=None):
         chain.append(
             math.sqrt(2.0 / (m + 1)) * xi * chain[m] - math.sqrt(m / (m + 1.0)) * chain[m - 1]
         )
-    if out is None:
-        out = np.empty((2, len(idx)) + xi.shape)
     for j, n in enumerate(idx):
         flip = -1.0 if n % 2 else 1.0
         lower = chain[n - 1] if n >= 1 else 0.0
@@ -393,7 +395,7 @@ def _lagrange_dweights(s: float):
     )
 
 
-def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, out=None):
+def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, out: np.ndarray):
     """Cubic interpolation of the sampled modes, gathering only the four
     stencil columns of the selected modes: out[0] the values, out[1] the
     x-derivatives, a mode axis leading."""
@@ -406,8 +408,6 @@ def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, out=None):
     c0, c1, c2, c3 = (basis.states[rows, i + off] for off in (-1, 0, 1, 2))
     w0, w1, w2, w3 = _lagrange_weights(s)
     d0, d1, d2, d3 = _lagrange_dweights(s)
-    if out is None:
-        out = np.empty((2,) + c0.shape)
     np.add(c0 * w0 + c1 * w1 + c2 * w2, c3 * w3, out=out[0])
     np.divide(c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3, g.h, out=out[1])
     return out
@@ -463,34 +463,31 @@ class ModeTables:
 # ----------------------------------------------------------- analytic bases
 
 
-def _analytic_states(potential, grid: Grid1D, modes: np.ndarray):
-    """Energies and sampled states of the hard-wall well (modes from 1) or
-    the harmonic oscillator (modes from 0): the mode tables at grid.x."""
+def _analytic_basis(potential, grid: Grid1D, k: int) -> EigenBasis:
+    """The lowest k states of the hard-wall well (modes from 1) or the
+    harmonic oscillator (modes from 0), sampled by their ModeTables."""
     if isinstance(potential, InfiniteWell):
-        a = potential.half_width
-        if abs(grid.x_min + a) > 1e-12 or abs(grid.x_max - a) > 1e-12:
-            raise ValueError("grid must span [-a, a] exactly")
-        width = 2.0 * a
-        # a copy of the values, so the derivative half of the table is
-        # freed here: holding it adds about 2 MB to the peak RSS of a
-        # 140-mode build
-        V = _SineModes([modes], grid.x_min, width)(grid.x[None])[0, 0].copy()
-        return modes**2 * math.pi**2 / (2.0 * width**2), _fix_sign(V)
-    omega = potential.omega
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    V = _hermite_modes(omega, modes, grid.x)[0].copy()  # values only, as above
+        _check_walls(potential, grid)
+        n, width = np.arange(1, k + 1), 2.0 * potential.half_width
+        energies = n**2 * math.pi**2 / (2.0 * width**2)
+        meta = {"method": "analytic_well"}
+    else:
+        omega = potential.omega
+        if omega <= 0:
+            raise ValueError("omega must be positive")
+        energies = (np.arange(k) + 0.5) * omega
+        # the off-grid Hermite modes need omega, also in a basis loaded
+        # without its potential
+        meta = {"method": "analytic_hermite", "omega": omega}
+    basis = EigenBasis(grid, energies, None, potential, meta)
+    # a copy of the values, so the derivative half of the table is freed
+    # here: holding it adds about 2 MB to the peak RSS of a 140-mode build
+    V = basis.states = ModeTables(basis, np.arange(k))(grid.x)[0].copy()
     edge = np.maximum(np.abs(V[:, 0]), np.abs(V[:, -1]))
-    if (edge >= 1e-12).any():
+    if isinstance(potential, Harmonic) and (edge >= 1e-12).any():
         j = int(np.argmax(edge >= 1e-12))
-        raise ValueError(
-            f"grid too narrow for harmonic mode {modes[j]}: edge amplitude {edge[j]:.2e}"
-        )
-    return (modes + 0.5) * omega, _fix_sign(V)
-
-
-# analytic 1D bases: basis method and first mode number
-_ANALYTIC = {InfiniteWell: ("analytic_well", 1), Harmonic: ("analytic_hermite", 0)}
+        raise ValueError(f"grid too narrow for harmonic mode {j}: edge amplitude {edge[j]:.2e}")
+    return basis
 
 
 def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None,
@@ -507,7 +504,8 @@ def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None,
     and a bad entry, or one whose grid or index range is not the one
     asked for, raises.
     """
-    if first and type(potential) in _ANALYTIC:
+    analytic = isinstance(potential, (InfiniteWell, Harmonic))
+    if first and analytic:
         raise ValueError(f"an index window (first={first}) needs a finite-difference "
                          f"basis, not {type(potential).__name__}")
     cache_dir = cache_dir or os.environ.get("MADELUNG_CACHE_DIR")
@@ -521,14 +519,8 @@ def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None,
                 raise ValueError(f"eigenbasis entry {entry} holds states {held[1]}..{held[2] - 1}"
                                  f" on {held[0]}, not {first}..{k - 1} on {grid}")
             return basis
-    if type(potential) in _ANALYTIC:
-        method, n0 = _ANALYTIC[type(potential)]
-        energies, V = _analytic_states(potential, grid, np.arange(n0, n0 + k))
-        basis = EigenBasis(grid, energies, V, potential, {"method": method})
-        if isinstance(potential, Harmonic):
-            # the off-grid Hermite modes need omega, also in a basis loaded
-            # without its potential
-            basis.meta["omega"] = potential.omega
+    if analytic:
+        basis = _analytic_basis(potential, grid, k)
     else:
         basis = solve_eigen(build_hamiltonian(potential, grid), k, grid, potential, first)
         if isinstance(potential, WellWithBarrier):

@@ -33,7 +33,9 @@ class WavepacketSpec:
 class Superposition:
     """Complex coefficients over selected eigenbasis positions (0-based).
 
-    Frozen, so the evaluation plan built at first use stays valid."""
+    Frozen, so what every evaluation reuses is built once, at first use:
+    the selected energies E and dPsi/dt weights -i E c (read-only) and the
+    ModeTables of the selected modes, which copies nothing grid-sized."""
 
     basis: EigenBasis
     coeffs: np.ndarray
@@ -56,35 +58,24 @@ class Superposition:
             raise ValueError(f"coefficients not normalized: sum |c|^2 = {nrm!r}")
 
     @functools.cached_property
-    def plan(self) -> "EvaluationPlan":
-        """The state's evaluation plan, built at its first evaluation."""
-        return EvaluationPlan(self)
-
-    @property
     def energies(self) -> np.ndarray:
-        return self.plan.energies
+        e = self.basis.energies[self.indices]
+        e.flags.writeable = False
+        return e
+
+    @functools.cached_property
+    def dt_coeffs(self) -> np.ndarray:
+        w = -1j * self.energies * self.coeffs
+        w.flags.writeable = False
+        return w
+
+    @functools.cached_property
+    def modes(self) -> ModeTables:
+        return ModeTables(self.basis, self.indices)
 
     @property
     def grid(self):
         return self.basis.grid
-
-
-class EvaluationPlan:
-    """What every evaluation of one superposition reuses, built once: the
-    selected energies E, the phase rates -i E, the weights -i E c of dPsi/dt
-    and the mode tables of the selected modes (spectral.ModeTables, which
-    takes the sine constants of the hard-well and 2D-box bases once).  It
-    holds O(K) values and no copy of a mode table; the arrays it computes
-    are read-only."""
-
-    def __init__(self, s: Superposition):
-        self.coeffs = s.coeffs
-        self.energies = s.basis.energies[s.indices]
-        self.rates = -1j * self.energies
-        self.dt_coeffs = self.rates * s.coeffs
-        for a in (self.energies, self.rates, self.dt_coeffs):
-            a.flags.writeable = False
-        self.modes = ModeTables(s.basis, s.indices)
 
 
 def superposition(basis: EigenBasis, indices, coeffs, normalize: bool = False,
@@ -101,26 +92,21 @@ def equal_two_mode(basis: EigenBasis, i: int = 0, j: int = 1) -> Superposition:
     return Superposition(basis, np.array([r, r], complex), np.array([i, j]))
 
 
-def _phases(p: EvaluationPlan, t):
+def _phases(s: Superposition, t):
     """e^{-i E t}, the mode axis last: (K,) for a scalar t, (*t.shape, K)
     for an array t."""
-    if np.ndim(t) == 0:
-        return np.exp(p.rates * t)
-    # -i (t E), not t (-i E): at t = 0 their phases differ in the sign of a zero
-    return np.exp(-1j * np.multiply(np.asarray(t, dtype=float)[..., None], p.energies))
+    return np.exp(-1j * np.multiply(np.asarray(t, dtype=float)[..., None], s.energies))
 
 
 def evaluate(s: Superposition, t: float) -> np.ndarray:
     """Psi(x, t) = sum c_n psi_n(x) e^{-i E_n t} on the basis grid, an
     array of the grid's shape."""
-    p = s.plan
-    return np.tensordot(p.coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
+    return np.tensordot(s.coeffs * _phases(s, t), s.basis.states[s.indices], axes=(0, 0))
 
 
 def time_derivative(s: Superposition, t: float) -> np.ndarray:
     """dPsi/dt on the basis grid, analytic in t (no finite differencing)."""
-    p = s.plan
-    return np.tensordot(p.dt_coeffs * _phases(p, t), s.basis.states[s.indices], axes=(0, 0))
+    return np.tensordot(s.dt_coeffs * _phases(s, t), s.basis.states[s.indices], axes=(0, 0))
 
 
 def band_limit(s: Superposition) -> float:
@@ -139,7 +125,7 @@ def _off_grid(s: Superposition, coords, t, time_derivative: bool):
     the mode tables, as one (3, *shape) array: (Psi, dPsi/dx, dPsi/dt) with
     time_derivative, else Psi and its derivative along each of the two axes.
 
-    The plan's ModeTables writes the tables straight into the real part of
+    The state's ModeTables writes the tables straight into the real part of
     the complex matmul operand.  For one time that is modes first,
     (J, 1, K) @ (3, K, points).  For t paired with the points it is points
     first and each point takes its own dot product, (J, n, 1, K) @ (3, n,
@@ -150,8 +136,7 @@ def _off_grid(s: Superposition, coords, t, time_derivative: bool):
     one row (J = 1), which matmul broadcasts over the three tables, or
     three rows (J = 3) when dPsi/dt is asked for.
     """
-    p = s.plan
-    K = p.energies.size
+    K = s.energies.size
     coords = [np.asarray(c, dtype=float) for c in coords]
     paired = np.ndim(t) > 0
     if paired:
@@ -163,16 +148,16 @@ def _off_grid(s: Superposition, coords, t, time_derivative: bool):
     n = flat[0].size
     op = np.zeros((3, n, K) if paired else (3, K, n), dtype=complex)
     tables = op.real.transpose(0, 2, 1) if paired else op.real
-    p.modes(*flat, out=tables[:1 + len(flat)])
-    ph = _phases(p, t).reshape(-1, K)
+    s.modes(*flat, out=tables[:1 + len(flat)])
+    ph = _phases(s, t).reshape(-1, K)
     if time_derivative:
         op[2] = op[0]
         w = np.empty((3,) + ph.shape, dtype=complex)
-        np.multiply(p.coeffs, ph, out=w[0])
+        np.multiply(s.coeffs, ph, out=w[0])
         w[1] = w[0]
-        np.multiply(p.dt_coeffs, ph, out=w[2])
+        np.multiply(s.dt_coeffs, ph, out=w[2])
     else:
-        w = np.multiply(p.coeffs, ph)[None]
+        w = np.multiply(s.coeffs, ph)[None]
     if paired:
         out = w.reshape(-1, n, 1, K) @ op.reshape(3, n, K, 1)
     else:

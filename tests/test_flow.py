@@ -968,6 +968,13 @@ class TestCirculation:
         loop = circulation(vortex_state, (0.25, 0.30), 0.05)
         assert abs(loop) < 1e-3
 
+    @pytest.mark.parametrize("radius", [0.6, 0.75, 0.0, -0.1])
+    def test_circle_outside_the_box_refused(self, vortex_state, radius):
+        # past the walls the modes' sine continuation carries image
+        # vortices: 0.6 read 6 pi and 0.75 read -10 pi; radius 0 read 0
+        with pytest.raises(ValueError, match=f"radius {radius!r} must lie in"):
+            circulation(vortex_state, (0.5, 0.5), radius)
+
 
 class TestExports:
     def test_streamline_csv(self, two_mode, tmp_path):

@@ -7,8 +7,9 @@ the three public functions.  The package's evaluator must agree with it
 bit for bit, for one time and for paired times, on every kind of basis,
 and the stock 2D loops must come out the same whichever of the two they
 call.  The paired path takes one BLAS dot per point, so CI also runs this
-file at one and at two OpenBLAS threads.  TestPlan checks the evaluation
-plan: built once per state, O(K) values, one plan per selection of a basis.
+file at one and at two OpenBLAS threads.  TestPlan checks what a state
+caches for its evaluations: built once per state, O(K) values, one set per
+selection of a basis.
 """
 
 from __future__ import annotations
@@ -308,12 +309,14 @@ class TestOracle:
             assert np.array_equal(a.y, b.y)
 
 
-def _plan_arrays(plan):
-    """Every array the plan holds, its mode tables' sine constants included
-    (the basis it refers to is not its own)."""
-    parts = [vars(plan), {k: v for k, v in vars(plan.modes).items() if k != "basis"}]
-    if plan.modes.sines is not None:
-        parts.append(vars(plan.modes.sines))
+def _cached_arrays(s):
+    """Every array the state caches for its evaluations, its mode tables'
+    sine constants included (the basis they refer to is not its own)."""
+    modes = s.modes
+    parts = [{k: getattr(s, k) for k in ("energies", "dt_coeffs")},
+             {k: v for k, v in vars(modes).items() if k != "basis"}]
+    if modes.sines is not None:
+        parts.append(vars(modes.sines))
     return [v for part in parts for v in part.values() if isinstance(v, np.ndarray)]
 
 
@@ -321,12 +324,12 @@ class TestPlan:
     def test_built_once_per_state(self, monkeypatch):
         built = []
 
-        class Counting(states.EvaluationPlan):
-            def __init__(self, s):
-                built.append(s)
-                super().__init__(s)
+        class Counting(states.ModeTables):
+            def __init__(self, basis, idx):
+                built.append((basis, idx))
+                super().__init__(basis, idx)
 
-        monkeypatch.setattr(states, "EvaluationPlan", Counting)
+        monkeypatch.setattr(states, "ModeTables", Counting)
         s = _box9()
         rng = np.random.default_rng(600)
         for t in (0.0, 0.1, rng.uniform(0.0, 0.5, 3)):
@@ -334,19 +337,19 @@ class TestPlan:
         evaluate(s, 0.2)
         time_derivative(s, 0.2)
         list(flow._grid_rho(s, [0.0, 0.3]))
-        assert built == [s]
-        assert s.plan is s.plan
+        assert len(built) == 1 and built[0][0] is s.basis and built[0][1] is s.indices
+        assert s.modes is s.modes
+        assert s.energies is s.energies and s.dt_coeffs is s.dt_coeffs
 
     def test_holds_no_table(self, state):
         K = state.indices.size
-        arrays = _plan_arrays(state.plan)
+        arrays = _cached_arrays(state)
         assert arrays
         for a in arrays:
             assert max(a.shape, default=1) <= max(K, 2) and a.size <= 4 * K, a.shape
 
     def test_computed_arrays_are_read_only(self, state):
-        p = state.plan
-        for a in (p.energies, p.rates, p.dt_coeffs):
+        for a in (state.energies, state.dt_coeffs):
             assert not a.flags.writeable
 
     def test_state_is_frozen(self, state):
@@ -355,8 +358,8 @@ class TestPlan:
 
     @pytest.mark.parametrize("kind", ["box9", "well"])
     def test_two_states_on_one_basis(self, kind):
-        # two selections of one basis, evaluated in turn: each plan serves
-        # its own state only
+        # two selections of one basis, evaluated in turn: each state's
+        # cached tables serve that state only
         first = _box9() if kind == "box9" else _well()
         basis = first.basis
         second = _random_state(basis, [1, 4, basis.k - 1], 19)

@@ -93,6 +93,31 @@ class TestPotentials:
         # the next wider barrier covers three points
         assert (sample_potential(WellWithBarrier(2.0, 2437.5, 0.0021), g) > 0).sum() == 3
 
+    def test_hard_well_off_its_grid_refused(self):
+        # the finite-difference path took its walls from the grid ends: the
+        # half-width-2 well on [-1, 1] solved to the unit well's energies
+        g = Grid1D(-1.0, 1.0, 201)
+        with pytest.raises(ValueError, match=re.escape("grid must span [-a, a] exactly")):
+            solve_eigen(build_hamiltonian(InfiniteWell(2.0), g), 2, g)
+
+    def test_barrier_well_off_its_grid_refused(self, tmp_path):
+        # it returned the energies of WellWithBarrier(1.0, ...) while its
+        # cache key recorded 2.0; nothing is written to the cache
+        g = Grid1D(-1.0, 1.0, 201)
+        with pytest.raises(ValueError, match="grid must span"):
+            eigenbasis(WellWithBarrier(2.0, 15.0, 0.2), g, 3, cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_barrier_wider_than_the_grid_refused(self):
+        # legal on the half-width-2 well, but on [-1, 1] it wrapped its first
+        # index: only the 50 points from x = 0.51 were set, and the snapped
+        # width read 3.0
+        g = Grid1D(-1.0, 1.0, 201)
+        pot = WellWithBarrier(2.0, 10.0, 3.0)
+        for fn in (sample_potential, snapped_barrier_width):
+            with pytest.raises(ValueError, match="grid must span"):
+                fn(pot, g)
+
     def test_quartic_shape(self):
         g = Grid1D(-1.25, 1.25, 501)
         u = sample_potential(QuarticDoubleWell(), g)
