@@ -39,6 +39,7 @@ from .spectral import (
     QuarticDoubleWell,
     WellWithBarrier,
     eigenbasis,
+    max_residual,
     product_basis_2d,
     snapped_barrier_width,
 )
@@ -591,6 +592,17 @@ def _round_trip_report(state: Superposition, t_end: float) -> dict:
     }
 
 
+def _basis_record(basis: EigenBasis) -> dict:
+    """derived.diagnostics.basis: how the basis was made, the first and last
+    pair index it holds and, for a finite-difference one, its largest
+    relative residual."""
+    rec = {"method": basis.meta["method"], "first": basis.first,
+           "last": basis.first + basis.k - 1}
+    if rec["method"] == "fd_tridiag":
+        rec["max_residual"] = max_residual(basis)
+    return rec
+
+
 def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     """Execute a scenario and write its deterministic bundle under out_dir:
     manifest.json, config.txt, the frame archive frames.npz (energy ledger
@@ -625,7 +637,7 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
         derived["period"] = float(b.period)
     derived.update(b.extras)
 
-    diagnostics: dict = {"node_search": {}}
+    diagnostics: dict = {"basis": _basis_record(b.basis), "node_search": {}}
     if state.grid.ndim == 2:
         seeds = loop_seeds_on_axis(state, c.streamlines, 0.5)
         te = np.linspace(0.0, 0.5, 129)

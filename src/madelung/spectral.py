@@ -210,6 +210,53 @@ def _apply_h(dl: np.ndarray, el: np.ndarray, W: np.ndarray, HW: np.ndarray,
     return np.multiply(W, HW, out=tmp).sum(axis=0)
 
 
+_TINY_PIVOT = np.longdouble(1e-300)
+
+
+def _inverse_sweeps(dl, el, lam, vecs, c, W, HW, clamp: bool):
+    """Two vectorized Thomas solves of (T - lam_j) w_j = v_j, each followed
+    by normalization and new Rayleigh quotients; returns them, or None when
+    an unclamped run meets a pivot under _TINY_PIVOT (or a NaN one).
+
+    W starts as the exact longdouble cast of vecs, and each sweep
+    overwrites row i of the previous iterate with g_i after reading it; the
+    back-substitution then turns g into the new iterate. The pivots of a
+    sweep sit in HW, which starts as the shifted diagonal dl_i - lam_j.
+    With clamp, a pivot under _TINY_PIVOT is set to it as it is formed.
+    """
+    n, k = W.shape
+    r = np.empty(k, np.longdouble)
+    # the off-diagonal as stride-0 rows, which a ufunc reads faster than a
+    # scalar; the last row's c is never read, so a zero e_{n-1} lets that
+    # row share the loop
+    E = np.broadcast_to(np.append(el, 0)[:, None], (n, k))
+    cs, Ms, Ws, Es = list(c), list(HW), list(W), list(E)
+    sub, mul, div = np.subtract, np.multiply, np.divide
+    np.copyto(W, vecs)
+    for _ in range(2):
+        sub(dl[:, None], lam, out=HW)
+        m = HW[0]
+        if clamp:
+            np.copyto(m, _TINY_PIVOT, where=np.abs(m) < _TINY_PIVOT)
+        div(el[0], m, out=c[0])
+        div(W[0], m, out=W[0])
+        for e0, e1, c0, c1, m, w0, w1 in zip(Es, Es[1:], cs, cs[1:], Ms[1:], Ws, Ws[1:]):
+            sub(m, mul(e0, c0, out=r), out=m)
+            if clamp:
+                np.copyto(m, _TINY_PIVOT, where=np.abs(m) < _TINY_PIVOT)
+            div(e1, m, out=c1)
+            sub(w1, mul(e0, w0, out=r), out=w1)
+            div(w1, m, out=w1)
+        # in place: a temporary of |HW| would be a fourth (n, k) array
+        if not clamp and not np.abs(HW, out=HW).min() >= _TINY_PIVOT:
+            return None
+        for ci, wi, w1 in zip(cs[-2::-1], Ws[-2::-1], Ws[:0:-1]):
+            sub(wi, mul(ci, w1, out=r), out=wi)
+        W /= np.sqrt(mul(W, W, out=c).sum(axis=0))
+        lam = _apply_h(dl, el, W, HW, c)
+    return lam
+
+
 def _polish_pairs(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     """One-step-per-sweep inverse iteration in extended precision.
 
@@ -217,41 +264,25 @@ def _polish_pairs(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarr
     stability floor eps*|H|, which for h ~ 1e-4 exceeds the 1e-8 target;
     two longdouble sweeps push them to ~1e-11.
 
-    The working set is three (n, k) longdouble arrays: the pivots c, the
-    iterate (the forward sweep's g, overwritten by the back-substitution
-    with W) and HW. Row i of the previous iterate is read before g_i
-    replaces it, and the float64 vecs are read row by row, an exact cast.
+    The working set is three (n, k) longdouble arrays: the Thomas
+    coefficients c, the iterate W and HW, which holds the pivots during a
+    sweep and H times the iterate after it. The sweeps run unclamped; only
+    when a pivot comes out under 1e-300 (or NaN) do they run again from
+    vals and vecs with each pivot clamped as it is formed. Unclamped
+    pivots that all pass are the clamped run's, so either way the bits
+    are those of the clamped run.
     """
     dl = d.astype(np.longdouble)
     el = e.astype(np.longdouble)
     n, k = vecs.shape
-    lam = vals.astype(np.longdouble)
-    c = np.empty((n, k), np.longdouble)  # pivots, then staged products
+    c = np.empty((n, k), np.longdouble)  # Thomas coefficients, then staged products
     W = np.empty((n, k), np.longdouble)
     HW = np.empty((n, k), np.longdouble)
-    m = np.empty(k, np.longdouble)
-    r = np.empty(k, np.longdouble)
-    tiny = np.longdouble(1e-300)
-    V = vecs
-    for _ in range(2):
-        # vectorized Thomas solve of (T - lam_j) w_j = v_j for all j
-        np.subtract(dl[0], lam, out=m)
-        np.copyto(m, tiny, where=np.abs(m) < tiny)
-        np.divide(el[0], m, out=c[0])
-        np.divide(V[0], m, out=W[0])
-        for i in range(1, n):
-            np.subtract(dl[i], lam, out=m)
-            np.subtract(m, np.multiply(el[i - 1], c[i - 1], out=r), out=m)
-            np.copyto(m, tiny, where=np.abs(m) < tiny)
-            if i < n - 1:
-                np.divide(el[i], m, out=c[i])
-            np.subtract(V[i], np.multiply(el[i - 1], W[i - 1], out=r), out=W[i])
-            np.divide(W[i], m, out=W[i])
-        for i in range(n - 2, -1, -1):
-            np.subtract(W[i], np.multiply(c[i], W[i + 1], out=r), out=W[i])
-        W /= np.sqrt(np.multiply(W, W, out=c).sum(axis=0))
-        lam = _apply_h(dl, el, W, HW, c)
-        V = W
+    lam0 = vals.astype(np.longdouble)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = _inverse_sweeps(dl, el, lam0, vecs, c, W, HW, clamp=False)
+    if lam is None:
+        lam = _inverse_sweeps(dl, el, lam0, vecs, c, W, HW, clamp=True)
     # independent shifts cross-talk inside near-degenerate clusters
     # (tall-barrier doublets), so re-orthogonalize within each cluster
     scale = np.abs(dl).max() + 2.0 * np.abs(el).max()
@@ -281,8 +312,12 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
     Hamiltonian: the lowest k with first = 0, an index window otherwise.
 
     LAPACK bisection + inverse iteration on the symmetric tridiagonal
-    matrix, then an extended-precision polish so every returned pair
-    satisfies |H psi - E psi|_inf <= 1e-8 |psi|_inf.
+    matrix, then an extended-precision polish.  Every pair is accepted
+    only if |H psi - E psi|_inf <= 1e-8 |psi|_inf, read on the polish's
+    longdouble iterate and H psi each cast to float64, not on the
+    renormalized float64 vectors returned.  On fine grids those sit at
+    the float64 floor eps |diag H| instead: 3.2e-8, taken in longdouble,
+    for the lowest 6 pairs of WellWithBarrier(1, 15, 0.2) at n = 20001.
     """
     dim = len(H.diagonal)
     if k >= dim:
@@ -322,6 +357,20 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
                        {"method": "fd_tridiag", "first": first})
     basis.validate()
     return basis
+
+
+def max_residual(basis: EigenBasis) -> float:
+    """Largest |H psi - E psi|_inf / |psi|_inf over the float64 states of a
+    finite-difference basis, H = build_hamiltonian(potential, grid).
+    Elementwise, with no BLAS product, so its bits do not depend on the
+    BLAS thread count."""
+    H = build_hamiltonian(basis.potential, basis.grid)
+    V = basis.states[:, 1:-1]
+    R = H.diagonal * V
+    R[:, :-1] += H.offdiag * V[:, 1:]
+    R[:, 1:] += H.offdiag * V[:, :-1]
+    R -= basis.energies[:, None] * V
+    return float((np.abs(R).max(axis=1) / np.abs(V).max(axis=1)).max())
 
 
 # ------------------------------------------------------------ mode tables

@@ -18,6 +18,7 @@ from madelung.energy import (
     write_frame_table,
 )
 from madelung.grids import partials, read_columns
+from madelung.spectral import build_hamiltonian
 from madelung.states import evaluate
 
 TWO_TERM = (
@@ -374,6 +375,33 @@ class TestRunBundle:
         fixed = sc.run_scenario(sc.default_config("mzi_1d", frames=2, streamlines=1,
                                                   barrier_height=2437.5), tmp_path / "f")
         assert "tuning" not in fixed["derived"]["diagnostics"]
+
+    def test_fd_basis_records_its_residual(self, tmp_path, monkeypatch):
+        built, build = [], sc.build_scenario
+
+        def recorded(c):
+            built.append(build(c))
+            return built[-1]
+
+        monkeypatch.setattr(sc, "build_scenario", recorded)
+        c = sc.default_config("mzi_1d", frames=2, streamlines=1, barrier_height=2437.5)
+        rec = sc.run_scenario(c, tmp_path / "f")["derived"]["diagnostics"]["basis"]
+        basis = built[0].basis
+        H = build_hamiltonian(basis.potential, basis.grid)
+        V = basis.states[:, 1:-1]
+        HV = H.diagonal * V
+        HV[:, :-1] += H.offdiag * V[:, 1:]
+        HV[:, 1:] += H.offdiag * V[:, :-1]
+        r = np.abs(HV - basis.energies[:, None] * V).max(axis=1) / np.abs(V).max(axis=1)
+        assert rec == {"method": "fd_tridiag", "first": 0, "last": c.modes - 1,
+                       "max_residual": r.max()}
+        assert rec["max_residual"] < 1e-8
+
+    def test_analytic_basis_records_no_residual(self, tmp_path):
+        c = sc.default_config("well_superposition", frames=2, streamlines=1)
+        m = sc.run_scenario(c, tmp_path / "w")
+        assert m["derived"]["diagnostics"]["basis"] == {
+            "method": "analytic_well", "first": 0, "last": c.modes - 1}
 
 
 LEDGER_COLS = ("Q", "K_a", "K_s", "Q_r", "K_c", "E_p", "K_cl", "U",

@@ -420,6 +420,53 @@ class TestPolish:
         for g_arr, w_arr in zip(got, want):
             assert g_arr.dtype == w_arr.dtype and np.array_equal(g_arr, w_arr)
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("case", ["chain_pivot_0", "chain_pivot_1", "barrier_2437"])
+    def test_zero_pivot_takes_the_clamped_rerun(self, stein_pairs, monkeypatch, case, order):
+        # one shift makes a pivot exactly 0, which only the clamped rerun
+        # can pass: on the uniform chain d = 2, e = -1 the shift 2 zeroes
+        # the first pivot and the shift 1 the second (1 - 1/1); on the
+        # stock barrier the shift d_0 zeroes the first
+        if case.startswith("chain"):
+            from scipy.linalg import eigh_tridiagonal
+
+            d, e = np.full(401, 2.0), np.full(400, -1.0)
+            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(195, 205))
+            j, shift = 5, {"chain_pivot_0": 2.0, "chain_pivot_1": 1.0}[case]
+        else:
+            H, vals, vecs = stein_pairs[case]
+            d, e, j = H.diagonal, H.offdiag, 0
+            shift = d[0]
+        vals = vals.copy()
+        vals[j] = shift
+        vecs = np.asarray(vecs, order=order)
+        real, runs = spectral._inverse_sweeps, []
+
+        def recorded(*args, clamp):
+            lam = real(*args, clamp=clamp)
+            runs.append((clamp, lam is None))
+            return lam
+
+        monkeypatch.setattr(spectral, "_inverse_sweeps", recorded)
+        got = spectral._polish_pairs(d, e, vals, vecs)
+        want = _polish_pairs_oracle(d, e, vals, vecs)
+        assert runs == [(False, True), (True, False)]
+        for g_arr, w_arr in zip(got, want):
+            assert np.isfinite(g_arr).all()
+            assert g_arr.dtype == w_arr.dtype and np.array_equal(g_arr, w_arr)
+
+    def test_stock_bases_skip_the_clamped_rerun(self, stein_pairs, monkeypatch):
+        real, runs = spectral._inverse_sweeps, []
+
+        def recorded(*args, clamp):
+            runs.append(clamp)
+            return real(*args, clamp=clamp)
+
+        monkeypatch.setattr(spectral, "_inverse_sweeps", recorded)
+        for H, vals, vecs in stein_pairs.values():
+            spectral._polish_pairs(H.diagonal, H.offdiag, vals, vecs)
+        assert runs == [False] * len(stein_pairs)
+
     def test_tall_barrier_takes_the_cluster_path(self, stein_pairs):
         H, vals, vecs = stein_pairs["barrier_16000"]
         lam = spectral._polish_pairs(H.diagonal, H.offdiag, vals, vecs)[0]
