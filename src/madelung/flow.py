@@ -11,7 +11,7 @@ import numpy as np
 
 from .energy import EPS_NODE, EnergyDecomposition
 from .grids import Grid1D, write_columns, write_json
-from .states import Superposition, _phases, evaluate_at, evaluate_at_2d
+from .states import Superposition, _off_grid, _phases, evaluate_at, evaluate_at_2d
 
 # integration pauses when rho drops under this multiple of the node floor
 NODE_PAUSE_FACTOR = 10.0
@@ -332,7 +332,8 @@ def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quanti
     A lockstep Dormand-Prince 5(4) stepper with scipy RK45's tableau, error
     estimate and step control (rtol = atol = LOOP_TOL, max_step = span / 64,
     first step from the Hairer-Norsett-Wanner estimate): each stage makes
-    one paired evaluate_at_2d call for every live loop, and each loop keeps
+    one paired call of the off-grid evaluator for every live loop, which
+    takes the clipped (2, L) positions as they are, and each loop keeps
     its own step size and accept/reject decision.  Stage sums run
     elementwise in a fixed order, so a loop comes out bit for bit the same
     alone or in a batch.  Samples are the 4th-order dense output at t_eval,
@@ -371,11 +372,11 @@ def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quanti
     calls = 0
 
     def velocity(t, y, out=None):
-        # v_a = Im(conj(psi) grad psi) / rho at the columns of y, paired with t
+        # v_a = Im(conj(psi) grad psi) / rho at the columns of y, paired with
+        # t: evaluate_at_2d's evaluator, without its stacking of x and y
         nonlocal calls
         calls += 1
-        p = np.minimum(np.maximum(y, lo), hi)
-        v = evaluate_at_2d(s, p[0], p[1], t)
+        v = _off_grid(s, np.minimum(np.maximum(y, lo), hi), t, False)
         psi = v[0]
         rho = np.maximum(psi.real**2 + psi.imag**2, floor)
         return np.divide((psi.conjugate() * v[1:]).imag, rho, out=out)

@@ -95,9 +95,14 @@ def _quad_weights(n: int, h: float) -> np.ndarray:
     return trapezoid_weights(n, h)
 
 
+def quadrature_weights(grid) -> np.ndarray:
+    """The weights that quadrature multiplies the values by."""
+    return _grid_weights(grid, _quad_weights)
+
+
 def quadrature(grid, vals: np.ndarray):
     """Raw Simpson/trapezoid sum; works on real or complex arrays."""
-    return np.sum(_grid_weights(grid, _quad_weights) * vals)
+    return np.sum(quadrature_weights(grid) * vals)
 
 
 def _grid_weights(grid, rule=trapezoid_weights) -> np.ndarray:

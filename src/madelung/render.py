@@ -263,7 +263,10 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
     """Draw one figure from a completed run directory; returns out_path.
     A run that lists not every file the figure reads is refused with a
     ValueError."""
-    manifest = _load_manifest(run_dir)
+    return _render(run_dir, _load_manifest(run_dir), spec, out_path)
+
+
+def _render(run_dir, manifest, spec: RenderSpec, out_path) -> str:
     draw, needs, refusal = _FIGURES[spec.kind]
     for key in needs:
         if key not in manifest["files"]:
@@ -277,12 +280,12 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
 
 def default_figures(run_dir, shading: str = "qka") -> list:
     """The stock figure set for a run, written next to the manifest: every
-    kind whose files the run lists."""
-    files = _load_manifest(run_dir)["files"]
+    kind whose files the run lists.  The manifest is read once."""
+    manifest = _load_manifest(run_dir)
     outs = []
     for kind, (_, needs, _) in _FIGURES.items():
-        if all(k in files for k in needs):
+        if all(k in manifest["files"] for k in needs):
             out = os.path.join(run_dir, f"{kind}.svg")
-            render_run(run_dir, RenderSpec(kind=kind, shading=shading), out)
+            _render(run_dir, manifest, RenderSpec(kind=kind, shading=shading), out)
             outs.append(out)
     return outs

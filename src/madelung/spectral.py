@@ -392,15 +392,17 @@ class _SineModes:
         self.scale = np.stack([np.broadcast_to(amp, npi.shape), amp * (npi / self.width)])
 
     def __call__(self, pts):
-        """Every mode at the points pts, a (D, *shape) array with one row
-        per axis: (2, D, k, *shape), the values, then the x-derivatives."""
-        arg = self.npi * (pts.reshape(len(self.npi), 1, -1) - self.lo)
+        """Every mode at the (D, n) points pts, one row per axis: (2, D, k,
+        n), the values, then the x-derivatives.  sin and cos write into one
+        contiguous array: on a strided out NumPy may take another float64
+        loop and move the last bits."""
+        arg = self.npi * (pts[:, None] - self.lo)
         arg /= self.width
         table = np.empty((2,) + arg.shape)
         np.sin(arg, out=table[0])
         np.cos(arg, out=table[1])
         table *= self.scale
-        return table.reshape(table.shape[:3] + pts.shape[1:])
+        return table
 
 
 def _hermite_modes(omega: float, idx: np.ndarray, x, out: np.ndarray):
@@ -444,21 +446,25 @@ def _lagrange_dweights(s: float):
     )
 
 
+# the cubic stencil's offsets {-1, 0, 1, 2}, one per leading row
+_STENCIL = np.arange(-1, 3)[:, None, None]
+
+
 def _interp_modes(basis: EigenBasis, idx: np.ndarray, x, out: np.ndarray):
-    """Cubic interpolation of the sampled modes, gathering only the four
-    stencil columns of the selected modes: out[0] the values, out[1] the
-    x-derivatives, a mode axis leading."""
+    """Cubic interpolation of the sampled modes at the (n,) points x:
+    out[0] the values, out[1] the x-derivatives, a mode axis leading.  One
+    take gathers the four stencil values of every point and selected mode
+    from the C-ordered states, points first, as the paired evaluator's
+    operand holds them."""
     g = basis.grid
-    x = np.asarray(x, dtype=float)
     u = (x - g.x_min) / g.h
     i = np.clip(np.floor(u).astype(int), 1, g.n - 3)
-    s = u - i
-    rows = idx.reshape(idx.shape + (1,) * x.ndim)
-    c0, c1, c2, c3 = (basis.states[rows, i + off] for off in (-1, 0, 1, 2))
+    s = (u - i)[:, None]
+    c0, c1, c2, c3 = np.take(basis.states, idx * g.n + _STENCIL + i[:, None])
     w0, w1, w2, w3 = _lagrange_weights(s)
     d0, d1, d2, d3 = _lagrange_dweights(s)
-    np.add(c0 * w0 + c1 * w1 + c2 * w2, c3 * w3, out=out[0])
-    np.divide(c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3, g.h, out=out[1])
+    np.add(c0 * w0 + c1 * w1 + c2 * w2, c3 * w3, out=out[0].T)
+    np.divide(c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3, g.h, out=out[1].T)
     return out
 
 
@@ -484,28 +490,31 @@ class ModeTables:
         self.sines = _SineModes(numbers, [g.x_min for g in axes],
                                 [g.x_max - g.x_min for g in axes])
 
-    def __call__(self, *coords, out=None):
+    def __call__(self, *coords):
         """The tables at the points, one coordinate array per grid axis: a
         float (1 + ndim, K, *shape) array, the values, then the derivative
-        along each axis.  out, if given, is such an array of any strides
-        that the tables are written into, and the coordinates must all have
-        its shape; the off-grid evaluator passes the real part of its
-        complex matmul operand."""
+        along each axis."""
         if len(coords) != self.basis.grid.ndim:
             raise ValueError(f"{self.basis.grid.ndim}D basis: one coordinate array per axis")
-        if out is None:
-            coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-            out = np.empty((1 + len(coords), self.idx.size) + coords[0].shape)
+        coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+        out = np.empty((1 + len(coords), self.idx.size) + coords[0].shape)
+        self.fill(np.reshape(coords, (len(coords), -1)), out.reshape(out.shape[:2] + (-1,)))
+        return out
+
+    def fill(self, pts, out):
+        """Write the tables at the (D, n) float points pts into out, a
+        (1 + D, K, n) float array of any strides; the off-grid evaluator
+        passes the real part of its complex matmul operand."""
         if self.method == "analytic_box2d":
-            sines = self.sines(np.array(coords, dtype=float))
+            sines = self.sines(pts)
             np.multiply(sines[:, 0], sines[0, 1], out=out[:2])  # (fx, dfx) fy
             np.multiply(sines[0, 0], sines[1, 1], out=out[2])  # fx dfy
         elif self.method == "analytic_well":
-            out[...] = self.sines(np.array(coords, dtype=float))[:, 0]
+            out[...] = self.sines(pts)[:, 0]
         elif self.method == "analytic_hermite":
-            _hermite_modes(self.basis.meta["omega"], self.idx, coords[0], out)
+            _hermite_modes(self.basis.meta["omega"], self.idx, pts[0], out)
         else:
-            _interp_modes(self.basis, self.idx, coords[0], out)
+            _interp_modes(self.basis, self.idx, pts[0], out)
         return out
 
 

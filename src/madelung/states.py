@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Grid1D, quadrature
+from .grids import Grid1D, quadrature_weights
 from .spectral import EigenBasis, ModeTables
 
 CLAMP = 1e-14  # raw projection coefficients below this are exact zeros
@@ -70,6 +70,14 @@ class Superposition:
         return w
 
     @functools.cached_property
+    def stacked_coeffs(self) -> np.ndarray:
+        # (c, c, -i E c): the weights of an off-grid call that asks for
+        # dPsi/dt, one row per table
+        w = np.stack([self.coeffs, self.coeffs, self.dt_coeffs])[:, None, :]
+        w.flags.writeable = False
+        return w
+
+    @functools.cached_property
     def modes(self) -> ModeTables:
         return ModeTables(self.basis, self.indices)
 
@@ -95,7 +103,7 @@ def equal_two_mode(basis: EigenBasis, i: int = 0, j: int = 1) -> Superposition:
 def _phases(s: Superposition, t):
     """e^{-i E t}, the mode axis last: (K,) for a scalar t, (*t.shape, K)
     for an array t."""
-    return np.exp(-1j * np.multiply(np.asarray(t, dtype=float)[..., None], s.energies))
+    return np.exp(-1j * np.multiply.outer(t, s.energies))
 
 
 def evaluate(s: Superposition, t: float) -> np.ndarray:
@@ -120,14 +128,16 @@ def band_limit(s: Superposition) -> float:
 # ---------------------------------------------------------------- off-grid
 
 
-def _off_grid(s: Superposition, coords, t, time_derivative: bool):
-    """Three sums sum_k w_k m_k(x), one stacked matmul of the weights with
-    the mode tables, as one (3, *shape) array: (Psi, dPsi/dx, dPsi/dt) with
-    time_derivative, else Psi and its derivative along each of the two axes.
+def _off_grid(s: Superposition, pts: np.ndarray, t, time_derivative: bool):
+    """Three sums sum_k w_k m_k(x) at the (D, n) float points pts, one
+    stacked matmul of the weights with the mode tables, as one (3, n)
+    array: (Psi, dPsi/dx, dPsi/dt) with time_derivative, else Psi and its
+    derivative along each of the two axes.  t is a float, or a float (n,)
+    array paired with the points.
 
     The state's ModeTables writes the tables straight into the real part of
     the complex matmul operand.  For one time that is modes first,
-    (J, 1, K) @ (3, K, points).  For t paired with the points it is points
+    (J, 1, K) @ (3, K, n).  For t paired with the points it is points
     first and each point takes its own dot product, (J, n, 1, K) @ (3, n,
     K, 1): the BLAS dot a one-point call makes, so paired and one-point
     calls agree bit for bit.  The matrix axes of both operands are
@@ -136,33 +146,39 @@ def _off_grid(s: Superposition, coords, t, time_derivative: bool):
     one row (J = 1), which matmul broadcasts over the three tables, or
     three rows (J = 3) when dPsi/dt is asked for.
     """
+    D, n = pts.shape
     K = s.energies.size
-    coords = [np.asarray(c, dtype=float) for c in coords]
-    paired = np.ndim(t) > 0
-    if paired:
-        shape = np.shape(t)
-    else:
-        shapes = {c.shape for c in coords}
-        shape = coords[0].shape if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-    flat = [(c if c.shape == shape else np.broadcast_to(c, shape)).reshape(-1) for c in coords]
-    n = flat[0].size
+    paired = isinstance(t, np.ndarray)
     op = np.zeros((3, n, K) if paired else (3, K, n), dtype=complex)
     tables = op.real.transpose(0, 2, 1) if paired else op.real
-    s.modes(*flat, out=tables[:1 + len(flat)])
-    ph = _phases(s, t).reshape(-1, K)
+    s.modes.fill(pts, tables[:1 + D])
+    ph = _phases(s, t)
     if time_derivative:
         op[2] = op[0]
-        w = np.empty((3,) + ph.shape, dtype=complex)
-        np.multiply(s.coeffs, ph, out=w[0])
-        w[1] = w[0]
-        np.multiply(s.dt_coeffs, ph, out=w[2])
+        w = np.multiply(s.stacked_coeffs, ph)
     else:
-        w = np.multiply(s.coeffs, ph)[None]
+        w = np.multiply(s.coeffs, ph)
     if paired:
-        out = w.reshape(-1, n, 1, K) @ op.reshape(3, n, K, 1)
+        return (w.reshape(-1, n, 1, K) @ op.reshape(3, n, K, 1)).reshape(3, n)
+    return (w.reshape(-1, 1, K) @ op).reshape(3, n)
+
+
+def _stack_points(coords, t):
+    """The coordinates stacked once as a float (D, n) array, each broadcast
+    to the shape of the result, t as a float or a flat float array paired
+    with them, and that shape: t's for an array t, else the coordinates'
+    common shape."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        shape = t.shape
+        t = t.reshape(-1)
     else:
-        out = w @ op
-    return out.reshape((3,) + shape)
+        t = float(t)
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    pts = np.empty((len(coords),) + shape)
+    for i, c in enumerate(coords):
+        pts[i] = c
+    return pts.reshape(len(coords), -1), t, shape
 
 
 def evaluate_at(s: Superposition, x, t):
@@ -175,7 +191,8 @@ def evaluate_at(s: Superposition, x, t):
     """
     if s.grid.ndim != 1:
         raise ValueError("2D states: use evaluate_at_2d")
-    return _off_grid(s, (x,), t, True)
+    pts, t, shape = _stack_points((x,), t)
+    return _off_grid(s, pts, t, True).reshape((3,) + shape)
 
 
 def evaluate_at_2d(s: Superposition, x, y, t):
@@ -184,7 +201,8 @@ def evaluate_at_2d(s: Superposition, x, y, t):
     array paired with x, y."""
     if s.grid.ndim != 2:
         raise ValueError("1D states: use evaluate_at")
-    return _off_grid(s, (x, y), t, False)
+    pts, t, shape = _stack_points((x, y), t)
+    return _off_grid(s, pts, t, False).reshape((3,) + shape)
 
 
 # ------------------------------------------------------------- projection
@@ -212,11 +230,11 @@ def project_field(basis: EigenBasis, values: np.ndarray, eta: float = 1e-3) -> S
     index window); captured_norm is the probability held by the retained
     coefficients before renormalization.
     """
-    g = basis.grid
-    nrm = math.sqrt(float(quadrature(g, np.abs(values) ** 2).real))
+    w = quadrature_weights(basis.grid)  # built once for every mode
+    nrm = math.sqrt(float(np.sum(w * np.abs(values) ** 2).real))
     vals = values / nrm
     V = basis.states
-    raw = np.array([quadrature(g, V[j] * vals) for j in range(basis.k)])
+    raw = np.array([np.sum(w * (V[j] * vals)) for j in range(basis.k)])
     raw[np.abs(raw) < CLAMP] = 0.0
     keep = np.abs(raw) >= eta * np.abs(raw).max()
     idx = np.nonzero(keep)[0]

@@ -232,6 +232,19 @@ class TestRenderFrameTable:
         assert column_reads == ["streamlines.csv"]
         assert table_reads == ["frames.npz"] * len(figures)
 
+    def test_figures_read_the_manifest_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "w4"
+        run_scenario(default_config("well_superposition", frames=4, streamlines=2), out)
+        reads, load = [], rd._load_manifest
+
+        def counting(run_dir):
+            reads.append(run_dir)
+            return load(run_dir)
+
+        monkeypatch.setattr(rd, "_load_manifest", counting)
+        assert len(rd.default_figures(out)) == 3
+        assert reads == [out]
+
 
 class TestExports:
     def test_fields(self, capsys, tmp_path):

@@ -7,9 +7,11 @@ the three public functions.  The package's evaluator must agree with it
 bit for bit, for one time and for paired times, on every kind of basis,
 and the stock 2D loops must come out the same whichever of the two they
 call.  The paired path takes one BLAS dot per point, so CI also runs this
-file at one and at two OpenBLAS threads.  TestPlan checks what a state
-caches for its evaluations: built once per state, O(K) values, one set per
-selection of a basis.
+file at one and at two OpenBLAS threads.  TestPointsArray checks the
+evaluator's one (D, n) points array on the grid's edges, for one time and
+for paired times, and under the loop stepper, which calls it directly.
+TestPlan checks what a state caches for its evaluations: built once per
+state, O(K) values, one set per selection of a basis.
 """
 
 from __future__ import annotations
@@ -304,6 +306,90 @@ class TestOracle:
         want, want_work = run()
         assert work == want_work
         assert work["evaluator_calls"] == 818
+        for a, b in zip(loops, want):
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.y, b.y)
+
+
+def _edge_points(s):
+    """Points on the grid's edges, one array per axis: in 1D both ends and
+    half a step inside each, where the cubic stencil's row is clipped to 1
+    and to n - 3; in 2D every corner, the middle of every wall and the
+    center."""
+    if s.grid.ndim == 1:
+        g = s.grid
+        return [np.array([g.x_min, g.x_min + 0.5 * g.h, g.x_max - 0.5 * g.h, g.x_max])]
+    gx, gy = s.grid.axes
+    x, y = np.meshgrid([gx.x_min, 0.5 * (gx.x_min + gx.x_max), gx.x_max],
+                       [gy.x_min, 0.5 * (gy.x_min + gy.x_max), gy.x_max], indexing="ij")
+    return [x.ravel(), y.ravel()]
+
+
+class TestPointsArray:
+    """The evaluator's one (D, n) points array: on the walls, at the
+    clipped stencil rows, for one time and for paired times, and called
+    directly as the loop stepper does, against the oracle and against the
+    public calls that take one coordinate array per axis."""
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["one_time", "paired"])
+    def test_edges(self, state, paired):
+        coords = _edge_points(state)
+        n = coords[0].size
+        t = np.linspace(0.0, 0.5, n) if paired else 0.375
+        _assert_same(state, coords, t)
+
+    def test_stencil_rows_clip_at_the_ends(self):
+        # the first and last two points share the clipped rows 1 and n - 3
+        s = _barrier()
+        g = s.grid
+        for x in (g.x_min, g.x_min + 0.5 * g.h, g.x_min + g.h):
+            _assert_same(s, [np.array([x])], 0.125)
+        for x in (g.x_max - g.h, g.x_max - 0.5 * g.h, g.x_max):
+            _assert_same(s, [np.array([x])], 0.125)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["one_time", "paired"])
+    def test_stacked_call_is_the_separate_call(self, state, paired):
+        rng = np.random.default_rng(800)
+        coords = [np.concatenate([c, e]) for c, e in zip(_points(state, rng, 5),
+                                                         _edge_points(state))]
+        n = coords[0].size
+        t = rng.uniform(0.0, 0.5, n) if paired else 0.25
+        got = states._off_grid(state, np.array(coords), t, state.grid.ndim == 1)
+        new, _ = _evaluators(state)
+        want = new(state, *coords, t)
+        assert got.shape == want.shape == (3, n)
+        assert np.array_equal(got, want)
+
+    def test_scalar_time_is_a_one_point_paired_time(self, state):
+        # a scalar point at a scalar t is the paired call at that one point
+        rng = np.random.default_rng(900)
+        coords = [np.concatenate([c, e]) for c, e in zip(_points(state, rng, 3),
+                                                         _edge_points(state))]
+        new, _ = _evaluators(state)
+        for j in range(coords[0].size):
+            alone = new(state, *(float(c[j]) for c in coords), 0.3)
+            paired = new(state, *(c[j:j + 1] for c in coords), np.array([0.3]))
+            assert alone.shape == (3,) and paired.shape == (3, 1)
+            assert np.array_equal(alone, paired[:, 0])
+
+    def test_stock_loops_with_the_oracle_at_every_stage(self, monkeypatch):
+        # the stepper hands its clipped (2, L) positions to the evaluator
+        # as they are; the oracle, called per coordinate, gives the same loops
+        s = _vortex()
+        seeds = flow.loop_seeds_on_axis(s, 4, 0.5)
+        te = np.linspace(0.0, 0.5, 129)
+
+        def run():
+            work = {}
+            loops = flow.integrate_loop_2d(s, [(0.5, y0) for y0 in seeds], (0.0, 0.5),
+                                           t_eval=te, diagnostics=work)
+            return loops, work
+
+        loops, work = run()
+        monkeypatch.setattr(flow, "_off_grid", lambda s, pts, t, _: np.array(
+            oracle_evaluate_at_2d(s, pts[0], pts[1], t)))
+        want, want_work = run()
+        assert work == want_work and work["evaluator_calls"] == 818
         for a, b in zip(loops, want):
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)

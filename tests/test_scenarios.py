@@ -219,6 +219,13 @@ class TestTuner:
         assert band["launch_truncation_index"] == launch.meta["truncation_index"]
         assert "launch" not in sc.tuning_record(bundle.tuning)
 
+    def test_launch_is_evaluated_once_by_the_tuner_and_once_by_the_build(self, mzi_build):
+        # every probe projects the launch values the tuner computed once;
+        # each probe's transmission evaluates its own barrier-well state
+        bundle, calls, _ = mzi_build
+        assert calls["evaluate InfiniteWell"] == 2
+        assert calls["evaluate WellWithBarrier"] >= len(bundle.tuning.history)
+
     @pytest.mark.parametrize("u0", [250.0, 2437.5, 4000.0, 16000.0])
     def test_window_probe_matches_full_probe(self, splitter, u0):
         c, launch = splitter

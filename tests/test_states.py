@@ -15,6 +15,7 @@ from madelung.spectral import (
     product_basis_2d,
     sample_potential,
 )
+from madelung import states
 from madelung.states import (
     Superposition,
     WavepacketSpec,
@@ -24,6 +25,7 @@ from madelung.states import (
     evaluate,
     evaluate_at,
     evaluate_at_2d,
+    gaussian_values,
     leaked_norm,
     project_field,
     project_gaussian,
@@ -308,6 +310,32 @@ class TestProjection:
         back = project_field(basis, evaluate(sp, 0.0), eta=1e-3)
         assert np.array_equal(back.indices, sp.indices)
         np.testing.assert_allclose(back.coeffs, sp.coeffs, atol=1e-9)
+
+    @pytest.mark.parametrize("potential, grid", [
+        (InfiniteWell(0.5), Grid1D(-0.5, 0.5, 2001)),
+        (WellWithBarrier(1.0, 40.0, 0.1), Grid1D(-1.0, 1.0, 1000)),
+    ], ids=["simpson", "trapezoid"])
+    def test_project_field_weights_once_coefficients_per_mode(self, potential, grid,
+                                                               monkeypatch):
+        # one set of quadrature weights per projection, and every raw
+        # coefficient is still that mode's quadrature of V_j * vals
+        basis = eigenbasis(potential, grid, 30)
+        values = gaussian_values(WavepacketSpec(0.1, 20.0, 0.1), grid.x)
+        built, weights = [], states.quadrature_weights
+
+        def counting(g):
+            built.append(g)
+            return weights(g)
+
+        monkeypatch.setattr(states, "quadrature_weights", counting)
+        sp = project_field(basis, values, eta=1e-3)
+        assert built == [grid]
+        vals = values / math.sqrt(float(quadrature(grid, np.abs(values) ** 2).real))
+        raw = np.array([quadrature(grid, basis.states[j] * vals) for j in range(basis.k)])
+        raw[np.abs(raw) < states.CLAMP] = 0.0
+        kept = raw[sp.indices]
+        assert np.array_equal(sp.coeffs, kept / math.sqrt(float(np.sum(np.abs(kept) ** 2))))
+        assert sp.meta["captured_norm"] == float(np.sum(np.abs(kept) ** 2))
 
     def test_leak_rejection(self):
         basis = eigenbasis(InfiniteWell(0.5), Grid1D(-0.5, 0.5, 1001), 10)
