@@ -269,11 +269,16 @@ def _splitter_state(c: ScenarioConfig, launch: Superposition, u0: float,
     return project_field(basis, values, eta=c.eta)
 
 
-# A tuner probe solves the barrier basis only from PROBE_MARGIN states
-# below the launch's lowest mode to PROBE_MARGIN above its highest, and
+# A tuner probe solves the barrier basis only from PROBE_BELOW states
+# below the launch's lowest mode to PROBE_ABOVE above its highest, and
 # keeps that window only if its projection leaves the PROBE_EDGE_CLEAR
-# states inside each cut edge unkept; otherwise it solves in full.
-PROBE_MARGIN = 24
+# states inside each cut edge unkept; otherwise it solves in full.  On the
+# stock mzi_1d config the full projection keeps states 56..106 over
+# U0 = 250..16000 (edges at U0 = 3750 and 5500), at most 6 below the
+# launch's modes 62..88 and 18 above; each margin is that reach plus
+# PROBE_EDGE_CLEAR.
+PROBE_BELOW = 12
+PROBE_ABOVE = 24
 PROBE_EDGE_CLEAR = 6
 
 
@@ -285,8 +290,8 @@ def _probe_state(c: ScenarioConfig, launch: Superposition, u0: float,
     of the full projection (_splitter_state), and T agrees with it to
     rounding.  values are the launch's grid values, as for
     _splitter_state."""
-    first = max(int(launch.indices.min()) - PROBE_MARGIN, 0)
-    last = min(int(launch.indices.max()) + PROBE_MARGIN, c.modes - 1)
+    first = max(int(launch.indices.min()) - PROBE_BELOW, 0)
+    last = min(int(launch.indices.max()) + PROBE_ABOVE, c.modes - 1)
     state = _splitter_state(c, launch, u0, (first, last), values)
     kept = state.indices
     if ((first == 0 or kept.min() >= PROBE_EDGE_CLEAR)

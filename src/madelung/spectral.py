@@ -318,6 +318,9 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
     renormalized float64 vectors returned.  On fine grids those sit at
     the float64 floor eps |diag H| instead: 3.2e-8, taken in longdouble,
     for the lowest 6 pairs of WellWithBarrier(1, 15, 0.2) at n = 20001.
+    Where a polished pair misses the bound, LAPACK's own float64 pair
+    takes its place if it meets it, and meta["unpolished"] lists those
+    pair indices; otherwise the solve raises.
     """
     dim = len(H.diagonal)
     if k >= dim:
@@ -341,8 +344,17 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
     r = np.abs(HV - lam * V).max(axis=0)
     bad = np.flatnonzero(r > 1e-8 * np.abs(V).max(axis=0))
     if bad.size:
-        j = bad[0]
-        raise RuntimeError(f"eigenpair {first + j} residual {r[j]:.2e} exceeds tolerance")
+        # the unpivoted polish can blow up on a tiny pivot of the shifted
+        # matrix; a LAPACK pair that already meets the bound on its own
+        # float64 vector is kept as is
+        r = _residuals(H, vecs[:, bad].T, vals[bad])
+        fail = np.flatnonzero(r > 1e-8)
+        if fail.size:
+            j = fail[0]
+            raise RuntimeError(f"eigenpair {first + bad[j]} residual {r[j]:.2e} "
+                               "exceeds tolerance")
+        lam[bad] = vals[bad]
+        V[:, bad] = vecs[:, bad]
     order = np.argsort(lam)
     lam = lam[order]
     full = np.zeros((k - first, grid.n))
@@ -355,22 +367,28 @@ def solve_eigen(H: SymTridiag, k: int, grid: Grid1D, potential=None,
     states = np.where(lead < 0, -V, V)
     basis = EigenBasis(grid, lam, states, potential,
                        {"method": "fd_tridiag", "first": first})
+    if bad.size:
+        basis.meta["unpolished"] = [first + int(j) for j in bad]
     basis.validate()
     return basis
 
 
-def max_residual(basis: EigenBasis) -> float:
-    """Largest |H psi - E psi|_inf / |psi|_inf over the float64 states of a
-    finite-difference basis, H = build_hamiltonian(potential, grid).
-    Elementwise, with no BLAS product, so its bits do not depend on the
-    BLAS thread count."""
-    H = build_hamiltonian(basis.potential, basis.grid)
-    V = basis.states[:, 1:-1]
+def _residuals(H: SymTridiag, V: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """|H v - E v|_inf / |v|_inf for each row v of V, over H's interior
+    points.  Elementwise, with no BLAS product, so its bits do not depend
+    on the BLAS thread count."""
     R = H.diagonal * V
     R[:, :-1] += H.offdiag * V[:, 1:]
     R[:, 1:] += H.offdiag * V[:, :-1]
-    R -= basis.energies[:, None] * V
-    return float((np.abs(R).max(axis=1) / np.abs(V).max(axis=1)).max())
+    R -= energies[:, None] * V
+    return np.abs(R).max(axis=1) / np.abs(V).max(axis=1)
+
+
+def max_residual(basis: EigenBasis) -> float:
+    """Largest |H psi - E psi|_inf / |psi|_inf over the float64 states of a
+    finite-difference basis, H = build_hamiltonian(potential, grid)."""
+    H = build_hamiltonian(basis.potential, basis.grid)
+    return float(_residuals(H, basis.states[:, 1:-1], basis.energies).max())
 
 
 # ------------------------------------------------------------ mode tables

@@ -288,28 +288,6 @@ class TestOracle:
         coords = [float(c[0]) for c in _points(state, rng, 1)]
         _assert_same(state, coords, rng.uniform(0.0, 0.5, 4))
 
-    def test_stock_loops_as_with_the_oracle(self, monkeypatch):
-        s = _vortex()
-        seeds = flow.loop_seeds_on_axis(s, 4, 0.5)
-        te = np.linspace(0.0, 0.5, 129)
-        qs = np.arange(1, 5) / 5.0
-
-        def run():
-            work = {}
-            loops = flow.integrate_loop_2d(s, [(0.5, y0) for y0 in seeds], (0.0, 0.5),
-                                           t_eval=te, seed_quantiles=qs, diagnostics=work)
-            return loops, work
-
-        loops, work = run()
-        monkeypatch.setattr(flow, "evaluate_at_2d",
-                            lambda *args: np.array(oracle_evaluate_at_2d(*args)))
-        want, want_work = run()
-        assert work == want_work
-        assert work["evaluator_calls"] == 818
-        for a, b in zip(loops, want):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-
 
 def _edge_points(s):
     """Points on the grid's edges, one array per axis: in 1D both ends and

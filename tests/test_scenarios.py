@@ -199,8 +199,8 @@ class TestTuner:
         bundle, _, solves = mzi_build
         r = bundle.tuning
         assert len(r.history) == 10
-        assert solves == [(38, 112)] * 10 + [(0, 139)]
-        assert r.probe_windows == ((38, 112, False),) * 10
+        assert solves == [(50, 112)] * 10 + [(0, 139)]
+        assert r.probe_windows == ((50, 112, False),) * 10
         want = sc._splitter_state(bundle.config, r.launch, r.U0_star)
         got = bundle.states[0]
         assert bundle.basis is got.basis and got.basis.first == 0
@@ -226,12 +226,12 @@ class TestTuner:
         assert calls["evaluate InfiniteWell"] == 2
         assert calls["evaluate WellWithBarrier"] >= len(bundle.tuning.history)
 
-    @pytest.mark.parametrize("u0", [250.0, 2437.5, 4000.0, 16000.0])
+    @pytest.mark.parametrize("u0", [250.0, 2437.5, 3750.0, 4000.0, 5500.0, 16000.0])
     def test_window_probe_matches_full_probe(self, splitter, u0):
         c, launch = splitter
         window, (first, last, fell_back) = sc._probe_state(c, launch, u0)
         full = sc._splitter_state(c, launch, u0)
-        assert (first, last, fell_back) == (38, 112, False)
+        assert (first, last, fell_back) == (50, 112, False)
         assert window.basis.first == first and window.basis.k == last - first + 1
         assert np.array_equal(window.indices + first, full.indices)
         assert window.meta["truncation_index"] == full.meta["truncation_index"]
@@ -245,7 +245,8 @@ class TestTuner:
         # with no margin the launch's own edge modes sit on the window
         # edges, so the probe solves in full: the full probe's bits
         c, launch = splitter
-        monkeypatch.setattr(sc, "PROBE_MARGIN", 0)
+        monkeypatch.setattr(sc, "PROBE_BELOW", 0)
+        monkeypatch.setattr(sc, "PROBE_ABOVE", 0)
         state, window = sc._probe_state(c, launch, 2437.5)
         assert window == (0, c.modes - 1, True)
         full = sc._splitter_state(c, launch, 2437.5)

@@ -496,11 +496,53 @@ class TestPolish:
         def spoiled(d, e, vals, vecs):
             lam, V, HV = real(d, e, vals, vecs)
             lam[[1, 3]] += 1.0
+            vals[[1, 3]] += 1.0  # LAPACK's pairs miss the bound too
             return lam, V, HV
 
         monkeypatch.setattr(spectral, "_polish_pairs", spoiled)
         with pytest.raises(RuntimeError, match=r"^eigenpair 1 residual .* exceeds tolerance$"):
             solve_eigen(H, 4, g)
+
+    def test_spoiled_polish_keeps_the_lapack_pairs(self, monkeypatch):
+        # a polished pair that misses the bound gives way to LAPACK's pair
+        # when that one meets it; the basis names the pairs it kept so
+        g = Grid1D(-1.0, 1.0, 201)
+        H = build_hamiltonian(InfiniteWell(1.0), g)
+        clean = solve_eigen(H, 4, g)
+        real, lapack = spectral._polish_pairs, {}
+
+        def spoiled(d, e, vals, vecs):
+            lam, V, HV = real(d, e, vals, vecs)
+            lam[[1, 3]] += 1.0
+            lapack.update(vals=vals.copy(), vecs=vecs.copy())
+            return lam, V, HV
+
+        monkeypatch.setattr(spectral, "_polish_pairs", spoiled)
+        basis = solve_eigen(H, 4, g)
+        assert basis.meta["unpolished"] == [1, 3]
+        assert "unpolished" not in clean.meta
+        assert np.array_equal(basis.energies[[1, 3]], lapack["vals"][[1, 3]])
+        assert np.array_equal(basis.energies[[0, 2]], clean.energies[[0, 2]])
+        assert np.array_equal(basis.states[[0, 2]], clean.states[[0, 2]])
+        v = np.abs(basis.states[[1, 3], 1:-1].T)
+        w = np.abs(lapack["vecs"][:, [1, 3]])
+        assert np.allclose(v / v.max(axis=0), w / w.max(axis=0), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("u0, pair", [(1000.0, 79), (13750.0, 135)])
+    def test_polish_on_a_tiny_pivot_keeps_the_lapack_pair(self, u0, pair):
+        # the shifted matrix has a pivot near 1e-8 against ~3e4, which the
+        # unpivoted longdouble sweep turns into garbage; LAPACK's own pair
+        # meets the bound and is kept
+        g = Grid1D(-2.0, 2.0, 1001)
+        basis = eigenbasis(WellWithBarrier(2.0, u0, 0.02), g, 140)
+        assert basis.meta["unpolished"] == [pair]
+        assert spectral.max_residual(basis) <= 1e-8
+        basis.validate()
+
+    def test_stock_bases_are_all_polished(self, stein_pairs):
+        for name, (H, _, _) in stein_pairs.items():
+            _, g, k = _POLISH_CASES[name]
+            assert "unpolished" not in solve_eigen(H, k, g).meta
 
 
 class TestBasisFactory:
