@@ -609,11 +609,14 @@ def _round_trip_report(state: Superposition, t_end: float) -> dict:
 def _basis_record(basis: EigenBasis) -> dict:
     """derived.diagnostics.basis: how the basis was made, the first and last
     pair index it holds and, for a finite-difference one, its largest
-    relative residual."""
+    relative residual and the pairs that kept LAPACK's vector (unpolished),
+    if any did."""
     rec = {"method": basis.meta["method"], "first": basis.first,
            "last": basis.first + basis.k - 1}
     if rec["method"] == "fd_tridiag":
         rec["max_residual"] = max_residual(basis)
+    if "unpolished" in basis.meta:
+        rec["unpolished"] = basis.meta["unpolished"]
     return rec
 
 

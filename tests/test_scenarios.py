@@ -405,6 +405,15 @@ class TestRunBundle:
                        "max_residual": r.max()}
         assert rec["max_residual"] < 1e-8
 
+    def test_unpolished_pairs_are_recorded(self, tmp_path):
+        # pair 79 of this basis blows up in the polish and keeps LAPACK's pair
+        c = sc.default_config("mzi_1d", grid_n=1001, barrier_height=1000.0, frames=2,
+                              streamlines=1)
+        rec = sc.run_scenario(c, tmp_path / "u")["derived"]["diagnostics"]["basis"]
+        assert rec["unpolished"] == [79]
+        assert set(rec) == {"method", "first", "last", "max_residual", "unpolished"}
+        assert rec["max_residual"] < 1e-8
+
     def test_analytic_basis_records_no_residual(self, tmp_path):
         c = sc.default_config("well_superposition", frames=2, streamlines=1)
         m = sc.run_scenario(c, tmp_path / "w")
