@@ -111,7 +111,7 @@ def _grid_rho(s: Superposition, ts):
 
 def _rho_at(s: Superposition, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """|Psi|^2 at points x paired with times t of the same shape."""
-    psi = evaluate_at(s, x.ravel(), t.ravel())[0]
+    psi = _off_grid(s, x.reshape(1, -1), t.ravel(), False)[0]
     return (psi.real**2 + psi.imag**2).reshape(x.shape)
 
 

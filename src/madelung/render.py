@@ -260,9 +260,9 @@ RENDER_KINDS = tuple(_FIGURES)
 
 
 def render_run(run_dir, spec: RenderSpec, out_path) -> str:
-    """Draw one figure from a completed run directory; returns out_path.
-    A run that lists not every file the figure reads is refused with a
-    ValueError."""
+    """Draw one figure from a completed run directory; returns out_path,
+    whose directory is made once the figure is drawn.  A run that lists
+    not every file the figure reads is refused with a ValueError."""
     return _render(run_dir, _load_manifest(run_dir), spec, out_path)
 
 
@@ -273,6 +273,7 @@ def _render(run_dir, manifest, spec: RenderSpec, out_path) -> str:
             raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
                              "scenario to write one" if key == "frame_table" else refusal)
     text = draw(run_dir, manifest, spec)
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(text)
     return str(out_path)

@@ -38,6 +38,7 @@ from .spectral import (
     InfiniteWell,
     QuarticDoubleWell,
     WellWithBarrier,
+    _barrier_span,
     eigenbasis,
     max_residual,
     product_basis_2d,
@@ -185,32 +186,25 @@ def _trapezoid(vals: np.ndarray, h: float) -> float:
     return float(np.sum(trapezoid_weights(vals.size, h) * vals))
 
 
-def transmission(s: Superposition, x_split: float, t_measure: float) -> float:
-    """Probability beyond x_split once the packet has cleared the barrier.
-
-    Requires the barrier region to hold under 1e-4 probability at the
-    measurement time (the split halves must have separated).
-    """
+def transmission(s: Superposition, t_measure: float) -> float:
+    """Probability past the barrier's centre x = 0 at t_measure, for a 1D
+    WellWithBarrier state whose packet has cleared the barrier: the grid
+    points sample_potential raises must hold under BARRIER_CLEARANCE of
+    the probability then (the split halves must have separated)."""
     g = s.grid
-    if g.ndim != 1:
-        raise ValueError("transmission is a 1D measurement")
+    pot = s.basis.potential
+    if g.ndim != 1 or not isinstance(pot, WellWithBarrier):
+        raise ValueError("transmission is a 1D measurement across a WellWithBarrier")
     rho = np.abs(evaluate(s, float(t_measure))) ** 2
     total = _trapezoid(rho, g.h)
-    pot = s.basis.potential
-    if isinstance(pot, WellWithBarrier):
-        half = 0.5 * pot.barrier_width
-        lo, hi = -half, half
-    else:
-        lo, hi = x_split - 2 * g.h, x_split + 2 * g.h
-    sel = (g.x >= lo) & (g.x <= hi)
-    p_bar = _trapezoid(rho[sel], g.h) / total
+    i_lo, i_hi = _barrier_span(pot, g)
+    p_bar = _trapezoid(rho[i_lo : i_hi + 1], g.h) / total
     if p_bar >= BARRIER_CLEARANCE:
         raise ValueError(
-            f"packet has not cleared the barrier: region [{lo:g}, {hi:g}] holds "
-            f"probability {p_bar:.3e} at t = {t_measure:g}"
+            f"packet has not cleared the barrier: region [{g.x[i_lo]:g}, {g.x[i_hi]:g}] "
+            f"holds probability {p_bar:.3e} at t = {t_measure:g}"
         )
-    beyond = g.x >= x_split
-    return _trapezoid(rho[beyond], g.h) / total
+    return _trapezoid(rho[g.x >= 0.0], g.h) / total
 
 
 @dataclass(frozen=True)
@@ -243,14 +237,20 @@ def _packet(c: ScenarioConfig) -> WavepacketSpec:
     return WavepacketSpec(*_required(c, "packet_center", "packet_momentum", "packet_width"))
 
 
-def _launch_state(c: ScenarioConfig) -> Superposition:
-    """The mzi_1d packet projected on the free well, band-capped."""
-    grid = Grid1D(-MZI_HALF_WIDTH, MZI_HALF_WIDTH, c.grid_n)
-    free = eigenbasis(InfiniteWell(MZI_HALF_WIDTH), grid, c.modes)
+def _free_packet(c: ScenarioConfig, half_width: float) -> Superposition:
+    """The config's packet projected on the free well of half_width,
+    band-capped: the launch of both pulse scenarios."""
+    grid = Grid1D(-half_width, half_width, c.grid_n)
+    free = eigenbasis(InfiniteWell(half_width), grid, c.modes)
     sp = project_gaussian(free, _packet(c), eta=c.eta)
     if c.band_cap is not None:
         sp = cap_modes(sp, c.band_cap)
     return sp
+
+
+def _launch_state(c: ScenarioConfig) -> Superposition:
+    """The mzi_1d packet on the free well, as the tuner and the build take it."""
+    return _free_packet(c, MZI_HALF_WIDTH)
 
 
 def _splitter_state(c: ScenarioConfig, launch: Superposition, u0: float,
@@ -301,28 +301,26 @@ def _probe_state(c: ScenarioConfig, launch: Superposition, u0: float,
     return _splitter_state(c, launch, u0, values=values), (0, c.modes - 1, True)
 
 
-# bisection steps the tuner may take after its bracket
+# bisection steps the tuner may take after its bracket, and the barrier
+# heights its ladder spans (0 < low < high)
 MAX_BISECT = 30
+PROBE_RANGE = (250.0, 16000.0)
 
 
-def tune_beam_splitter(c: ScenarioConfig,
-                       probe_range: tuple = (250.0, 16000.0)) -> TuningResult:
+def tune_beam_splitter(c: ScenarioConfig) -> TuningResult:
     """Bisect the barrier height of an mzi_1d config until its packet
     splits 50/50 to within c.tol.
 
     Each probe solves the barrier-well states the packet can reach (an
     index window, see _probe_state) and re-projects the packet. A geometric
-    ladder over probe_range (0 < low < high), doubling from low, first
-    verifies a bracket with T(low) > 0.5 > T(high) and that T is decreasing
-    across the probes.
+    ladder over PROBE_RANGE, doubling from its low end, first verifies a
+    bracket with T(low) > 0.5 > T(high) and that T is decreasing across
+    the probes.
     The result carries the packet as `launch` and each probe's window as
     `probe_windows`.
     """
     if c.tol <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = probe_range
-    if not 0 < lo < hi:
-        raise ValueError(f"probe range needs 0 < low < high, got {probe_range}")
     launch = _launch_state(c)
     values = evaluate(launch, 0.0)  # every probe projects the same values
     history = []
@@ -330,7 +328,7 @@ def tune_beam_splitter(c: ScenarioConfig,
 
     def probe(u0: float) -> float:
         state, window = _probe_state(c, launch, u0, values)
-        t = transmission(state, 0.0, MEASURE_TIME)
+        t = transmission(state, MEASURE_TIME)
         history.append((float(u0), float(t)))
         windows.append(window)
         return t
@@ -339,28 +337,27 @@ def tune_beam_splitter(c: ScenarioConfig,
         return TuningResult(float(u0), float(t), iterations, bracket, tuple(history),
                             launch, tuple(windows))
 
+    lo, hi = PROBE_RANGE
     ladder = [lo]
     while ladder[-1] < hi:
         ladder.append(min(ladder[-1] * 2.0, hi))
-    pairs = []
     for u0 in ladder:
         t = probe(u0)
         if abs(t - 0.5) < c.tol:
             return result(u0, t, 0, (float(u0), float(u0)))
-        pairs.append((u0, t))
-        if len(pairs) >= 2 and pairs[-1][1] > pairs[-2][1] + 1e-3:
+        if len(history) >= 2 and t > history[-2][1] + 1e-3:
             raise ValueError(
-                f"transmission not decreasing across probes: {pairs}"
+                f"transmission not decreasing across probes: {history}"
             )
-        if len(pairs) >= 2 and pairs[-2][1] > 0.5 > pairs[-1][1]:
+        if len(history) >= 2 and history[-2][1] > 0.5 > t:
             break
     else:
         raise ValueError(
-            f"no bracket with T(low) > 0.5 > T(high) in {probe_range}; "
+            f"no bracket with T(low) > 0.5 > T(high) in {PROBE_RANGE}; "
             f"probed (U0, T) pairs: {history}"
         )
 
-    b_lo, b_hi = pairs[-2][0], pairs[-1][0]
+    b_lo, b_hi = history[-2][0], history[-1][0]
     t_mid = None
     for it in range(1, MAX_BISECT + 1):
         mid = 0.5 * (b_lo + b_hi)
@@ -442,17 +439,13 @@ def _pulse_bundle(c, basis, state, span, tuning, extras) -> ScenarioBundle:
 
 
 def _build_reflection(c: ScenarioConfig) -> ScenarioBundle:
-    grid = Grid1D(-REFLECT_HALF_WIDTH, REFLECT_HALF_WIDTH, c.grid_n)
-    basis = eigenbasis(InfiniteWell(REFLECT_HALF_WIDTH), grid, c.modes)
-    state = project_gaussian(basis, _packet(c), eta=c.eta)
-    if c.band_cap is not None:
-        state = cap_modes(state, c.band_cap)
+    state = _free_packet(c, REFLECT_HALF_WIDTH)
     band = {
         "truncation_index": int(state.meta["truncation_index"]),
         "band_limit": band_limit(state),
         "cap_dropped_norm": state.meta.get("cap_dropped_norm", 0.0),
     }
-    return _pulse_bundle(c, basis, state, (0.0, REFLECT_SPAN), None, {"band": band})
+    return _pulse_bundle(c, state.basis, state, (0.0, REFLECT_SPAN), None, {"band": band})
 
 
 def _build_mzi(c: ScenarioConfig) -> ScenarioBundle:

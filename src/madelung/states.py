@@ -132,8 +132,9 @@ def _off_grid(s: Superposition, pts: np.ndarray, t, time_derivative: bool):
     """Three sums sum_k w_k m_k(x) at the (D, n) float points pts, one
     stacked matmul of the weights with the mode tables, as one (3, n)
     array: (Psi, dPsi/dx, dPsi/dt) with time_derivative, else Psi and its
-    derivative along each of the two axes.  t is a float, or a float (n,)
-    array paired with the points.
+    derivative along each of the two axes, which for a 1D call is (Psi,
+    dPsi/dx, 0).  t is a float, or a float (n,) array paired with the
+    points.
 
     The state's ModeTables writes the tables straight into the real part of
     the complex matmul operand.  For one time that is modes first,

@@ -182,6 +182,19 @@ class TestRender:
         doc = json.loads(err)
         assert doc["error"] == "ValueError"
 
+    def test_out_directory_is_made_once_the_figure_is_drawn(self, capsys, well_run, tmp_path):
+        # the other subcommands make their --out directory; a refused kind
+        # leaves none behind
+        refused = tmp_path / "refused" / "f.svg"
+        code, _, err = _run(capsys, ["render", "--run", str(well_run),
+                                     "--kind", "vortex", "--out", str(refused)])
+        assert code == 1 and json.loads(err)["error"] == "ValueError"
+        assert not refused.parent.exists()
+        target = tmp_path / "new" / "deeper" / "f.svg"
+        code, _, _ = _run(capsys, ["render", "--run", str(well_run),
+                                   "--kind", "densities", "--out", str(target)])
+        assert code == 0 and target.read_text().startswith("<svg ")
+
 
 class TestRenderFrameTable:
     def test_run_without_table_is_value_error(self, capsys, tmp_path):

@@ -18,7 +18,7 @@ from madelung.energy import (
     write_frame_table,
 )
 from madelung.grids import partials, read_columns
-from madelung.spectral import build_hamiltonian
+from madelung.spectral import build_hamiltonian, sample_potential
 from madelung.states import evaluate
 
 TWO_TERM = (
@@ -48,7 +48,7 @@ def splitter():
 
 
 def _transmission_at(c, launch, u0):
-    return sc.transmission(sc._splitter_state(c, launch, u0), 0.0, sc.MEASURE_TIME)
+    return sc.transmission(sc._splitter_state(c, launch, u0), sc.MEASURE_TIME)
 
 
 class TestConfig:
@@ -177,11 +177,23 @@ class TestTransmission:
             evaluate(launch, 0.0), eta=c.eta)
         # at one sixtieth the packet is astride the barrier
         with pytest.raises(ValueError, match="probability"):
-            sc.transmission(s, 0.0, 1.0 / 60.0)
+            sc.transmission(s, 1.0 / 60.0)
+
+    def test_clearance_reads_the_sampled_barrier(self, monkeypatch):
+        # x[995] rounds to just left of -0.01 but sample_potential raises it:
+        # a density on that edge point has not cleared the barrier
+        g = sc.Grid1D(-sc.MZI_HALF_WIDTH, sc.MZI_HALF_WIDTH, 2001)
+        basis = sc.eigenbasis(sc.WellWithBarrier(2.0, 2437.5, 0.02), g, 2)
+        assert g.x[995] < -0.01 and sample_potential(basis.potential, g)[995] == 2437.5
+        psi = np.zeros(g.n, dtype=complex)
+        psi[[500, 995]] = 1.0
+        monkeypatch.setattr(sc, "evaluate", lambda s, t: psi)
+        with pytest.raises(ValueError, match="not cleared"):
+            sc.transmission(sc.superposition(basis, [0], [1.0]), sc.MEASURE_TIME)
 
     def test_requires_1d(self, bundles):
         with pytest.raises(ValueError, match="1D"):
-            sc.transmission(bundles["vortex_2d"].states[0], 0.0, 0.01)
+            sc.transmission(bundles["vortex_2d"].states[0], 0.01)
 
 
 class TestTuner:
@@ -237,8 +249,8 @@ class TestTuner:
         assert window.meta["truncation_index"] == full.meta["truncation_index"]
         assert window.meta["captured_norm"] == pytest.approx(
             full.meta["captured_norm"], rel=1e-12, abs=0.0)
-        t_window = sc.transmission(window, 0.0, sc.MEASURE_TIME)
-        t_full = sc.transmission(full, 0.0, sc.MEASURE_TIME)
+        t_window = sc.transmission(window, sc.MEASURE_TIME)
+        t_full = sc.transmission(full, sc.MEASURE_TIME)
         assert t_window == pytest.approx(t_full, rel=1e-12, abs=0.0)
 
     def test_probe_falls_back_to_the_full_solve(self, splitter, monkeypatch):
@@ -265,26 +277,15 @@ class TestTuner:
         r = sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=0.5))
         assert len(r.history) == 1 and r.iterations == 0
 
-    def test_no_bracket_error(self):
+    def test_no_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(sc, "PROBE_RANGE", (1.0, 2.0))
         with pytest.raises(ValueError, match="bracket") as err:
-            sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=1e-4), probe_range=(1.0, 2.0))
+            sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=1e-4))
         assert "(1.0," in str(err.value)  # probed pairs are listed
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="positive"):
             sc.tune_beam_splitter(sc.default_config("mzi_1d", tol=-1.0))
-
-    @pytest.mark.parametrize("probe_range", [(0.0, 100.0), (-1.0, 100.0), (100.0, 100.0)])
-    def test_rejects_bad_probe_range(self, monkeypatch, probe_range):
-        # refused before the launch state's eigenbasis is solved; a ladder
-        # doubling from 0 or below would never reach the high end
-
-        def no_launch(*args):
-            raise AssertionError("launch state built")
-
-        monkeypatch.setattr(sc, "_launch_state", no_launch)
-        with pytest.raises(ValueError, match="0 < low < high"):
-            sc.tune_beam_splitter(sc.default_config("mzi_1d"), probe_range=probe_range)
 
 
 def _digest_dir(root):
