@@ -339,7 +339,8 @@ def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quanti
     alone or in a batch.  Samples are the 4th-order dense output at t_eval,
     or the accepted step ends when t_eval is None.  Positions clip to the
     box in the velocity and in the output; rho is floored at
-    NODE_PAUSE_FACTOR * EPS_NODE * max rho(., t0).
+    NODE_PAUSE_FACTOR * EPS_NODE * max rho(., t0).  A start where rho <
+    EPS_NODE * max rho(., t0) is refused, as the 1D streamline starts are.
 
     The live loops' state is held compact, one column per loop: it is
     gathered again only when a loop finishes, and a round that accepts
@@ -367,8 +368,19 @@ def integrate_loop_2d(s: Superposition, starts, t_span, t_eval=None, seed_quanti
         return []
     max_step = (t1 - t0) / 64.0
     (_, _, rho0), = _grid_rho(s, [t0])
-    floor = NODE_PAUSE_FACTOR * EPS_NODE * float(rho0.max())
+    rho_ref = float(rho0.max())
+    floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
     lo, hi = np.array([[gx.x_min], [gy.x_min]]), np.array([[gx.x_max], [gy.x_max]])
+    # a start on a node has no velocity to follow: the stepper would shrink
+    # its steps there without end
+    psi0 = _off_grid(s, np.minimum(np.maximum(p0.T, lo), hi), t0, False)[0]
+    rho_start = psi0.real**2 + psi0.imag**2
+    on_node = rho_start < EPS_NODE * rho_ref
+    if on_node.any():
+        i = int(np.argmax(on_node))
+        raise ValueError(f"loop start {tuple(p0[i].tolist())} lies on a node: rho there is "
+                         f"{rho_start[i] / rho_ref:.3g} of its peak at t = {t0!r}, under "
+                         f"EPS_NODE = {EPS_NODE}")
     calls = 0
 
     def velocity(t, y, out=None):
@@ -499,17 +511,24 @@ def loop_seeds_on_axis(s: Superposition, m: int, axis_x: float) -> np.ndarray:
 def _local_minima_2d(R2: np.ndarray, threshold):
     """Indices (*lead, i, j) of interior strict-in-i local minima below
     threshold over the last two axes; the j comparison carries relative slack
-    so stationary node lines (flat in t up to rounding) register at every slice."""
+    so stationary node lines (flat in t up to rounding) register at every slice.
+
+    The threshold and the two i comparisons run over the whole lattice into
+    one mask (a scratch buffer takes each comparison); the two slack j
+    comparisons run only at the few points that pass them.  The indices come
+    out in C order, as np.nonzero gives them."""
     c = R2[..., 1:-1, 1:-1]
-    keep = (
-        (c < threshold)
-        & (c < R2[..., :-2, 1:-1])
-        & (c < R2[..., 2:, 1:-1])
-        & (c <= R2[..., 1:-1, :-2] * (1.0 + 1e-9))
-        & (c <= R2[..., 1:-1, 2:] * (1.0 + 1e-9))
-    )
+    keep = np.less(c, threshold)
+    scratch = np.empty_like(keep)
+    keep &= np.less(c, R2[..., :-2, 1:-1], out=scratch)
+    keep &= np.less(c, R2[..., 2:, 1:-1], out=scratch)
     *lead, ii, jj = np.nonzero(keep)
-    return (*lead, ii + 1, jj + 1)
+    ii += 1
+    jj += 1
+    at = R2[(*lead, ii, jj)]
+    slack = ((at <= R2[(*lead, ii, jj - 1)] * (1.0 + 1e-9))
+             & (at <= R2[(*lead, ii, jj + 1)] * (1.0 + 1e-9)))
+    return tuple(idx[slack] for idx in (*lead, ii, jj))
 
 
 NEWTON_OK, NEWTON_SINGULAR, NEWTON_OUT_OF_BOUNDS = 0, 1, 2
@@ -586,7 +605,13 @@ def _node_diagnostics(status, steps, refined) -> dict:
 def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
     """Union events within (space_tol, 2 dt_lat) of each other; a cluster
     spanning a sizable fraction of the window is a persistent node line.
-    Pairs are found by a sweep over the events sorted by time."""
+
+    Pairs are swept over the events sorted by time: at each offset along
+    that order, the pairs not yet more than 2 dt_lat apart in time, until
+    none is left.  An array distance keeps the pairs that may lie within
+    space_tol (|dx| is what math.dist returns for one coordinate; np.hypot
+    is held to a bound loose by far more than its rounding), and math.dist
+    decides each of them."""
     n = len(raw)
     parent = list(range(n))
     # positions as coordinate tuples: (x,) in 1D, (x, y) in 2D
@@ -598,11 +623,18 @@ def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
             a = parent[a]
         return a
 
-    order = sorted(range(n), key=lambda a: raw[a][0])
-    for k, a in enumerate(order):
-        for b in order[k + 1:]:
-            if raw[b][0] - raw[a][0] > 2 * dt_lat:
-                break
+    times = np.array([t for t, _, _, _ in raw], dtype=float)
+    order = np.argsort(times, kind="stable")
+    t_sorted = times[order]
+    p_sorted = np.array(pos, dtype=float)[order]  # (n, 1) or (n, 2)
+    for off in range(1, n):
+        near = np.flatnonzero(~(t_sorted[off:] - t_sorted[:-off] > 2 * dt_lat))
+        if near.size == 0:
+            break
+        d = p_sorted[near + off] - p_sorted[near]
+        dist = np.abs(d[:, 0]) if d.shape[1] == 1 else np.hypot(d[:, 0], d[:, 1])
+        for k in near[dist <= space_tol * (1.0 + 1e-12)].tolist():
+            a, b = int(order[k]), int(order[k + off])
             if math.dist(pos[a], pos[b]) <= space_tol:
                 ra, rb = find(a), find(b)
                 if ra != rb:

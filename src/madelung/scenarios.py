@@ -68,6 +68,9 @@ MZI_SPAN = 0.1
 REFLECT_SPAN = 0.04
 VORTEX_PAIRS = ((1, 2), (2, 1))
 BARRIER_CLEARANCE = 1e-4
+# the largest share of a pulse's norm its band_cap may drop (criterion 09's
+# budget): past it the run would launch another packet than the config names
+CAP_DROP_BUDGET = 1e-5
 
 
 @dataclass(frozen=True)
@@ -239,12 +242,17 @@ def _packet(c: ScenarioConfig) -> WavepacketSpec:
 
 def _free_packet(c: ScenarioConfig, half_width: float) -> Superposition:
     """The config's packet projected on the free well of half_width,
-    band-capped: the launch of both pulse scenarios."""
+    band-capped: the launch of both pulse scenarios.  A cap that drops more
+    than CAP_DROP_BUDGET of the packet's norm is refused."""
     grid = Grid1D(-half_width, half_width, c.grid_n)
     free = eigenbasis(InfiniteWell(half_width), grid, c.modes)
     sp = project_gaussian(free, _packet(c), eta=c.eta)
     if c.band_cap is not None:
         sp = cap_modes(sp, c.band_cap)
+        dropped = sp.meta["cap_dropped_norm"]
+        if dropped > CAP_DROP_BUDGET:
+            raise ValueError(f"band_cap = {c.band_cap} drops {dropped:.3g} of the packet's "
+                             f"norm, more than the budget {CAP_DROP_BUDGET}")
     return sp
 
 

@@ -34,6 +34,9 @@ OLD_CONFIG = "".join(f"{line}\n" for line in (
     "eta = 0.001", "tol = 0.01", "packet_center = none", "packet_momentum = none",
     "packet_width = none", "band_cap = none", "barrier_height = none", "barrier_width = none",
     "write_fields = true"))
+# seconds one command may run before its check fails, so a hang fails its own check; the
+# slowest commands, a cold tune and the oracle tests, take under a minute on 2 vCPUs
+RUN_TIMEOUT = 600
 
 
 def expect(ok, finding) -> list:
@@ -42,12 +45,13 @@ def expect(ok, finding) -> list:
 
 def run(command, code=0, says=None, cache=None, threads=None) -> list:
     """Run `madelung COMMAND`, with MADELUNG_CACHE_DIR only if cache names one; another exit
-    status than code raises. Given says, stderr must be a JSON ValueError passing it."""
+    status than code, or a run past RUN_TIMEOUT, raises. Given says, stderr must be a JSON
+    ValueError passing it."""
     env = {k: v for k, v in os.environ.items() if k != "MADELUNG_CACHE_DIR"}
     env.update({k: str(v) for k, v in [("MADELUNG_CACHE_DIR", cache),
                                         ("OPENBLAS_NUM_THREADS", threads)] if v})
     p = subprocess.run([sys.executable, "-m", "madelung.cli", *command.split()],
-                       capture_output=True, text=True, env=env)
+                       capture_output=True, text=True, env=env, timeout=RUN_TIMEOUT)
     if p.returncode != code:
         raise RuntimeError(f"madelung {command} exited {p.returncode}:\n{p.stderr}")
     doc = json.loads(p.stderr) if says else {}
@@ -95,7 +99,8 @@ def thread_pair(flags, gate) -> list:
 
 def oracles(n) -> list:
     p = subprocess.run([sys.executable, "-m", "pytest", "-q", *ORACLES], capture_output=True,
-                       text=True, cwd=ROOT, env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)})
+                       text=True, cwd=ROOT, env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)},
+                       timeout=RUN_TIMEOUT)
     return expect(p.returncode == 0, f"pytest exited {p.returncode}\n{p.stdout[-3000:]}{p.stderr}")
 
 
@@ -139,6 +144,13 @@ def figures() -> list:
     return found
 
 
+def refusals() -> list:
+    Path("p70.txt").write_text("name = mzi_1d\npacket_momentum = 70\n")
+    return run("scenario --name vortex_2d --streamlines 3 --out n1", code=1,
+               says=lambda m: m.startswith("loop start (0.5, ")) + run(
+        "scenario --config p70.txt --out n2", code=1, says=lambda m: m.startswith("band_cap = 89"))
+
+
 def manifests() -> list:
     wide, tuned = (json.loads(Path(t, "manifest.json").read_text()) for t in ("w1", "t1"))
     seen = wide["config"]["barrier_width"], wide["derived"]["barrier"]["width"]
@@ -164,6 +176,8 @@ CHECKS = [
     ("figures: each drawn twice is equal", figures),
     ("figures: a kind the run lacks files for is refused", run, "render --run b1 --kind vortex", 1),
     ("manifests: width 0.08 recorded; no tuner probe fell back to a full solve", manifests),
+    ("refused: a 2D loop start on the vortex core, and a band_cap dropping 44.6% of the"
+     " packet (from a config file)", refusals),
     ("tuner cache: a second tune gives the same tuning.json and 11 entries (free well, ten"
      " probes); a build at 2437.5 adds a 12th and equals one without the cache",
      lambda: run("tune --out u1", cache="ucache")

@@ -3,9 +3,11 @@ a difference would let every bundle check pass, so each kind of difference
 must be reported, and equal trees must give no finding."""
 
 import os
+import subprocess
 
 import pytest
 
+import bundle_checks
 from bundle_checks import differences, main
 
 
@@ -69,3 +71,10 @@ def test_an_existing_work_directory_is_refused(tmp_path):
     with pytest.raises(FileExistsError):
         main([str(work)])
     assert list(work.iterdir()) == []
+
+
+def test_a_command_past_the_timeout_fails_its_check(monkeypatch, tmp_path):
+    # a command that hangs must fail its own check, not stall the whole run
+    monkeypatch.setattr(bundle_checks, "RUN_TIMEOUT", 0.01)
+    with pytest.raises(subprocess.TimeoutExpired):
+        bundle_checks.run(f"scenario --name vortex_2d --out {tmp_path / 'v'}")

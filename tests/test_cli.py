@@ -494,6 +494,20 @@ class TestErrors:
         assert doc["error"] == "ValueError" and "barrier_height" in doc["message"]
         assert not out.exists()
 
+    def test_loop_start_on_the_vortex_core_is_refused_in_seconds(self, tmp_path):
+        # the middle of three seeds on x = 0.5 sits on the core; the loop
+        # stepper never finished there, so a child process with a timeout
+        # keeps a hang from stopping the suite
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        p = subprocess.run([sys.executable, "-m", "madelung.cli", "scenario", "--name",
+                            "vortex_2d", "--streamlines", "3", "--out", str(tmp_path / "v")],
+                           env=env, capture_output=True, text=True, timeout=60)
+        assert p.returncode == 1
+        doc = json.loads(p.stderr)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith("loop start (0.5, 0.4999")
+
     def test_missing_name_and_config(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["fields", "--out", str(tmp_path)])
         assert code == 1

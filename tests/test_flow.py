@@ -435,6 +435,69 @@ def _oracle_find_nodes_2d(s, t_window, nt: int):
             flow._node_diagnostics(res.status, res.steps, refined))
 
 
+def _minima_oracle(R2, threshold):
+    """The five full-lattice comparisons flow._local_minima_2d replaced."""
+    c = R2[..., 1:-1, 1:-1]
+    keep = (
+        (c < threshold)
+        & (c < R2[..., :-2, 1:-1])
+        & (c < R2[..., 2:, 1:-1])
+        & (c <= R2[..., 1:-1, :-2] * (1.0 + 1e-9))
+        & (c <= R2[..., 1:-1, 2:] * (1.0 + 1e-9))
+    )
+    *lead, ii, jj = np.nonzero(keep)
+    return (*lead, ii + 1, jj + 1)
+
+
+def _same_indices(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# few levels, so plateaus and equal neighbours are common; 1 + 1e-9 and its
+# square sit on the slack's edge, and one level under the threshold 0.75
+_TIE = 1.0 + 1e-9
+_LEVEL = st.sampled_from([0.0, 0.5, 1.0, _TIE, _TIE * _TIE, 1.0 - 1e-9, 2.0, math.inf])
+
+
+class TestLatticeMinima:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7), st.data(),
+           st.sampled_from(["scalar", "per_plane"]))
+    def test_matches_five_comparisons(self, planes, na, nb, data, kind):
+        R2 = np.array(data.draw(st.lists(_LEVEL, min_size=planes * na * nb,
+                                         max_size=planes * na * nb))).reshape(planes, na, nb)
+        if kind == "scalar":
+            threshold = data.draw(st.sampled_from([0.75, _TIE, 3.0]))
+        else:
+            threshold = np.array(data.draw(st.lists(st.sampled_from([0.75, _TIE, 3.0]),
+                                                    min_size=planes, max_size=planes)))
+            threshold = threshold[:, None, None]
+        assert _same_indices(flow._local_minima_2d(R2, threshold),
+                             _minima_oracle(R2, threshold))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 9), st.integers(3, 9), st.data())
+    def test_transposed_1d_view(self, nt, nx, data):
+        # the 1D search passes its (t, x) lattice as the view R2.T[None]
+        R2 = np.array(data.draw(st.lists(_LEVEL, min_size=nt * nx,
+                                         max_size=nt * nx))).reshape(nt, nx)
+        for view in (R2.T[None], R2.T):
+            assert _same_indices(flow._local_minima_2d(view, 1.5), _minima_oracle(view, 1.5))
+
+    def test_stationary_node_line(self):
+        # rho = x^2 up to rounding-sized jitter in t: the node line x = 0
+        # registers at every interior time through the slack comparisons
+        x = np.linspace(-1.0, 1.0, 41)
+        jitter = 1.0 + 1e-12 * np.random.default_rng(3).standard_normal((33, 1))
+        R2 = (x**2 + 1e-6)[None, :] * jitter
+        for planes in (R2.T[None], R2[None]):
+            got = flow._local_minima_2d(planes, 1e-3)
+            assert _same_indices(got, _minima_oracle(planes, 1e-3))
+        kk, ix, it = flow._local_minima_2d(R2.T[None], 1e-3)
+        assert (ix == 20).all() and it.tolist() == list(range(1, 32))
+
+
 @pytest.fixture(scope="module")
 def mzi_nodes():
     # the benchmark's interferometer: its node source and window
@@ -600,6 +663,7 @@ def _cluster_oracle(raw, dt_lat, space_tol, window_span):
 _COORD = st.one_of(st.integers(-12, 12).map(lambda i: i * 0.125),
                    st.floats(-1.5, 1.5, allow_nan=False))
 _RESIDUAL = st.sampled_from([0.0, 1e-9, 1e-9, 2e-4, 0.5])
+_LATTICE_TIME = st.sampled_from([0.0, 0.125, 0.25, 0.5])
 
 
 class TestClusterSweep:
@@ -615,6 +679,32 @@ class TestClusterSweep:
            st.sampled_from([0.5, 2.0, 8.0]))
     def test_2d_matches_all_pairs(self, raw, span):
         assert flow._cluster(raw, 0.125, 0.25, span) == _cluster_oracle(raw, 0.125, 0.25, span)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_LATTICE_TIME, st.tuples(_COORD, _COORD), st.floats(0.0, 2 * math.pi),
+                              st.booleans(), _RESIDUAL), max_size=20),
+           st.sampled_from([0.5, 2.0, 8.0]))
+    def test_2d_near_the_tolerance_and_at_equal_times(self, seeds, span):
+        # each seed and a partner space_tol away along an angle: their
+        # distance lands within an ulp or so of space_tol, on either side;
+        # the times come from four values, so many events share one
+        raw = []
+        for t, (x, y), angle, refined, resid in seeds:
+            raw.append((t, (x, y), refined, resid))
+            raw.append((t, (x + 0.25 * math.cos(angle), y + 0.25 * math.sin(angle)),
+                        not refined, resid))
+        assert all(abs(math.dist(a[1], b[1]) - 0.25) < 1e-15 for a, b in zip(raw[::2], raw[1::2]))
+        assert flow._cluster(raw, 0.125, 0.25, span) == _cluster_oracle(raw, 0.125, 0.25, span)
+
+    def test_2d_pair_the_array_distance_reads_past_the_tolerance(self):
+        # math.dist puts these two exactly at space_tol, and NumPy 2.4's
+        # np.hypot on x86-64 Linux an ulp past it (0.25000000000000006):
+        # the array prefilter must keep the pair for math.dist to decide
+        p, q = (0.31152907293124654, -0.665809662638018), (0.07519295639568277, -0.7473280042605537)
+        assert math.dist(p, q) == 0.25
+        raw = [(0.0, p, True, 1e-9), (0.0, q, True, 2e-9)]
+        assert flow._cluster(raw, 0.125, 0.25, 8.0) == _cluster_oracle(raw, 0.125, 0.25, 8.0)
+        assert len(_cluster_oracle(raw, 0.125, 0.25, 8.0)) == 1
 
 
 LOOP_SPAN = (0.0, 0.5)
@@ -709,6 +799,12 @@ class TestLoops:
         with pytest.raises(ValueError, match="outside the time span"):
             integrate_loop_2d(vortex_state, [(0.5, 0.3)], (0.0, 0.05), t_eval=[0.0, 0.1])
         assert integrate_loop_2d(vortex_state, np.empty((0, 2)), (0.0, 0.05)) == []
+
+    def test_start_on_the_core_is_refused(self, vortex_state):
+        # the stepper would shrink its steps there without end, as the
+        # middle of three stock seeds on x = 0.5 did
+        with pytest.raises(ValueError, match=r"loop start \(0\.5, 0\.5\) lies on a node"):
+            integrate_loop_2d(vortex_state, [(0.5, 0.3), (0.5, 0.5)], (0.0, 0.05))
 
 
 # ---------------------------------------------------- loop stepper oracle

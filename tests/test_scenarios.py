@@ -628,6 +628,25 @@ class TestMZI:
         assert bar["width"] == pytest.approx(0.02)
         assert bar["width_on_grid"] == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("name, settings, message", [
+        ("mzi_1d", dict(packet_momentum=70.0), "band_cap = 89 drops 0.446 "),
+        ("reflection_pulse", dict(band_cap=12), "band_cap = 12 drops 0.0105 "),
+    ])
+    def test_a_cap_past_the_budget_is_refused_before_the_barrier_solve(
+            self, monkeypatch, name, settings, message):
+        # at packet_momentum 70 the stock cap 89 (k ~ 69.9) drops 44.6% of
+        # the packet: the run would launch another packet than it records
+        solved, solve = [], sc.eigenbasis
+
+        def recorded(potential, *args, **kwargs):
+            solved.append(type(potential).__name__)
+            return solve(potential, *args, **kwargs)
+
+        monkeypatch.setattr(sc, "eigenbasis", recorded)
+        with pytest.raises(ValueError, match=message + "of the packet's norm"):
+            sc.build_scenario(sc.default_config(name, **settings))
+        assert solved == ["InfiniteWell"]
+
     def test_round_trip_recombines_into_one_port(self, mzi):
         rep = sc._round_trip_report(mzi.states[0], sc.MZI_SPAN)
         assert rep["launch_side_probability"] + rep["far_side_probability"] == pytest.approx(1.0)
