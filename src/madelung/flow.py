@@ -83,13 +83,20 @@ NODE_SCAN_SAMPLES = 257
 
 def _cdf(values: np.ndarray, x: np.ndarray):
     """Trapezoid CDF along the last axis, normalised to end at 1, and the
-    total it was divided by."""
-    steps = np.cumsum(np.diff(x) * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
-    cdf = np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
-    total = cdf[..., -1:]
+    total it was divided by.  The steps, their running sum and the division
+    all write into the one output array."""
+    cdf = np.empty(values.shape)
+    cdf[..., 0] = 0.0
+    steps = cdf[..., 1:]
+    np.add(values[..., 1:], values[..., :-1], out=steps)
+    steps *= np.diff(x)
+    steps /= 2.0
+    np.cumsum(steps, axis=-1, out=steps)
+    total = cdf[..., -1:].copy()
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise ValueError("density does not carry positive mass")
-    return cdf / total, total
+    cdf /= total
+    return cdf, total
 
 
 def _grid_rho(s: Superposition, ts):
@@ -105,7 +112,11 @@ def _grid_rho(s: Superposition, ts):
         # Re and Im stacked into one real matmul: on NumPy 2.4 a complex
         # product with the real modes runs 100x slower at one to four rows
         parts = np.concatenate([w.real, w.imag]) @ V
-        rho = parts[:tc.size] ** 2 + parts[tc.size:] ** 2
+        # squared and summed in place: parts is this chunk's own array, and
+        # rho a view of its first half
+        np.square(parts, out=parts)
+        rho = parts[:tc.size]
+        rho += parts[tc.size:]
         yield k, tc, rho.reshape(tc.shape + s.grid.shape)
 
 
@@ -514,15 +525,18 @@ def _local_minima_2d(R2: np.ndarray, threshold):
     so stationary node lines (flat in t up to rounding) register at every slice.
 
     The threshold and the two i comparisons run over the whole lattice into
-    one mask (a scratch buffer takes each comparison); the two slack j
-    comparisons run only at the few points that pass them.  The indices come
-    out in C order, as np.nonzero gives them."""
+    one mask (a scratch buffer takes each comparison); np.nonzero then reads
+    only the (*lead, i) rows of the mask that hold a survivor, and the two
+    slack j comparisons run only at the few points that pass.  The indices
+    come out in C order, as np.nonzero gives them."""
     c = R2[..., 1:-1, 1:-1]
     keep = np.less(c, threshold)
     scratch = np.empty_like(keep)
     keep &= np.less(c, R2[..., :-2, 1:-1], out=scratch)
     keep &= np.less(c, R2[..., 2:, 1:-1], out=scratch)
-    *lead, ii, jj = np.nonzero(keep)
+    rows = np.nonzero(keep.any(axis=-1))
+    r, jj = np.nonzero(keep[rows])
+    *lead, ii = (idx[r] for idx in rows)
     ii += 1
     jj += 1
     at = R2[(*lead, ii, jj)]

@@ -208,10 +208,11 @@ def write_columns(path, names, columns):
 
 def write_json(path, doc):
     """Write a JSON document as the package's .json files are written:
-    one-space indents, sorted keys and a final LF."""
+    one-space indents, sorted keys and a final LF, in one write: json.dump
+    would hand the file one short chunk per token.  With an indent, dumps
+    and dump take the same pure-Python encoder, so the bytes are equal."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _format_cells(c: np.ndarray) -> list:

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,13 @@ class RenderSpec:
             raise ValueError(f"unknown figure kind {self.kind!r}; choose from {RENDER_KINDS}")
         if self.shading not in SHADINGS:
             raise ValueError(f"unknown shading {self.shading!r}; choose from {SHADINGS}")
+
+    def archive_keys(self) -> tuple:
+        """The frame-archive columns the figure draws from: its own, and the
+        valid, soft and hard flags of the shading if it is shaded."""
+        fig = _FIGURES[self.kind]
+        flags = ("valid", f"soft_{self.shading}", f"hard_{self.shading}") if fig.shaded else ()
+        return fig.keys + flags
 
 
 def _fmt(v: float) -> str:
@@ -136,22 +144,26 @@ def _load_manifest(run_dir):
         return json.load(fh)
 
 
-def _frame_table(run_dir, manifest, keys, shading=None) -> dict:
-    """The named columns of the run's frame archive; with a shading, also
-    its soft and hard flags as "soft" and "hard", cleared where a point is
-    not valid."""
-    path = os.path.join(run_dir, manifest["files"]["frame_table"])
-    if shading is None:
-        return read_frame_table(path, keys)
-    soft, hard = f"soft_{shading}", f"hard_{shading}"
-    table = read_frame_table(path, keys + ("valid", soft, hard))
-    valid = table["valid"]
-    table["soft"], table["hard"] = table[soft] & valid, table[hard] & valid
+def _read_archive(run_dir, manifest, keys) -> dict:
+    """The named columns of the run's frame archive; nothing is read for no keys."""
+    if not keys:
+        return {}
+    return read_frame_table(os.path.join(run_dir, manifest["files"]["frame_table"]), keys)
+
+
+def _frame_table(archive: dict, spec: RenderSpec) -> dict:
+    """The columns spec's figure draws, taken from the archive columns; a
+    shaded figure also gets the shading's soft and hard flags as "soft" and
+    "hard", cleared where a point is not valid."""
+    table = {k: archive[k] for k in spec.archive_keys()}
+    if _FIGURES[spec.kind].shaded:
+        valid = table["valid"]
+        table["soft"] = table[f"soft_{spec.shading}"] & valid
+        table["hard"] = table[f"hard_{spec.shading}"] & valid
     return table
 
 
-def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
-    table = _frame_table(run_dir, manifest, ("t", "x"), spec.shading)
+def _render_streamlines(run_dir, manifest, table) -> str:
     lines = read_columns(os.path.join(run_dir, manifest["files"]["streamlines"]))
     x, t = table["x"], table["t"]
     if t[-1] > t[0]:
@@ -181,8 +193,7 @@ def _render_streamlines(run_dir, manifest, spec: RenderSpec) -> str:
     return _svg(body)
 
 
-def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
-    table = _frame_table(run_dir, manifest, ("t", "x", "rho"), spec.shading)
+def _render_densities(run_dir, manifest, table) -> str:
     x, rho = table["x"], table["rho"]
     rho_max = float(rho.max())
     fr = _Frame(float(x[0]), float(x[-1]), 0.0, float(len(rho)))
@@ -200,8 +211,7 @@ def _render_densities(run_dir, manifest, spec: RenderSpec) -> str:
     return _svg(body)
 
 
-def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
-    table = _frame_table(run_dir, manifest, ("x", "U"))
+def _render_potential(run_dir, manifest, table) -> str:
     x, U = table["x"], table["U"][0]
     e_plus = float(manifest["derived"]["band_limits"][0])
     levels = [e for e in manifest["derived"]["energies"] if e <= e_plus * 1.05]
@@ -224,7 +234,7 @@ def _render_potential(run_dir, manifest, spec: RenderSpec) -> str:
     return _svg(body)
 
 
-def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
+def _render_vortex(run_dir, manifest, table) -> str:
     cols = read_columns(os.path.join(run_dir, manifest["files"]["vortex_profile"]))
     lr, lk = np.log10(cols["r"]), np.log10(cols["K_a"])
     fr = _Frame(float(lr.min()), float(lr.max()),
@@ -242,19 +252,27 @@ def _render_vortex(run_dir, manifest, spec: RenderSpec) -> str:
     return _svg(body)
 
 
-# every figure: its renderer, the run files it reads (keys of the
-# manifest's files) and its refusal of a run that does not list them; a
-# bundle without the frame archive (written before it existed) gets the
-# same refusal from every kind
+class _Figure(NamedTuple):
+    draw: Callable  # (run_dir, manifest, its frame table) -> SVG text
+    needs: tuple  # the run files it reads, keys of the manifest's files
+    refusal: str  # the refusal of a run that does not list them
+    keys: tuple  # the frame-archive columns it draws
+    shaded: bool  # whether it also draws the soft and hard flags
+
+
+# a bundle without the frame archive (written before it existed) gets the
+# same refusal from every kind that draws from it
 _FIGURES = {
-    "streamlines": (_render_streamlines, ("streamlines", "frame_table"),
-                    "run has no streamline table; this kind needs a 1D run"),
-    "densities": (_render_densities, ("streamlines", "frame_table"),
-                  "run has no 1D frames; this kind needs a 1D run"),
-    "potential_landscape": (_render_potential, ("streamlines", "frame_table"),
-                            "potential landscape needs a 1D run"),
-    "vortex": (_render_vortex, ("vortex_profile",),
-               "run has no vortex profile; this kind needs the 2D run"),
+    "streamlines": _Figure(_render_streamlines, ("streamlines", "frame_table"),
+                           "run has no streamline table; this kind needs a 1D run",
+                           ("t", "x"), True),
+    "densities": _Figure(_render_densities, ("streamlines", "frame_table"),
+                         "run has no 1D frames; this kind needs a 1D run",
+                         ("t", "x", "rho"), True),
+    "potential_landscape": _Figure(_render_potential, ("streamlines", "frame_table"),
+                                   "potential landscape needs a 1D run", ("x", "U"), False),
+    "vortex": _Figure(_render_vortex, ("vortex_profile",),
+                      "run has no vortex profile; this kind needs the 2D run", (), False),
 }
 RENDER_KINDS = tuple(_FIGURES)
 
@@ -263,16 +281,17 @@ def render_run(run_dir, spec: RenderSpec, out_path) -> str:
     """Draw one figure from a completed run directory; returns out_path,
     whose directory is made once the figure is drawn.  A run that lists
     not every file the figure reads is refused with a ValueError."""
-    return _render(run_dir, _load_manifest(run_dir), spec, out_path)
-
-
-def _render(run_dir, manifest, spec: RenderSpec, out_path) -> str:
-    draw, needs, refusal = _FIGURES[spec.kind]
-    for key in needs:
+    manifest, fig = _load_manifest(run_dir), _FIGURES[spec.kind]
+    for key in fig.needs:
         if key not in manifest["files"]:
             raise ValueError(f"{run_dir} has no frame table frames.npz; re-run the "
-                             "scenario to write one" if key == "frame_table" else refusal)
-    text = draw(run_dir, manifest, spec)
+                             "scenario to write one" if key == "frame_table" else fig.refusal)
+    archive = _read_archive(run_dir, manifest, spec.archive_keys())
+    return _render(run_dir, manifest, spec, archive, out_path)
+
+
+def _render(run_dir, manifest, spec: RenderSpec, archive: dict, out_path) -> str:
+    text = _FIGURES[spec.kind].draw(run_dir, manifest, _frame_table(archive, spec))
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(text)
@@ -281,12 +300,12 @@ def _render(run_dir, manifest, spec: RenderSpec, out_path) -> str:
 
 def default_figures(run_dir, shading: str = "qka") -> list:
     """The stock figure set for a run, written next to the manifest: every
-    kind whose files the run lists.  The manifest is read once."""
+    kind whose files the run lists.  The manifest is read once, and so is the
+    frame archive, for every column the set draws, when a figure draws one."""
     manifest = _load_manifest(run_dir)
-    outs = []
-    for kind, (_, needs, _) in _FIGURES.items():
-        if all(k in manifest["files"] for k in needs):
-            out = os.path.join(run_dir, f"{kind}.svg")
-            _render(run_dir, manifest, RenderSpec(kind=kind, shading=shading), out)
-            outs.append(out)
-    return outs
+    specs = [RenderSpec(kind=kind, shading=shading) for kind, fig in _FIGURES.items()
+             if all(k in manifest["files"] for k in fig.needs)]
+    keys = tuple(dict.fromkeys(k for spec in specs for k in spec.archive_keys()))
+    archive = _read_archive(run_dir, manifest, keys)
+    return [_render(run_dir, manifest, spec, archive, os.path.join(run_dir, f"{spec.kind}.svg"))
+            for spec in specs]

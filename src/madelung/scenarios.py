@@ -25,7 +25,6 @@ from .flow import (
     loop_seeds_on_axis,
     loops_to_csv,
     node_events_to_json,
-    save_node_events,
     streamline_bundle,
     streamlines_to_csv,
     vortex_profile,
@@ -684,9 +683,10 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
             window = (b.period / 16.0, b.period * 17.0 / 16.0)
 
     events = find_nodes(node_source, window, diagnostics=diagnostics["node_search"], **kw)
-    save_node_events(events, os.path.join(out_dir, "nodes.json"))
-    files["nodes"] = "nodes.json"
+    # one JSON form of the events for nodes.json and the manifest
     derived["node_events"] = node_events_to_json(events)
+    write_json(os.path.join(out_dir, "nodes.json"), derived["node_events"])
+    files["nodes"] = "nodes.json"
     if b.tuning is not None:
         diagnostics["tuning"] = {"probe_windows": [list(w) for w in b.tuning.probe_windows]}
     derived["diagnostics"] = diagnostics

@@ -409,34 +409,52 @@ class _SineModes:
         amp = np.sqrt(2.0 / self.width)
         self.scale = np.stack([np.broadcast_to(amp, npi.shape), amp * (npi / self.width)])
 
+    def _arg(self, pts):
+        arg = self.npi * (pts[:, None] - self.lo)
+        arg /= self.width
+        return arg
+
     def __call__(self, pts):
         """Every mode at the (D, n) points pts, one row per axis: (2, D, k,
         n), the values, then the x-derivatives.  sin and cos write into one
         contiguous array: on a strided out NumPy may take another float64
         loop and move the last bits."""
-        arg = self.npi * (pts[:, None] - self.lo)
-        arg /= self.width
+        arg = self._arg(pts)
         table = np.empty((2,) + arg.shape)
         np.sin(arg, out=table[0])
         np.cos(arg, out=table[1])
         table *= self.scale
         return table
 
+    def values(self, pts):
+        """The values half of self(pts), (D, k, n), bit for bit, with no
+        derivative half built: sin into a fresh contiguous array, then the
+        amplitudes."""
+        table = np.sin(self._arg(pts))
+        table *= self.scale[0]
+        return table
+
+
+def _hermite_chain(omega: float, n_max: int, x):
+    """xi = sqrt(omega) x and the Hermite functions 0..n_max of U = omega^2
+    x^2 / 2 at x by the stable normalized recurrence, one row per function,
+    unsigned."""
+    xi = math.sqrt(omega) * np.asarray(x, dtype=float)
+    chain = np.empty((n_max + 1,) + xi.shape)
+    chain[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)
+    if n_max >= 1:
+        chain[1] = math.sqrt(2.0) * xi * chain[0]
+    for m in range(1, n_max):
+        chain[m + 1] = (math.sqrt(2.0 / (m + 1)) * xi * chain[m]
+                        - math.sqrt(m / (m + 1.0)) * chain[m - 1])
+    return xi, chain
+
 
 def _hermite_modes(omega: float, idx: np.ndarray, x, out: np.ndarray):
-    """Hermite functions n = idx of U = omega^2 x^2 / 2, by the stable
-    normalized recurrence, signed so the first lobe from the left is
-    positive: out[0] the values, out[1] the x-derivatives, a mode axis
-    leading."""
-    n_max = int(idx.max())
-    xi = math.sqrt(omega) * np.asarray(x, dtype=float)
-    chain = [(omega / math.pi) ** 0.25 * np.exp(-0.5 * xi**2)]
-    if n_max >= 1:
-        chain.append(math.sqrt(2.0) * xi * chain[0])
-    for m in range(1, n_max):
-        chain.append(
-            math.sqrt(2.0 / (m + 1)) * xi * chain[m] - math.sqrt(m / (m + 1.0)) * chain[m - 1]
-        )
+    """Hermite functions n = idx of U = omega^2 x^2 / 2, signed so the first
+    lobe from the left is positive: out[0] the values, out[1] the
+    x-derivatives, a mode axis leading."""
+    xi, chain = _hermite_chain(omega, int(idx.max()), x)
     for j, n in enumerate(idx):
         flip = -1.0 if n % 2 else 1.0
         lower = chain[n - 1] if n >= 1 else 0.0
@@ -541,12 +559,15 @@ class ModeTables:
 
 def _analytic_basis(potential, grid: Grid1D, k: int) -> EigenBasis:
     """The lowest k states of the hard-wall well (modes from 1) or the
-    harmonic oscillator (modes from 0), sampled by their ModeTables."""
+    harmonic oscillator (modes from 0): the values their ModeTables give on
+    the grid, bit for bit, sampled without the derivative half."""
     if isinstance(potential, InfiniteWell):
         _check_walls(potential, grid)
         n, width = np.arange(1, k + 1), 2.0 * potential.half_width
         energies = n**2 * math.pi**2 / (2.0 * width**2)
         meta = {"method": "analytic_well"}
+        # the grid's span, as ModeTables takes it, so the bits are the same
+        V = _SineModes([n], grid.x_min, grid.x_max - grid.x_min).values(grid.x[None])[0]
     else:
         omega = potential.omega
         if omega <= 0:
@@ -555,15 +576,13 @@ def _analytic_basis(potential, grid: Grid1D, k: int) -> EigenBasis:
         # the off-grid Hermite modes need omega, also in a basis loaded
         # without its potential
         meta = {"method": "analytic_hermite", "omega": omega}
-    basis = EigenBasis(grid, energies, None, potential, meta)
-    # a copy of the values, so the derivative half of the table is freed
-    # here: holding it adds about 2 MB to the peak RSS of a 140-mode build
-    V = basis.states = ModeTables(basis, np.arange(k))(grid.x)[0].copy()
+        _, V = _hermite_chain(omega, k - 1, grid.x)
+        V[1::2] *= -1.0  # the signs _hermite_modes gives
     edge = np.maximum(np.abs(V[:, 0]), np.abs(V[:, -1]))
     if isinstance(potential, Harmonic) and (edge >= 1e-12).any():
         j = int(np.argmax(edge >= 1e-12))
         raise ValueError(f"grid too narrow for harmonic mode {j}: edge amplitude {edge[j]:.2e}")
-    return basis
+    return EigenBasis(grid, energies, V, potential, meta)
 
 
 def eigenbasis(potential, grid: Grid1D, k: int, cache_dir: str | None = None,
@@ -632,8 +651,8 @@ def product_basis_2d(pairs, grid2: Grid2D) -> EigenBasis:
     gx, gy = grid2.axes
     wx, wy = gx.x_max - gx.x_min, gy.x_max - gy.x_min
     nx, ny = np.array(pairs).T
-    ux = _SineModes([nx], gx.x_min, wx)(gx.x[None])[0, 0]
-    uy = _SineModes([ny], gy.x_min, wy)(gy.x[None])[0, 0]
+    ux = _SineModes([nx], gx.x_min, wx).values(gx.x[None])[0]
+    uy = _SineModes([ny], gy.x_min, wy).values(gy.x[None])[0]
     basis = EigenBasis(
         grid2,
         0.5 * math.pi**2 * (nx**2 / wx**2 + ny**2 / wy**2),

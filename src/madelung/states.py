@@ -234,8 +234,12 @@ def project_field(basis: EigenBasis, values: np.ndarray, eta: float = 1e-3) -> S
     w = quadrature_weights(basis.grid)  # built once for every mode
     nrm = math.sqrt(float(np.sum(w * np.abs(values) ** 2).real))
     vals = values / nrm
-    V = basis.states
-    raw = np.array([np.sum(w * (V[j] * vals)) for j in range(basis.k)])
+    # one product for every mode, weighted in place (a second k-row
+    # complex temporary costs more than the loop it replaces); each row is
+    # summed as np.sum sums one mode's product
+    prod = basis.states * vals
+    prod *= w
+    raw = prod.reshape(basis.k, -1).sum(axis=1)
     raw[np.abs(raw) < CLAMP] = 0.0
     keep = np.abs(raw) >= eta * np.abs(raw).max()
     idx = np.nonzero(keep)[0]

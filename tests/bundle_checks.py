@@ -141,6 +141,11 @@ def figures() -> list:
     for bundle, kind in kinds + [("v1", "--kind vortex")]:
         run(f"render --run {bundle} {kind} --out f1.svg")
         found += same_as("f1.svg", "f2.svg", f"render --run {bundle} {kind}")
+    # render reads one figure's archive columns; the scenario drew its set from one shared read
+    drawn = [("b1", k) for k in ("streamlines", "densities", "potential_landscape")]
+    for bundle, k in drawn + [("v1", "vortex")]:
+        found += same_as(f"{bundle}/{k}.svg", f"{bundle}_{k}.svg",
+                         f"render --run {bundle} --kind {k} --shading qka")
     return found
 
 
@@ -173,7 +178,8 @@ CHECKS = [
     ("old config: write_fields = true replays to the well bundle, = false is refused", retired_key),
     ("exports: a rerun writes the same 9 files, 2 of them from evolve; a setting the scenario"
      " does not read is refused before --out is made", exports),
-    ("figures: each drawn twice is equal", figures),
+    ("figures: each drawn twice is equal, and render draws the figure its scenario wrote",
+     figures),
     ("figures: a kind the run lacks files for is refused", run, "render --run b1 --kind vortex", 1),
     ("manifests: width 0.08 recorded; no tuner probe fell back to a full solve", manifests),
     ("refused: a 2D loop start on the vortex core, and a band_cap dropping 44.6% of the"

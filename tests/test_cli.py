@@ -226,7 +226,7 @@ class TestRenderFrameTable:
         doc = json.loads(err)
         assert doc["error"] == "ValueError" and "frames.npz" in doc["message"]
 
-    def test_figures_read_the_archive_once_each(self, tmp_path, monkeypatch):
+    def test_figures_read_the_archive_once(self, tmp_path, monkeypatch):
         out = tmp_path / "w16"
         run_scenario(default_config("well_superposition", frames=16, streamlines=2), out)
         column_reads, table_reads = [], []
@@ -243,7 +243,7 @@ class TestRenderFrameTable:
         figures = rd.default_figures(out)
         assert len(figures) == 3
         assert column_reads == ["streamlines.csv"]
-        assert table_reads == ["frames.npz"] * len(figures)
+        assert table_reads == ["frames.npz"]
 
     def test_figures_read_the_manifest_once(self, tmp_path, monkeypatch):
         out = tmp_path / "w4"

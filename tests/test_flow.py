@@ -497,6 +497,26 @@ class TestLatticeMinima:
         kk, ix, it = flow._local_minima_2d(R2.T[None], 1e-3)
         assert (ix == 20).all() and it.tolist() == list(range(1, 32))
 
+    @pytest.mark.parametrize("rows", ["none", "few", "every"])
+    def test_rows_holding_a_survivor(self, rows):
+        # the scan indexes only the (plane, i) rows that hold a survivor:
+        # none of them, three of them, or every interior row of every plane
+        rng = np.random.default_rng(11)
+        R2 = 1.0 + rng.random((2, 12, 9))
+        if rows == "few":
+            want = [(0, 2, 5), (0, 7, 1), (0, 7, 6), (1, 10, 3)]
+        elif rows == "every":
+            # the minimum column alternates, so each one is strict in i
+            want = [(p, i, 2 + 3 * (i % 2)) for p in range(2) for i in range(1, 11)]
+        else:
+            want = []
+        for p, i, j in want:
+            R2[p, i, j] = 0.1
+        for planes in (R2, np.ascontiguousarray(R2.transpose(0, 2, 1)).transpose(0, 2, 1)):
+            got = flow._local_minima_2d(planes, 0.5)
+            assert _same_indices(got, _minima_oracle(planes, 0.5))
+            assert list(zip(*(idx.tolist() for idx in got))) == want
+
 
 @pytest.fixture(scope="module")
 def mzi_nodes():
@@ -548,6 +568,73 @@ class TestNodeSearchOracle:
             # 700 events at two OpenBLAS threads, 701 at one: the lattice
             # bits move with the thread count (ROADMAP item 4)
             assert len(want) in (700, 701)
+
+
+def _cdf_oracle(values, x):
+    """The trapezoid CDF as flow._cdf built it before it wrote in place."""
+    steps = np.cumsum(np.diff(x) * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
+    cdf = np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
+    total = cdf[..., -1:]
+    if not (np.isfinite(total) & (total > 0.0)).all():
+        raise ValueError("density does not carry positive mass")
+    return cdf / total, total
+
+
+def _grid_rho_oracle(s, tc):
+    """|Psi|^2 of one _grid_rho chunk as it was built before it squared in place."""
+    V = s.basis.states[s.indices].reshape(s.indices.size, -1)
+    w = s.coeffs * flow._phases(s, tc)
+    parts = np.concatenate([w.real, w.imag]) @ V
+    rho = parts[:tc.size] ** 2 + parts[tc.size:] ** 2
+    return rho.reshape(tc.shape + s.grid.shape)
+
+
+class TestInPlaceLattices:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(2, 40))
+    def test_cdf_matches_its_old_formula(self, seed, rows, n):
+        # rows = 0 is a 1D density; zeros make flat stretches and empty cells
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.random(n) + 1e-3)
+        values = rng.random((rows, n) if rows else (n,)) * (rng.random(n) < 0.8)
+        values[..., n // 2] = 1.0  # every row carries mass
+        before = values.copy()
+        cdf, total = flow._cdf(values, x)
+        want_cdf, want_total = _cdf_oracle(values, x)
+        assert np.array_equal(values, before)
+        assert cdf.shape == want_cdf.shape and total.shape == want_total.shape
+        assert np.array_equal(cdf, want_cdf) and np.array_equal(total, want_total)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_cdf_refuses_a_row_without_mass(self, bad):
+        values = np.ones((3, 9))
+        values[1] = bad
+        for v in (values, values[1]):
+            with pytest.raises(ValueError, match="positive mass"):
+                flow._cdf(v, np.linspace(0.0, 1.0, 9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           st.lists(st.floats(0.0, 10.0), min_size=1, max_size=70))
+    def test_grid_rho_matches_its_old_formula(self, well_basis, re, im, ts):
+        c = np.array(re) + 1j * np.array(im)
+        if not np.abs(c).max() > 1e-3:
+            c[0] = 1.0
+        s = superposition(well_basis, [0, 1, 2, 3], c / np.linalg.norm(c))
+        ts = np.array(ts)
+        done = 0
+        for k, tc, rho in flow._grid_rho(s, ts):
+            assert k == done and np.array_equal(tc, ts[k:k + tc.size])
+            assert np.array_equal(rho, _grid_rho_oracle(s, tc))
+            done += tc.size
+        assert done == ts.size
+
+    def test_grid_rho_2d_matches_its_old_formula(self, vortex_state):
+        ts = np.linspace(0.0, 0.3, 5)
+        for _, tc, rho in flow._grid_rho(vortex_state, ts):
+            assert rho.shape == tc.shape + vortex_state.grid.shape
+            assert np.array_equal(rho, _grid_rho_oracle(vortex_state, tc))
 
 
 class TestGridRho:

@@ -1,5 +1,9 @@
 """Grid, quadrature, and stencil tests against analytic oracles."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +371,23 @@ class TestCsvRoundTrip:
         assert p.read_text() == (
             '{\n "a": 0.30000000000000004,\n "b": [\n  1.5,\n  {\n   "a": true,\n'
             '   "z": null\n  }\n ],\n "c": "x"\n}\n')
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.recursive(
+        st.floats(allow_nan=False) | st.booleans() | st.integers() | st.none(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text("abcxyz_", max_size=4), inner, max_size=4),
+        max_leaves=30))
+    def test_json_in_one_write_equals_json_dump(self, doc):
+        # the one-piece write gives the bytes of json.dump plus a final LF
+        with tempfile.TemporaryDirectory() as d:
+            p, q = os.path.join(d, "a.json"), os.path.join(d, "b.json")
+            write_json(p, doc)
+            with open(q, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            with open(p, "rb") as a, open(q, "rb") as b:
+                assert a.read() == b.read()
 
     def test_1d_complex(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 51)

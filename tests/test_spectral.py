@@ -220,12 +220,18 @@ class TestModeTable:
     @pytest.mark.parametrize("potential, grid, k", [
         (InfiniteWell(1.5), Grid1D(-1.5, 1.5, 501), 6),
         (Harmonic(10.0), Grid1D(-3.0, 3.0, 601), 8),
-    ], ids=["well", "hermite"])
+        # the 140-mode mzi_1d launch basis, and Hermite bases of 13 modes and of one
+        (InfiniteWell(2.0), Grid1D(-2.0, 2.0, 2001), 140),
+        (Harmonic(20.0), Grid1D(-4.0, 4.0, 1001), 13),
+        (Harmonic(10.0), Grid1D(-3.0, 3.0, 601), 1),
+    ], ids=["well", "hermite", "well140", "hermite13", "hermite1"])
     def test_1d_basis_is_table_on_grid(self, potential, grid, k):
+        # the basis samples the values alone, and they are the tables' bits
         basis = eigenbasis(potential, grid, k)
         values, dx = ModeTables(basis, np.arange(k))(grid.x)
         assert values.shape == dx.shape == (k, grid.n)
         assert np.array_equal(values, basis.states)
+        assert basis.states.flags.c_contiguous
 
     def test_box_basis_is_table_on_grid(self):
         grid2 = Grid2D(Grid1D(0.0, 1.3, 41), Grid1D(0.0, 2.0, 61))
