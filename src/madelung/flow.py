@@ -89,8 +89,7 @@ def _cdf(values: np.ndarray, x: np.ndarray):
     cdf[..., 0] = 0.0
     steps = cdf[..., 1:]
     np.add(values[..., 1:], values[..., :-1], out=steps)
-    steps *= np.diff(x)
-    steps /= 2.0
+    steps *= np.diff(x) / 2.0
     np.cumsum(steps, axis=-1, out=steps)
     total = cdf[..., -1:].copy()
     if not (np.isfinite(total) & (total > 0.0)).all():

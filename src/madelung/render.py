@@ -57,9 +57,20 @@ class RenderSpec:
         return fig.keys + flags
 
 
+def _minus_zero(v):
+    """Where v is written 0.00 though %.2f may write -0.00: v in (-0.005, 0].
+    The double nearest -0.005 lies past it and writes -0.01; NaN is never in it."""
+    return (v > -0.005) & (v <= 0.0)
+
+
 def _fmt(v: float) -> str:
-    s = f"{v:.2f}"
-    return "0.00" if s == "-0.00" else s
+    return "%.2f" % (0.0 if _minus_zero(v) else v)
+
+
+def _cleared(v) -> np.ndarray:
+    """v as floats with the values %.2f would write as -0.00 set to 0.0."""
+    v = np.asarray(v, dtype=float)
+    return np.where(_minus_zero(v), 0.0, v)
 
 
 def _svg(body: list) -> str:
@@ -114,29 +125,44 @@ class _Frame:
 
 
 def _fmts(v) -> list:
-    """_fmt of every element of an array."""
-    return [_fmt(a) for a in v.tolist()]
+    """_fmt of every element of an array, in one pass."""
+    return list(map("%.2f".__mod__, _cleared(v).tolist()))
 
 
-def _points(px: list, py: list) -> str:
-    """A polyline's points attribute from formatted pixel x and y columns."""
-    return " ".join(map("{},{}".format, px, py))
+def _points(px, py) -> str:
+    """A polyline's points attribute from pixel x and y arrays, written by
+    one format call."""
+    xy = np.empty(2 * px.size)
+    xy[0::2], xy[1::2] = px, py
+    return ("%.2f,%.2f " * px.size % tuple(_cleared(xy).tolist()))[:-1]
 
 
-def _band(fr: _Frame, x, y_top, y_bot, **flags) -> list:
-    """One rect from y_top to y_bot (pixels) over each run of set flags,
-    class by class in the order given; runs under 0.05 px wide are left out."""
-    y = f'y="{_fmt(y_top)}"'
-    height = f'height="{_fmt(y_bot - y_top)}"'
-    out = []
-    for cls, f in flags.items():
-        edges = np.flatnonzero(np.diff(f, prepend=False, append=False))
-        left = fr.x(x[edges[::2]])
-        width = fr.x(x[edges[1::2] - 1]) - left
-        keep = width >= 0.05
-        out += [f'<rect class="{cls}" x="{a}" {y} width="{w}" {height}/>'
-                for a, w in zip(_fmts(left[keep]), _fmts(width[keep]))]
-    return out
+def _lane_points(px, py) -> list:
+    """_points(px, row) for each row of the (lanes, points) stack py; the
+    shared x column is formatted once into the template each row fills."""
+    template = " ".join(map("%s,%%.2f".__mod__, _fmts(px)))
+    return [template % tuple(row) for row in _cleared(py).tolist()]
+
+
+def _bands(fr: _Frame, x, y_top, y_bot, **flags) -> list:
+    """Per lane, one rect from its y_top to its y_bot (pixels) over each run
+    of set flags, given as (lanes, points) stacks: class by class in the
+    order given, runs in x order.  Runs under 0.05 px wide are left out."""
+    ys, hs = _fmts(y_top), _fmts(np.subtract(y_bot, y_top))
+    runs = [np.nonzero(np.diff(f, axis=1, prepend=False, append=False)) for f in flags.values()]
+    lane = np.concatenate([j[::2] for j, _ in runs])
+    cls = np.repeat(np.arange(len(runs)), [j.size // 2 for j, _ in runs])
+    edges = np.concatenate([e for _, e in runs])
+    left = fr.x(x[edges[::2]])
+    width = fr.x(x[edges[1::2] - 1]) - left
+    keep = np.flatnonzero(width >= 0.05)
+    keep = keep[np.argsort(lane[keep], kind="stable")]  # lane, then class, then x
+    names = list(flags)
+    rects = [f'<rect class="{names[c]}" x="{a}" y="{ys[j]}" width="{w}" height="{hs[j]}"/>'
+             for j, c, a, w in zip(lane[keep].tolist(), cls[keep].tolist(),
+                                   _fmts(left[keep]), _fmts(width[keep]))]
+    ends = np.cumsum(np.bincount(lane[keep], minlength=len(ys))).tolist()
+    return [rects[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _load_manifest(run_dir):
@@ -179,15 +205,14 @@ def _render_streamlines(run_dir, manifest, table) -> str:
         fr = _Frame(float(x[0]), float(x[-1]), float(samples.min()), float(samples.max()))
         edges = np.linspace(fr.y0, fr.y1, t.size + 1)
     y = fr.y(edges)
-    body = []
-    for j in range(t.size):
-        body += _band(fr, x, y[j + 1], y[j], soft=table["soft"][j], hard=table["hard"][j])
+    bands = _bands(fr, x, y[1:], y[:-1], soft=table["soft"], hard=table["hard"])
+    body = [rect for rects in bands for rect in rects]
 
     for q in np.unique(lines["seed_q"]):
         sel = lines["seed_q"] == q
         ts, xs = lines["t"][sel], lines["x"][sel]
         order = np.argsort(ts)
-        pts = _points(_fmts(fr.x(xs[order])), _fmts(fr.y(ts[order])))
+        pts = _points(fr.x(xs[order]), fr.y(ts[order]))
         body.append(f'<polyline class="curve" points="{pts}"/>')
     body.extend(fr.axes("x", "t"))
     return _svg(body)
@@ -196,17 +221,17 @@ def _render_streamlines(run_dir, manifest, table) -> str:
 def _render_densities(run_dir, manifest, table) -> str:
     x, rho = table["x"], table["rho"]
     rho_max = float(rho.max())
+    lanes = np.arange(len(rho), dtype=float)
     fr = _Frame(float(x[0]), float(x[-1]), 0.0, float(len(rho)))
-    px = _fmts(fr.x(x[::4]))
+    base = fr.y(lanes)
+    bands = _bands(fr, x, fr.y(lanes + 0.92), base, soft=table["soft"], hard=table["hard"])
+    curves = _lane_points(fr.x(x[::4]), fr.y(rho[:, ::4] / rho_max * 0.92 + lanes[:, None]))
+    label_x = _fmt(fr.px1 + 4)
     body = []
-    for j, t in enumerate(table["t"]):
-        base = float(j)
-        body += _band(fr, x, fr.y(j + 0.92), fr.y(base),
-                      soft=table["soft"][j], hard=table["hard"][j])
-        lane = rho[j, ::4] / rho_max * 0.92 + j
-        body.append(f'<polyline class="curve" points="{_points(px, _fmts(fr.y(lane)))}"/>')
-        body.append(f'<text x="{_fmt(fr.px1 + 4)}" y="{_fmt(fr.y(base) - 2)}">'
-                    f't={_fmt(t)}</text>')
+    for rects, pts, y, t in zip(bands, curves, _fmts(base - 2), _fmts(table["t"])):
+        body += rects
+        body.append(f'<polyline class="curve" points="{pts}"/>')
+        body.append(f'<text x="{label_x}" y="{y}">t={t}</text>')
     body.extend(fr.axes("x", "frame"))
     return _svg(body)
 
@@ -219,9 +244,9 @@ def _render_potential(run_dir, manifest, table) -> str:
     u_lo = min(0.0, float(U.min()))
     fr = _Frame(float(x[0]), float(x[-1]), u_lo, u_cap)
     # classically forbidden band at the band-limit energy
-    body = _band(fr, x, fr.py1, fr.py0, hard=U > e_plus)
+    body = _bands(fr, x, [fr.py1], [fr.py0], hard=(U > e_plus)[None])[0]
     clip = np.minimum(U, u_cap * 1.02)
-    pts = _points(_fmts(fr.x(x[::2])), _fmts(fr.y(clip[::2])))
+    pts = _points(fr.x(x[::2]), fr.y(clip[::2]))
     body.append(f'<polyline class="curve" points="{pts}"/>')
     for e in levels:
         body.append(f'<line class="level" x1="{_fmt(fr.px0)}" y1="{_fmt(fr.y(e))}" '
@@ -242,10 +267,10 @@ def _render_vortex(run_dir, manifest, table) -> str:
     v = manifest["derived"]["vortex"]
     z, p = v["fit_Z"], v["fit_exponent"]
     fit = math.log10(z / 2.0) + p * lr
-    px = _fmts(fr.x(lr))
-    body = [f'<polyline class="fit" points="{_points(px, _fmts(fr.y(fit)))}"/>']
+    px = fr.x(lr)
+    body = [f'<polyline class="fit" points="{_points(px, fr.y(fit))}"/>']
     body += [f'<circle class="pt" cx="{a}" cy="{b}" r="2.5"/>'
-             for a, b in zip(px, _fmts(fr.y(lk)))]
+             for a, b in zip(_fmts(px), _fmts(fr.y(lk)))]
     body.append(f'<text x="{_fmt(fr.px0 + 8)}" y="{_fmt(fr.py1 + 14)}">'
                 f'slope={_fmt(p)} Z={_fmt(z)}</text>')
     body.extend(fr.axes("log10 r", "log10 K_a"))

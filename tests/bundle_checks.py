@@ -135,14 +135,16 @@ def exports() -> list:
 
 
 def figures() -> list:
-    kinds = [("b1", f"--kind {k} --shading {s}") for s in ("qka", "qrkc")
-             for k in ("streamlines", "densities", "potential_landscape")]
+    # m1, the benchmark bundle, shades the most band rects of any stock bundle
+    one_d = ("streamlines", "densities", "potential_landscape")
+    twice = [(bundle, f"--kind {k} --shading {s}") for bundle, s in
+             (("b1", "qka"), ("b1", "qrkc"), ("m1", "qrkc")) for k in one_d]
     found = []
-    for bundle, kind in kinds + [("v1", "--kind vortex")]:
+    for bundle, kind in twice + [("v1", "--kind vortex")]:
         run(f"render --run {bundle} {kind} --out f1.svg")
         found += same_as("f1.svg", "f2.svg", f"render --run {bundle} {kind}")
     # render reads one figure's archive columns; the scenario drew its set from one shared read
-    drawn = [("b1", k) for k in ("streamlines", "densities", "potential_landscape")]
+    drawn = [(bundle, k) for bundle in ("b1", "m1") for k in one_d]
     for bundle, k in drawn + [("v1", "vortex")]:
         found += same_as(f"{bundle}/{k}.svg", f"{bundle}_{k}.svg",
                          f"render --run {bundle} --kind {k} --shading qka")

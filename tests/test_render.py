@@ -19,6 +19,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from madelung import energy
 from madelung import render as rd
@@ -404,3 +406,99 @@ def test_streamlines_end_bands_stay_in_the_box_when_frames_advance(runs, tmp_pat
     out = rd.render_run(runs[0], RenderSpec("streamlines", shading), tmp_path / "s.svg")
     _points_inside(open(out).read())
 
+
+
+# ------------------------------------------------- writers, value by value
+
+# The writers as they stood before the whole-figure passes: one value, one
+# point and one lane at a time (_fmt is the frozen one above).
+
+
+def _fmts_oracle(v) -> list:
+    return [_fmt(a) for a in v.tolist()]
+
+
+def _points_oracle(px: list, py: list) -> str:
+    return " ".join(map("{},{}".format, px, py))
+
+
+def _band_oracle(fr, x, y_top, y_bot, **flags) -> list:
+    y = f'y="{_fmt(y_top)}"'
+    height = f'height="{_fmt(y_bot - y_top)}"'
+    out = []
+    for cls, f in flags.items():
+        edges = np.flatnonzero(np.diff(f, prepend=False, append=False))
+        left = fr.x(x[edges[::2]])
+        width = fr.x(x[edges[1::2] - 1]) - left
+        keep = width >= 0.05
+        out += [f'<rect class="{cls}" x="{a}" {y} width="{w}" {height}/>'
+                for a, w in zip(_fmts_oracle(left[keep]), _fmts_oracle(width[keep]))]
+    return out
+
+
+_EDGE_VALUES = (-0.0, 0.0, -0.005, float(np.nextafter(-0.005, 0.0)), 0.004999, -0.004999,
+                math.nan, math.inf, -math.inf, 1e17, -1e17)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0) | st.sampled_from(_EDGE_VALUES) | st.floats(),
+                max_size=40))
+@example(list(_EDGE_VALUES))
+def test_fmts_writes_each_value_as_the_oracle_does(values):
+    v = np.array(values, dtype=float)
+    want = _fmts_oracle(v)
+    assert rd._fmts(v) == want
+    assert [rd._fmt(a) for a in values] == want
+    assert [rd._fmt(a) for a in v] == want  # NumPy scalars too
+
+
+def _flag_stacks(rng, lanes, n):
+    """Soft and hard (lanes, n) stacks: random runs, runs touching both ends,
+    an empty lane and a full lane."""
+    soft = rng.random((lanes, n)) < rng.uniform(0.1, 0.9)
+    hard = rng.random((lanes, n)) < 0.3
+    soft[0, :2] = soft[-1, -2:] = True
+    soft[rng.integers(lanes)] = False
+    hard[rng.integers(lanes)] = True
+    return soft, hard
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("lanes", [1, 2, 9])
+def test_bands_equal_the_lane_by_lane_writer(seed, lanes):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    # a fine lattice puts many single-point runs (width 0) and runs under
+    # 0.05 px wide next to wide ones
+    x = np.sort(rng.uniform(-1.0, 1.0, n)) if seed % 2 else np.linspace(-1.0, 1.0, n)
+    fr = rd._Frame(float(x[0]), float(x[-1]), 0.0, float(lanes))
+    y_top = fr.y(np.arange(lanes) + 0.92)
+    y_bot = fr.y(np.arange(lanes, dtype=float))
+    soft, hard = _flag_stacks(rng, lanes, n)
+    want = [_band_oracle(fr, x, y_top[j], y_bot[j], soft=soft[j], hard=hard[j])
+            for j in range(lanes)]
+    assert rd._bands(fr, x, y_top, y_bot, soft=soft, hard=hard) == want
+    assert rd._bands(fr, x, y_top, y_bot, hard=hard) == [
+        _band_oracle(fr, x, y_top[j], y_bot[j], hard=hard[j]) for j in range(lanes)]
+
+
+def test_bands_leave_out_runs_under_a_twentieth_of_a_pixel():
+    x = np.array([0.0, 1e-5, 2e-5, 0.5, 1.0])
+    fr = rd._Frame(0.0, 1.0, 0.0, 1.0)
+    flags = np.array([[True, True, False, True, True], [False] * 5, [True] * 5])
+    got = rd._bands(fr, x, np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]), hard=flags)
+    assert got == [_band_oracle(fr, x, a, b, hard=f) for a, b, f in
+                   zip((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), flags)]
+    assert [len(rects) for rects in got] == [1, 0, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 60), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_points_and_the_shared_x_template_equal_the_pairwise_writer(n, lanes, seed):
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(-1.0, 721.0, n)
+    py = rng.uniform(-1.0, 521.0, (lanes, n))
+    px[::7], py[:, ::5] = -0.0, -0.004  # values written 0.00
+    want = [_points_oracle(_fmts_oracle(px), _fmts_oracle(row)) for row in py]
+    assert [rd._points(px, row) for row in py] == want
+    assert rd._lane_points(px, py) == want
