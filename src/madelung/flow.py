@@ -204,7 +204,14 @@ def _first_dip(s: Superposition, q: float, lattice, rho_lat, floor: float,
 
 def _quantile_lines(s: Superposition, t_span, t_eval, qs=None, x0=None) -> list:
     """Streamlines x_q(t) for the quantiles qs, or for the quantiles of the
-    starts x0 at t_span[0]; each is cut at its first node dip."""
+    starts x0 at t_span[0]; each is cut at its first node dip.
+
+    One pass of _quantile_curves over the NODE_SCAN_SAMPLES-time lattice
+    gives rho along each line for the dip search, and x_q at every sample
+    time that is a lattice time (the stock sample times all are: frame
+    times span * i / F with F dividing 256, or the 65 default ones) and at
+    t_span[0], the lattice's first time; the other sample times take a
+    pass of their own."""
     g = s.grid
     if g.ndim != 1:
         raise ValueError("streamline integration is 1D")
@@ -217,16 +224,23 @@ def _quantile_lines(s: Superposition, t_span, t_eval, qs=None, x0=None) -> list:
         raise ValueError("sample times lie outside the time span")
     (_, _, rho0), = _grid_rho(s, [t0])
     rho_ref = float(rho0.max())
-    x0 = _quantile_curves(s, qs, [t0])[0][0] if x0 is None else np.asarray(x0, float)
+    lattice = np.linspace(t0, t1, NODE_SCAN_SAMPLES)
+    if qs is not None:
+        X_lat, R = _quantile_curves(s, qs, lattice)
+        x0 = X_lat[0]
+    x0 = np.asarray(x0, float)
     if (not ((g.x_min + 2 * g.h <= x0) & (x0 <= g.x_max - 2 * g.h)).all()
             or (_rho_at(s, x0, np.full(x0.shape, t0)) < EPS_NODE * rho_ref).any()):
         raise ValueError("streamline start lies in a masked region")
     if qs is None:
         qs = [cumulative_probability(s, x, t0) for x in x0]
+        X_lat, R = _quantile_curves(s, qs, lattice)
     floor = NODE_PAUSE_FACTOR * EPS_NODE * rho_ref
-    X, _ = _quantile_curves(s, qs, ts)
-    lattice = np.linspace(t0, t1, NODE_SCAN_SAMPLES)
-    _, R = _quantile_curves(s, qs, lattice)
+    k = np.minimum(np.searchsorted(lattice, ts), lattice.size - 1)
+    X = X_lat[k]
+    off = lattice[k] != ts
+    if off.any():
+        X[off] = _quantile_curves(s, qs, ts[off])[0]
     lines = []
     for j, q in enumerate(qs):
         t_flag = _first_dip(s, q, lattice, R[:, j], floor, rho_ref)
@@ -615,61 +629,84 @@ def _node_diagnostics(status, steps, refined) -> dict:
     }
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label of each of n points under the edges (a[k], b[k]): the smallest
+    index in its connected component.  Each pass points the labels that an
+    edge's two ends hold, each its own label, at the smaller of the two,
+    then follows labels of labels until each is its own label again; a pass
+    that moves no label ends it, as then every edge joins equal labels."""
+    lab = np.arange(n)
+    while True:
+        la, lb = lab[a], lab[b]
+        lo = np.minimum(la, lb)
+        new = lab.copy()
+        np.minimum.at(new, la, lo)
+        np.minimum.at(new, lb, lo)
+        while not np.array_equal(jump := new[new], new):
+            new = jump
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
 def _cluster(raw, dt_lat: float, space_tol: float, window_span: float):
     """Union events within (space_tol, 2 dt_lat) of each other; a cluster
     spanning a sizable fraction of the window is a persistent node line.
+    raw holds (t, x, refined, residual) per event, x a float in 1D and an
+    (x, y) tuple in 2D, times and residuals finite.
 
     Pairs are swept over the events sorted by time: at each offset along
     that order, the pairs not yet more than 2 dt_lat apart in time, until
-    none is left.  An array distance keeps the pairs that may lie within
-    space_tol (|dx| is what math.dist returns for one coordinate; np.hypot
-    is held to a bound loose by far more than its rounding), and math.dist
-    decides each of them."""
+    none is left.  In 1D the array |dx| decides each pair, as math.dist of
+    one coordinate returns it; in 2D it keeps the pairs that may lie within
+    space_tol (np.hypot is held to a bound loose by far more than its
+    rounding) and math.dist decides each of them.  The groups are then
+    reduced as arrays: an event's t* is the midpoint of its group's time
+    extent if that extent is degenerate, else the time of its best member,
+    the lowest residual among the refined members if any is refined (among
+    all members if none is), ties to the lowest index.  Events are ordered
+    by (t*, first coordinate), ties by their groups' lowest index."""
     n = len(raw)
-    parent = list(range(n))
-    # positions as coordinate tuples: (x,) in 1D, (x, y) in 2D
-    pos = [p if isinstance(p, tuple) else (p,) for _, p, _, _ in raw]
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    times = np.array([t for t, _, _, _ in raw], dtype=float)
+    if n == 0:
+        return []
+    times = np.array([r[0] for r in raw], dtype=float)
+    pts = np.array([r[1] for r in raw], dtype=float).reshape(n, -1)  # (n, 1) or (n, 2)
     order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    p_sorted = np.array(pos, dtype=float)[order]  # (n, 1) or (n, 2)
+    t_sorted, p_sorted = times[order], pts[order]
+    ia, ib = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]  # the pairs' event indices
     for off in range(1, n):
         near = np.flatnonzero(~(t_sorted[off:] - t_sorted[:-off] > 2 * dt_lat))
         if near.size == 0:
             break
         d = p_sorted[near + off] - p_sorted[near]
-        dist = np.abs(d[:, 0]) if d.shape[1] == 1 else np.hypot(d[:, 0], d[:, 1])
-        for k in near[dist <= space_tol * (1.0 + 1e-12)].tolist():
-            a, b = int(order[k]), int(order[k + off])
-            if math.dist(pos[a], pos[b]) <= space_tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
+        if d.shape[1] == 1:
+            near = near[np.abs(d[:, 0]) <= space_tol]
+        else:
+            near = near[np.hypot(d[:, 0], d[:, 1]) <= space_tol * (1.0 + 1e-12)]
+            near = near[[math.dist(raw[order[k]][1], raw[order[k + off]][1]) <= space_tol
+                         for k in near.tolist()]]
+        ia.append(order[near])
+        ib.append(order[near + off])
+    lab = _components(n, np.concatenate(ia), np.concatenate(ib))
 
-    groups = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-    keyed = []
-    for members in groups.values():
-        ts = [raw[m][0] for m in members]
-        extent = max(ts) - min(ts)
-        degenerate = extent > 0.25 * window_span
-        best = min(members, key=lambda m: raw[m][3])
-        refined = any(raw[m][2] for m in members)
-        if refined:
-            best = min((m for m in members if raw[m][2]), key=lambda m: raw[m][3])
-        t_star = float(0.5 * (max(ts) + min(ts)) if degenerate else raw[best][0])
-        event = NodeEvent(t_star, raw[best][1], refined, degenerate, float(raw[best][3]))
-        keyed.append(((t_star, pos[best][0]), event))
-    keyed.sort(key=lambda ke: ke[0])
-    return [e for _, e in keyed]
+    refined = np.array([r[2] for r in raw], dtype=bool)
+    resid = np.array([r[3] for r in raw], dtype=float)
+    group_refined = np.zeros(n, dtype=bool)
+    group_refined[lab[refined]] = True
+    # by group, then the members that may be best first (the refined ones of
+    # a group that has any), then residual; stable, so index breaks the ties
+    by = np.lexsort((resid, group_refined[lab] & ~refined, lab))
+    g = lab[by]
+    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    best = by[starts]
+    t_by = times[by]
+    t_max, t_min = np.maximum.reduceat(t_by, starts), np.minimum.reduceat(t_by, starts)
+    degenerate = t_max - t_min > 0.25 * window_span
+    t_star = np.where(degenerate, 0.5 * (t_max + t_min), times[best])
+    rank = np.lexsort((pts[best, 0], t_star))
+    return [NodeEvent(t, raw[b][1], r, d, float(raw[b][3])) for t, b, r, d in zip(
+        t_star[rank].tolist(), best[rank].tolist(), group_refined[g[starts]][rank].tolist(),
+        degenerate[rank].tolist())]
 
 
 def find_nodes(s: Superposition, t_window, nt: int = 257,
@@ -830,17 +867,11 @@ def loops_to_csv(loops, path):
 
 
 def node_events_to_json(events) -> list:
-    docs = []
-    for e in events:
-        x = e.x_star if np.ndim(e.x_star) == 0 else list(e.x_star)
-        docs.append({
-            "t": e.t_star,
-            "x": x,
-            "refined": bool(e.refined),
-            "degenerate": bool(e.degenerate),
-            "residual": e.residual,
-        })
-    return docs
+    """One record per event, x a number in 1D and an [x, y] list in 2D."""
+    return [{"t": e.t_star,
+             "x": list(e.x_star) if isinstance(e.x_star, (tuple, list, np.ndarray)) else e.x_star,
+             "refined": bool(e.refined), "degenerate": bool(e.degenerate), "residual": e.residual}
+            for e in events]
 
 
 def save_node_events(events, path):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -206,13 +209,89 @@ def write_columns(path, names, columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+# the JSON text of a record value by its exact type, as json.dumps writes it;
+# float.__repr__ writes the non-finite floats as _NON_FINITE, where json.dumps
+# writes NaN, Infinity and -Infinity, so a column holding one is no record column
+_SCALAR_TEXT = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
+                float: float.__repr__, np.float64: float.__repr__,
+                str: encode_basestring_ascii, type(None): lambda v: "null"}
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+# a record list's stand-in while json.dumps writes the rest, and how it reads there
+_STAND_IN = "\x00records %d"
+_STAND_IN_TEXT = re.compile(r'"\\u0000records (\d+)"')
+
+
+def _record_texts(v):
+    """(sorted keys, values as JSON texts record by record) of a record
+    list, or None when v is none: a list of two or more dicts sharing one
+    nonempty set of str keys, each value a bool, int, finite float, str or
+    None."""
+    if type(v) is not list or len(v) < 2 or type(v[0]) is not dict or not v[0]:
+        return None
+    keys = v[0].keys()
+    if not all(type(r) is dict and r.keys() == keys for r in v) or not all(
+            type(k) is str for k in keys):
+        return None
+    keys = sorted(keys)
+    cols = []
+    for k in keys:
+        col = [r[k] for r in v]
+        kinds = set(map(type, col))
+        if not kinds.issubset(_SCALAR_TEXT):
+            return None
+        texts = (list(map(_SCALAR_TEXT[kinds.pop()], col)) if len(kinds) == 1
+                 else [_SCALAR_TEXT[type(x)](x) for x in col])
+        if not _NON_FINITE.isdisjoint(texts):
+            return None
+        cols.append(texts)
+    return keys, tuple(chain.from_iterable(zip(*cols)))
+
+
+def _records_json(keys, values, level: int) -> str:
+    """A record list as json.dumps(indent=1) writes it with its opening
+    bracket on a line indented by level: one %-format call fills a record
+    template repeated once per record."""
+    outer, inner = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
+    record = "{" + ",".join(inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                            for k in keys) + outer + "}"
+    n = len(values) // len(keys)
+    return ("[" + outer + ("," + outer).join([record] * n) + "\n" + " " * level + "]") % values
+
+
+def _stand_in(doc, found: list, level: int = 0):
+    """doc with each record list in it (see _record_texts) put in found, with
+    the number of containers around it, its indent level, and replaced by
+    _STAND_IN with its index there.  The dicts, lists and tuples on the way
+    are copied, the tuples as lists, which json writes alike."""
+    kind = type(doc)
+    if kind is list and (texts := _record_texts(doc)) is not None:
+        found.append((*texts, level))
+        return _STAND_IN % (len(found) - 1)
+    if kind is dict:
+        return {k: _stand_in(v, found, level + 1) for k, v in doc.items()}
+    if kind in (list, tuple):
+        return [_stand_in(v, found, level + 1) for v in doc]
+    return doc
+
+
 def write_json(path, doc):
     """Write a JSON document as the package's .json files are written:
-    one-space indents, sorted keys and a final LF, in one write: json.dump
-    would hand the file one short chunk per token.  With an indent, dumps
-    and dump take the same pure-Python encoder, so the bytes are equal."""
+    json.dumps(doc, indent=1, sort_keys=True) and a final LF, in one write.
+
+    With an indent, json encodes token by token in pure Python.  So each
+    record list in doc (see _record_texts), such as the node events, is
+    written by one %-format call over its values' texts (_records_json),
+    and json.dumps writes the rest of the document with a stand-in string
+    where each record list goes.  Should a string of doc read like a
+    stand-in, json.dumps writes the whole document."""
+    found = []
+    text = json.dumps(_stand_in(doc, found), indent=1, sort_keys=True)
+    if sorted(map(int, _STAND_IN_TEXT.findall(text))) != list(range(len(found))):
+        text = json.dumps(doc, indent=1, sort_keys=True)
+    elif found:
+        text = _STAND_IN_TEXT.sub(lambda m: _records_json(*found[int(m[1])]), text)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _format_cells(c: np.ndarray) -> list:

@@ -166,6 +166,20 @@ def manifests() -> list:
         windows and not any(fell_back for _, _, fell_back in windows), f"probe windows {windows}")
 
 
+def reencoded() -> list:
+    """Every manifest.json, nodes.json and tuning.json written so far, and every cached
+    basis.json, holds the bytes json.dumps(indent=1, sort_keys=True) and a final LF give for
+    what it reads back to; m1's nodes.json, the benchmark's node events, among them."""
+    paths = sorted(p for name in ("manifest.json", "nodes.json", "tuning.json", "basis.json")
+                   for p in Path().rglob(name))
+    found = expect(Path("m1/nodes.json") in paths, f"no m1/nodes.json among {len(paths)} files")
+    for p in paths:
+        text = p.read_bytes()
+        again = (json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n").encode()
+        found += expect(again == text, f"{p} does not re-encode to its own bytes")
+    return found
+
+
 # one row per check: its name, function and arguments; run in order in WORKDIR
 CHECKS = [
     *((f"oracle tests at {n} BLAS thread(s)", oracles, n) for n in (1, 2)),
@@ -193,6 +207,8 @@ CHECKS = [
      + run(f"{FIXED} --out u3", cache="ucache") + count("ucache", 12) + same_as("u3", "u4", FIXED)),
     *((f"1 and 2 threads{'' if gate else ', reported only'}: {flags}", thread_pair, flags, gate)
       for flags, gate in THREADS.items()),
+    ("json files: every manifest, node list, tuning record and cached basis.json written"
+     " above re-encodes to its own bytes", reencoded),
 ]
 
 

@@ -237,6 +237,76 @@ class TestQuantileCurves:
             streamline_bundle(two_mode, 3, (0.0, 1.0), t_eval=[0.5, 1.5])
 
 
+def _quantile_lines_oracle(s, t_span, t_eval, qs=None, x0=None):
+    """flow._quantile_lines as it was before the node-scan lattice gave the
+    positions too: one pass at t0 for the starts, one over the sample times,
+    one over the lattice for rho along each line."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    ts = np.asarray(np.linspace(t0, t1, flow.STREAMLINE_SAMPLES) if t_eval is None else t_eval,
+                    dtype=float)
+    (_, _, rho0), = flow._grid_rho(s, [t0])
+    rho_ref = float(rho0.max())
+    x0 = flow._quantile_curves(s, qs, [t0])[0][0] if x0 is None else np.asarray(x0, float)
+    if qs is None:
+        qs = [cumulative_probability(s, x, t0) for x in x0]
+    floor = flow.NODE_PAUSE_FACTOR * flow.EPS_NODE * rho_ref
+    X, _ = flow._quantile_curves(s, qs, ts)
+    lattice = np.linspace(t0, t1, flow.NODE_SCAN_SAMPLES)
+    _, R = flow._quantile_curves(s, qs, lattice)
+    lines = []
+    for j, q in enumerate(qs):
+        t_flag = flow._first_dip(s, q, lattice, R[:, j], floor, rho_ref)
+        keep = ts <= (t1 if t_flag is None else t_flag)
+        lines.append(Streamline(float(q), ts[keep], X[keep, j], t_flag is not None, t_flag))
+    return lines
+
+
+def _same_lines(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.seed_quantile, a.flagged, a.t_flag) == (b.seed_quantile, b.flagged, b.t_flag)
+        assert a.t.tobytes() == b.t.tobytes() and a.x.tobytes() == b.x.tobytes()
+
+
+class TestLatticeSamples:
+    # sample times on the node-scan lattice take its positions, the others a
+    # pass of their own; either way the lines keep the two-pass bits
+    @pytest.mark.parametrize("times", ["lattice", "off", "mixed", "default"])
+    def test_bundle_equals_the_two_pass_lines(self, two_mode, times):
+        lattice = np.linspace(0.0, PERIOD, flow.NODE_SCAN_SAMPLES)
+        te = {"lattice": np.linspace(0.0, PERIOD, 17), "off": np.linspace(0.01, PERIOD - 0.02, 11),
+              "mixed": np.sort(np.r_[lattice[::40], lattice[5:200:40] + 1e-3]),
+              "default": None}[times]
+        on = np.isin(np.linspace(0.0, PERIOD, flow.STREAMLINE_SAMPLES) if te is None else te,
+                     lattice).sum()
+        assert on == {"lattice": 17, "off": 0, "mixed": 7, "default": 65}[times]
+        qs = np.arange(1, 6) / 6.0
+        _same_lines(streamline_bundle(two_mode, 5, (0.0, PERIOD), t_eval=te),
+                    _quantile_lines_oracle(two_mode, (0.0, PERIOD), te, qs=qs))
+
+    def test_a_start_and_a_flagged_line_equal_the_two_pass_lines(self, well_basis, two_mode):
+        s = superposition(well_basis, [0, 2], np.array([1.0, 1.0]) / math.sqrt(2.0))
+        span = (math.pi / math.pi**2, 2.0 * math.pi / math.pi**2 + 0.05)
+        got = integrate_streamline(s, 0.0, span)
+        assert got.flagged
+        _same_lines([got], _quantile_lines_oracle(s, span, None, x0=[0.0]))
+        te = np.linspace(0.0, PERIOD, 33)
+        _same_lines([integrate_streamline(two_mode, -0.4, (0.0, PERIOD), t_eval=te)],
+                    _quantile_lines_oracle(two_mode, (0.0, PERIOD), te, x0=[-0.4]))
+
+    @pytest.mark.parametrize("name, flags", [
+        ("well_superposition", {"frames": 16}),
+        ("mzi_1d", {"barrier_height": 2437.5, "frames": 4, "streamlines": 3}),
+    ])
+    def test_stock_lines_equal_the_two_pass_lines(self, name, flags):
+        b = sc.build_scenario(sc.default_config(name, **flags))
+        te, m = sc.streamline_times(b), b.config.streamlines
+        assert np.isin(te, np.linspace(*b.span, flow.NODE_SCAN_SAMPLES)).all()
+        _same_lines(streamline_bundle(b.states[0], m, b.span, t_eval=te),
+                    _quantile_lines_oracle(b.states[0], b.span, te,
+                                           qs=np.arange(1, m + 1) / (m + 1.0)))
+
+
 class TestQuantilePosition:
     def test_symmetric_median_at_center(self, ho_basis):
         s = superposition(ho_basis, [0], [1.0])
@@ -792,6 +862,60 @@ class TestClusterSweep:
         raw = [(0.0, p, True, 1e-9), (0.0, q, True, 2e-9)]
         assert flow._cluster(raw, 0.125, 0.25, 8.0) == _cluster_oracle(raw, 0.125, 0.25, 8.0)
         assert len(_cluster_oracle(raw, 0.125, 0.25, 8.0)) == 1
+
+    @staticmethod
+    def _same(raw, span=8.0):
+        got = flow._cluster(raw, 0.125, 0.25, span)
+        assert got == _cluster_oracle(raw, 0.125, 0.25, span)
+        return got
+
+    def test_no_event_and_one_event(self):
+        assert self._same([]) == []
+        assert self._same([(0.5, 0.25, False, 0.5)]) == [NodeEvent(0.5, 0.25, False, False, 0.5)]
+        assert self._same([(0.5, (0.25, 1.0), True, 0.0)]) == [
+            NodeEvent(0.5, (0.25, 1.0), True, False, 0.0)]
+
+    @pytest.mark.parametrize("refined", [(True, True, True), (False, False, False),
+                                         (False, True, True), (True, False, True)])
+    def test_equal_residuals_in_one_group_take_the_first_eligible(self, refined):
+        # a group of three with one residual; a refined member beats a lower
+        # unrefined residual, and among equals the lowest index wins
+        raw = [(0.1 * k, 0.1 * k, r, 1e-9) for k, r in enumerate(refined)]
+        raw.append((0.05, 0.05, False, 0.0))
+        event, = self._same(raw)
+        first = next(k for k, r in enumerate(refined) if r) if any(refined) else 3
+        assert (event.t_star, event.refined) == (raw[first][0], any(refined))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_groups_with_equal_keys_keep_their_index_order(self, flip):
+        # 2D: one time and x, y apart.  1D: a chain that leaves x = 0 for x = 1
+        # and comes back, degenerate with midpoint 2 and its best member at
+        # x = 0, and an event at (2, 0) the chain never comes near
+        two = [(1.0, (0.0, 0.0), True, 1e-9), (1.0, (0.0, 1.0), True, 2e-9)]
+        xs = [0.0, 0.25, 0.5, 0.75] + [1.0] * 25 + [0.75, 0.5, 0.25, 0.0]
+        chain = [(0.125 * k, x, k == 0, 1e-9) for k, x in enumerate(xs)] + [(2.0, 0.0, True, 1e-9)]
+        for raw, first in ((two, "x_star"), (chain, "degenerate")):
+            raw = raw[::-1] if flip else raw
+            a, b = self._same(raw)
+            assert a.t_star == b.t_star and _first_coord(a.x_star) == _first_coord(b.x_star)
+            # the group holding raw[0] comes first
+            assert getattr(a, first) == (raw[0][1] if first == "x_star" else not flip)
+
+    def test_a_chain_past_a_quarter_span_is_degenerate(self):
+        # 25 events 0.125 apart in time at one x: extent 3 > 0.25 * 8
+        raw = [(0.125 * k, 0.3, k == 7, 1e-3 / (k + 1)) for k in range(25)]
+        event, = self._same(raw)
+        assert event.degenerate and event.t_star == 1.5 and event.refined
+        event, = self._same(raw, span=12.0)  # extent 3 = 0.25 * 12: not degenerate
+        assert not event.degenerate and event.t_star == raw[7][0]
+
+    def test_1d_pairs_at_the_tolerance_join_and_an_ulp_past_it_do_not(self):
+        past = float(np.nextafter(0.25, 1.0))
+        for a, b, groups in ((0.0, 0.25, 1), (0.0, past, 2), (-0.25, 0.0, 1), (-past, 0.0, 2)):
+            assert math.dist((a,), (b,)) == (0.25 if groups == 1 else past)
+            for raw in ([(0.0, a, True, 1e-9), (0.0, b, True, 2e-9)],
+                        [(0.5, b, False, 1e-9), (0.375, a, True, 2e-9)]):
+                assert len(self._same(raw)) == groups
 
 
 LOOP_SPAN = (0.0, 0.5)

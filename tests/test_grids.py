@@ -1,6 +1,7 @@
 """Grid, quadrature, and stencil tests against analytic oracles."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -326,6 +327,42 @@ class TestIdentities:
         assert np.allclose(direct, parts, atol=1e-9 * (1 + abs(a) + abs(b)))
 
 
+# record lists for write_json: keys and strings with quotes, backslashes, a
+# percent sign, control and non-ASCII characters; record values of every kind
+# a record may hold.  Outside the records also the non-finite floats and
+# strings that read like write_json's stand-ins, which send a whole document
+# to json.dumps
+_TEXT = st.text(st.sampled_from('ab"\\%\x00\n\x1f\x7f\u00e9\u2603') | st.characters(), max_size=6)
+_KEY = st.text("abcxyz_", max_size=4) | _TEXT
+_VALUE = (st.booleans() | st.integers() | st.none() | _TEXT | st.sampled_from([0.0, -0.0])
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+_NON_FINITE = st.sampled_from([math.nan, -math.inf, math.inf, np.float64(math.nan)])
+_SCALAR = _VALUE | _NON_FINITE | st.sampled_from(["\x00records 0", "\x00records 1"])
+_RECORDS = st.lists(_KEY, min_size=1, max_size=5, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: _VALUE for k in keys}),
+                          min_size=2, max_size=30))
+
+
+def _near(records, how, k, bad):
+    """records spoiled one way: a key dropped from one record, a list or a
+    non-finite value, or every key made an int (json.dumps writes it as a str)."""
+    records = [dict(r) for r in records]
+    r = records[k % len(records)]
+    if how == "missing":
+        r.pop(next(iter(r)))
+    elif how in ("list", "non-finite"):
+        r[next(iter(r))] = [1.5, "a"] if how == "list" else bad
+    else:
+        records = [dict(enumerate(r.values())) for r in records]
+    return records
+
+
+_NEAR_RECORDS = st.builds(_near, _RECORDS,
+                          st.sampled_from(["missing", "list", "non-finite", "int keys"]),
+                          st.integers(0, 29), _NON_FINITE)
+
+
 class TestCsvRoundTrip:
     def test_columns_round_trip(self, tmp_path):
         edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1.0 / 3.0])
@@ -372,14 +409,14 @@ class TestCsvRoundTrip:
             '{\n "a": 0.30000000000000004,\n "b": [\n  1.5,\n  {\n   "a": true,\n'
             '   "z": null\n  }\n ],\n "c": "x"\n}\n')
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.recursive(
-        st.floats(allow_nan=False) | st.booleans() | st.integers() | st.none(),
-        lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(st.text("abcxyz_", max_size=4), inner, max_size=4),
-        max_leaves=30))
+        _SCALAR | _RECORDS | _NEAR_RECORDS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEY, inner, max_size=4),
+        max_leaves=8))
     def test_json_in_one_write_equals_json_dump(self, doc):
-        # the one-piece write gives the bytes of json.dump plus a final LF
+        # the one-piece write gives the bytes of json.dump plus a final LF,
+        # with record lists (and lists that miss being one) at any depth
         with tempfile.TemporaryDirectory() as d:
             p, q = os.path.join(d, "a.json"), os.path.join(d, "b.json")
             write_json(p, doc)
@@ -388,6 +425,28 @@ class TestCsvRoundTrip:
                 fh.write("\n")
             with open(p, "rb") as a, open(q, "rb") as b:
                 assert a.read() == b.read()
+
+    def test_record_lists_skip_json_dumps(self, tmp_path, monkeypatch):
+        # a record list reaches json.dumps as its stand-in string; a list
+        # that misses being one, or a doc holding a string that reads like a
+        # stand-in, reaches it whole
+        events = [{"t": 0.5 * k, "x": -0.0, "refined": k > 0, "degenerate": False,
+                   "residual": np.float64(1e-9), "note": None if k else 'a "%s" \u00e9'}
+                  for k in range(3)]
+        seen, dumps = [], json.dumps  # the documents write_json hands json.dumps
+        monkeypatch.setattr(json, "dumps", lambda doc, **kw: seen.append(doc) or dumps(doc, **kw))
+        doc = {"derived": {"node_events": events}, "files": [events[:2], 1]}
+        write_json(tmp_path / "a.json", doc)
+        assert seen == [{"derived": {"node_events": "\x00records 0"}, "files": ["\x00records 1", 1]}]
+        for spoiled in ([dict(events[0], x=[0.1, 0.2])] + events[1:], [events[0]],
+                        {"a": events, "b": "\x00records 0"}):
+            seen.clear()
+            write_json(tmp_path / "b.json", spoiled)
+            assert seen[-1] == spoiled
+            with open(tmp_path / "b.json") as fh:
+                assert fh.read() == json.dumps(spoiled, indent=1, sort_keys=True) + "\n"
+        with open(tmp_path / "a.json") as fh:
+            assert fh.read() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
     def test_1d_complex(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 51)
