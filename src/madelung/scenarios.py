@@ -216,11 +216,14 @@ class TuningResult:
     iterations: int
     bracket: tuple
     history: tuple
-    # the launch the probes projected, and each probe's solved index window
-    # (first, last, fell_back); neither is part of tuning_record
+    # the launch the probes projected, each probe's solved index window
+    # (first, last, fell_back), and (probe, pairs) for each probe whose
+    # basis kept LAPACK's pairs (its meta["unpolished"]); none of them is
+    # part of tuning_record
     launch: Superposition | None = dataclasses.field(default=None, repr=False,
                                                      compare=False)
     probe_windows: tuple = dataclasses.field(default=(), repr=False, compare=False)
+    unpolished_probes: tuple = dataclasses.field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.transmission):
@@ -323,8 +326,9 @@ def tune_beam_splitter(c: ScenarioConfig) -> TuningResult:
     ladder over PROBE_RANGE, doubling from its low end, first verifies a
     bracket with T(low) > 0.5 > T(high) and that T is decreasing across
     the probes.
-    The result carries the packet as `launch` and each probe's window as
-    `probe_windows`.
+    The result carries the packet as `launch`, each probe's window as
+    `probe_windows` and the probes whose basis kept a LAPACK pair as
+    `unpolished_probes`.
     """
     if c.tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -332,9 +336,12 @@ def tune_beam_splitter(c: ScenarioConfig) -> TuningResult:
     values = evaluate(launch, 0.0)  # every probe projects the same values
     history = []
     windows = []
+    unpolished = []
 
     def probe(u0: float) -> float:
         state, window = _probe_state(c, launch, u0, values)
+        if "unpolished" in state.basis.meta:
+            unpolished.append((len(history), tuple(state.basis.meta["unpolished"])))
         t = transmission(state, MEASURE_TIME)
         history.append((float(u0), float(t)))
         windows.append(window)
@@ -342,7 +349,7 @@ def tune_beam_splitter(c: ScenarioConfig) -> TuningResult:
 
     def result(u0, t, iterations, bracket) -> TuningResult:
         return TuningResult(float(u0), float(t), iterations, bracket, tuple(history),
-                            launch, tuple(windows))
+                            launch, tuple(windows), tuple(unpolished))
 
     lo, hi = PROBE_RANGE
     ladder = [lo]
@@ -689,6 +696,9 @@ def run_scenario(c: ScenarioConfig, out_dir) -> dict:
     files["nodes"] = "nodes.json"
     if b.tuning is not None:
         diagnostics["tuning"] = {"probe_windows": [list(w) for w in b.tuning.probe_windows]}
+        if b.tuning.unpolished_probes:
+            diagnostics["tuning"]["unpolished_probes"] = [
+                {"probe": i, "unpolished": list(pairs)} for i, pairs in b.tuning.unpolished_probes]
     derived["diagnostics"] = diagnostics
 
     manifest = {"name": c.name, "config": dataclasses.asdict(c),

@@ -207,6 +207,8 @@ CHECKS = [
      + run(f"{FIXED} --out u3", cache="ucache") + count("ucache", 12) + same_as("u3", "u4", FIXED)),
     *((f"1 and 2 threads{'' if gate else ', reported only'}: {flags}", thread_pair, flags, gate)
       for flags, gate in THREADS.items()),
+    ("1 and 2 threads: madelung tune writes the same tuning.json", lambda: run(
+        "tune --out tu_1", threads=1) + same_as("tu_1", "tu_2", "tune", "tuning.json", threads=2)),
     ("json files: every manifest, node list, tuning record and cached basis.json written"
      " above re-encodes to its own bytes", reencoded),
 ]

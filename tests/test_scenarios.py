@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from madelung import scenarios as sc
+from madelung import spectral
 from madelung.energy import (
     continuity_residual,
     decompose,
@@ -268,6 +269,34 @@ class TestTuner:
         assert np.array_equal(state.indices, full.indices)
         assert np.array_equal(state.coeffs, full.coeffs)
 
+    def test_probe_on_a_tiny_pivot_matches_the_full_probe(self):
+        # the ladder probe at U0 = 1000 of a 1001-point tuning: its window
+        # keeps every pair polished, while the full solve keeps LAPACK's
+        # pair 79, and the two give one T
+        c = sc.default_config("mzi_1d", grid_n=1001)
+        launch = sc._launch_state(c)
+        window, probed = sc._probe_state(c, launch, 1000.0)
+        full = sc._splitter_state(c, launch, 1000.0)
+        assert probed == (50, 112, False)
+        assert "unpolished" not in window.basis.meta
+        assert full.basis.meta["unpolished"] == [79]
+        t_window = sc.transmission(window, sc.MEASURE_TIME)
+        t_full = sc.transmission(full, sc.MEASURE_TIME)
+        assert t_window == pytest.approx(t_full, rel=1e-12, abs=0.0)
+
+    # configs away from the stock one: U0* and T as the tuner gave them
+    # while its probes polished twice
+    @pytest.mark.parametrize("overrides, u0_star, t", [
+        ({"grid_n": 1001}, 2625.0, 0.509697936818243),
+        ({"barrier_width": 0.04}, 1593.75, 0.506436544545312),
+        ({"eta": 1e-2}, 2437.5, 0.504703764297277),
+    ])
+    def test_tuning_off_the_stock_config(self, overrides, u0_star, t):
+        r = sc.tune_beam_splitter(sc.default_config("mzi_1d", **overrides))
+        assert r.U0_star == u0_star
+        assert r.transmission == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert r.unpolished_probes == ()
+
     def test_ladder_monotone(self, mzi):
         hist = mzi.tuning.history
         ladder = [t for u, t in hist[:5]]
@@ -414,6 +443,29 @@ class TestRunBundle:
         assert rec["unpolished"] == [79]
         assert set(rec) == {"method", "first", "last", "max_residual", "unpolished"}
         assert rec["max_residual"] < 1e-8
+
+    def test_probe_that_kept_a_lapack_pair_is_recorded(self, tmp_path, monkeypatch):
+        # a spoiled polish on the third probe (U0 = 1000, window 50..112)
+        # makes it keep LAPACK's pair 79, and derived.diagnostics.tuning
+        # names the probe and the pair
+        real, sweeps_seen = spectral._polish_pairs, []
+
+        def spoiled(d, e, vals, vecs, sweeps):
+            lam, V, HV = real(d, e, vals, vecs, sweeps)
+            sweeps_seen.append(sweeps)
+            if len(sweeps_seen) == 3:
+                lam[79 - 50] += 1.0
+            return lam, V, HV
+
+        monkeypatch.delenv("MADELUNG_CACHE_DIR", raising=False)
+        monkeypatch.setattr(spectral, "_polish_pairs", spoiled)
+        c = sc.default_config("mzi_1d", grid_n=1001, frames=2, streamlines=1)
+        m = sc.run_scenario(c, tmp_path / "u")
+        assert m["derived"]["tuning"]["history"][2][0] == 1000.0
+        assert m["derived"]["diagnostics"]["tuning"]["unpolished_probes"] == [
+            {"probe": 2, "unpolished": [79]}]
+        assert sweeps_seen == [1] * len(m["derived"]["tuning"]["history"]) + [2]
+        assert "unpolished" not in m["derived"]["diagnostics"]["basis"]
 
     def test_analytic_basis_records_no_residual(self, tmp_path):
         c = sc.default_config("well_superposition", frames=2, streamlines=1)

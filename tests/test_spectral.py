@@ -330,8 +330,10 @@ class TestSolveEigen:
 
 
 # The polish as it was written before it ran in preallocated buffers, kept
-# verbatim: the buffered one must reproduce it bit for bit.
-def _polish_pairs_oracle(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+# verbatim but for the sweep count: the buffered one must reproduce it bit
+# for bit.
+def _polish_pairs_oracle(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                         sweeps: int = 2):
     """One-step-per-sweep inverse iteration in extended precision.
 
     Float64 bisection/inverse-iteration residuals sit at the backward
@@ -344,7 +346,7 @@ def _polish_pairs_oracle(d: np.ndarray, e: np.ndarray, vals: np.ndarray, vecs: n
     lam = vals.astype(np.longdouble).copy()
     V = vecs.astype(np.longdouble).copy()
     tiny = np.longdouble(1e-300)
-    for _ in range(2):
+    for _ in range(sweeps):
         # vectorized Thomas solve of (T - lam_j) w_j = v_j for all j
         c = np.empty((n - 1, k), np.longdouble)
         g = np.empty((n, k), np.longdouble)
@@ -499,8 +501,8 @@ class TestPolish:
         H = build_hamiltonian(InfiniteWell(1.0), g)
         real = spectral._polish_pairs
 
-        def spoiled(d, e, vals, vecs):
-            lam, V, HV = real(d, e, vals, vecs)
+        def spoiled(d, e, vals, vecs, sweeps):
+            lam, V, HV = real(d, e, vals, vecs, sweeps)
             lam[[1, 3]] += 1.0
             vals[[1, 3]] += 1.0  # LAPACK's pairs miss the bound too
             return lam, V, HV
@@ -517,8 +519,8 @@ class TestPolish:
         clean = solve_eigen(H, 4, g)
         real, lapack = spectral._polish_pairs, {}
 
-        def spoiled(d, e, vals, vecs):
-            lam, V, HV = real(d, e, vals, vecs)
+        def spoiled(d, e, vals, vecs, sweeps):
+            lam, V, HV = real(d, e, vals, vecs, sweeps)
             lam[[1, 3]] += 1.0
             lapack.update(vals=vals.copy(), vecs=vecs.copy())
             return lam, V, HV
@@ -549,6 +551,32 @@ class TestPolish:
         for name, (H, _, _) in stein_pairs.items():
             _, g, k = _POLISH_CASES[name]
             assert "unpolished" not in solve_eigen(H, k, g).meta
+
+    @pytest.mark.parametrize("first, sweeps", [(50, 1), (0, 2)])
+    def test_solve_polishes_a_window_once_and_a_full_basis_twice(self, monkeypatch,
+                                                                 first, sweeps):
+        # the stock probe window (indices 50..112) and the full stock basis
+        H = build_hamiltonian(MZI_POT, MZI_GRID)
+        real, seen = spectral._polish_pairs, []
+
+        def checked(d, e, vals, vecs, n):
+            got = real(d, e, vals, vecs, n)
+            want = _polish_pairs_oracle(d, e, vals, vecs, sweeps)
+            seen.append((n, all(np.array_equal(g_arr, w_arr) and g_arr.dtype == w_arr.dtype
+                                for g_arr, w_arr in zip(got, want))))
+            return got
+
+        monkeypatch.setattr(spectral, "_polish_pairs", checked)
+        solve_eigen(H, 113 if first else 140, MZI_GRID, MZI_POT, first)
+        assert seen == [(sweeps, True)]
+
+    def test_window_on_a_tiny_pivot_needs_no_lapack_pair(self):
+        # two sweeps blow pair 79 up on this window and keep LAPACK's pair
+        # (max_residual 1.33e-10); one sweep keeps the polished pair
+        basis = eigenbasis(WellWithBarrier(2.0, 1000.0, 0.02), Grid1D(-2.0, 2.0, 1001), 113,
+                           first=50)
+        assert "unpolished" not in basis.meta
+        assert spectral.max_residual(basis) < 5e-11
 
 
 class TestBasisFactory:
@@ -647,6 +675,13 @@ def _unversioned_key() -> str:
     return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 
+def _two_sweep_key(first) -> str:
+    """The key a window entry had while windows were polished twice."""
+    tag = (f"{spectral._CACHE_VERSION}|{spectral._canon(CACHE_POT)}|{CACHE_GRID.x_min!r},"
+           f"{CACHE_GRID.x_max!r},{CACHE_GRID.n}|k={CACHE_K}|first={first}")
+    return hashlib.sha256(tag.encode()).hexdigest()[:16]
+
+
 class TestCache:
     def test_full_key_unchanged_and_window_key_differs(self):
         # a full entry keeps the name it had before index windows
@@ -687,6 +722,22 @@ class TestCache:
         entry = self._move(tmp_path, spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K, asked))
         with pytest.raises(ValueError, match=re.escape(entry)):
             eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=asked)
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_window_key_names_its_polish(self, first):
+        assert spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K, first) != _two_sweep_key(first)
+
+    def test_two_sweep_window_entry_is_ignored(self, tmp_path):
+        # a window entry under the key it had before windows took one sweep
+        # stays where it is, unread
+        eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=1)
+        old = self._move(tmp_path, _two_sweep_key(1))
+        with open(os.path.join(old, "basis.json"), "w") as fh:
+            fh.write("{}")  # read, it would raise
+        basis = eigenbasis(CACHE_POT, CACHE_GRID, CACHE_K, cache_dir=str(tmp_path), first=1)
+        new = spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K, 1)
+        assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(old), new])
+        assert basis.first == 1
 
     def test_key_differs_from_unversioned_scheme(self):
         assert spectral._cache_key(CACHE_POT, CACHE_GRID, CACHE_K) != _unversioned_key()
